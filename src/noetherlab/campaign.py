@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Callable, Optional
 
@@ -57,8 +58,16 @@ from .generators import (
     random_qcondition,
     random_universe,
 )
-from .geometry import TaggedBox, box_from_index, box_index
-from .graphs import SampleUniverse, adjacent, common_neighborhood, explicit_graph
+from .geometry import Point, TaggedBox, box_from_index, box_index
+from .graphs import (
+    SampleUniverse,
+    TwoVarPoly,
+    adjacent,
+    common_neighborhood,
+    curve_difference_graph,
+    distance_graph,
+    explicit_graph,
+)
 from .hamming import (
     epsilon_matrix,
     make_diagonal_hamming,
@@ -144,6 +153,60 @@ def _neighborhood_laws(rng, config):
         return False, {"law": "intersection", "universe": _universe_digest(universe)}
     if a <= b and not common_neighborhood(universe, b) <= common_neighborhood(universe, a):
         return False, {"law": "antitone", "universe": _universe_digest(universe)}
+    return True, None
+
+
+def _pairwise_masks(universe: SampleUniverse) -> list[int]:
+    """closed_masks rebuilt from adjacent(), one pair at a time."""
+    inst, pts = universe.instance, universe.points
+    return [
+        sum(1 << j for j, y in enumerate(pts) if j == i or adjacent(inst, x, y))
+        for i, x in enumerate(pts)
+    ]
+
+
+_CURVES = (
+    {(0, 1): 1, (2, 0): -1},  # v = u^2
+    {(2, 0): 1, (0, 2): 1, (0, 0): -1},  # unit circle
+    {(0, 1): 1, (1, 0): -2, (0, 0): -1},  # v = 2u + 1
+)
+
+
+def _curve_universe(rng) -> SampleUniverse:
+    instance = curve_difference_graph(TwoVarPoly.from_dict(rng.choice(_CURVES)))
+    coords = {
+        (Fraction(rng.randint(-4, 4), 2), Fraction(rng.randint(-4, 4), 2))
+        for _ in range(rng.randint(2, 12))
+    }
+    return SampleUniverse(instance, [Point(c) for c in sorted(coords)])
+
+
+def _rational_distance_universe(rng) -> SampleUniverse:
+    """Mixed denominators and squared distances that need not be integers."""
+    dim = rng.randint(1, 3)
+    squared = [Fraction(rng.randint(1, 8), rng.choice((1, 4, 9))) for _ in range(rng.randint(1, 3))]
+    coords = {
+        tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(dim))
+        for _ in range(rng.randint(2, 12))
+    }
+    return SampleUniverse(distance_graph(dim, squared), [Point(c) for c in sorted(coords)])
+
+
+@suite("mask-adjacency-agreement")
+def _mask_adjacency_agreement(rng, config):
+    diagonal = make_diagonal_hamming(rng.randint(2, 4))
+    universes = [
+        random_universe(rng, config.bound("maxPoints")),
+        clustered_line_universe(),
+        _curve_universe(rng),
+        _rational_distance_universe(rng),
+        SampleUniverse(
+            diagonal.instance, rng.sample(diagonal.points, k=rng.randint(1, len(diagonal)))
+        ),
+    ]
+    for universe in universes:
+        if universe.closed_masks != _pairwise_masks(universe):
+            return False, {"universe": _universe_digest(universe)}
     return True, None
 
 

@@ -47,6 +47,7 @@ from .serialize import (
     location_from_json,
     parse_instance_file,
     pcondition_from_json,
+    point_at,
     point_from_json,
     point_to_json,
     qcondition_from_json,
@@ -98,7 +99,7 @@ def _cmd_adj(args) -> int:
             args.out,
         )
         return 0
-    pts = [universe.points[i] for i in args.indices]
+    pts = [point_at(universe, i, "--indices") for i in args.indices]
     _emit(
         {
             "common_neighborhood": sorted(
@@ -218,7 +219,7 @@ def _cmd_poset(args) -> int:
         conds = [pcondition_from_json(c, universe) for c in data["conditions"]]
         x = None
         if "point" in data:
-            x = universe.points[int(data["point"])]
+            x = point_at(universe, data["point"], "point")
         try:
             bound = p_lower_bound(conds, x, universe=universe)
         except NoetherError as exc:
@@ -243,7 +244,7 @@ def _cmd_poset(args) -> int:
         data = load_path(args.file)
         loc = location_from_json(data["location"], universe)
         conds = [qcondition_from_json(c, universe) for c in data["conditions"]]
-        test_set = [universe.points[int(i)] for i in data.get("test_set", [])]
+        test_set = [point_at(universe, i, "test_set") for i in data.get("test_set", [])]
         result = liminf_thin(conds, loc, test_set, data.get("threshold"))
         _emit(
             {

@@ -83,7 +83,8 @@ def separating_box(
         raise PreconditionError(f"{x} is a member of the avoid set")
     if within is not None and not box_contains(within, x):
         raise PreconditionError("within-box does not contain x")
-    forbidden = [a for a in avoid if adjacent(universe.instance, x, a)]
+    neighbors = universe.open_masks[universe.index(x)]
+    forbidden = [a for a in avoid if neighbors >> universe.index(a) & 1]
     excluded = frozenset(exclude)
     for box in iter_boxes_containing(x, tag=tag, within=within):
         if box in excluded:

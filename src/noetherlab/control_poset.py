@@ -23,6 +23,7 @@ from .errors import (
     PreconditionError,
     ReductionFailureError,
     UnsupportedKindError,
+    VerificationError,
 )
 from .geometry import Point, TaggedBox, box_contains, boxes_disjoint, iter_boxes_containing
 from .graphs import (
@@ -316,7 +317,8 @@ def ramsey_compatible_subset(
             for i in combo[1:]:
                 meet = q_meet(meet, conditions[i])
             for i in combo:
-                assert q_extends(meet, conditions[i])
+                if not q_extends(meet, conditions[i]):
+                    raise VerificationError(f"meet is not below condition {i}")
             return combo, meet
     return None
 

@@ -17,6 +17,10 @@ class UnsupportedKindError(NoetherError):
     """Operation is not defined for this instance kind."""
 
 
+class VerificationError(NoetherError):
+    """A result failed the post-condition check that re-verifies it."""
+
+
 class InvalidSpecError(NoetherError):
     """Malformed pattern specification (e.g. depth < 2)."""
 

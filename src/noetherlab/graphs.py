@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import isqrt, lcm
 from typing import Iterable, Optional
 
 from .errors import InvalidPointError, UnknownPointError, UnsupportedKindError
@@ -189,15 +190,19 @@ class SampleUniverse:
 
     @cached_property
     def closed_masks(self) -> list[int]:
-        """closed_masks[i] = bitmask of Gamma(points[i]) within the universe."""
-        n = len(self.points)
-        masks = []
-        for i in range(n):
-            m = 1 << i
-            for j in range(n):
-                if j != i and adjacent(self.instance, self.points[i], self.points[j]):
-                    m |= 1 << j
-            masks.append(m)
+        """closed_masks[i] = bitmask of Gamma(points[i]) within the universe.
+
+        Built from the structure of the instance kind on point indices (see
+        _EDGE_BUILDERS); adjacent() stays the exact pairwise reference.
+        """
+        try:
+            edges = _EDGE_BUILDERS[self.instance.kind]
+        except KeyError:
+            raise UnsupportedKindError(self.instance.kind) from None
+        masks = [1 << i for i in range(len(self.points))]
+        for i, j in edges(self.instance, self.points):
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
         return masks
 
     @cached_property
@@ -219,6 +224,82 @@ class SampleUniverse:
 
     def ordered_points_of(self, mask: int) -> list[Point]:
         return [p for i, p in enumerate(self.points) if mask >> i & 1]
+
+
+# -- mask builders --------------------------------------------------------------
+# Each yields the index pairs (i, j) of adjacent points, at least once per
+# edge.  The points are already validated by SampleUniverse, and may be any
+# subset of the space in any order.
+
+def _distance_edges(instance: GraphInstance, points: tuple[Point, ...]):
+    """Integer squared distances after scaling to one common denominator D.
+
+    |x - y|^2 = s exactly iff the scaled points differ by s * D^2, so only
+    targets s * D^2 that are integers can be hit.
+    """
+    d = lcm(*(c.denominator for p in points for c in p.coords))
+    scaled = [tuple(c.numerator * (d // c.denominator) for c in p.coords) for p in points]
+    dd = d * d
+    targets = {
+        s.numerator * (dd // s.denominator)
+        for s in instance.squared_distances
+        if dd % s.denominator == 0
+    }
+    if instance.dimension == 1:
+        where = {x: i for i, (x,) in enumerate(scaled)}
+        roots = [r for t in targets if (r := isqrt(t)) * r == t]
+        for i, (x,) in enumerate(scaled):
+            for r in roots:
+                j = where.get(x + r)
+                if j is not None:
+                    yield i, j
+        return
+    for i, x in enumerate(scaled):
+        for j in range(i + 1, len(scaled)):
+            if sum((a - b) ** 2 for a, b in zip(x, scaled[j])) in targets:
+                yield i, j
+
+
+def _curve_difference_edges(instance: GraphInstance, points: tuple[Point, ...]):
+    p = instance.poly
+    for i, x in enumerate(points):
+        x0, x1 = x.coords
+        for j in range(i + 1, len(points)):
+            u, v = x0 - points[j].coords[0], x1 - points[j].coords[1]
+            if p.evaluate(u, v) == 0 or p.evaluate(-u, -v) == 0:
+                yield i, j
+
+
+def _hamming_edges(instance: GraphInstance, points: tuple[Point, ...]):
+    """Look up every one-coordinate mutation: O(n * sum of alphabets)."""
+    words = [tuple(c.numerator for c in p.coords) for p in points]
+    where = {w: i for i, w in enumerate(words)}
+    values = [sorted({w[k] for w in words}) for k in range(instance.dimension)]
+    for i, w in enumerate(words):
+        for k, vals in enumerate(values):
+            head, tail = w[:k], w[k + 1 :]
+            for v in vals:
+                if v > w[k]:
+                    j = where.get(head + (v,) + tail)
+                    if j is not None:
+                        yield i, j
+
+
+def _explicit_edges(instance: GraphInstance, points: tuple[Point, ...]):
+    where = {p.coords[0].numerator: i for i, p in enumerate(points)}
+    for u, v in instance.edges:
+        i, j = where.get(u), where.get(v)
+        if i is not None and j is not None:
+            yield i, j
+
+
+_EDGE_BUILDERS = {
+    DISTANCE: _distance_edges,
+    CURVE_DIFFERENCE: _curve_difference_edges,
+    HAMMING_UNIFORM: _hamming_edges,
+    HAMMING_DIAGONAL: _hamming_edges,
+    EXPLICIT: _explicit_edges,
+}
 
 
 def neighborhood(universe: SampleUniverse, x: Point) -> frozenset[Point]:
@@ -283,8 +364,6 @@ def _diff_interval_squares(b0: TaggedBox, b1: TaggedBox):
 def _is_rational_square(q: Fraction) -> Optional[Fraction]:
     if q < 0:
         return None
-    from math import isqrt
-
     rn, rd = isqrt(q.numerator), isqrt(q.denominator)
     if rn * rn == q.numerator and rd * rd == q.denominator:
         return Fraction(rn, rd)

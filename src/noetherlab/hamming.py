@@ -22,7 +22,6 @@ from .geometry import Point
 from .graphs import (
     GraphInstance,
     SampleUniverse,
-    adjacent,
     distance_graph,
     hamming_diagonal,
     hamming_uniform,
@@ -109,19 +108,25 @@ def vitali_map(x: Point, eps: EpsilonMatrix) -> Fraction:
     return total
 
 
+def _edges(universe: SampleUniverse):
+    """Index pairs i < j of adjacent points, in lexicographic order."""
+    for i, m in enumerate(universe.open_masks):
+        m >>= i + 1
+        while m:
+            low = m & -m
+            yield i, i + low.bit_length()
+            m ^= low
+
+
 def verify_vitali_homomorphism(universe: SampleUniverse, eps: EpsilonMatrix) -> dict:
     """Check every edge maps to a nonzero (automatically rational) shift."""
-    images = {p: vitali_map(p, eps) for p in universe.points}
+    images = [vitali_map(p, eps) for p in universe.points]
     pairs_checked = 0
     failures = []
-    pts = universe.points
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if not adjacent(universe.instance, pts[i], pts[j]):
-                continue
-            pairs_checked += 1
-            if images[pts[i]] - images[pts[j]] == 0:
-                failures.append((i, j))
+    for i, j in _edges(universe):
+        pairs_checked += 1
+        if images[i] - images[j] == 0:
+            failures.append((i, j))
     return {
         "edges_checked": pairs_checked,
         "failures": failures,
@@ -182,6 +187,13 @@ def embed_diagonal_into_distance(
     With strict_distinct, any (m, n) collision raises; by default
     collisions are merged and reported (set semantics).
     """
+    universe, images, instance, report = _diagonal_embedding(breadth, eps, strict_distinct)
+    return dict(zip(universe.points, images)), instance, report
+
+
+def _diagonal_embedding(breadth, eps, strict_distinct):
+    """The diagonal universe, its images listed by point index, the line
+    instance and the report of embed_diagonal_into_distance."""
     if breadth < 1:
         raise InvalidSequenceError("breadth must be >= 1")
     if eps is None:
@@ -194,8 +206,8 @@ def embed_diagonal_into_distance(
     if strict_distinct and collisions:
         raise InvalidSequenceError(f"derived distance collisions: {collisions}")
     universe = make_diagonal_hamming(breadth)
-    images = {p: sum((c * eps.values[n] for n, c in enumerate(p.coords)), Fraction(0))
-              for p in universe.points}
+    images = [sum((c * eps.values[n] for n, c in enumerate(p.coords)), Fraction(0))
+              for p in universe.points]
     if breadth == 1:
         # single vertex, no edges; any positive distance yields a valid instance
         instance = distance_graph(1, [Fraction(1)])
@@ -208,26 +220,21 @@ def embed_diagonal_into_distance(
             [str(v), [[m, n] for m, n in pairs]] for v, pairs in collisions
         ],
     }
-    return images, instance, report
+    return universe, images, instance, report
 
 
 def verify_embedding(
     breadth: int, eps: Optional[EpsilonSequence] = None
 ) -> dict:
     """Every diagonal-Hamming edge maps to an exact edge of the line graph."""
-    images, instance, report = embed_diagonal_into_distance(breadth, eps)
-    universe = make_diagonal_hamming(breadth)
+    universe, images, instance, report = _diagonal_embedding(breadth, eps, False)
     edges_checked = 0
     failures = []
-    pts = universe.points
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if not adjacent(universe.instance, pts[i], pts[j]):
-                continue
-            edges_checked += 1
-            gap = images[pts[i]] - images[pts[j]]
-            if gap * gap not in instance.squared_distances:
-                failures.append((i, j, str(gap)))
+    for i, j in _edges(universe):
+        edges_checked += 1
+        gap = images[i] - images[j]
+        if gap * gap not in instance.squared_distances:
+            failures.append((i, j, str(gap)))
     report.update(
         {
             "edges_checked": edges_checked,

@@ -60,34 +60,38 @@ def heart(universe: SampleUniverse, a: Iterable) -> frozenset:
     return universe.points_of(_heart_of_extent_mask(universe, extent))
 
 
-def _intersection_masks(universe: SampleUniverse, mask: int) -> set[int]:
-    """All masks Gamma(a) for a ranging over subsets of the given point set."""
-    closed = universe.closed_masks
-    reach = {universe.full_mask}
-    m = mask
-    while m:
-        i = (m & -m).bit_length() - 1
-        m &= m - 1
-        reach |= {r & closed[i] for r in reach}
-    return reach
-
-
 def good_closure(universe: SampleUniverse, a: Iterable) -> frozenset:
     """Least superset closed under hearts of all its finite subsets.
 
     A closure operator: extensive, monotone, idempotent.  Computed by
-    iterating to a fixpoint; hearts depend only on the extent Gamma(a), so
-    each round enumerates the distinct intersection masks.
+    iterating to a fixpoint.  A point x is in the heart of Gamma(s) for some
+    s subseteq current exactly when s subseteq Gamma(x) and Gamma(s)
+    subseteq Gamma(x); Gamma is antitone, so the largest such s,
+    current & Gamma(x), decides.  Each round tests every point outside
+    current once, in time linear in its neighbours, so the cost does not
+    grow with the number of distinct intersections inside current.
     """
+    closed = universe.closed_masks
+    full = universe.full_mask
     current = universe.mask_of(a)
     while True:
         added = 0
-        for extent in _intersection_masks(universe, current):
-            added |= _heart_of_extent_mask(universe, extent)
-        new = current | added
-        if new == current:
+        outside = full & ~current
+        while outside:
+            i = (outside & -outside).bit_length() - 1
+            outside &= outside - 1
+            own = closed[i]
+            extent = full
+            s = own & current
+            while s and extent & ~own:
+                j = (s & -s).bit_length() - 1
+                s &= s - 1
+                extent &= closed[j]
+            if not extent & ~own:
+                added |= 1 << i
+        if not added:
             return universe.points_of(current)
-        current = new
+        current |= added
 
 
 def is_good(universe: SampleUniverse, a: Iterable) -> bool:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import _kernels
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, VerificationError
 from .graphs import SampleUniverse, adjacent
 from .geometry import Point
 
@@ -148,7 +148,8 @@ def find_variation_prefix(
     if found is None:
         return None
     witness = PatternWitness(spec, tuple(universe.points[v] for v in found))
-    assert witness.verify(universe)
+    if not witness.verify(universe):
+        raise VerificationError(f"search returned a non-induced copy of {spec}")
     return witness
 
 
@@ -171,9 +172,8 @@ def find_clique(universe: SampleUniverse, m: int) -> Optional[frozenset[Point]]:
     if found is None:
         return None
     pts = frozenset(universe.points[i] for i in found)
-    assert all(
-        adjacent(universe.instance, p, q) for p in pts for q in pts if p != q
-    )
+    if not all(adjacent(universe.instance, p, q) for p in pts for q in pts if p != q):
+        raise VerificationError(f"kernel returned a non-clique for m={m}")
     return pts
 
 
@@ -250,5 +250,6 @@ def homogeneous_subset(
     subset = sorted(set(subset))
     for a in range(len(subset)):
         for b in range(a + 1, len(subset)):
-            assert pair_color(subset[a], subset[b]) == majority
+            if pair_color(subset[a], subset[b]) != majority:
+                raise VerificationError("extracted subset is not homogeneous")
     return tuple(subset), majority

@@ -155,6 +155,23 @@ def universe_from_json(data: Any) -> SampleUniverse:
         raise ParseError(f"universe: {exc}") from None
 
 
+def point_at(universe: SampleUniverse, raw: Any, field: str = "index") -> Point:
+    """The universe point at a JSON index: an int or a decimal string.
+
+    Negative, out-of-range and non-integer indices raise ParseError, so
+    that -1 never wraps around to the last point.
+    """
+    if isinstance(raw, bool) or not isinstance(raw, (int, str)):
+        raise ParseError(f"{field}: expected an integer index, got {raw!r}")
+    try:
+        i = int(raw)
+    except ValueError:
+        raise ParseError(f"{field}: expected an integer index, got {raw!r}") from None
+    if not 0 <= i < len(universe.points):
+        raise ParseError(f"{field}: index {i} outside 0..{len(universe.points) - 1}")
+    return universe.points[i]
+
+
 def qcondition_to_json(q: QCondition) -> dict:
     items = sorted(
         ((q.universe.index(x), c) for x, c in q.assignment.items())
@@ -165,9 +182,9 @@ def qcondition_to_json(q: QCondition) -> dict:
 def qcondition_from_json(data: Any, universe: SampleUniverse) -> QCondition:
     try:
         assignment = {
-            universe.points[int(i)]: int(c) for i, c in data["assignment"].items()
+            point_at(universe, i, "assignment"): int(c) for i, c in data["assignment"].items()
         }
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"q-condition: {exc}") from None
     return QCondition(universe, assignment)
 
@@ -182,12 +199,12 @@ def pcondition_to_json(p: PCondition) -> dict:
 def pcondition_from_json(data: Any, universe: SampleUniverse) -> PCondition:
     try:
         assignment = {
-            universe.points[int(i)]: box_from_json(b, f"assignment[{i}]")
+            point_at(universe, i, "assignment"): box_from_json(b, f"assignment[{i}]")
             for i, b in data["assignment"].items()
         }
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"p-condition: {exc}") from None
     return PCondition(universe, assignment)
 
@@ -209,11 +226,13 @@ def location_from_json(data: Any, universe: SampleUniverse) -> Location:
             if "box" in cell:
                 cells.append(box_from_json(cell["box"], f"cells[{i}]"))
             else:
-                cells.append(frozenset(universe.points[int(v)] for v in cell["vertices"]))
+                cells.append(
+                    frozenset(point_at(universe, v, f"cells[{i}]") for v in cell["vertices"])
+                )
         return Location(tuple(cells), tuple(int(c) for c in data["colors"]))
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"location: {exc}") from None
 
 

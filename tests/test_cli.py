@@ -134,6 +134,30 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bad_point_indices_exit_2(tmp_path, capsys):
+    inst = _write_line_universe(tmp_path)
+    assert main(["adj", inst, "--indices", "-1"]) == 2
+    assert main(["adj", inst, "--indices", "0", "3"]) == 2
+    files = {
+        "compat": {"conditions": [{"assignment": {"-1": 0}}]},
+        "predense": {"conditions": [{"assignment": {"1.5": 0}}]},
+        "liminf": {
+            "location": {"cells": [{"vertices": [0, 1]}], "colors": [0]},
+            "conditions": [{"assignment": {"0": 0}}],
+            "test_set": [-1],
+        },
+        "lower-bound": {"conditions": [], "point": -1},
+    }
+    for verb, data in files.items():
+        path = tmp_path / f"{verb}.json"
+        path.write_text(json.dumps(data))
+        argv = ["poset", verb, inst, "--file", str(path)]
+        if verb == "lower-bound":
+            argv += ["--kind", "p"]
+        assert main(argv) == 2, verb
+    assert "outside" in capsys.readouterr().err
+
+
 def test_console_entrypoint_runs():
     out = subprocess.run(
         [sys.executable, "-m", "noetherlab.cli", "campaign", "box-enumeration", "--trials", "2"],

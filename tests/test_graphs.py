@@ -19,8 +19,10 @@ from noetherlab import (
     pt,
     vertex_point,
 )
+from noetherlab.campaign import _pairwise_masks
 from noetherlab.errors import InvalidPointError, UnknownPointError, UnsupportedKindError
-from noetherlab.generators import line_universe, random_universe
+from noetherlab.generators import clustered_line_universe, line_universe, random_universe
+from noetherlab.hamming import make_diagonal_hamming, make_uniform_hamming
 
 
 def test_distance_adjacency_examples():
@@ -87,6 +89,49 @@ def test_common_neighborhood_laws_randomized():
         )
         if a <= b:
             assert common_neighborhood(u, b) <= common_neighborhood(u, a)
+
+
+def _shuffled_subset(rng, points):
+    return rng.sample(points, k=rng.randint(1, len(points)))
+
+
+def test_masks_match_pairwise_adjacency_for_every_kind():
+    rng = random.Random(7)
+    # 1-D: mixed denominators; 1/4 is a rational square, 2 is not
+    line = distance_graph(1, [1, "1/4", 2])
+    line_pts = [pt(0), pt("1/2"), pt(1), pt("3/2"), pt("1/3"), pt("4/3"), pt("5/6"), pt(3)]
+    # 2-D: mixed denominators, and 2 = |(1, 1)|^2 is not a rational square
+    plane = distance_graph(2, [1, 2])
+    plane_pts = [
+        pt(0, 0), pt("3/5", "4/5"), pt(1, 1), pt("1/2", "1/3"), pt(1, 0),
+        pt("3/2", "4/3"), pt("8/5", "4/5"), pt("-2/7", 1),
+    ]
+    space = distance_graph(3, ["9/4", 3])
+    space_pts = [pt(0, 0, 0), pt(1, 1, 1), pt("3/2", 0, 0), pt(1, "5/2", 1), pt(0, "3/2", "1/7")]
+    parabola = curve_difference_graph(TwoVarPoly.from_dict({(0, 1): 1, (2, 0): -1}))
+    parabola_pts = [pt(a, b) for a in range(-2, 3) for b in range(-1, 4)]
+    graph = explicit_graph(8, [(0, 1), (1, 2), (2, 7), (3, 5), (0, 6), (4, 6)])
+    universes = [
+        SampleUniverse(line, line_pts),
+        SampleUniverse(plane, plane_pts),
+        SampleUniverse(space, space_pts),
+        SampleUniverse(parabola, parabola_pts),
+        SampleUniverse(graph, [vertex_point(i) for i in range(8)]),
+        clustered_line_universe(),
+    ]
+    for full in (make_uniform_hamming(3, 3), make_diagonal_hamming(4), universes[4]):
+        universes.append(full)
+        universes.append(SampleUniverse(full.instance, _shuffled_subset(rng, full.points)))
+    for u in universes:
+        assert u.closed_masks == _pairwise_masks(u), u.instance.kind
+    assert universes[0].closed_masks[0] == 0b111  # 0 ~ 1/2, 1
+    assert universes[0].closed_masks[4] == 0b1110000  # 1/3 ~ 4/3, 5/6
+    assert universes[1].closed_masks[0] == 0b10111  # (0,0) ~ (3/5,4/5), (1,1), (1,0)
+    assert universes[1].closed_masks[3] == 0b101000  # (1/2,1/3) ~ (3/2,4/3)
+    for _ in range(100):
+        u = random_universe(rng, 12)
+        u = SampleUniverse(u.instance, _shuffled_subset(rng, u.points))
+        assert u.closed_masks == _pairwise_masks(u)
 
 
 def test_universe_rejects_duplicates_and_bad_points():

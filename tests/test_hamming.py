@@ -22,7 +22,12 @@ from noetherlab.errors import (
     OracleBoundError,
     PartitionError,
 )
-from noetherlab.hamming import derived_distances, layer_supremum_distances, mixed_radix_coloring
+from noetherlab.hamming import (
+    DEFAULT_SIZE_BOUND,
+    derived_distances,
+    layer_supremum_distances,
+    mixed_radix_coloring,
+)
 
 
 def test_make_diagonal_hamming_sizes():
@@ -34,6 +39,19 @@ def test_make_diagonal_hamming_sizes():
     assert adjacent(u3.instance, pt(0, 0, 0), pt(0, 1, 0))
     with pytest.raises(OracleBoundError):
         make_diagonal_hamming(10, size_bound=100)
+
+
+def test_masks_build_at_the_default_size_bound():
+    uniform = make_uniform_hamming(6, 4)
+    assert len(uniform) == DEFAULT_SIZE_BOUND
+    diagonal = make_diagonal_hamming(6)
+    # a^b * b(a-1)/2 and B! * B(B-1)/4 edges
+    for u, edges in ((uniform, 4**6 * 6 * 3 // 2), (diagonal, 720 * 6 * 5 // 4)):
+        masks = u.closed_masks
+        assert (sum(m.bit_count() for m in masks) - len(masks)) // 2 == edges
+    report = verify_vitali_homomorphism(uniform, epsilon_matrix(6, 4))
+    assert report["passed"] and report["edges_checked"] == 4**6 * 6 * 3 // 2
+    assert verify_embedding(6)["edges_checked"] == 720 * 6 * 5 // 4
 
 
 def test_diagonal_chromatic_matches_breadth():

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 from conftest import explicit_universe
 from noetherlab import (
@@ -54,6 +55,33 @@ def test_good_closure_is_a_closure_operator():
         assert cs <= cb
         assert good_closure(u, cs) == cs
         assert is_good(u, cs)
+
+
+def _closure_by_definition(u, a):
+    """Fixpoint of adding heart(s) for every subset s of the current set."""
+    current = frozenset(a)
+    while True:
+        grown = current.union(
+            *(heart(u, s) for k in range(len(current) + 1) for s in combinations(current, k))
+        )
+        if grown == current:
+            return current
+        current = grown
+
+
+def test_good_closure_matches_its_definition():
+    rng = random.Random(41)
+    for _ in range(300):
+        u = random_universe(rng, 9)
+        a = rng.sample(u.points, k=rng.randint(0, min(3, len(u))))
+        assert good_closure(u, a) == _closure_by_definition(u, a)
+    # sparse graphs where one heart pulls in the next, round after round
+    for _ in range(100):
+        n = rng.randint(3, 9)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+        u = explicit_universe(n, edges)
+        a = rng.sample(u.points, k=rng.randint(1, 2))
+        assert good_closure(u, a) == _closure_by_definition(u, a)
 
 
 def test_increasing_union_of_good_sets_is_good():

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +26,9 @@ from noetherlab import (
     vertex_point,
 )
 from noetherlab.campaign import _plant_variation, _variation_oracle
-from noetherlab.errors import InvalidSpecError
+import noetherlab
+from noetherlab import _kernels
+from noetherlab.errors import InvalidSpecError, VerificationError
 from noetherlab.generators import line_universe, planar_unit_universe
 from noetherlab.patterns import SearchStats, max_embedded_depth
 
@@ -138,6 +144,43 @@ def test_find_clique_examples(triangle):
     line = line_universe(3)
     assert find_clique(line, 2) == frozenset([pt(0), pt(1)])
     assert find_clique(line, 3) is None
+
+
+def test_find_clique_post_condition_raises(monkeypatch, path3):
+    # a kernel that reports the non-edge {0, 2} as a 2-clique
+    monkeypatch.setattr(_kernels, "find_clique", lambda masks, m: (0, 2))
+    with pytest.raises(VerificationError):
+        find_clique(path3, 2)
+
+
+_BROKEN_KERNEL_UNDER_O = """
+import sys
+from noetherlab import SampleUniverse, _kernels, explicit_graph, vertex_point
+from noetherlab.errors import VerificationError
+from noetherlab.patterns import find_clique
+
+if not sys.flags.optimize:
+    sys.exit(3)
+_kernels.find_clique = lambda masks, m: (0, 2)
+path3 = SampleUniverse(explicit_graph(3, [(0, 1), (1, 2)]), [vertex_point(i) for i in range(3)])
+try:
+    find_clique(path3, 2)
+except VerificationError:
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_post_condition_survives_python_O():
+    package_root = str(Path(noetherlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_KERNEL_UNDER_O],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
 
 
 def test_rational_unit_triangles_do_not_exist():

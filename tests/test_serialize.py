@@ -27,6 +27,7 @@ from noetherlab.serialize import (
     parse_instance_file,
     pcondition_from_json,
     pcondition_to_json,
+    point_at,
     point_from_json,
     point_to_json,
     qcondition_from_json,
@@ -105,6 +106,20 @@ def test_condition_roundtrips():
     assert pcondition_from_json(pcondition_to_json(p), u).assignment == p.assignment
     q = QCondition(u, {pt(0): 0, pt(2): 1})
     assert qcondition_from_json(qcondition_to_json(q), u).assignment == q.assignment
+
+
+def test_point_index_is_checked():
+    u = line_universe(3)
+    assert point_at(u, 2) == point_at(u, "2") == pt(2)
+    for raw in (-1, "-1", 3, "3", "x", 1.0, True, None, [0]):
+        with pytest.raises(ParseError):
+            point_at(u, raw)
+    with pytest.raises(ParseError):
+        qcondition_from_json({"assignment": {"-1": 0}}, u)
+    with pytest.raises(ParseError):
+        pcondition_from_json({"assignment": {"3": box_to_json(TaggedBox(0, 0, (1,)))}}, u)
+    with pytest.raises(ParseError):
+        location_from_json({"cells": [{"vertices": [-1]}], "colors": [0]}, u)
 
 
 def test_location_roundtrip():
