@@ -43,6 +43,7 @@ from .lattice import good_closure, heart, longest_descent_chain, minimal_subfami
 from .patterns import SearchStats, VariationSpec, find_variation_prefix, max_embedded_depth
 from .serialize import (
     dump_canonical,
+    expect,
     load_path,
     location_from_json,
     parse_instance_file,
@@ -50,7 +51,9 @@ from .serialize import (
     point_at,
     point_from_json,
     point_to_json,
+    optional_int,
     qcondition_from_json,
+    require,
     universe_to_json,
     box_to_json,
     pcondition_to_json,
@@ -196,17 +199,18 @@ def _cmd_color(args) -> int:
 
 def _cmd_poset(args) -> int:
     _, universe = parse_instance_file(args.instance)
+    data = expect(load_path(args.file), dict, args.file)
+    raw_conditions = require(data, "conditions", list, args.file)
     if args.verb == "compat":
-        data = load_path(args.file)
         if args.kind == "p":
-            conds = [pcondition_from_json(c, universe) for c in data["conditions"]]
+            conds = [pcondition_from_json(c, universe) for c in raw_conditions]
             ok = all(
                 p_compatible(a, b)
                 for i, a in enumerate(conds)
                 for b in conds[i + 1 :]
             )
         else:
-            conds = [qcondition_from_json(c, universe) for c in data["conditions"]]
+            conds = [qcondition_from_json(c, universe) for c in raw_conditions]
             ok = all(
                 q_compatible(a, b)
                 for i, a in enumerate(conds)
@@ -215,8 +219,7 @@ def _cmd_poset(args) -> int:
         _emit({"pairwise_compatible": ok}, args.out)
         return 0
     if args.verb == "lower-bound":
-        data = load_path(args.file)
-        conds = [pcondition_from_json(c, universe) for c in data["conditions"]]
+        conds = [pcondition_from_json(c, universe) for c in raw_conditions]
         x = None
         if "point" in data:
             x = point_at(universe, data["point"], "point")
@@ -228,24 +231,27 @@ def _cmd_poset(args) -> int:
         _emit({"built": True, "bound": pcondition_to_json(bound)}, args.out)
         return 0
     if args.verb == "ramsey":
-        data = load_path(args.file)
-        loc = location_from_json(data["location"], universe)
-        conds = [qcondition_from_json(c, universe) for c in data["conditions"]]
-        found = ramsey_compatible_subset(conds, data.get("m", 3), loc)
+        loc = location_from_json(require(data, "location", dict, args.file), universe)
+        conds = [qcondition_from_json(c, universe) for c in raw_conditions]
+        m = optional_int(data, "m", 3, args.file)
+        found = ramsey_compatible_subset(conds, m, loc)
         _emit(
             {
-                "bound": ramsey_bound(data.get("m", 3), len(loc.cells)),
+                "bound": ramsey_bound(m, len(loc.cells)),
                 "subset": None if found is None else list(found[0]),
             },
             args.out,
         )
         return 0
     if args.verb == "liminf":
-        data = load_path(args.file)
-        loc = location_from_json(data["location"], universe)
-        conds = [qcondition_from_json(c, universe) for c in data["conditions"]]
-        test_set = [point_at(universe, i, "test_set") for i in data.get("test_set", [])]
-        result = liminf_thin(conds, loc, test_set, data.get("threshold"))
+        loc = location_from_json(require(data, "location", dict, args.file), universe)
+        conds = [qcondition_from_json(c, universe) for c in raw_conditions]
+        test_set = [
+            point_at(universe, i, "test_set")
+            for i in expect(data.get("test_set", []), list, f"{args.file}.test_set")
+        ]
+        threshold = optional_int(data, "threshold", None, args.file)
+        result = liminf_thin(conds, loc, test_set, threshold)
         _emit(
             {
                 "constant_cells": list(result.constant_cells),
@@ -257,9 +263,8 @@ def _cmd_poset(args) -> int:
         )
         return 0
     # predense
-    data = load_path(args.file)
-    conds = [qcondition_from_json(c, universe) for c in data["conditions"]]
-    budget = data.get("color_budget", args.bounds.get("colorBudget", 3))
+    conds = [qcondition_from_json(c, universe) for c in raw_conditions]
+    budget = optional_int(data, "color_budget", args.bounds.get("colorBudget", 3), args.file)
     max_arity = args.bounds.get("maxArity", len(universe))
     full = predense_check(conds, universe, budget)
     reduced = predense_check_reduced(conds, universe, budget, max_arity)

@@ -16,6 +16,7 @@ from .errors import (
     InvalidStageError,
     OracleBoundError,
     PreconditionError,
+    VerificationError,
 )
 from .geometry import Point, TaggedBox, box_contains, iter_boxes_containing
 from .graphs import SampleUniverse, adjacent
@@ -34,14 +35,23 @@ def check_suitable(assignment: Mapping[Point, TaggedBox]) -> list[str]:
 
 
 def check_proper(universe: SampleUniverse, assignment: Mapping) -> list[str]:
-    """Violations of properness (adjacent points sharing a color value)."""
-    points = sorted(assignment, key=universe.index)
+    """Violations of properness (adjacent points sharing a color value).
+
+    Only points of one color class can violate properness, so adjacent() runs
+    on the pairs inside each class; the messages come in universe-index order
+    of the pair, as an all-pairs scan would list them.
+    """
+    classes: dict = {}
+    for x in sorted(assignment, key=universe.index):
+        classes.setdefault(assignment[x], []).append(x)
     bad = []
-    for i, x in enumerate(points):
-        for y in points[i + 1 :]:
-            if assignment[x] == assignment[y] and adjacent(universe.instance, x, y):
-                bad.append(f"adjacent {x}, {y} share color {assignment[x]}")
-    return bad
+    for members in classes.values():
+        for i, x in enumerate(members):
+            for y in members[i + 1 :]:
+                if adjacent(universe.instance, x, y):
+                    bad.append((universe.index(x), universe.index(y), x, y))
+    bad.sort(key=lambda v: v[:2])
+    return [f"adjacent {x}, {y} share color {assignment[x]}" for _, _, x, y in bad]
 
 
 @dataclass
@@ -219,7 +229,7 @@ def chromatic_number(
     assignment = {p: colors[i] for i, p in enumerate(universe.points)}
     bad = check_proper(universe, assignment)
     if bad:
-        raise AssertionError(f"oracle returned improper coloring: {bad}")
+        raise VerificationError(f"oracle returned improper coloring: {bad}")
     return chi, assignment
 
 

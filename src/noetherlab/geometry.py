@@ -11,6 +11,11 @@ The canonical enumeration interleaves tags in stages: stage s lists, in
 (level ascending, corners lexicographic, tag ascending) order, the boxes
 with max(level, tag) = s.  This is a bijection with the naturals; the
 canonical order on boxes is the index order.
+
+Membership and containment are decided on integers: a coordinate p/q lies
+in (m/2^k, (m+2)/2^k) iff m*q < p*2^k < (m+2)*q, and two boxes compare by
+their corners shifted to the finer of their levels.  ``TaggedBox.intervals``
+keeps the Fraction form as the exact reference.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import ceil, floor
 from typing import Iterator, Sequence
 
 from .errors import InvalidPointError
@@ -29,6 +33,15 @@ class Point:
     """A point with exact rational coordinates."""
 
     coords: tuple[Fraction, ...]
+
+    def __hash__(self):
+        # the dataclass hash, computed once: points key every universe index
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.coords,))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self):
         return "Point(" + ", ".join(str(c) for c in self.coords) + ")"
@@ -82,24 +95,34 @@ def box_contains(box: TaggedBox, x: Point) -> bool:
     """Exact strict-inequality membership of a point in an open box."""
     if box.dimension != x.dimension:
         raise InvalidPointError(f"box dimension {box.dimension} vs point {x.dimension}")
-    return all(lo < c < hi for (lo, hi), c in zip(box.intervals(), x.coords))
+    k = box.level
+    for m, c in zip(box.corners, x.coords):
+        q = c.denominator
+        lo = m * q
+        if not lo < c.numerator << k < lo + 2 * q:
+            return False
+    return True
 
 
 def box_within(inner: TaggedBox, outer: TaggedBox) -> bool:
     """Whether ``inner`` is a subset of ``outer`` (as open sets)."""
     if inner.dimension != outer.dimension:
         raise InvalidPointError("dimension mismatch between boxes")
+    level = max(inner.level, outer.level)
+    si, so = level - inner.level, level - outer.level
     return all(
-        olo <= ilo and ihi <= ohi
-        for (ilo, ihi), (olo, ohi) in zip(inner.intervals(), outer.intervals())
+        mo << so <= mi << si and mi + 2 << si <= mo + 2 << so
+        for mi, mo in zip(inner.corners, outer.corners)
     )
 
 
 def boxes_disjoint(b0: TaggedBox, b1: TaggedBox) -> bool:
     """Open boxes are disjoint iff some coordinate's intervals do not overlap."""
+    level = max(b0.level, b1.level)
+    s0, s1 = level - b0.level, level - b1.level
     return any(
-        hi0 <= lo1 or hi1 <= lo0
-        for (lo0, hi0), (lo1, hi1) in zip(b0.intervals(), b1.intervals())
+        m0 + 2 << s0 <= m1 << s1 or m1 + 2 << s1 <= m0 << s0
+        for m0, m1 in zip(b0.corners, b1.corners)
     )
 
 
@@ -179,18 +202,16 @@ def box_from_index(dim: int, index: int) -> TaggedBox:
 def _containing_corners(x: Point, level: int) -> list[tuple[int, ...]]:
     """Corner vectors of level-`level` boxes that strictly contain ``x``."""
     per_coord: list[list[int]] = []
-    scale = 2 ** level
     bound = 4 ** level
     for c in x.coords:
-        v = c * scale
-        # m must satisfy m < v < m + 2, i.e. v - 2 < m < v
-        lo = v - 2
-        first = floor(lo) + 1
-        last = ceil(v) - 1
-        candidates = [m for m in range(first, last + 1) if lo < m < v and abs(m) <= bound]
-        if not candidates:
+        # m must satisfy m < v < m + 2 for v = c * 2^level = p / q, so m runs
+        # from floor(v) - 1 to ceil(v) - 1 (one value when v is an integer)
+        p, q = c.numerator << level, c.denominator
+        first = max(p // q - 1, -bound)
+        last = min(-(-p // q) - 1, bound)
+        if first > last:
             return []
-        per_coord.append(candidates)
+        per_coord.append(list(range(first, last + 1)))
     combos: list[tuple[int, ...]] = [()]
     for cands in per_coord:
         combos = [c + (m,) for c in combos for m in cands]

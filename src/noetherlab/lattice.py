@@ -8,6 +8,7 @@ reports carry that caveat.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -197,33 +198,47 @@ def longest_descent_chain(
         elements = tuple(ClosedFamilyElement.of(universe, [g]) for g in chain_sets)
         return DescentChain(elements, True)
 
-    # beam search on (generator mask, extent)
-    frontier: list[tuple[int, int, tuple[int, ...]]] = [(full, 0, ())]
-    best_path: tuple[int, ...] = ()
-    for _ in range(max_arity):
-        nxt: list[tuple[int, int, tuple[int, ...]]] = []
-        seen: set[tuple[int, int]] = set()
+    # Beam search.  A state is its generator mask (the extent is a function
+    # of it); a generator already in the mask leaves the extent unchanged and
+    # is skipped with the other non-strict steps.  A candidate's sort key
+    # packs its extent size above its path, one index per `width` bits, so at
+    # a fixed path length the int keys sort as (size, path tuple) would.
+    width = (n - 1).bit_length()
+    digit = (1 << width) - 1
+    frontier: list[tuple[int, int, int]] = [(full, 0, 0)]  # extent, gen mask, path
+    best_path, length = 0, 0
+    for step in range(1, max_arity + 1):
+        shift = step * width
+        keys: list[int] = []
+        seen: set[int] = set()
         for extent, gen_mask, path in frontier:
-            for i in range(n):
-                if gen_mask >> i & 1:
-                    continue
-                new_extent = extent & closed[i]
+            prefix = path << width
+            for i, own in enumerate(closed):
+                new_extent = extent & own
                 if new_extent == extent:
                     continue
-                key = (new_extent, gen_mask | 1 << i)
-                if key in seen:
+                g = gen_mask | 1 << i
+                if g in seen:
                     continue
-                seen.add(key)
-                nxt.append((new_extent, gen_mask | 1 << i, path + (i,)))
-        if not nxt:
+                seen.add(g)
+                keys.append(new_extent.bit_count() << shift | prefix | i)
+        if not keys:
             break
-        nxt.sort(key=lambda t: (t[0].bit_count(), t[2]))
-        frontier = nxt[:beam_width]
-        best_path = frontier[0][2]
+        frontier = []
+        for key in heapq.nsmallest(beam_width, keys):
+            path = key & (1 << shift) - 1
+            extent, gen_mask, rest = full, 0, path
+            for _ in range(step):
+                i = rest & digit
+                rest >>= width
+                extent &= closed[i]
+                gen_mask |= 1 << i
+            frontier.append((extent, gen_mask, path))
+        best_path, length = frontier[0][2], step
     chain_sets = [frozenset()]
     acc: set = set()
-    for i in best_path:
-        acc.add(universe.points[i])
+    for k in reversed(range(length)):
+        acc.add(universe.points[best_path >> k * width & digit])
         chain_sets.append(frozenset(acc))
     elements = tuple(ClosedFamilyElement.of(universe, [g]) for g in chain_sets)
     return DescentChain(elements, False)

@@ -2,14 +2,16 @@
 
 Rationals travel as "p/q" strings (plain integers allowed), points as
 coordinate arrays, explicit graphs as a vertex count plus edge index
-pairs.  Parse errors name the offending field.
+pairs.  Parse errors name the offending field.  Every container is
+type-checked before use, so a string never iterates as a list and a list
+never answers a key lookup: malformed input raises ParseError.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import Any, Optional
 
 from .control_poset import Location, QCondition
 from .coloring_poset import PCondition
@@ -30,6 +32,38 @@ from .graphs import (
     hamming_diagonal,
     hamming_uniform,
 )
+
+
+_JSON_TYPES = {dict: "object", list: "array"}
+
+
+def expect(value: Any, kind: type, field: str) -> Any:
+    """``value`` if it is a JSON object (dict) or array (list), else ParseError."""
+    if not isinstance(value, kind):
+        raise ParseError(
+            f"{field}: expected a JSON {_JSON_TYPES[kind]}, got {type(value).__name__}"
+        )
+    return value
+
+
+def require(data: dict, key: str, kind: type, field: str) -> Any:
+    """``data[key]``, which must be present and a JSON object or array."""
+    if key not in data:
+        raise ParseError(f"{field}: missing {key!r}")
+    return expect(data[key], kind, f"{field}.{key}")
+
+
+def optional_int(data: dict, key: str, default: Optional[int], field: str) -> Optional[int]:
+    """``data[key]`` as a JSON integer; ``default`` when the key is absent.
+
+    null is accepted only where the default itself is None.
+    """
+    if key not in data or data[key] is None and default is None:
+        return default
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{field}.{key}: expected an integer, got {value!r}")
+    return value
 
 
 def rational_to_str(q: Fraction) -> str:
@@ -59,11 +93,13 @@ def box_to_json(b: TaggedBox) -> dict:
 
 
 def box_from_json(data: Any, field: str = "box") -> TaggedBox:
+    expect(data, dict, field)
+    corners = require(data, "corners", list, field)
     try:
         return TaggedBox(
             tag=int(data["tag"]),
             level=int(data["level"]),
-            corners=tuple(int(m) for m in data["corners"]),
+            corners=tuple(int(m) for m in corners),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{field}: malformed box ({exc})") from None
@@ -104,23 +140,32 @@ def instance_from_json(data: Any) -> GraphInstance:
                 int(data["dim"]),
                 [
                     rational_from_str(s, f"squared_distances[{i}]")
-                    for i, s in enumerate(data["squared_distances"])
+                    for i, s in enumerate(
+                        require(data, "squared_distances", list, "instance")
+                    )
                 ],
             )
         if kind == CURVE_DIFFERENCE:
-            terms = {
-                (int(t["powers"][0]), int(t["powers"][1])): rational_from_str(
+            terms = {}
+            for i, t in enumerate(require(data, "poly", list, "instance")):
+                where = f"instance.poly[{i}]"
+                powers = require(expect(t, dict, where), "powers", list, where)
+                if len(powers) != 2:
+                    raise ParseError(f"{where}.powers: expected two exponents")
+                terms[int(powers[0]), int(powers[1])] = rational_from_str(
                     t["coeff"], "poly coeff"
                 )
-                for t in data["poly"]
-            }
             return curve_difference_graph(TwoVarPoly.from_dict(terms))
         if kind == HAMMING_UNIFORM:
             return hamming_uniform(int(data["breadth"]), int(data["alphabet"]))
         if kind == HAMMING_DIAGONAL:
             return hamming_diagonal(int(data["breadth"]))
         if kind == EXPLICIT:
-            return explicit_graph(int(data["vertices"]), [tuple(e) for e in data["edges"]])
+            edges = require(data, "edges", list, "instance")
+            return explicit_graph(
+                int(data["vertices"]),
+                [tuple(expect(e, list, f"instance.edges[{i}]")) for i, e in enumerate(edges)],
+            )
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -148,7 +193,10 @@ def universe_from_json(data: Any) -> SampleUniverse:
         else:
             raise ParseError("universe: 'points' required for this kind")
     else:
-        points = [point_from_json(p, f"points[{i}]") for i, p in enumerate(raw_points)]
+        points = [
+            point_from_json(p, f"points[{i}]")
+            for i, p in enumerate(expect(raw_points, list, "universe.points"))
+        ]
     try:
         return SampleUniverse(instance, points)
     except Exception as exc:
@@ -180,10 +228,9 @@ def qcondition_to_json(q: QCondition) -> dict:
 
 
 def qcondition_from_json(data: Any, universe: SampleUniverse) -> QCondition:
+    raw = require(expect(data, dict, "q-condition"), "assignment", dict, "q-condition")
     try:
-        assignment = {
-            point_at(universe, i, "assignment"): int(c) for i, c in data["assignment"].items()
-        }
+        assignment = {point_at(universe, i, "assignment"): int(c) for i, c in raw.items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"q-condition: {exc}") from None
     return QCondition(universe, assignment)
@@ -197,10 +244,11 @@ def pcondition_to_json(p: PCondition) -> dict:
 
 
 def pcondition_from_json(data: Any, universe: SampleUniverse) -> PCondition:
+    raw = require(expect(data, dict, "p-condition"), "assignment", dict, "p-condition")
     try:
         assignment = {
             point_at(universe, i, "assignment"): box_from_json(b, f"assignment[{i}]")
-            for i, b in data["assignment"].items()
+            for i, b in raw.items()
         }
     except ParseError:
         raise
@@ -220,16 +268,22 @@ def location_to_json(loc: Location, universe: SampleUniverse) -> dict:
 
 
 def location_from_json(data: Any, universe: SampleUniverse) -> Location:
+    expect(data, dict, "location")
+    colors = require(data, "colors", list, "location")
     try:
         cells = []
-        for i, cell in enumerate(data["cells"]):
-            if "box" in cell:
+        for i, cell in enumerate(require(data, "cells", list, "location")):
+            where = f"location.cells[{i}]"
+            if "box" in expect(cell, dict, where):
                 cells.append(box_from_json(cell["box"], f"cells[{i}]"))
             else:
                 cells.append(
-                    frozenset(point_at(universe, v, f"cells[{i}]") for v in cell["vertices"])
+                    frozenset(
+                        point_at(universe, v, f"cells[{i}]")
+                        for v in require(cell, "vertices", list, where)
+                    )
                 )
-        return Location(tuple(cells), tuple(int(c) for c in data["colors"]))
+        return Location(tuple(cells), tuple(int(c) for c in colors))
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -253,8 +307,8 @@ def load_path(path: str) -> Any:
 
 def parse_instance_file(path: str) -> tuple[GraphInstance, SampleUniverse]:
     """Instance file -> (instance, universe); the CLI's main input format."""
-    data = load_path(path)
-    if isinstance(data, dict) and "instance" in data:
+    data = expect(load_path(path), dict, path)
+    if "instance" in data:
         universe = universe_from_json(data)
     else:
         universe = universe_from_json({"instance": data, "points": data.get("points")})

@@ -158,6 +158,67 @@ def test_bad_point_indices_exit_2(tmp_path, capsys):
     assert "outside" in capsys.readouterr().err
 
 
+def test_malformed_containers_exit_2(tmp_path, capsys):
+    def write(name, data):
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    instances = {
+        "top_list": [],
+        "points_string": {"instance": {"kind": "distance", "dim": 1, "squared_distances": ["1"]},
+                          "points": "01"},
+        "distances_string": {"kind": "distance", "dim": 1, "squared_distances": "14",
+                             "points": [["0"]]},
+        "poly_powers_string": {"kind": "curveDifference", "poly": [{"powers": "12", "coeff": "1"}],
+                               "points": [["0", "0"]]},
+        "edge_string": {"kind": "explicit", "vertices": 2, "edges": ["01"]},
+    }
+    for name, data in instances.items():
+        assert main(["adj", write(f"{name}.json", data), "--indices", "0"]) == 2, name
+
+    inst = _write_line_universe(tmp_path)
+    loc = {"cells": [{"vertices": [0, 1]}], "colors": [0]}
+    conds = [{"assignment": {"0": 0}}]
+    files = [
+        ("compat", "q", []),
+        ("compat", "q", {"conditions": 5}),
+        ("compat", "q", {"conditions": [5]}),
+        ("compat", "q", {"conditions": [{"assignment": "x"}]}),
+        ("compat", "q", {"conditions": [{}]}),
+        ("compat", "p", {"conditions": [{"assignment": "x"}]}),
+        ("compat", "p", {"conditions": [{"assignment": {"0": [0, 1, 0]}}]}),
+        ("compat", "p", {"conditions": [{"assignment": {"0": {"tag": 0, "level": 1, "corners": "0"}}}]}),
+        ("predense", "q", {"conditions": 5}),
+        ("predense", "q", {"conditions": conds, "color_budget": "3"}),
+        ("lower-bound", "p", {"conditions": {"0": 0}}),
+        ("ramsey", "q", {"conditions": conds}),
+        ("ramsey", "q", {"conditions": conds, "location": loc, "m": "3"}),
+        ("ramsey", "q", {"conditions": conds, "location": {"cells": "ab", "colors": [0]}}),
+        ("ramsey", "q", {"conditions": conds, "location": {"cells": ["box"], "colors": [0]}}),
+        ("ramsey", "q", {"conditions": conds, "location": {"cells": [{"vertices": 0}], "colors": [0]}}),
+        ("liminf", "q", {"conditions": conds}),
+        ("liminf", "q", {"conditions": conds, "location": [loc]}),
+        ("liminf", "q", {"conditions": conds, "location": {"cells": loc["cells"], "colors": 0}}),
+        ("liminf", "q", {"conditions": conds, "location": loc, "test_set": 0}),
+        ("liminf", "q", {"conditions": conds, "location": loc, "threshold": True}),
+    ]
+    for i, (verb, kind, data) in enumerate(files):
+        argv = ["poset", verb, inst, "--kind", kind, "--file", write(f"poset{i}.json", data)]
+        assert main(argv) == 2, (verb, data)
+    assert main(["color", "verify", inst, "--file", write("c.json", {"assignment": "x"})]) == 2
+    err = capsys.readouterr().err
+    assert "expected a JSON array" in err and "expected a JSON object" in err
+    assert "missing 'location'" in err and "Traceback" not in err
+
+    # null stays the default threshold
+    two = [{"assignment": {"0": 0}}, {"assignment": {"1": 0}}]
+    liminf = write("liminf.json", {"conditions": two, "location": loc, "threshold": None})
+    path4 = write("path4.json", {"kind": "explicit", "vertices": 4, "edges": [[0, 1], [1, 2], [2, 3]]})
+    code, report = _run(capsys, ["poset", "liminf", path4, "--file", liminf])
+    assert code == 0 and report["threshold"] == 2
+
+
 def test_console_entrypoint_runs():
     out = subprocess.run(
         [sys.executable, "-m", "noetherlab.cli", "campaign", "box-enumeration", "--trials", "2"],

@@ -1,8 +1,10 @@
+import json
 import random
 
 import pytest
 
 from conftest import explicit_universe
+from noetherlab import _kernels
 from noetherlab import (
     PCondition,
     StageChain,
@@ -23,8 +25,12 @@ from noetherlab.errors import (
     InvalidStageError,
     OracleBoundError,
     PreconditionError,
+    UnknownPointError,
+    VerificationError,
 )
+from noetherlab.cli import main
 from noetherlab.generators import line_universe, random_universe
+from noetherlab.graphs import adjacent
 
 
 def _box(corner, level, tag=0):
@@ -182,3 +188,51 @@ def test_chromatic_agrees_with_independent_decision():
         assert k_colorable_fixed_order(u, chi) is not None
         if chi > 1:
             assert k_colorable_fixed_order(u, chi - 1) is None
+
+
+def test_chromatic_post_condition_raises(monkeypatch, triangle, tmp_path, capsys):
+    # a kernel that 2-colors the triangle
+    monkeypatch.setattr(_kernels, "chromatic_number", lambda masks: (2, [0, 1, 0]))
+    with pytest.raises(VerificationError):
+        chromatic_number(triangle)
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps({"kind": "explicit", "vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]]}))
+    assert main(["color", "chi", str(path)]) == 1
+    assert "improper" in capsys.readouterr().err
+
+
+def _check_proper_all_pairs(universe, assignment):
+    points = sorted(assignment, key=universe.index)
+    bad = []
+    for i, x in enumerate(points):
+        for y in points[i + 1 :]:
+            if assignment[x] == assignment[y] and adjacent(universe.instance, x, y):
+                bad.append(f"adjacent {x}, {y} share color {assignment[x]}")
+    return bad
+
+
+def test_check_proper_matches_all_pairs_scan():
+    rng = random.Random(8)
+    boxes = [_box(c, 1, tag) for c in (-1, 0, 1) for tag in (0, 1)]
+    violations = 0
+    for _ in range(300):
+        u = random_universe(rng, 14)
+        domain = rng.sample(u.points, k=rng.randint(0, len(u)))
+        rng.shuffle(domain)  # the check must not depend on the mapping's order
+        palette = rng.choice([range(rng.randint(1, 4)), boxes[: rng.randint(1, 6)]])
+        for assignment in (
+            {x: rng.choice(palette) for x in domain},
+            {x: greedy_coloring(u).assignment[x] for x in domain},
+        ):
+            expected = _check_proper_all_pairs(u, assignment)
+            assert check_proper(u, assignment) == expected
+            violations += len(expected)
+    assert violations > 100
+
+
+def test_check_proper_rejects_a_foreign_point():
+    u = line_universe(3)
+    with pytest.raises(UnknownPointError):
+        check_proper(u, {pt(0): 0, pt(7): 0})
+    with pytest.raises(UnknownPointError):
+        check_proper(u, {pt(7): 1})

@@ -1,4 +1,7 @@
+import random
 from fractions import Fraction
+from itertools import product
+from math import floor
 
 import pytest
 from hypothesis import given
@@ -16,7 +19,7 @@ from noetherlab import (
     squared_distance,
 )
 from noetherlab.errors import InvalidPointError
-from noetherlab.geometry import iter_boxes_containing
+from noetherlab.geometry import _containing_corners, iter_boxes_containing
 
 
 def test_box_intervals():
@@ -115,3 +118,129 @@ def test_squared_distance_exact():
     assert squared_distance(pt(0, 0), pt("3/5", "4/5")) == 1
     with pytest.raises(InvalidPointError):
         squared_distance(pt(0), pt(0, 0))
+
+
+# -- integer box arithmetic against the Fraction intervals ---------------------
+
+def _contains_by_intervals(box, x):
+    return all(lo < c < hi for (lo, hi), c in zip(box.intervals(), x.coords))
+
+
+def _within_by_intervals(inner, outer):
+    return all(
+        olo <= ilo and ihi <= ohi
+        for (ilo, ihi), (olo, ohi) in zip(inner.intervals(), outer.intervals())
+    )
+
+
+def _disjoint_by_intervals(b0, b1):
+    return any(
+        hi0 <= lo1 or hi1 <= lo0
+        for (lo0, hi0), (lo1, hi1) in zip(b0.intervals(), b1.intervals())
+    )
+
+
+def _corners_by_intervals(x, level):
+    # every admissible corner m with m < c * 2^level < m + 2 lies in the window
+    bound = 4**level
+    per_coord = []
+    for c in x.coords:
+        v = floor(c * 2**level)
+        per_coord.append(
+            [
+                m
+                for m in range(max(v - 3, -bound), min(v + 4, bound + 1))
+                if Fraction(m, 2**level) < c < Fraction(m + 2, 2**level)
+            ]
+        )
+    return list(product(*per_coord))
+
+
+def _random_box(rng, dim, level=None):
+    level = rng.randint(0, 6) if level is None else level
+    bound = 4**level
+    corners = tuple(rng.randint(-min(bound, 40), min(bound, 40)) for _ in range(dim))
+    return TaggedBox(tag=rng.randint(0, 3), level=level, corners=corners)
+
+
+def _coarser_box(rng, box):
+    """A box at a level <= box.level whose corners are near box's, often containing it."""
+    level = rng.randint(0, box.level)
+    shift = box.level - level
+    corners = tuple(
+        max(-(4**level), min(4**level, (m >> shift) - rng.randint(0, 1))) for m in box.corners
+    )
+    return TaggedBox(tag=0, level=level, corners=corners)
+
+
+def _points_near(rng, box):
+    """Points inside, outside and exactly on the faces of a box, mixed denominators."""
+    k = box.level
+    faces = [[Fraction(m, 2**k), Fraction(m + 2, 2**k), Fraction(m + 1, 2**k)] for m in box.corners]
+    out = []
+    for _ in range(6):
+        coords = []
+        for face in faces:
+            if rng.random() < 0.5:
+                coords.append(rng.choice(face))
+            else:
+                den = rng.choice([1, 2, 3, 5, 7, 12, 2**k, 3 * 2**k, 2 ** (k + 1), 96])
+                coords.append(face[2] + Fraction(rng.randint(-3 * den, 3 * den), den * 2**k))
+        out.append(pt(*coords))
+    return out
+
+
+def test_integer_box_tests_agree_with_intervals():
+    rng = random.Random(20)
+    seen = {"contains": set(), "within": set(), "disjoint": set(), "corners": 0}
+    for _ in range(600):
+        dim = rng.randint(1, 3)
+        box = _random_box(rng, dim)
+        for x in _points_near(rng, box):
+            expected = _contains_by_intervals(box, x)
+            assert box_contains(box, x) == expected, (box, x)
+            seen["contains"].add(expected)
+            for level in {box.level, rng.randint(0, 6)}:
+                corners = _corners_by_intervals(x, level)
+                assert _containing_corners(x, level) == corners, (x, level)
+                seen["corners"] += len(corners)
+        for other in (_coarser_box(rng, box), _random_box(rng, dim), box):
+            for a, b in ((box, other), (other, box)):
+                expected = _within_by_intervals(a, b)
+                assert box_within(a, b) == expected, (a, b)
+                seen["within"].add(expected)
+                expected = _disjoint_by_intervals(a, b)
+                assert boxes_disjoint(a, b) == expected, (a, b)
+                seen["disjoint"].add(expected)
+    assert seen["contains"] == seen["within"] == seen["disjoint"] == {True, False}
+    assert seen["corners"] > 1000
+
+
+def test_containing_corners_at_the_corner_bound():
+    # the window |m| <= 4^level cuts the candidates for points far out
+    cases = {
+        (pt(5), 2): [],  # m = 19 > 4^2
+        (pt(5), 3): [(39,)],
+        (pt("11/4"), 1): [(4,)],  # m in {4, 5}, 5 > 4^1
+        (pt("-7/4"), 1): [(-4,)],  # m in {-5, -4}
+        (pt("-9/4"), 1): [],  # m in {-6, -5}
+        (pt("11/4", "-7/4"), 1): [(4, -4)],
+        (pt("11/4", "-9/4"), 1): [],
+    }
+    for (x, level), corners in cases.items():
+        assert _containing_corners(x, level) == corners == _corners_by_intervals(x, level)
+
+
+def test_integer_box_tests_check_dimensions():
+    box = TaggedBox(tag=0, level=1, corners=(0, 0))
+    with pytest.raises(InvalidPointError):
+        box_contains(box, pt(1))
+    with pytest.raises(InvalidPointError):
+        box_within(box, TaggedBox(tag=0, level=1, corners=(0,)))
+
+
+def test_point_hash_is_the_dataclass_hash():
+    x = pt("1/3", -2)
+    assert hash(x) == hash((x.coords,)) == hash(x)
+    assert x == pt("2/6", "-2") and hash(x) == hash(pt("2/6", "-2"))
+    assert len({x, pt("1/3", -2), pt(0, 0)}) == 2

@@ -13,8 +13,13 @@ from noetherlab import (
     pt,
     vertex_point,
 )
-from noetherlab.generators import line_universe, planar_unit_universe, random_universe
-from noetherlab.lattice import ClosedFamilyElement
+from noetherlab.generators import (
+    line_universe,
+    planar_unit_universe,
+    random_explicit_universe,
+    random_universe,
+)
+from noetherlab.lattice import EXHAUSTIVE_CHAIN_LIMIT, ClosedFamilyElement
 
 
 def test_heart_examples(triangle, path3, edgeless2):
@@ -172,3 +177,51 @@ def test_closed_family_element_recompute():
     elem = ClosedFamilyElement.of(line, [[pt(0)], [pt(2)]])
     assert elem.extent == frozenset(line.points)  # N[0] u N[2] = {0,1} u {1,2}
     assert elem.recomputed_extent(line) == elem.extent
+
+
+def _tuple_keyed_beam(universe, max_arity, beam_width):
+    """The beam on (extent, generator mask) states with tuple paths and keys."""
+    closed = universe.closed_masks
+    frontier = [(universe.full_mask, 0, ())]
+    best_path = ()
+    for _ in range(max_arity):
+        nxt = []
+        seen = set()
+        for extent, gen_mask, path in frontier:
+            for i in range(len(universe)):
+                if gen_mask >> i & 1:
+                    continue
+                new_extent = extent & closed[i]
+                if new_extent == extent or (new_extent, gen_mask | 1 << i) in seen:
+                    continue
+                seen.add((new_extent, gen_mask | 1 << i))
+                nxt.append((new_extent, gen_mask | 1 << i, path + (i,)))
+        if not nxt:
+            break
+        nxt.sort(key=lambda t: (t[0].bit_count(), t[2]))
+        frontier = nxt[:beam_width]
+        best_path = frontier[0][2]
+    return [universe.points[i] for i in best_path]
+
+
+def test_descent_beam_matches_tuple_keyed_reference():
+    rng = random.Random(12)
+    lengths = set()
+    for trial in range(60):
+        n = rng.randint(EXHAUSTIVE_CHAIN_LIMIT + 1, 40)
+        if trial % 3:
+            u = random_explicit_universe(rng, n, rng.choice([0.1, 0.3, 0.6, 0.9]))
+        else:
+            u = line_universe(n) if trial % 2 else planar_unit_universe(rng, n)
+        if len(u) <= EXHAUSTIVE_CHAIN_LIMIT:
+            continue
+        max_arity = rng.randint(1, 6)
+        for width in (1, 4, 64):
+            chain = longest_descent_chain(u, max_arity, beam_width=width)
+            path = _tuple_keyed_beam(u, max_arity, width)
+            assert not chain.certified
+            assert [e.generators[0] for e in chain.elements] == [
+                frozenset(path[:k]) for k in range(len(path) + 1)
+            ]
+            lengths.add(len(path))
+    assert len(lengths) >= 4
