@@ -7,10 +7,12 @@ parallelism levels.  Failures carry serialized counterexamples.
 
 from __future__ import annotations
 
+import os
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, starmap
 from typing import Callable, Optional
 
 from . import _kernels
@@ -743,35 +745,38 @@ def run_one(suite_name: str, seed: int, index: int, config: RunConfig):
 
 
 def run_campaign(config: RunConfig, suite_names: list[str], jobs: int = 1) -> dict:
-    """Execute the named suites; deterministic, order-canonicalized report."""
+    """Execute the named suites; deterministic, order-canonicalized report.
+
+    With ``jobs > 1`` the trials of every suite share one worker pool of
+    ``min(jobs, os.cpu_count())`` processes.
+    """
     unknown = [s for s in suite_names if s not in SUITES]
     if unknown:
         raise NoetherError(f"unknown suites: {unknown}")
-    results = {}
-    for name in suite_names:
-        outcomes: list[tuple[int, bool, Optional[dict]]] = []
-        if jobs > 1:
-            import multiprocessing as mp
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1:
+        import multiprocessing
 
-            with mp.Pool(jobs) as pool:
-                outcomes = pool.starmap(
-                    run_one,
-                    [(name, config.seed, i, config) for i in range(config.trials)],
-                )
-        else:
-            outcomes = [
-                run_one(name, config.seed, i, config) for i in range(config.trials)
-            ]
-        outcomes.sort(key=lambda t: t[0])
-        failures = [(i, info) for i, ok, info in outcomes if not ok]
-        results[name] = {
-            "trials": config.trials,
-            "passes": config.trials - len(failures),
-            "failures": len(failures),
-            "counterexamples": [
-                {"trial": i, "detail": info} for i, info in failures[:5]
-            ],
-        }
+        pool_context = multiprocessing.Pool(workers)
+    else:
+        pool_context = nullcontext()
+    results = {}
+    with pool_context as pool:
+        run_all = starmap if pool is None else pool.starmap
+        for name in suite_names:
+            outcomes = list(
+                run_all(run_one, [(name, config.seed, i, config) for i in range(config.trials)])
+            )
+            outcomes.sort(key=lambda t: t[0])
+            failures = [(i, info) for i, ok, info in outcomes if not ok]
+            results[name] = {
+                "trials": config.trials,
+                "passes": config.trials - len(failures),
+                "failures": len(failures),
+                "counterexamples": [
+                    {"trial": i, "detail": info} for i, info in failures[:5]
+                ],
+            }
     return {
         "schema_version": SCHEMA_VERSION,
         "config": {

@@ -7,6 +7,7 @@ error.  All inputs and outputs are JSON.
 from __future__ import annotations
 
 import argparse
+import json
 import random
 import sys
 from typing import Optional
@@ -23,6 +24,7 @@ from .control_poset import (
 )
 from .coloring_poset import p_compatible, p_lower_bound
 from .errors import NoetherError, ParseError
+from .geometry import Point
 from .generators import (
     clustered_line_universe,
     line_universe,
@@ -90,12 +92,12 @@ def _cmd_gen(args) -> int:
 def _cmd_adj(args) -> int:
     instance, universe = parse_instance_file(args.instance)
     if args.x is not None and args.y is not None:
-        x = point_from_json(eval_point(args.x))
-        y = point_from_json(eval_point(args.y))
+        x = _point_arg(args.x, "--x")
+        y = _point_arg(args.y, "--y")
         _emit({"adjacent": adjacent(instance, x, y)}, args.out)
         return 0
     if args.x is not None:
-        x = point_from_json(eval_point(args.x))
+        x = _point_arg(args.x, "--x")
         nbrs = neighborhood(universe, x)
         _emit(
             {"neighborhood": sorted(point_to_json(p) for p in nbrs)},
@@ -115,10 +117,13 @@ def _cmd_adj(args) -> int:
     return 0
 
 
-def eval_point(raw: str) -> list:
-    import json
-
-    return json.loads(raw)
+def _point_arg(raw: str, flag: str) -> Point:
+    """A point given on the command line as a JSON array of rationals."""
+    try:
+        data = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{flag}: invalid JSON: {exc.msg}") from None
+    return point_from_json(data, flag)
 
 
 def _cmd_detect(args) -> int:
@@ -146,6 +151,8 @@ def _cmd_detect(args) -> int:
 
 def _cmd_lattice(args) -> int:
     _, universe = parse_instance_file(args.instance)
+    if not universe.points:
+        raise ParseError(f"{args.instance}: the universe has no points to sample")
     rng = random.Random(args.seed)
     chain = longest_descent_chain(universe, max_arity=args.bounds.get("maxArity", 4))
     closure_sizes = []

@@ -53,6 +53,17 @@ def require(data: dict, key: str, kind: type, field: str) -> Any:
     return expect(data[key], kind, f"{field}.{key}")
 
 
+def expect_int(value: Any, field: str) -> int:
+    """``value`` if it is a JSON integer, else ParseError.
+
+    Booleans, floats and numeric strings are refused rather than coerced,
+    so ``1.5`` never reads as 1 and ``"2"`` never reads as 2.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{field}: expected an integer, got {value!r}")
+    return value
+
+
 def optional_int(data: dict, key: str, default: Optional[int], field: str) -> Optional[int]:
     """``data[key]`` as a JSON integer; ``default`` when the key is absent.
 
@@ -60,10 +71,7 @@ def optional_int(data: dict, key: str, default: Optional[int], field: str) -> Op
     """
     if key not in data or data[key] is None and default is None:
         return default
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{field}.{key}: expected an integer, got {value!r}")
-    return value
+    return expect_int(data[key], f"{field}.{key}")
 
 
 def rational_to_str(q: Fraction) -> str:
@@ -71,6 +79,9 @@ def rational_to_str(q: Fraction) -> str:
 
 
 def rational_from_str(s: Any, field: str = "rational") -> Fraction:
+    """A "p/q" string or a JSON integer; floats are refused, not rounded."""
+    if isinstance(s, bool) or not isinstance(s, (str, int)):
+        raise ParseError(f"{field}: expected a rational string or an integer, got {s!r}")
     try:
         q = Fraction(str(s))
     except (ValueError, ZeroDivisionError) as exc:
@@ -97,9 +108,11 @@ def box_from_json(data: Any, field: str = "box") -> TaggedBox:
     corners = require(data, "corners", list, field)
     try:
         return TaggedBox(
-            tag=int(data["tag"]),
-            level=int(data["level"]),
-            corners=tuple(int(m) for m in corners),
+            tag=expect_int(data["tag"], f"{field}.tag"),
+            level=expect_int(data["level"], f"{field}.level"),
+            corners=tuple(
+                expect_int(m, f"{field}.corners[{i}]") for i, m in enumerate(corners)
+            ),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{field}: malformed box ({exc})") from None
@@ -137,7 +150,7 @@ def instance_from_json(data: Any) -> GraphInstance:
     try:
         if kind == DISTANCE:
             return distance_graph(
-                int(data["dim"]),
+                expect_int(data["dim"], "instance.dim"),
                 [
                     rational_from_str(s, f"squared_distances[{i}]")
                     for i, s in enumerate(
@@ -152,20 +165,22 @@ def instance_from_json(data: Any) -> GraphInstance:
                 powers = require(expect(t, dict, where), "powers", list, where)
                 if len(powers) != 2:
                     raise ParseError(f"{where}.powers: expected two exponents")
-                terms[int(powers[0]), int(powers[1])] = rational_from_str(
-                    t["coeff"], "poly coeff"
-                )
+                i_pow, j_pow = (expect_int(e, f"{where}.powers") for e in powers)
+                terms[i_pow, j_pow] = rational_from_str(t["coeff"], "poly coeff")
             return curve_difference_graph(TwoVarPoly.from_dict(terms))
         if kind == HAMMING_UNIFORM:
-            return hamming_uniform(int(data["breadth"]), int(data["alphabet"]))
-        if kind == HAMMING_DIAGONAL:
-            return hamming_diagonal(int(data["breadth"]))
-        if kind == EXPLICIT:
-            edges = require(data, "edges", list, "instance")
-            return explicit_graph(
-                int(data["vertices"]),
-                [tuple(expect(e, list, f"instance.edges[{i}]")) for i, e in enumerate(edges)],
+            return hamming_uniform(
+                expect_int(data["breadth"], "instance.breadth"),
+                expect_int(data["alphabet"], "instance.alphabet"),
             )
+        if kind == HAMMING_DIAGONAL:
+            return hamming_diagonal(expect_int(data["breadth"], "instance.breadth"))
+        if kind == EXPLICIT:
+            edges = []
+            for i, e in enumerate(require(data, "edges", list, "instance")):
+                where = f"instance.edges[{i}]"
+                edges.append(tuple(expect_int(v, where) for v in expect(e, list, where)))
+            return explicit_graph(expect_int(data["vertices"], "instance.vertices"), edges)
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -229,10 +244,10 @@ def qcondition_to_json(q: QCondition) -> dict:
 
 def qcondition_from_json(data: Any, universe: SampleUniverse) -> QCondition:
     raw = require(expect(data, dict, "q-condition"), "assignment", dict, "q-condition")
-    try:
-        assignment = {point_at(universe, i, "assignment"): int(c) for i, c in raw.items()}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"q-condition: {exc}") from None
+    assignment = {
+        point_at(universe, i, "assignment"): expect_int(c, f"q-condition.assignment[{i}]")
+        for i, c in raw.items()
+    }
     return QCondition(universe, assignment)
 
 
@@ -283,7 +298,10 @@ def location_from_json(data: Any, universe: SampleUniverse) -> Location:
                         for v in require(cell, "vertices", list, where)
                     )
                 )
-        return Location(tuple(cells), tuple(int(c) for c in colors))
+        return Location(
+            tuple(cells),
+            tuple(expect_int(c, f"location.colors[{i}]") for i, c in enumerate(colors)),
+        )
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -5,10 +5,15 @@ the randomized ones run seeded campaigns at the stated trial counts and
 demand zero failures.  Each test prints one pass/fail line.
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import noetherlab
 from noetherlab import (
     chromatic_number,
     k_colorable_fixed_order,
@@ -163,3 +168,37 @@ def test_criterion_8_lattice_laws():
         f"planar minimal subfamilies within the clique-bound constant 128 "
         f"({bound['trials']} trials), {laws['failures'] + bound['failures']} failures",
     )
+
+
+# The campaign criteria above, grouped by trial count.
+_CAMPAIGNS_BY_TRIALS = {
+    1000: ["prop43-equivalence", "lattice-laws"],
+    500: ["ramsey-thm59", "coloring-constructions"],
+    200: [
+        "predense-equivalence",
+        "predense-reduce",
+        "pattern-oracle",
+        "minimal-subfamily-bound",
+    ],
+    25: ["pattern-planted"],
+}
+
+
+def test_campaign_criteria_pass_under_python_O():
+    # through the CLI, because pytest's own asserts are stripped under -O
+    package_root = str(Path(noetherlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    runs = {
+        trials: subprocess.Popen(
+            [sys.executable, "-O", "-m", "noetherlab.cli", "campaign", *names,
+             "--seed", str(SEED), "--trials", str(trials)],
+            env=dict(os.environ, PYTHONPATH=path),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for trials, names in _CAMPAIGNS_BY_TRIALS.items()
+    }
+    for trials, run in runs.items():
+        _, err = run.communicate(timeout=120)
+        assert run.returncode == 0, (trials, err)

@@ -51,3 +51,36 @@ def test_mutation_fixture_reports_counterexamples():
 def test_unknown_suite_rejected():
     with pytest.raises(NoetherError):
         run_campaign(RunConfig(seed=0, trials=1), ["no-such-suite"])
+
+
+def test_one_pool_per_campaign_clamped_to_cpus(monkeypatch):
+    import multiprocessing
+    import os
+
+    made = []
+
+    class RecordingPool:
+        """Runs the trials in this process and records each pool's size."""
+
+        def __init__(self, processes):
+            made.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, args):
+            return [fn(*a) for a in args]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    config = RunConfig(seed=11, trials=3)
+    names = ["adjacency-laws", "box-enumeration", "lattice-laws"]
+    serial = emit_report(run_campaign(config, names))
+    assert emit_report(run_campaign(config, names, jobs=100_000)) == serial
+    assert made == [3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert emit_report(run_campaign(config, names, jobs=4)) == serial
+    assert made == [3]

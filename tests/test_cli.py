@@ -173,6 +173,17 @@ def test_malformed_containers_exit_2(tmp_path, capsys):
         "poly_powers_string": {"kind": "curveDifference", "poly": [{"powers": "12", "coeff": "1"}],
                                "points": [["0", "0"]]},
         "edge_string": {"kind": "explicit", "vertices": 2, "edges": ["01"]},
+        "dim_float": {"kind": "distance", "dim": 1.5, "squared_distances": ["1"],
+                      "points": [["0"]]},
+        "dim_bool": {"kind": "distance", "dim": True, "squared_distances": ["1"],
+                     "points": [["0"]]},
+        "breadth_string": {"kind": "hammingDiagonal", "breadth": "2", "points": [["0", "0"]]},
+        "alphabet_float": {"kind": "hammingUniform", "breadth": 2, "alphabet": 2.0,
+                           "points": [["0", "0"]]},
+        "vertices_string": {"kind": "explicit", "vertices": "2", "edges": []},
+        "edge_endpoint_bool": {"kind": "explicit", "vertices": 2, "edges": [[0, True]]},
+        "poly_powers_float": {"kind": "curveDifference", "poly": [{"powers": [1.0, 0], "coeff": "1"}],
+                              "points": [["0", "0"]]},
     }
     for name, data in instances.items():
         assert main(["adj", write(f"{name}.json", data), "--indices", "0"]) == 2, name
@@ -189,6 +200,11 @@ def test_malformed_containers_exit_2(tmp_path, capsys):
         ("compat", "p", {"conditions": [{"assignment": "x"}]}),
         ("compat", "p", {"conditions": [{"assignment": {"0": [0, 1, 0]}}]}),
         ("compat", "p", {"conditions": [{"assignment": {"0": {"tag": 0, "level": 1, "corners": "0"}}}]}),
+        ("compat", "p", {"conditions": [{"assignment": {"0": {"tag": True, "level": 1, "corners": [0]}}}]}),
+        ("compat", "p", {"conditions": [{"assignment": {"0": {"tag": 0, "level": 1.0, "corners": [0]}}}]}),
+        ("compat", "p", {"conditions": [{"assignment": {"0": {"tag": 0, "level": 1, "corners": ["0"]}}}]}),
+        ("compat", "q", {"conditions": [{"assignment": {"0": 1.7}}]}),
+        ("compat", "q", {"conditions": [{"assignment": {"0": "2"}}]}),
         ("predense", "q", {"conditions": 5}),
         ("predense", "q", {"conditions": conds, "color_budget": "3"}),
         ("lower-bound", "p", {"conditions": {"0": 0}}),
@@ -200,6 +216,7 @@ def test_malformed_containers_exit_2(tmp_path, capsys):
         ("liminf", "q", {"conditions": conds}),
         ("liminf", "q", {"conditions": conds, "location": [loc]}),
         ("liminf", "q", {"conditions": conds, "location": {"cells": loc["cells"], "colors": 0}}),
+        ("liminf", "q", {"conditions": conds, "location": {"cells": loc["cells"], "colors": ["0"]}}),
         ("liminf", "q", {"conditions": conds, "location": loc, "test_set": 0}),
         ("liminf", "q", {"conditions": conds, "location": loc, "threshold": True}),
     ]
@@ -207,6 +224,10 @@ def test_malformed_containers_exit_2(tmp_path, capsys):
         argv = ["poset", verb, inst, "--kind", kind, "--file", write(f"poset{i}.json", data)]
         assert main(argv) == 2, (verb, data)
     assert main(["color", "verify", inst, "--file", write("c.json", {"assignment": "x"})]) == 2
+    assert main(["adj", inst, "--x", "nope"]) == 2
+    empty = {"kind": "distance", "dim": 1, "squared_distances": ["1"], "points": []}
+    assert main(["lattice", write("empty.json", empty)]) == 2
+    assert main(["adj", inst, "--x", '["1"]', "--y", "[1,"]) == 2
     err = capsys.readouterr().err
     assert "expected a JSON array" in err and "expected a JSON object" in err
     assert "missing 'location'" in err and "Traceback" not in err
