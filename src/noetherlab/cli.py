@@ -7,6 +7,7 @@ error.  All inputs and outputs are JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -23,7 +24,7 @@ from .control_poset import (
     ramsey_compatible_subset,
 )
 from .coloring_poset import p_compatible, p_lower_bound
-from .errors import NoetherError, ParseError
+from .errors import InvalidPointError, NoetherError, ParseError
 from .geometry import Point
 from .generators import (
     clustered_line_universe,
@@ -94,10 +95,16 @@ def _cmd_adj(args) -> int:
     if args.x is not None and args.y is not None:
         x = _point_arg(args.x, "--x")
         y = _point_arg(args.y, "--y")
-        _emit({"adjacent": adjacent(instance, x, y)}, args.out)
+        try:
+            result = adjacent(instance, x, y)
+        except InvalidPointError as exc:
+            raise ParseError(f"--x/--y: {exc}") from None
+        _emit({"adjacent": result}, args.out)
         return 0
     if args.x is not None:
         x = _point_arg(args.x, "--x")
+        if x not in universe:
+            raise ParseError(f"--x: {args.x} is not a point of the universe")
         nbrs = neighborhood(universe, x)
         _emit(
             {"neighborhood": sorted(point_to_json(p) for p in nbrs)},
@@ -334,7 +341,13 @@ def _parse_bounds(pairs: list[str]) -> dict:
     return bounds
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process.
+
+    Parsing keeps all of its state in the returned ``Namespace``, so one
+    parser serves every ``main`` call.
+    """
     parser = argparse.ArgumentParser(
         prog="noetherlab",
         description="exact combinatorial laboratory for Noetherian graph colorings",

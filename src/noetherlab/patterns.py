@@ -105,6 +105,14 @@ def find_variation_prefix(
     Returns the first witness in lexicographic universe order, or None
     (certified by exhaustion).  Requires 2*depth <= |universe| to have any
     chance; smaller universes return None immediately.
+
+    Each later pattern vertex t keeps a candidate mask: the universe
+    indices whose adjacency to every image assigned so far matches the
+    pattern.  Assigning vertex i to v narrows each mask by ``masks[v]`` or
+    its complement, and the candidates of a level are the set bits of its
+    mask minus the used ones, walked in ascending order.  ``nodes_explored``
+    counts the unused indices a per-vertex scan would try: all n - i of
+    them at a level that fails, those up to v at a level that succeeds at v.
     """
     verts = spec.vertices()
     k = len(verts)
@@ -112,42 +120,45 @@ def find_variation_prefix(
     if k > n:
         return None
     masks = universe.open_masks
-    pattern_edges = [
-        [spec.has_edge(verts[i], verts[j]) for j in range(i)] for i in range(k)
+    # edges_to_later[i][t - i - 1]: is pattern vertex t adjacent to vertex i?
+    edges_to_later = [
+        [spec.has_edge(verts[t], verts[i]) for t in range(i + 1, k)] for i in range(k)
     ]
-    assignment: list[int] = []
-    used = 0
+    found: list[int] = []  # the witness, deepest level first
+    nodes = 0
 
-    def rec() -> Optional[tuple[int, ...]]:
-        nonlocal used
-        i = len(assignment)
-        if i == k:
-            return tuple(assignment)
-        for v in range(n):
-            if used >> v & 1:
-                continue
-            ok = True
-            for j, w in enumerate(assignment):
-                if bool(masks[w] >> v & 1) != pattern_edges[i][j]:
-                    ok = False
-                    break
-            if stats is not None:
-                stats.nodes_explored += 1
-            if not ok:
-                continue
-            assignment.append(v)
-            used |= 1 << v
-            found = rec()
-            if found is not None:
-                return found
-            assignment.pop()
-            used &= ~(1 << v)
-        return None
+    def rec(i: int, allowed: list[int], used: int) -> bool:
+        nonlocal nodes
+        candidates = allowed[0] & ~used
+        later = allowed[1:]
+        edges = edges_to_later[i]
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            v = low.bit_length() - 1
+            if i + 1 < k:
+                adj = masks[v]
+                head = later[0] & adj if edges[0] else later[0] & ~adj
+                if not head & ~(used | low):
+                    # the next level has no candidate: it fails after
+                    # trying each of its n - i - 1 unused indices
+                    nodes += n - i - 1
+                    continue
+                narrowed = [a & adj if e else a & ~adj for a, e in zip(later, edges)]
+                if not rec(i + 1, narrowed, used | low):
+                    continue
+            found.append(v)
+            nodes += ((low << 1) - 1 & ~used).bit_count()
+            return True
+        nodes += n - i
+        return False
 
-    found = rec()
-    if found is None:
+    rec(0, [(1 << n) - 1] * k, 0)
+    if stats is not None:
+        stats.nodes_explored += nodes
+    if not found:
         return None
-    witness = PatternWitness(spec, tuple(universe.points[v] for v in found))
+    witness = PatternWitness(spec, tuple(universe.points[v] for v in reversed(found)))
     if not witness.verify(universe):
         raise VerificationError(f"search returned a non-induced copy of {spec}")
     return witness

@@ -32,6 +32,7 @@ from .graphs import (
     hamming_diagonal,
     hamming_uniform,
 )
+from .hamming import DEFAULT_SIZE_BOUND
 
 
 _JSON_TYPES = {dict: "object", list: "array"}
@@ -180,7 +181,12 @@ def instance_from_json(data: Any) -> GraphInstance:
             for i, e in enumerate(require(data, "edges", list, "instance")):
                 where = f"instance.edges[{i}]"
                 edges.append(tuple(expect_int(v, where) for v in expect(e, list, where)))
-            return explicit_graph(expect_int(data["vertices"], "instance.vertices"), edges)
+            n_vertices = expect_int(data["vertices"], "instance.vertices")
+            if not 0 <= n_vertices <= DEFAULT_SIZE_BOUND:
+                raise ParseError(
+                    f"instance.vertices: {n_vertices} is outside 0..{DEFAULT_SIZE_BOUND}"
+                )
+            return explicit_graph(n_vertices, edges)
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -2,7 +2,7 @@ import json
 import subprocess
 import sys
 
-from noetherlab.cli import main
+from noetherlab.cli import build_parser, main
 from noetherlab.serialize import universe_to_json
 from noetherlab.generators import line_universe
 
@@ -181,6 +181,7 @@ def test_malformed_containers_exit_2(tmp_path, capsys):
         "alphabet_float": {"kind": "hammingUniform", "breadth": 2, "alphabet": 2.0,
                            "points": [["0", "0"]]},
         "vertices_string": {"kind": "explicit", "vertices": "2", "edges": []},
+        "vertices_huge": {"kind": "explicit", "vertices": 100000, "edges": []},
         "edge_endpoint_bool": {"kind": "explicit", "vertices": 2, "edges": [[0, True]]},
         "poly_powers_float": {"kind": "curveDifference", "poly": [{"powers": [1.0, 0], "coeff": "1"}],
                               "points": [["0", "0"]]},
@@ -228,6 +229,11 @@ def test_malformed_containers_exit_2(tmp_path, capsys):
     empty = {"kind": "distance", "dim": 1, "squared_distances": ["1"], "points": []}
     assert main(["lattice", write("empty.json", empty)]) == 2
     assert main(["adj", inst, "--x", '["1"]', "--y", "[1,"]) == 2
+    # a point the universe or the instance does not hold is a usage error
+    line5 = tmp_path / "line5.json"
+    line5.write_text(json.dumps(universe_to_json(line_universe(5))))
+    assert main(["adj", str(line5), "--x", '["9"]']) == 2
+    assert main(["adj", inst, "--x", '["1","2"]', "--y", '["1"]']) == 2
     err = capsys.readouterr().err
     assert "expected a JSON array" in err and "expected a JSON object" in err
     assert "missing 'location'" in err and "Traceback" not in err
@@ -238,6 +244,32 @@ def test_malformed_containers_exit_2(tmp_path, capsys):
     path4 = write("path4.json", {"kind": "explicit", "vertices": 4, "edges": [[0, 1], [1, 2], [2, 3]]})
     code, report = _run(capsys, ["poset", "liminf", path4, "--file", liminf])
     assert code == 0 and report["threshold"] == 2
+
+
+def test_parser_reuse_leaks_nothing_between_calls(tmp_path, capsys):
+    inst = _write_line_universe(tmp_path, 6)
+    sequences = [
+        # a 6-point universe exceeds oracle=5 (exit 1); the default bound does not
+        [(["color", "chi", inst, "--bound", "oracle=5"], 1), (["color", "chi", inst], 0)],
+        [(["adj", inst, "--indices", "0", "1"], 0), (["adj", inst, "--x", '["1"]'], 0)],
+        [(["adj", inst, "--no-such-flag"], 2), (["adj", inst, "--indices", "2"], 0)],
+        [(["detect", inst, "--depth", "x"], 2), (["detect", inst, "--stress"], 0)],
+    ]
+
+    def outcome(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    assert build_parser() is build_parser()
+    for calls in sequences:
+        reused = [outcome(argv) for argv, _ in calls]
+        fresh = []
+        for argv, _ in calls:
+            build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert reused == fresh, calls
+        assert [code for code, _, _ in reused] == [code for _, code in calls], calls
 
 
 def test_console_entrypoint_runs():

@@ -9,7 +9,6 @@ field of the wrong type must exit 2.
 
 import json
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -89,8 +88,8 @@ _WRONG_TYPES = {
 _NULL_MEANS_DEFAULT = {"threshold"}
 
 # Integers stay small: JSON integers are sizes and exponents here (vertex
-# counts, box levels, polynomial powers), and none of them has an upper bound
-# yet, so a large one would exhaust memory instead of exercising a parser.
+# counts, box levels, polynomial powers); box levels and powers have no upper
+# bound yet, so a large one would exhaust memory instead of exercising a parser.
 _SCALARS = (
     st.none()
     | st.booleans()
@@ -155,16 +154,6 @@ _MUTATIONS = [
     for wrong in _WRONG_TYPES[type(_at(_fuzzed_doc(case), path))]
     if wrong is not None or key not in _NULL_MEANS_DEFAULT
 ]
-
-
-@pytest.fixture(scope="module", autouse=True)
-def one_parser():
-    # main builds its argparse parser on every call, about 5 ms, which would
-    # dominate here; only the files vary, so one parser serves every call
-    parser = cli.build_parser()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "build_parser", lambda: parser)
-        yield
 
 
 def test_valid_files_pass(tmp_path_factory):

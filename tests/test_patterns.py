@@ -125,6 +125,66 @@ def test_planted_depth5_in_40_vertices():
     assert stats.nodes_explored > 0
 
 
+def _per_vertex_scan(universe, spec):
+    """The search as a scan over every unused vertex at every level, testing
+    each assigned image bit by bit: (witness indices or None, nodes tried)."""
+    verts = spec.vertices()
+    k, n = len(verts), len(universe)
+    if k > n:
+        return None, 0
+    masks = universe.open_masks
+    pattern_edges = [[spec.has_edge(verts[i], verts[j]) for j in range(i)] for i in range(k)]
+    assignment, nodes = [], 0
+
+    def rec():
+        nonlocal nodes
+        i = len(assignment)
+        if i == k:
+            return tuple(assignment)
+        for v in range(n):
+            if v in assignment:
+                continue
+            nodes += 1
+            if any(bool(masks[w] >> v & 1) != pattern_edges[i][j] for j, w in enumerate(assignment)):
+                continue
+            assignment.append(v)
+            found = rec()
+            if found is not None:
+                return found
+            assignment.pop()
+        return None
+
+    return rec(), nodes
+
+
+def test_candidate_masks_match_per_vertex_scan():
+    rng = random.Random(5)
+    universes = [explicit_universe(n, []) for n in (4, 7)]
+    universes += [explicit_universe(n, list(combinations(range(n), 2))) for n in (4, 7)]
+    for _ in range(60):
+        n = rng.randint(2, 16)
+        p = rng.choice([0.15, 0.35, 0.5, 0.65, 0.85])
+        universes.append(explicit_universe(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    for u in universes:
+        for depth in (2, 3):
+            for spec in all_variations(depth):
+                stats = SearchStats()
+                witness = find_variation_prefix(u, spec, stats)
+                want, nodes = _per_vertex_scan(u, spec)
+                got = None if witness is None else tuple(u.index(x) for x in witness.mapping)
+                assert (got, stats.nodes_explored) == (want, nodes), (len(u), spec)
+
+
+def test_circulant_exhaustion_node_count():
+    # C40(1,2) holds no induced threeQuarter anticlique/anticlique prefix of
+    # depth 4; the exhaustive search tries exactly this many vertices
+    u = explicit_universe(40, [(i, (i + o) % 40) for i in range(40) for o in (1, 2)])
+    stats = SearchStats()
+    spec = VariationSpec("threeQuarter", "anticlique", "anticlique", 4)
+    assert find_variation_prefix(u, spec, stats) is None
+    assert stats.nodes_explored == 1_012_800
+
+
 def test_noetherian_stress_statistic():
     spec = VariationSpec("half", "anticlique", "anticlique", 2)
     verts_depth4 = VariationSpec("half", "anticlique", "anticlique", 4)

@@ -17,6 +17,7 @@ from noetherlab import (
 )
 from noetherlab.errors import ParseError
 from noetherlab.generators import line_universe, random_pcondition
+from noetherlab.hamming import DEFAULT_SIZE_BOUND
 from noetherlab.serialize import (
     box_from_json,
     box_to_json,
@@ -96,6 +97,16 @@ def test_explicit_universe_points_optional():
     data = {"instance": instance_to_json(u.instance)}
     back = universe_from_json(data)
     assert back.points == u.points
+
+
+def test_explicit_vertex_count_is_bounded():
+    # the count sizes every default point and n-bit mask, so it is bounded
+    # like the Hamming truncations; the bound itself still parses
+    u = universe_from_json({"instance": {"kind": "explicit", "vertices": DEFAULT_SIZE_BOUND, "edges": []}})
+    assert len(u) == DEFAULT_SIZE_BOUND
+    for n in (DEFAULT_SIZE_BOUND + 1, 100_000, -1):
+        with pytest.raises(ParseError, match="instance.vertices"):
+            instance_from_json({"kind": "explicit", "vertices": n, "edges": []})
 
 
 def test_condition_roundtrips():
