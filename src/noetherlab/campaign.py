@@ -36,6 +36,7 @@ from .control_poset import (
     Location,
     QCondition,
     canonical_location,
+    cell_contains,
     compatible_tail,
     is_at_location,
     liminf_thin,
@@ -69,6 +70,7 @@ from .graphs import (
     curve_difference_graph,
     distance_graph,
     explicit_graph,
+    vertex_point,
 )
 from .hamming import (
     epsilon_matrix,
@@ -282,8 +284,6 @@ def _plant_variation(rng, spec: VariationSpec, extra: int, edge_p: float) -> Sam
         for j in range(n):
             if j < i and rng.random() < edge_p:
                 edges.append((j, i))
-    from .graphs import vertex_point
-
     instance = explicit_graph(n, edges)
     return SampleUniverse(instance, [vertex_point(i) for i in range(n)])
 
@@ -383,6 +383,23 @@ def _minimal_subfamily_bound(rng, config):
 
 # -- coloring-engine suites ------------------------------------------------------
 
+def _first_fit_chain(universe: SampleUniverse, stages) -> StageChain:
+    """Each stage colored first-fit in universe order, from the open masks."""
+    masks = universe.open_masks
+    colorings = []
+    for stage in stages:
+        classes: list[int] = []  # classes[c]: mask of the points colored c
+        coloring = {}
+        for i in sorted(map(universe.index, stage)):
+            c = next((c for c, m in enumerate(classes) if not masks[i] & m), len(classes))
+            if c == len(classes):
+                classes.append(0)
+            classes[c] |= 1 << i
+            coloring[universe.points[i]] = c
+        colorings.append(coloring)
+    return StageChain(tuple(stages), tuple(colorings))
+
+
 def _random_stage_chain(rng, universe: SampleUniverse) -> StageChain:
     n = len(universe)
     first = good_closure(
@@ -398,21 +415,7 @@ def _random_stage_chain(rng, universe: SampleUniverse) -> StageChain:
                 set(stages[-1]) | {next(p for p in universe.points if p not in stages[-1])},
             )
         stages.append(bigger)
-    colorings = []
-    for stage in stages:
-        coloring: dict = {}
-        for x in sorted(stage, key=universe.index):
-            used = {
-                coloring[y]
-                for y in coloring
-                if adjacent(universe.instance, x, y)
-            }
-            c = 0
-            while c in used:
-                c += 1
-            coloring[x] = c
-        colorings.append(coloring)
-    return StageChain(tuple(stages), tuple(colorings))
+    return _first_fit_chain(universe, stages)
 
 
 @suite("coloring-constructions")
@@ -455,17 +458,7 @@ def _stitch_nongood(rng, config):
         while len(acc) < s:
             acc.add(rng.choice(universe.points))
         stages.append(frozenset(acc))
-    colorings = []
-    for stage in stages:
-        coloring: dict = {}
-        for x in sorted(stage, key=universe.index):
-            used = {coloring[y] for y in coloring if adjacent(universe.instance, x, y)}
-            c = 0
-            while c in used:
-                c += 1
-            coloring[x] = c
-        colorings.append(coloring)
-    chain = StageChain(tuple(stages), tuple(colorings))
+    chain = _first_fit_chain(universe, stages)
     stitched = stitch_colorings(universe, chain, None, require_good=False)
     if check_suitable(stitched.assignment) or check_proper(universe, stitched.assignment):
         return False, {"universe": _universe_digest(universe)}
@@ -565,7 +558,7 @@ def _ramsey_centered(rng, config):
     for _ in range(k):
         assignment = {}
         for idx, cell in enumerate(cells):
-            members = [p for p in universe.points if _cell_has(cell, p)]
+            members = [p for p in universe.points if cell_contains(cell, p)]
             if not members:
                 return True, None
             assignment[rng.choice(members)] = colors[idx]
@@ -579,12 +572,6 @@ def _ramsey_centered(rng, config):
     if found is None and find_clique(universe, m) is None:
         return False, {"why": "guarantee-violated", "k": k, "cells": len(cells)}
     return True, None
-
-
-def _cell_has(cell, p) -> bool:
-    from .control_poset import cell_contains
-
-    return cell_contains(cell, p)
 
 
 @suite("liminf-thin")

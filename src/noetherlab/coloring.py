@@ -19,7 +19,7 @@ from .errors import (
     VerificationError,
 )
 from .geometry import Point, TaggedBox, box_contains, iter_boxes_containing
-from .graphs import SampleUniverse, adjacent
+from .graphs import SampleUniverse
 from .lattice import is_good
 
 DEFAULT_ORACLE_BOUND = 20
@@ -37,9 +37,10 @@ def check_suitable(assignment: Mapping[Point, TaggedBox]) -> list[str]:
 def check_proper(universe: SampleUniverse, assignment: Mapping) -> list[str]:
     """Violations of properness (adjacent points sharing a color value).
 
-    Only points of one color class can violate properness, so adjacent() runs
-    on the pairs inside each class; the messages come in universe-index order
-    of the pair, as an all-pairs scan would list them.
+    Only points of one color class can violate properness, so the exact
+    pairwise predicate (reference_adjacent, independent of the masks) runs
+    on the pairs inside each class; the messages come in universe-index
+    order of the pair, as an all-pairs scan would list them.
     """
     classes: dict = {}
     for x in sorted(assignment, key=universe.index):
@@ -48,7 +49,7 @@ def check_proper(universe: SampleUniverse, assignment: Mapping) -> list[str]:
     for members in classes.values():
         for i, x in enumerate(members):
             for y in members[i + 1 :]:
-                if adjacent(universe.instance, x, y):
+                if universe.reference_adjacent(x, y):
                     bad.append((universe.index(x), universe.index(y), x, y))
     bad.sort(key=lambda v: v[:2])
     return [f"adjacent {x}, {y} share color {assignment[x]}" for _, _, x, y in bad]

@@ -21,7 +21,7 @@ from .errors import (
     PreconditionError,
 )
 from .geometry import Point, TaggedBox, box_contains, first_box_containing
-from .graphs import SampleUniverse, adjacent
+from .graphs import SampleUniverse
 from .lattice import good_closure, is_good
 
 
@@ -57,6 +57,11 @@ def validate_pcondition(p: PCondition, *, require_good: bool = False) -> None:
         raise InvalidConditionError("domain is not good relative to the universe")
 
 
+def _neighbors_in(universe: SampleUniverse, x: Point, mask: int) -> list[Point]:
+    """The neighbors of x among the points of mask, in universe order."""
+    return universe.ordered_points_of(universe.open_masks[universe.index(x)] & mask)
+
+
 def p_leq(q: PCondition, p: PCondition) -> bool:
     """q extends p and every new color avoids old-domain neighbors.
 
@@ -67,15 +72,13 @@ def p_leq(q: PCondition, p: PCondition) -> bool:
     for x, box in p.assignment.items():
         if q.assignment.get(x) != box:
             return False
-    dom_p = p.domain()
-    instance = q.universe.instance
-    for x, box in q.assignment.items():
-        if x in dom_p:
-            continue
-        for y in dom_p:
-            if adjacent(instance, x, y) and box_contains(box, y):
-                return False
-    return True
+    dom_p = q.universe.mask_of(p.assignment)
+    return not any(
+        box_contains(box, y)
+        for x, box in q.assignment.items()
+        if x not in p.assignment
+        for y in _neighbors_in(q.universe, x, dom_p)
+    )
 
 
 def p_incompatibility_witness(p0: PCondition, p1: PCondition):
@@ -84,14 +87,10 @@ def p_incompatibility_witness(p0: PCondition, p1: PCondition):
         other = p1.assignment.get(x)
         if other is not None and other != box:
             return ("function-clash", x, box, other)
-    instance = p0.universe.instance
-    dom0, dom1 = p0.domain(), p1.domain()
-    only0 = sorted(dom0 - dom1, key=p0.universe.index)
-    only1 = sorted(dom1 - dom0, key=p0.universe.index)
-    for x0 in only0:
-        for x1 in only1:
-            if not adjacent(instance, x0, x1):
-                continue
+    universe = p0.universe
+    dom0, dom1 = universe.mask_of(p0.assignment), universe.mask_of(p1.assignment)
+    for x0 in universe.ordered_points_of(dom0 & ~dom1):
+        for x1 in _neighbors_in(universe, x0, dom1 & ~dom0):
             if box_contains(p0.assignment[x0], x1):
                 return ("box-contains", x0, x1, p0.assignment[x0])
             if box_contains(p1.assignment[x1], x0):
@@ -114,14 +113,12 @@ def is_separated(p: PCondition) -> bool:
     separation, a color swallowing a shared domain point yields pairwise
     compatible families with no amalgamation (see p_lower_bound).
     """
-    instance = p.universe.instance
-    pts = list(p.assignment)
-    for x in pts:
-        box = p.assignment[x]
-        for y in pts:
-            if y != x and adjacent(instance, x, y) and box_contains(box, y):
-                return False
-    return True
+    dom = p.universe.mask_of(p.assignment)
+    return not any(
+        box_contains(box, y)
+        for x, box in p.assignment.items()
+        for y in _neighbors_in(p.universe, x, dom)
+    )
 
 
 def p_lower_bound(

@@ -29,7 +29,6 @@ from .geometry import Point, TaggedBox, box_contains, boxes_disjoint, iter_boxes
 from .graphs import (
     EXPLICIT,
     SampleUniverse,
-    adjacent,
     box_edge_free,
     common_neighborhood_mask,
 )
@@ -66,11 +65,15 @@ def q_incompatibility_witness(q0: QCondition, q1: QCondition):
         other = q1.assignment.get(x)
         if other is not None and other != c:
             return ("function-clash", x, c, other)
-    instance = q0.universe.instance
+    universe = q0.universe
+    by_color: dict[int, int] = {}
+    for y, e in q1.assignment.items():
+        by_color[e] = by_color.get(e, 0) | 1 << universe.index(y)
     for x, c in q0.assignment.items():
-        for y, e in q1.assignment.items():
-            if c == e and x != y and adjacent(instance, x, y):
-                return ("edge-clash", x, y, c)
+        clash = universe.open_masks[universe.index(x)] & by_color.get(c, 0)
+        if clash:
+            y = next(y for y in q1.assignment if clash >> universe.index(y) & 1)
+            return ("edge-clash", x, y, c)
     return None
 
 
@@ -276,19 +279,34 @@ def ramsey_bound(m: int, s: int) -> int:
 COMPATIBLE = "!"
 
 
+def _selections(conditions: Sequence[QCondition], loc: Location) -> list[list[int]]:
+    """sels[n][cell]: the universe index that condition n selects in cell.
+
+    Validates the location and that every condition is at it.
+    """
+    universe = conditions[0].universe
+    loc.validate(universe.instance)
+    for q in conditions:
+        if not is_at_location(q, loc):
+            raise LocationError("condition is not at the given location")
+    return [
+        [universe.index(selection(q, loc, i)) for i in range(len(loc.cells))]
+        for q in conditions
+    ]
+
+
 def pair_coloring(conditions: Sequence[QCondition], loc: Location):
     """The proof's map on index pairs: witnessing cell index, or '!'.
 
     Two conditions at one location are incompatible exactly when some cell's
     two selected points are adjacent; the first such cell is the color.
     """
-    sels = [[selection(q, loc, i) for i in range(len(loc.cells))] for q in conditions]
-    instance = conditions[0].universe.instance
+    sels = _selections(conditions, loc)
+    masks = conditions[0].universe.open_masks
 
     def color(i: int, j: int):
-        for cell_idx in range(len(loc.cells)):
-            a, b = sels[i][cell_idx], sels[j][cell_idx]
-            if a != b and adjacent(instance, a, b):
+        for cell_idx, (a, b) in enumerate(zip(sels[i], sels[j])):
+            if masks[a] >> b & 1:
                 return cell_idx
         return COMPATIBLE
 
@@ -306,10 +324,6 @@ def ramsey_compatible_subset(
     """
     if not conditions:
         return None
-    loc.validate(conditions[0].universe.instance)
-    for q in conditions:
-        if not is_at_location(q, loc):
-            raise LocationError("condition is not at the given location")
     color = pair_coloring(conditions, loc)
     for combo in combinations(range(len(conditions)), m):
         if all(color(i, j) == COMPATIBLE for i, j in combinations(combo, 2)):
@@ -348,17 +362,14 @@ def liminf_thin(
     the kept subfamily selects pairwise distinct points; and each test
     point ends adjacent to at most `threshold` of any a1 cell's selections,
     or to all of them.  The threshold (default 2 * #cells) is the
-    artifact's stand-in for "finitely many" and is reported back.
+    artifact's stand-in for "finitely many" and is reported back.  Test
+    points are universe points; any other point raises UnknownPointError.
     """
     if len(conditions) < 2:
         raise PreconditionError("need at least two conditions")
-    loc.validate(conditions[0].universe.instance)
-    for q in conditions:
-        if not is_at_location(q, loc):
-            raise LocationError("condition is not at the given location")
+    sels = _selections(conditions, loc)
     ncells = len(loc.cells)
     thr = 2 * ncells if threshold is None else threshold
-    sels = [[selection(q, loc, i) for i in range(ncells)] for q in conditions]
     constant = tuple(
         i for i in range(ncells) if len({sel[i] for sel in sels}) == 1
     )
@@ -371,14 +382,14 @@ def liminf_thin(
         ):
             kept.append(n)
 
-    instance = conditions[0].universe.instance
-    test_points = list(test_set)
+    universe = conditions[0].universe
+    test_masks = [universe.open_masks[universe.index(t)] for t in test_set]
     changed = True
     while changed:
         changed = False
-        for t in test_points:
+        for t_mask in test_masks:
             for i in injective:
-                adj = [n for n in kept if adjacent(instance, t, sels[n][i])]
+                adj = [n for n in kept if t_mask >> sels[n][i] & 1]
                 if len(adj) <= thr or len(adj) == len(kept):
                     continue
                 non_adj = [n for n in kept if n not in adj]

@@ -4,22 +4,20 @@ Distributions (documented in every campaign report header):
 rational grid samples for geometric instances, clustered line samples with
 planted unit edges, planar unit-distance samples from rational circle
 points, random explicit graphs with an edge-probability parameter, and
-random conditions at random locations.  All draws come from the supplied
-random.Random, so identical seeds reproduce identical objects.
+random conditions.  All draws come from the supplied random.Random, so
+identical seeds reproduce identical objects.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Optional
 
-from .coloring import separating_box
+from .coloring import check_proper, separating_box
 from .coloring_poset import PCondition, validate_pcondition
-from .control_poset import Location, QCondition, canonical_location, validate_qcondition
-from .errors import LocationError
+from .control_poset import QCondition, validate_qcondition
 from .geometry import Point, pt
-from .graphs import SampleUniverse, adjacent, distance_graph, explicit_graph
+from .graphs import SampleUniverse, distance_graph, explicit_graph, vertex_point
 from .hamming import make_diagonal_hamming
 from .lattice import good_closure
 
@@ -39,8 +37,6 @@ def line_universe(n: int) -> SampleUniverse:
 
 def path_explicit_universe(n: int) -> SampleUniverse:
     """The explicit twin of the integer unit-distance line."""
-    from .graphs import vertex_point
-
     instance = explicit_graph(n, [(i, i + 1) for i in range(n - 1)])
     return SampleUniverse(instance, [vertex_point(i) for i in range(n)])
 
@@ -86,8 +82,6 @@ def planar_unit_universe(rng: random.Random, n_points: int) -> SampleUniverse:
 def random_explicit_universe(
     rng: random.Random, n: int, edge_probability: float = 0.35
 ) -> SampleUniverse:
-    from .graphs import vertex_point
-
     edges = [
         (i, j)
         for i in range(n)
@@ -143,60 +137,8 @@ def random_qcondition(
         pts = rng.sample(universe.points, k=min(len(universe), rng.randint(1, max_size)))
         assignment = {x: rng.randrange(color_budget) for x in pts}
         q = QCondition(universe, assignment)
-        from .coloring import check_proper
-
         if not check_proper(universe, assignment):
             validate_qcondition(q)
             return q
     raise AssertionError("rejection sampling failed to find a proper condition")
 
-
-def random_location_with_conditions(
-    rng: random.Random,
-    universe: SampleUniverse,
-    n_cells: int,
-    n_conditions: int,
-    color_budget: int = 3,
-) -> Optional[tuple[Location, list[QCondition]]]:
-    """A location built around a seed condition, plus conditions at it.
-
-    Returns None when the sampled cells admit no alternative selections.
-    """
-    if n_cells > len(universe):
-        return None
-    for _ in range(40):
-        pts = rng.sample(universe.points, k=n_cells)
-        colors = {x: rng.randrange(color_budget) for x in pts}
-        seed = QCondition(universe, colors)
-        from .coloring import check_proper
-
-        if check_proper(universe, colors):
-            continue
-        try:
-            loc = canonical_location(seed)
-        except LocationError:
-            continue
-        conditions = []
-        for _ in range(n_conditions):
-            assignment = {}
-            ok = True
-            for idx, cell in enumerate(loc.cells):
-                members = [p for p in universe.points if _in_cell(cell, p)]
-                if not members:
-                    ok = False
-                    break
-                assignment[rng.choice(members)] = loc.colors[idx]
-            if not ok or len(assignment) != len(loc.cells):
-                continue
-            q = QCondition(universe, assignment)
-            if not check_proper(universe, assignment):
-                conditions.append(q)
-        if len(conditions) >= 2:
-            return loc, conditions
-    return None
-
-
-def _in_cell(cell, p: Point) -> bool:
-    from .control_poset import cell_contains
-
-    return cell_contains(cell, p)

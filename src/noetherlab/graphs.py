@@ -137,9 +137,19 @@ def vertex_point(i: int) -> Point:
 
 
 def adjacent(instance: GraphInstance, x: Point, y: Point) -> bool:
-    """Exact, symmetric, irreflexive adjacency for every kind."""
+    """Exact, symmetric, irreflexive adjacency for every kind.
+
+    Validates both points against the instance; library logic reads a
+    universe's masks instead, and SampleUniverse.reference_adjacent is the
+    coordinate route for points a universe has already validated.
+    """
     instance.validate_point(x)
     instance.validate_point(y)
+    return _exact_adjacent(instance, x, y)
+
+
+def _exact_adjacent(instance: GraphInstance, x: Point, y: Point) -> bool:
+    """The coordinate predicate behind adjacent(), on validated points."""
     if x == y:
         return False
     if instance.kind == DISTANCE:
@@ -188,12 +198,24 @@ class SampleUniverse:
         except KeyError:
             raise UnknownPointError(f"{p} is not in the universe") from None
 
+    def reference_adjacent(self, x: Point, y: Point) -> bool:
+        """Exact adjacency of two universe points, from their coordinates.
+
+        The independent second route to the masks: it never reads them, and
+        skips the validation the points passed when the universe was built.
+        A point outside the universe raises UnknownPointError.
+        """
+        self.index(x)
+        self.index(y)
+        return _exact_adjacent(self.instance, x, y)
+
     @cached_property
     def closed_masks(self) -> list[int]:
         """closed_masks[i] = bitmask of Gamma(points[i]) within the universe.
 
         Built from the structure of the instance kind on point indices (see
-        _EDGE_BUILDERS); adjacent() stays the exact pairwise reference.
+        _EDGE_BUILDERS).  Library logic reads adjacency here; adjacent() and
+        reference_adjacent() stay the exact pairwise reference.
         """
         try:
             edges = _EDGE_BUILDERS[self.instance.kind]

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 from . import _kernels
 from .errors import InvalidSpecError, VerificationError
-from .graphs import SampleUniverse, adjacent
+from .graphs import SampleUniverse
 from .geometry import Point
 
 HALF = "half"
@@ -79,15 +79,20 @@ class PatternWitness:
     mapping: tuple[Point, ...]
 
     def verify(self, universe: SampleUniverse) -> bool:
-        """Re-check the induced subgraph edge-by-edge; never trust the search."""
+        """Re-check the induced subgraph edge-by-edge; never trust the search.
+
+        A mapping that leaves the universe, repeats a point or has the wrong
+        length is no witness.
+        """
         verts = self.spec.vertices()
-        if len(set(self.mapping)) != len(self.mapping):
+        if not len(verts) == len(self.mapping) == len(set(self.mapping)):
+            return False
+        if not all(p in universe for p in self.mapping):
             return False
         for i in range(len(verts)):
             for j in range(i + 1, len(verts)):
                 want = self.spec.has_edge(verts[i], verts[j])
-                got = adjacent(universe.instance, self.mapping[i], self.mapping[j])
-                if want != got:
+                if want != universe.reference_adjacent(self.mapping[i], self.mapping[j]):
                     return False
         return True
 
@@ -183,7 +188,7 @@ def find_clique(universe: SampleUniverse, m: int) -> Optional[frozenset[Point]]:
     if found is None:
         return None
     pts = frozenset(universe.points[i] for i in found)
-    if not all(adjacent(universe.instance, p, q) for p in pts for q in pts if p != q):
+    if not all(universe.reference_adjacent(p, q) for p in pts for q in pts if p != q):
         raise VerificationError(f"kernel returned a non-clique for m={m}")
     return pts
 

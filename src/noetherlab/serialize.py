@@ -31,6 +31,7 @@ from .graphs import (
     explicit_graph,
     hamming_diagonal,
     hamming_uniform,
+    vertex_point,
 )
 from .hamming import DEFAULT_SIZE_BOUND
 
@@ -208,16 +209,16 @@ def universe_from_json(data: Any) -> SampleUniverse:
     raw_points = data.get("points")
     if raw_points is None:
         if instance.kind == EXPLICIT:
-            from .graphs import vertex_point
-
             points = [vertex_point(i) for i in range(instance.n_vertices)]
         else:
             raise ParseError("universe: 'points' required for this kind")
     else:
-        points = [
-            point_from_json(p, f"points[{i}]")
-            for i, p in enumerate(expect(raw_points, list, "universe.points"))
-        ]
+        expect(raw_points, list, "universe.points")
+        if len(raw_points) > DEFAULT_SIZE_BOUND:
+            raise ParseError(
+                f"universe.points: {len(raw_points)} points exceed the bound {DEFAULT_SIZE_BOUND}"
+            )
+        points = [point_from_json(p, f"points[{i}]") for i, p in enumerate(raw_points)]
     try:
         return SampleUniverse(instance, points)
     except Exception as exc:

@@ -1,4 +1,8 @@
-from noetherlab.campaign import SUITES, RunConfig, emit_report, run_campaign
+import random
+
+from conftest import universes_of_every_kind
+from noetherlab import adjacent
+from noetherlab.campaign import SUITES, RunConfig, _first_fit_chain, emit_report, run_campaign
 from noetherlab.errors import NoetherError
 
 import pytest
@@ -84,3 +88,34 @@ def test_one_pool_per_campaign_clamped_to_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert emit_report(run_campaign(config, names, jobs=4)) == serial
     assert made == [3]
+
+
+def _first_fit_pairwise(universe, stages):
+    """The stage colorings by one adjacent() call per pair of points."""
+    colorings = []
+    for stage in stages:
+        coloring = {}
+        for x in sorted(stage, key=universe.index):
+            used = {coloring[y] for y in coloring if adjacent(universe.instance, x, y)}
+            c = 0
+            while c in used:
+                c += 1
+            coloring[x] = c
+        colorings.append(coloring)
+    return colorings
+
+
+def test_first_fit_chain_agrees_with_pairwise_adjacency():
+    rng = random.Random(65)
+    for _ in range(40):
+        for u in universes_of_every_kind(rng):
+            acc, stages = set(), []
+            for _ in range(rng.randint(1, 4)):
+                acc |= set(rng.sample(u.points, k=rng.randint(1, len(u))))
+                stages.append(frozenset(acc))
+            chain = _first_fit_chain(u, stages)
+            assert chain.stages == tuple(stages)
+            # equal colors, inserted in the same (universe) order
+            reference = _first_fit_pairwise(u, stages)
+            got = [list(c.items()) for c in chain.stage_colorings]
+            assert got == [list(c.items()) for c in reference]

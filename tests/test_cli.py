@@ -182,6 +182,8 @@ def test_malformed_containers_exit_2(tmp_path, capsys):
                            "points": [["0", "0"]]},
         "vertices_string": {"kind": "explicit", "vertices": "2", "edges": []},
         "vertices_huge": {"kind": "explicit", "vertices": 100000, "edges": []},
+        "points_4097": {"kind": "distance", "dim": 1, "squared_distances": ["1"],
+                        "points": [[str(i)] for i in range(4097)]},
         "edge_endpoint_bool": {"kind": "explicit", "vertices": 2, "edges": [[0, True]]},
         "poly_powers_float": {"kind": "curveDifference", "poly": [{"powers": [1.0, 0], "coeff": "1"}],
                               "points": [["0", "0"]]},

@@ -1,7 +1,11 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import noetherlab
 
 from conftest import explicit_universe
 from noetherlab import (
@@ -132,6 +136,64 @@ def test_masks_match_pairwise_adjacency_for_every_kind():
         u = random_universe(rng, 12)
         u = SampleUniverse(u.instance, _shuffled_subset(rng, u.points))
         assert u.closed_masks == _pairwise_masks(u)
+
+
+def test_reference_adjacent_is_the_coordinate_route():
+    rng = random.Random(8)
+    for _ in range(30):
+        u = random_universe(rng, 10)
+        pairs = [(x, y) for x in u.points for y in u.points]
+        got = [u.reference_adjacent(x, y) for x, y in pairs]
+        assert "closed_masks" not in vars(u)  # never reads the masks
+        assert got == [adjacent(u.instance, x, y) for x, y in pairs]
+    u = line_universe(3)
+    with pytest.raises(UnknownPointError):
+        u.reference_adjacent(pt(0), pt(5))
+    with pytest.raises(UnknownPointError):
+        u.reference_adjacent(pt(7), pt(1))
+
+
+# Library logic reads adjacency from a universe's masks.  The exact pairwise
+# predicate runs only on the independent second routes below: re-verifiers,
+# the law and agreement suites, the explicit-kind box check (which has no
+# universe), and the CLI's pair query.  A new use elsewhere fails here.
+_REFERENCE_ROUTES = {
+    ("campaign", "_adjacency_laws", "adjacent"),
+    ("campaign", "_pairwise_masks", "adjacent"),
+    ("campaign", "_lattice_laws", "adjacent"),
+    ("campaign", "_liminf_thin", "adjacent"),
+    ("cli", "_cmd_adj", "adjacent"),
+    ("coloring", "check_proper", "reference_adjacent"),
+    ("graphs", "box_edge_free", "adjacent"),
+    ("graphs", "adjacent", "_exact_adjacent"),
+    ("graphs", "SampleUniverse.reference_adjacent", "_exact_adjacent"),
+    ("patterns", "PatternWitness.verify", "reference_adjacent"),
+    ("patterns", "find_clique", "reference_adjacent"),
+}
+
+
+def _adjacency_uses() -> set:
+    """(module, enclosing function, name) for every use of the pair predicate."""
+    names = {"adjacent", "reference_adjacent", "_exact_adjacent"}
+    uses = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, scope + (child.name,))
+                continue
+            name = getattr(child, "id", None) or getattr(child, "attr", None)
+            if name in names and isinstance(getattr(child, "ctx", None), ast.Load):
+                uses.add((module, ".".join(scope), name))
+            visit(child, module, scope)
+
+    for path in sorted(Path(noetherlab.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, ())
+    return uses
+
+
+def test_pair_predicate_only_on_reference_routes():
+    assert _adjacency_uses() == _REFERENCE_ROUTES
 
 
 def test_universe_rejects_duplicates_and_bad_points():

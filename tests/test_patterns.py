@@ -9,6 +9,7 @@ import pytest
 
 from conftest import explicit_universe
 from noetherlab import (
+    PatternWitness,
     SampleUniverse,
     TwoVarPoly,
     VariationSpec,
@@ -66,6 +67,20 @@ def test_planted_prefix_found_with_identity_witness():
     assert witness is not None
     assert [int(p.coords[0]) for p in witness.mapping] == list(range(6))
     assert witness.verify(u)
+
+
+def test_witness_outside_the_universe_does_not_verify():
+    # the mapped points have the right induced subgraph in the unit-distance
+    # line, but none of them is a point of the universe
+    spec = VariationSpec("half", "anticlique", "anticlique", 2)
+    witness = PatternWitness(spec, (pt(10), pt(20), pt(21), pt(30)))
+    assert not witness.verify(line_universe(4))
+    assert witness.verify(line_universe(31))
+    # a mapping longer or shorter than the pattern is no witness either
+    u = line_universe(6)
+    assert PatternWitness(spec, (pt(0), pt(2), pt(3), pt(5))).verify(u)
+    assert not PatternWitness(spec, (pt(0), pt(2), pt(3), pt(5), pt(1))).verify(u)
+    assert not PatternWitness(spec, (pt(0), pt(2), pt(3))).verify(u)
 
 
 def test_complete_graph_contains_no_variation():

@@ -1,19 +1,25 @@
 import random
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, islice
 
 import pytest
 
+from conftest import universes_of_every_kind
 from noetherlab import (
     PCondition,
     TaggedBox,
+    adjacent,
     box_contains,
+    is_separated,
     p_compatible,
     p_leq,
     p_lower_bound,
     pt,
     validate_pcondition,
 )
+from noetherlab.coloring_poset import p_incompatibility_witness
 from noetherlab.errors import IncompatibilityError, InvalidConditionError
+from noetherlab.geometry import iter_boxes_containing
 from noetherlab.generators import line_universe, random_pcondition, random_universe
 
 
@@ -191,3 +197,97 @@ def test_prop43_equivalence_randomized():
         if built:
             assert x in bound.domain()
             assert all(p_leq(bound, c) for c in conds)
+
+
+# -- agreement with the pairwise adjacent() definitions -------------------------
+# p_leq, p_incompatibility_witness and is_separated read the universe's masks;
+# the bodies below are their definitions by one adjacent() call per pair.
+
+
+def _p_leq_pairwise(q, p):
+    for x, box in p.assignment.items():
+        if q.assignment.get(x) != box:
+            return False
+    dom_p = p.domain()
+    instance = q.universe.instance
+    for x, box in q.assignment.items():
+        if x in dom_p:
+            continue
+        for y in dom_p:
+            if adjacent(instance, x, y) and box_contains(box, y):
+                return False
+    return True
+
+
+def _p_witness_pairwise(p0, p1):
+    for x, box in p0.assignment.items():
+        other = p1.assignment.get(x)
+        if other is not None and other != box:
+            return ("function-clash", x, box, other)
+    instance = p0.universe.instance
+    dom0, dom1 = p0.domain(), p1.domain()
+    only0 = sorted(dom0 - dom1, key=p0.universe.index)
+    only1 = sorted(dom1 - dom0, key=p0.universe.index)
+    for x0 in only0:
+        for x1 in only1:
+            if not adjacent(instance, x0, x1):
+                continue
+            if box_contains(p0.assignment[x0], x1):
+                return ("box-contains", x0, x1, p0.assignment[x0])
+            if box_contains(p1.assignment[x1], x0):
+                return ("box-contains", x1, x0, p1.assignment[x1])
+    return None
+
+
+def _is_separated_pairwise(p):
+    instance = p.universe.instance
+    pts = list(p.assignment)
+    for x in pts:
+        box = p.assignment[x]
+        for y in pts:
+            if y != x and adjacent(instance, x, y) and box_contains(box, y):
+                return False
+    return True
+
+
+def _random_boxes(rng, pts):
+    """A random coarse box around each point: suitable, not always proper."""
+    return {
+        x: next(islice(iter_boxes_containing(x, min_level=rng.randint(0, 1)), rng.randint(0, 3), None))
+        for x in pts
+    }
+
+
+def _random_pair(rng, u):
+    """Two assignments that share some points, with equal or redrawn boxes."""
+    a = _random_boxes(rng, rng.sample(u.points, k=rng.randint(0, len(u))))
+    b = _random_boxes(rng, rng.sample(u.points, k=rng.randint(0, len(u))))
+    for x in a.keys() & b.keys():
+        if rng.random() < 0.9:
+            b[x] = a[x]
+    return PCondition(u, a), PCondition(u, b)
+
+
+def test_p_order_and_compatibility_agree_with_pairwise_adjacency():
+    rng = random.Random(61)
+    seen = Counter()
+    for _ in range(60):
+        for u in universes_of_every_kind(rng):
+            p0, p1 = _random_pair(rng, u)
+            for a, b in ((p0, p1), (p1, p0)):
+                witness = p_incompatibility_witness(a, b)
+                assert witness == _p_witness_pairwise(a, b), u.instance.kind
+                seen[witness[0] if witness else None] += 1
+                # b extended by a's points outside dom(b): an extension of b
+                ext = PCondition(u, {**a.assignment, **b.assignment})
+                for q, p in ((a, b), (ext, b), (b, ext)):
+                    got = p_leq(q, p)
+                    assert got == _p_leq_pairwise(q, p), u.instance.kind
+                    seen[("p_leq", got)] += 1
+                got = is_separated(a)
+                assert got == _is_separated_pairwise(a), u.instance.kind
+                seen[("separated", got)] += 1
+    # every branch was reached, so the agreement is not vacuous
+    for key in ("function-clash", "box-contains", None, ("p_leq", True), ("p_leq", False),
+                ("separated", True), ("separated", False)):
+        assert seen[key] > 0, key

@@ -1,12 +1,16 @@
 import random
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from conftest import explicit_universe
+from conftest import explicit_universe, universes_of_every_kind
 from noetherlab import (
     Location,
     QCondition,
     TaggedBox,
+    adjacent,
     canonical_location,
     compatible_tail,
     is_at_location,
@@ -22,13 +26,25 @@ from noetherlab import (
     two_coloring_forces_clique,
     vertex_point,
 )
-from noetherlab.control_poset import q_extends, reduced_support, selection
+from noetherlab.control_poset import (
+    COMPATIBLE,
+    cell_contains,
+    pair_coloring,
+    q_extends,
+    q_incompatibility_witness,
+    reduced_support,
+    selection,
+)
 from noetherlab.errors import (
     IncompatibilityError,
     LocationError,
     PreconditionError,
     ReductionFailureError,
+    UnknownPointError,
+    VerificationError,
 )
+from noetherlab.geometry import boxes_disjoint, first_box_containing
+from noetherlab.graphs import EXPLICIT
 from noetherlab.generators import (
     clustered_line_universe,
     line_universe,
@@ -283,3 +299,178 @@ def test_selection_helper():
     loc = Location((_box(0, 0),), (0,))
     x = u.points[3]
     assert selection(QCondition(u, {x: 0}), loc, 0) == x
+
+
+# -- agreement with the pairwise adjacent() definitions -------------------------
+# q_incompatibility_witness, pair_coloring (and with it ramsey_compatible_subset)
+# and liminf_thin read the universe's masks; the bodies below are their
+# definitions by one adjacent() call per pair.
+
+
+def _q_witness_pairwise(q0, q1):
+    for x, c in q0.assignment.items():
+        other = q1.assignment.get(x)
+        if other is not None and other != c:
+            return ("function-clash", x, c, other)
+    instance = q0.universe.instance
+    for x, c in q0.assignment.items():
+        for y, e in q1.assignment.items():
+            if c == e and x != y and adjacent(instance, x, y):
+                return ("edge-clash", x, y, c)
+    return None
+
+
+def _pair_coloring_pairwise(conditions, loc):
+    sels = [[selection(q, loc, i) for i in range(len(loc.cells))] for q in conditions]
+    instance = conditions[0].universe.instance
+
+    def color(i, j):
+        for cell_idx in range(len(loc.cells)):
+            a, b = sels[i][cell_idx], sels[j][cell_idx]
+            if a != b and adjacent(instance, a, b):
+                return cell_idx
+        return COMPATIBLE
+
+    return color
+
+
+def _ramsey_pairwise(conditions, m, loc):
+    if not conditions:
+        return None
+    loc.validate(conditions[0].universe.instance)
+    for q in conditions:
+        if not is_at_location(q, loc):
+            raise LocationError("condition is not at the given location")
+    color = _pair_coloring_pairwise(conditions, loc)
+    for combo in combinations(range(len(conditions)), m):
+        if all(color(i, j) == COMPATIBLE for i, j in combinations(combo, 2)):
+            meet = conditions[combo[0]]
+            for i in combo[1:]:
+                meet = q_meet(meet, conditions[i])
+            for i in combo:
+                if not q_extends(meet, conditions[i]):
+                    raise VerificationError(f"meet is not below condition {i}")
+            return combo, meet
+    return None
+
+
+def _liminf_pairwise(conditions, loc, test_set, threshold=None):
+    if len(conditions) < 2:
+        raise PreconditionError("need at least two conditions")
+    loc.validate(conditions[0].universe.instance)
+    for q in conditions:
+        if not is_at_location(q, loc):
+            raise LocationError("condition is not at the given location")
+    ncells = len(loc.cells)
+    thr = 2 * ncells if threshold is None else threshold
+    sels = [[selection(q, loc, i) for i in range(ncells)] for q in conditions]
+    constant = tuple(i for i in range(ncells) if len({sel[i] for sel in sels}) == 1)
+    injective = tuple(i for i in range(ncells) if i not in constant)
+    kept = []
+    for n in range(len(conditions)):
+        if all(sels[n][i] not in {sels[k][i] for k in kept} for i in injective):
+            kept.append(n)
+    instance = conditions[0].universe.instance
+    test_points = list(test_set)
+    changed = True
+    while changed:
+        changed = False
+        for t in test_points:
+            for i in injective:
+                adj = [n for n in kept if adjacent(instance, t, sels[n][i])]
+                if len(adj) <= thr or len(adj) == len(kept):
+                    continue
+                non_adj = [n for n in kept if n not in adj]
+                kept = adj if len(adj) >= len(non_adj) else non_adj
+                changed = True
+    return constant, injective, tuple(kept), thr
+
+
+def _random_location(rng, u):
+    """One to three disjoint cells with distinct colors, each around a point."""
+    n_cells = rng.randint(1, min(3, len(u)))
+    pts = rng.sample(u.points, k=len(u))
+    if u.instance.kind == EXPLICIT:
+        cuts = sorted(rng.sample(range(1, len(pts)), k=n_cells - 1))
+        cells = [frozenset(pts[a:b]) for a, b in zip([0] + cuts, cuts + [len(pts)])]
+    else:
+        cells = []
+        for x in pts:
+            box = first_box_containing(x, tag=0, min_level=rng.randint(0, 2))
+            if all(boxes_disjoint(box, c) for c in cells):
+                cells.append(box)
+            if len(cells) == n_cells:
+                break
+    loc = Location(tuple(cells), tuple(range(len(cells))))
+    loc.validate(u.instance)
+    return loc
+
+
+def _conditions_at(rng, u, loc, n):
+    members = [[p for p in u.points if cell_contains(cell, p)] for cell in loc.cells]
+    return [
+        QCondition(u, {rng.choice(m): c for m, c in zip(members, loc.colors)})
+        for _ in range(n)
+    ]
+
+
+def test_q_incompatibility_witness_agrees_with_pairwise_adjacency():
+    rng = random.Random(62)
+    seen = Counter()
+    for _ in range(60):
+        for u in universes_of_every_kind(rng):
+            a = {x: rng.randrange(2) for x in rng.sample(u.points, k=rng.randint(0, len(u)))}
+            b = {x: rng.randrange(2) for x in rng.sample(u.points, k=rng.randint(0, len(u)))}
+            for x in a.keys() & b.keys():
+                if rng.random() < 0.9:
+                    b[x] = a[x]
+            q0, q1 = QCondition(u, a), QCondition(u, b)
+            for s, t in ((q0, q1), (q1, q0)):
+                witness = q_incompatibility_witness(s, t)
+                assert witness == _q_witness_pairwise(s, t), u.instance.kind
+                seen[witness[0] if witness else None] += 1
+    assert all(seen[k] > 0 for k in ("function-clash", "edge-clash", None)), seen
+
+
+def test_ramsey_selection_agrees_with_pairwise_adjacency():
+    rng = random.Random(63)
+    seen = Counter()
+    for _ in range(25):
+        for u in universes_of_every_kind(rng):
+            loc = _random_location(rng, u)
+            conds = _conditions_at(rng, u, loc, rng.randint(2, 6))
+            color, reference = pair_coloring(conds, loc), _pair_coloring_pairwise(conds, loc)
+            for i, j in combinations(range(len(conds)), 2):
+                assert color(i, j) == reference(i, j), u.instance.kind
+                seen["compatible" if color(i, j) == COMPATIBLE else "clash"] += 1
+            m = rng.randint(2, 3)
+            found = ramsey_compatible_subset(conds, m, loc)
+            assert found == _ramsey_pairwise(conds, m, loc), u.instance.kind
+            seen["none" if found is None else "found"] += 1
+    assert all(seen[k] > 0 for k in ("compatible", "clash", "none", "found")), seen
+
+
+def test_liminf_thin_agrees_with_pairwise_adjacency():
+    rng = random.Random(64)
+    thinned = 0
+    for _ in range(25):
+        for u in universes_of_every_kind(rng):
+            loc = _random_location(rng, u)
+            conds = _conditions_at(rng, u, loc, rng.randint(2, 8))
+            test_set = rng.sample(u.points, k=rng.randint(0, min(3, len(u))))
+            threshold = rng.choice((None, 0, 1))
+            result = liminf_thin(conds, loc, test_set, threshold)
+            reference = _liminf_pairwise(conds, loc, test_set, threshold)
+            assert (
+                result.constant_cells, result.injective_cells, result.kept, result.threshold
+            ) == reference, u.instance.kind
+            thinned += result.kept != liminf_thin(conds, loc, [], threshold).kept
+    assert thinned > 0
+
+
+def test_liminf_thin_rejects_foreign_test_points():
+    u = clustered_line_universe()
+    loc = Location((_box(0, 0),), (0,))
+    conds = [QCondition(u, {u.points[0]: 0}), QCondition(u, {u.points[8]: 0})]
+    with pytest.raises(UnknownPointError):
+        liminf_thin(conds, loc, [pt(Fraction(1, 32))])

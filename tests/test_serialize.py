@@ -109,6 +109,17 @@ def test_explicit_vertex_count_is_bounded():
             instance_from_json({"kind": "explicit", "vertices": n, "edges": []})
 
 
+def test_universe_point_count_is_bounded():
+    # the points feed an O(n^2) mask build, so the list is bounded like the
+    # explicit vertex count; the bound itself still parses
+    line = {"kind": "distance", "dim": 1, "squared_distances": ["1"]}
+    u = universe_from_json({"instance": line, "points": [[str(i)] for i in range(DEFAULT_SIZE_BOUND)]})
+    assert len(u) == DEFAULT_SIZE_BOUND
+    # rejected on the count, before any entry is parsed as a point
+    with pytest.raises(ParseError, match="universe.points"):
+        universe_from_json({"instance": line, "points": ["junk"] * (DEFAULT_SIZE_BOUND + 1)})
+
+
 def test_condition_roundtrips():
     import random
 
