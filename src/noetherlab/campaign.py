@@ -35,6 +35,8 @@ from .coloring_poset import (
 from .control_poset import (
     Location,
     QCondition,
+    _predense_search,
+    budget_clamp,
     canonical_location,
     cell_contains,
     compatible_tail,
@@ -644,14 +646,23 @@ def _predense_equivalence(rng, config):
 
 @suite("budget-clamp")
 def _budget_clamp(rng, config):
-    # the color-budget clamping argument: max(d)+2 colors already decide
-    universe = random_explicit_universe(rng, rng.randint(3, 6), rng.uniform(0.25, 0.6))
-    d = [random_qcondition(rng, universe, 2) for _ in range(rng.randint(1, 2))]
-    top = max(c for q in d for c in q.assignment.values())
-    tight = predense_check(d, universe, top + 2)
-    loose = predense_check(d, universe, top + 4)
-    if tight != loose:
-        return False, {"tight": tight, "loose": loose, "universe": _universe_digest(universe)}
+    # budget_clamp(d) colors already decide predensity, and predensity never
+    # grows with the budget; both on the search without the clamp
+    universe, d, _ = _random_predense_setup(rng, config)
+    clamp = budget_clamp(d)
+    full = universe.full_mask
+
+    def predense(budget):
+        return _predense_search(d, universe, budget, full)
+
+    at_clamp, beyond = predense(clamp), predense(clamp + 2)
+    if at_clamp != beyond:
+        return False, {"clamp": clamp, "at_clamp": at_clamp, "beyond": beyond,
+                       "universe": _universe_digest(universe)}
+    budget = rng.randint(1, clamp + 1)
+    if predense(budget + 1) and not predense(budget):
+        return False, {"why": "not-monotone", "budget": budget,
+                       "universe": _universe_digest(universe)}
     return True, None
 
 

@@ -334,6 +334,9 @@ def _parse_bounds(pairs: list[str]) -> dict:
         if "=" not in pair:
             raise ParseError(f"--bound expects name=value, got {pair!r}")
         name, value = pair.split("=", 1)
+        if name not in campaign_mod.DEFAULT_BOUNDS:
+            known = ", ".join(campaign_mod.DEFAULT_BOUNDS)
+            raise ParseError(f"--bound {name}: unknown name (known: {known})")
         try:
             bounds[name] = int(value)
         except ValueError:

@@ -10,8 +10,9 @@ separation between distinct cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
+from functools import lru_cache, reduce
+from itertools import accumulate, combinations
+from operator import or_
 from typing import Iterable, Optional, Sequence
 
 from .coloring import check_proper
@@ -25,7 +26,7 @@ from .errors import (
     UnsupportedKindError,
     VerificationError,
 )
-from .geometry import Point, TaggedBox, box_contains, boxes_disjoint, iter_boxes_containing
+from .geometry import Point, TaggedBox, box_contains, boxes_disjoint, first_box_containing
 from .graphs import (
     EXPLICIT,
     SampleUniverse,
@@ -66,15 +67,22 @@ def q_incompatibility_witness(q0: QCondition, q1: QCondition):
         if other is not None and other != c:
             return ("function-clash", x, c, other)
     universe = q0.universe
-    by_color: dict[int, int] = {}
-    for y, e in q1.assignment.items():
-        by_color[e] = by_color.get(e, 0) | 1 << universe.index(y)
+    by_color = _color_classes(q1)
     for x, c in q0.assignment.items():
         clash = universe.open_masks[universe.index(x)] & by_color.get(c, 0)
         if clash:
             y = next(y for y in q1.assignment if clash >> universe.index(y) & 1)
             return ("edge-clash", x, y, c)
     return None
+
+
+def _color_classes(q: QCondition) -> dict[int, int]:
+    """Color -> mask of the universe indices that q gives that color."""
+    index = q.universe.index
+    classes: dict[int, int] = {}
+    for x, c in q.assignment.items():
+        classes[c] = classes.get(c, 0) | 1 << index(x)
+    return classes
 
 
 def q_compatible(q0: QCondition, q1: QCondition) -> bool:
@@ -100,10 +108,8 @@ def q_extends(r: QCondition, base: QCondition) -> bool:
 
 # -- locations ----------------------------------------------------------------
 
-Cell = object  # TaggedBox, or frozenset[Point] over explicit instances
-
-
 def cell_contains(cell, x: Point) -> bool:
+    """Membership in a cell: a TaggedBox, or a vertex subset (explicit)."""
     if isinstance(cell, TaggedBox):
         return box_contains(cell, x)
     return x in cell
@@ -149,41 +155,30 @@ class Location:
                         )
 
 
-def is_at_location(q: QCondition, loc: Location) -> bool:
-    """dom(q) selects exactly one point per cell with the cell's color."""
-    hits = [0] * len(loc.cells)
+def _selected(q: QCondition, loc: Location) -> Optional[list[Point]]:
+    """The point q selects in each cell, or None when q is not at loc."""
+    picks: list[Optional[Point]] = [None] * len(loc.cells)
     for x, c in q.assignment.items():
-        cell_idx = None
         for i, cell in enumerate(loc.cells):
             if cell_contains(cell, x):
-                cell_idx = i
                 break
-        if cell_idx is None:
-            return False
-        if c != loc.colors[cell_idx]:
-            return False
-        hits[cell_idx] += 1
-    return all(h == 1 for h in hits)
-
-
-def selection(q: QCondition, loc: Location, cell_idx: int) -> Point:
-    """The unique domain point of q inside the given cell."""
-    for x in q.assignment:
-        if cell_contains(loc.cells[cell_idx], x):
-            return x
-    raise LocationError(f"condition selects nothing in cell {cell_idx}")
-
-
-def _box_at_level(x: Point, level: int) -> Optional[TaggedBox]:
-    for box in iter_boxes_containing(x, tag=0, min_level=level):
-        if box.level == level:
-            return box
-        if box.level > level:
+        else:
             return None
-    return None
+        if c != loc.colors[i] or picks[i] is not None:
+            return None
+        picks[i] = x
+    return None if any(x is None for x in picks) else picks
 
 
-def canonical_location(q: QCondition, *, max_level: int = 64) -> Location:
+def is_at_location(q: QCondition, loc: Location) -> bool:
+    """dom(q) selects exactly one point per cell with the cell's color."""
+    return _selected(q, loc) is not None
+
+
+_CANONICAL_MAX_LEVEL = 64
+
+
+def canonical_location(q: QCondition) -> Location:
     """A location carrying q: singleton subsets (explicit) or small boxes.
 
     For geometric instances the level is raised until the per-point boxes
@@ -195,21 +190,20 @@ def canonical_location(q: QCondition, *, max_level: int = 64) -> Location:
     pts = sorted(q.assignment, key=universe.index)
     colors = tuple(q.assignment[x] for x in pts)
     if universe.instance.kind == EXPLICIT:
-        cells = tuple(frozenset([x]) for x in pts)
-        loc = Location(cells, colors)
+        loc = Location(tuple(frozenset([x]) for x in pts), colors)
         loc.validate(universe.instance)
         return loc
-    for level in range(max_level):
-        boxes = [_box_at_level(x, level) for x in pts]
-        if any(b is None for b in boxes):
+    for level in range(_CANONICAL_MAX_LEVEL):
+        boxes = tuple(first_box_containing(x, tag=0, min_level=level) for x in pts)
+        if any(box.level != level for box in boxes):
             continue
-        loc = Location(tuple(boxes), colors)
+        loc = Location(boxes, colors)
         try:
             loc.validate(universe.instance)
         except (LocationError, UnsupportedKindError):
             continue
         return loc
-    raise LocationError("no separating level found; raise max_level")
+    raise LocationError(f"no separating level below {_CANONICAL_MAX_LEVEL}")
 
 
 # -- Ramsey centeredness ------------------------------------------------------
@@ -286,13 +280,10 @@ def _selections(conditions: Sequence[QCondition], loc: Location) -> list[list[in
     """
     universe = conditions[0].universe
     loc.validate(universe.instance)
-    for q in conditions:
-        if not is_at_location(q, loc):
-            raise LocationError("condition is not at the given location")
-    return [
-        [universe.index(selection(q, loc, i)) for i in range(len(loc.cells))]
-        for q in conditions
-    ]
+    picks = [_selected(q, loc) for q in conditions]
+    if any(p is None for p in picks):
+        raise LocationError("condition is not at the given location")
+    return [[universe.index(x) for x in p] for p in picks]
 
 
 def pair_coloring(conditions: Sequence[QCondition], loc: Location):
@@ -437,16 +428,24 @@ def reduced_support(
     return b_mask, c_mask
 
 
-def _member_tables(d: Sequence[QCondition], universe: SampleUniverse):
-    tables = []
-    for q in d:
-        dom_mask = universe.mask_of(q.assignment)
-        values = {universe.index(x): c for x, c in q.assignment.items()}
-        by_color: dict[int, int] = {}
-        for x, c in q.assignment.items():
-            by_color[c] = by_color.get(c, 0) | 1 << universe.index(x)
-        tables.append((dom_mask, values, by_color))
-    return tables
+_PREDENSE_NODE_LIMIT = 2_000_000
+
+
+def budget_clamp(d: Sequence[QCondition]) -> int:
+    """K = top + 1 + |b|, with top = max(d) (0 if d colors nothing) and b
+    the union of the member domains: P(B) = P(K) for all B >= K, where P(B)
+    is predense_check(d, universe, B, domain_mask=m) for any universe and m.
+
+    Proof.  More colors allow more conditions, so P is non-increasing.  Let
+    q (colors < B, B > K) clash with every member.  A color above top is no
+    member's color: it makes no edge clash, and function clashes only on b.
+    Drop q's points off b with colors above top, and give its points on b
+    with colors above top distinct colors in top+1 .. top+|b|.  This q' is
+    proper, lies inside dom(q), keeps every clash and has colors < K; so
+    not P(B) implies not P(K).  chi(G[b]) for |b| is sound too, at a kernel call.
+    """
+    top = max((c for q in d for c in q.assignment.values()), default=0)
+    return top + 1 + len({x for q in d for x in q.assignment})
 
 
 def predense_check(
@@ -455,73 +454,73 @@ def predense_check(
     color_budget: int,
     *,
     domain_mask: Optional[int] = None,
-    node_limit: int = 2_000_000,
 ) -> bool:
     """Whether every condition with colors < color_budget is compatible
     with some member of d; domains range over subsets of domain_mask
     (default: the whole universe).
 
-    Exhaustive search with two sound prunes: a clash with a member can
-    never be undone by extension, and a member whose domain and neighbors
-    avoid all remaining points stays compatible forever.
+    The budget is first lowered to budget_clamp(d), which keeps the answer.
+    Exhaustive search over the domain points in index order; a node holds
+    the members still compatible and the partial condition as one mask per
+    color.  Two sound prunes: a clash with a member can never be undone by
+    extension, and a member whose domain and neighbors avoid all remaining
+    points stays compatible forever.  More than _PREDENSE_NODE_LIMIT nodes
+    raise OracleBoundError.
     """
     if color_budget < 1:
         raise PreconditionError("color budget must be >= 1")
     if not d:
         return False
     full = universe.full_mask if domain_mask is None else domain_mask
+    return _predense_search(d, universe, min(color_budget, budget_clamp(d)), full)
+
+
+def _predense_search(
+    d: Sequence[QCondition], universe: SampleUniverse, color_budget: int, full: int
+) -> bool:
+    """predense_check's search for a nonempty d, with no budget clamp."""
     idxs = [i for i in range(len(universe)) if full >> i & 1]
-    tables = _member_tables(d, universe)
-    open_masks = universe.open_masks
-    relevant = []
-    for dom_mask, _, _ in tables:
-        rel = dom_mask
-        m = dom_mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            rel |= open_masks[i]
-        relevant.append(rel)
+    open_masks, closed_masks = universe.open_masks, universe.closed_masks
+    classes = [_color_classes(q) for q in d]
+    doms = [sum(by_color.values()) for by_color in classes]  # disjoint classes
+    relevant = [  # each member's domain and its neighbors
+        reduce(or_, (closed_masks[universe.index(x)] for x in q.assignment), 0) for q in d
+    ]
+    # remaining[pos]: the mask of idxs[pos:]
+    remaining = list(accumulate((1 << i for i in reversed(idxs)), or_, initial=0))[::-1]
+    partial = [0] * color_budget
     nodes = 0
 
     def clashes(member: int, i: int, c: int) -> bool:
-        dom_mask, values, by_color = tables[member]
-        if dom_mask >> i & 1 and values[i] != c:
-            return True
-        return bool(open_masks[i] & by_color.get(c, 0))
+        # function clash (i in the member's domain, not in its class c), or edge clash
+        same = classes[member].get(c, 0)
+        return bool((doms[member] & ~same) >> i & 1 or open_masks[i] & same)
 
-    def rec(pos: int, alive: tuple[int, ...], partial: dict[int, int]) -> bool:
+    def rec(pos: int, alive: tuple[int, ...]) -> bool:
         nonlocal nodes
         nodes += 1
-        if nodes > node_limit:
+        if nodes > _PREDENSE_NODE_LIMIT:
             raise OracleBoundError("predensity scan exceeded its node limit")
         if not alive:
             return False
-        remaining = 0
-        for j in idxs[pos:]:
-            remaining |= 1 << j
-        if any(not (relevant[s] & remaining) for s in alive):
-            return True
-        if pos == len(idxs):
+        # at pos == len(idxs) nothing remains, so this returns True
+        if any(not (relevant[s] & remaining[pos]) for s in alive):
             return True
         i = idxs[pos]
-        if not rec(pos + 1, alive, partial):
+        if not rec(pos + 1, alive):
             return False
         for c in range(color_budget):
-            improper = any(
-                open_masks[i] >> j & 1 and pc == c for j, pc in partial.items()
-            )
-            if improper:
+            if open_masks[i] & partial[c]:
                 continue
             new_alive = tuple(s for s in alive if not clashes(s, i, c))
-            partial[i] = c
-            ok = rec(pos + 1, new_alive, partial)
-            del partial[i]
+            partial[c] |= 1 << i
+            ok = rec(pos + 1, new_alive)
+            partial[c] ^= 1 << i
             if not ok:
                 return False
         return True
 
-    return rec(0, tuple(range(len(d))), {})
+    return rec(0, tuple(range(len(d))))
 
 
 def predense_check_reduced(
@@ -556,7 +555,8 @@ def predense_reduce(
     if not d:
         raise PreconditionError("predensity reduction needs a nonempty family")
     loc.validate(universe.instance)
-    if not is_at_location(q, loc):
+    sels = _selected(q, loc)
+    if sels is None:
         raise LocationError("q is not at the given location")
     for i, s in enumerate(d):
         if q_compatible(q, s):
@@ -566,8 +566,7 @@ def predense_reduce(
     )
     open_masks = universe.open_masks
     assignment: dict[Point, int] = {}
-    for cell_idx, cell in enumerate(loc.cells):
-        x = selection(q, loc, cell_idx)
+    for cell_idx, (cell, x) in enumerate(zip(loc.cells, sels)):
         xi = universe.index(x)
         color = loc.colors[cell_idx]
         if b_mask >> xi & 1:
@@ -597,8 +596,7 @@ def predense_reduce(
     validate_qcondition(r)
     if not is_at_location(r, loc):
         raise ReductionFailureError("reduced condition left its location")
-    dom_mask = universe.mask_of(r.assignment)
-    if dom_mask & ~c_mask:
+    if universe.mask_of(r.assignment) & ~c_mask:
         raise ReductionFailureError("reduced condition escaped the support set")
     for i, s in enumerate(d):
         if q_compatible(r, s):

@@ -13,9 +13,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .coloring import check_proper, separating_box
+from .coloring import separating_box
 from .coloring_poset import PCondition, validate_pcondition
 from .control_poset import QCondition, validate_qcondition
+from .errors import InvalidConditionError
 from .geometry import Point, pt
 from .graphs import SampleUniverse, distance_graph, explicit_graph, vertex_point
 from .hamming import make_diagonal_hamming
@@ -137,8 +138,10 @@ def random_qcondition(
         pts = rng.sample(universe.points, k=min(len(universe), rng.randint(1, max_size)))
         assignment = {x: rng.randrange(color_budget) for x in pts}
         q = QCondition(universe, assignment)
-        if not check_proper(universe, assignment):
+        try:
             validate_qcondition(q)
-            return q
+        except InvalidConditionError:
+            continue
+        return q
     raise AssertionError("rejection sampling failed to find a proper condition")
 

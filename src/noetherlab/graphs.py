@@ -54,10 +54,6 @@ class TwoVarPoly:
             total += c * u**i * v**j
         return total
 
-    @property
-    def degree(self) -> int:
-        return max((i + j for (i, j), _ in self.terms), default=0)
-
 
 @dataclass(frozen=True)
 class GraphInstance:
@@ -176,15 +172,12 @@ class SampleUniverse:
 
     def __init__(self, instance: GraphInstance, points: Iterable[Point]):
         self.instance = instance
-        pts = tuple(points)
-        seen = set()
-        for i, p in enumerate(pts):
+        self.points = tuple(points)
+        self._index: dict[Point, int] = {}
+        for i, p in enumerate(self.points):
             instance.validate_point(p)
-            if p.coords in seen:
+            if self._index.setdefault(p, i) != i:
                 raise InvalidPointError(f"duplicate point at index {i}: {p}")
-            seen.add(p.coords)
-        self.points = pts
-        self._index = {p: i for i, p in enumerate(pts)}
 
     def __len__(self):
         return len(self.points)

@@ -52,6 +52,13 @@ def test_mutation_fixture_reports_counterexamples():
     assert suite["counterexamples"][0]["detail"]["note"] == "deliberate mutation fixture"
 
 
+def test_budget_clamp_suite_holds_where_the_old_clamp_failed():
+    # at seed 23 the old max(d)+2 clamp failed one trial in 150 (trial 121)
+    for seed in (23, 20260811):
+        report = run_campaign(RunConfig(seed=seed, trials=150), ["budget-clamp"])
+        assert report["suites"]["budget-clamp"]["failures"] == 0, seed
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(NoetherError):
         run_campaign(RunConfig(seed=0, trials=1), ["no-such-suite"])

@@ -228,6 +228,7 @@ def test_malformed_containers_exit_2(tmp_path, capsys):
         assert main(argv) == 2, (verb, data)
     assert main(["color", "verify", inst, "--file", write("c.json", {"assignment": "x"})]) == 2
     assert main(["adj", inst, "--x", "nope"]) == 2
+    assert main(["color", "chi", inst, "--bound", "orcale=1"]) == 2  # a misspelt bound name
     empty = {"kind": "distance", "dim": 1, "squared_distances": ["1"], "points": []}
     assert main(["lattice", write("empty.json", empty)]) == 2
     assert main(["adj", inst, "--x", '["1"]', "--y", "[1,"]) == 2
@@ -239,6 +240,7 @@ def test_malformed_containers_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "expected a JSON array" in err and "expected a JSON object" in err
     assert "missing 'location'" in err and "Traceback" not in err
+    assert "--bound orcale: unknown name" in err
 
     # null stays the default threshold
     two = [{"assignment": {"0": 0}}, {"assignment": {"1": 0}}]

@@ -26,18 +26,23 @@ from noetherlab import (
     two_coloring_forces_clique,
     vertex_point,
 )
+from noetherlab import control_poset
 from noetherlab.control_poset import (
     COMPATIBLE,
+    _predense_search,
+    _selected,
+    _selections,
+    budget_clamp,
     cell_contains,
     pair_coloring,
     q_extends,
     q_incompatibility_witness,
     reduced_support,
-    selection,
 )
 from noetherlab.errors import (
     IncompatibilityError,
     LocationError,
+    OracleBoundError,
     PreconditionError,
     ReductionFailureError,
     UnknownPointError,
@@ -49,6 +54,7 @@ from noetherlab.generators import (
     clustered_line_universe,
     line_universe,
     path_explicit_universe,
+    random_explicit_universe,
     random_qcondition,
 )
 
@@ -298,7 +304,8 @@ def test_selection_helper():
     u = clustered_line_universe()
     loc = Location((_box(0, 0),), (0,))
     x = u.points[3]
-    assert selection(QCondition(u, {x: 0}), loc, 0) == x
+    assert _selected(QCondition(u, {x: 0}), loc) == [x]
+    assert _selected(QCondition(u, {x: 1}), loc) is None
 
 
 # -- agreement with the pairwise adjacent() definitions -------------------------
@@ -320,8 +327,16 @@ def _q_witness_pairwise(q0, q1):
     return None
 
 
+def _selection_scan(q, loc, cell_idx):
+    """The first domain point of q inside the cell, by a scan of the domain."""
+    for x in q.assignment:
+        if cell_contains(loc.cells[cell_idx], x):
+            return x
+    raise LocationError(f"condition selects nothing in cell {cell_idx}")
+
+
 def _pair_coloring_pairwise(conditions, loc):
-    sels = [[selection(q, loc, i) for i in range(len(loc.cells))] for q in conditions]
+    sels = [[_selection_scan(q, loc, i) for i in range(len(loc.cells))] for q in conditions]
     instance = conditions[0].universe.instance
 
     def color(i, j):
@@ -363,7 +378,7 @@ def _liminf_pairwise(conditions, loc, test_set, threshold=None):
             raise LocationError("condition is not at the given location")
     ncells = len(loc.cells)
     thr = 2 * ncells if threshold is None else threshold
-    sels = [[selection(q, loc, i) for i in range(ncells)] for q in conditions]
+    sels = [[_selection_scan(q, loc, i) for i in range(ncells)] for q in conditions]
     constant = tuple(i for i in range(ncells) if len({sel[i] for sel in sels}) == 1)
     injective = tuple(i for i in range(ncells) if i not in constant)
     kept = []
@@ -474,3 +489,191 @@ def test_liminf_thin_rejects_foreign_test_points():
     conds = [QCondition(u, {u.points[0]: 0}), QCondition(u, {u.points[8]: 0})]
     with pytest.raises(UnknownPointError):
         liminf_thin(conds, loc, [pt(Fraction(1, 32))])
+
+
+# -- the mask-based predensity search and cell selection ------------------------
+# The references below are the earlier implementations: a search that keeps
+# the partial condition in a dict, and a membership scan per cell.
+
+
+def _predense_check_partial_dict(d, universe, color_budget, *, domain_mask=None, node_limit):
+    if color_budget < 1:
+        raise PreconditionError("color budget must be >= 1")
+    if not d:
+        return False
+    full = universe.full_mask if domain_mask is None else domain_mask
+    idxs = [i for i in range(len(universe)) if full >> i & 1]
+    open_masks = universe.open_masks
+    tables = []
+    for q in d:
+        values = {universe.index(x): c for x, c in q.assignment.items()}
+        by_color = {}
+        for x, c in q.assignment.items():
+            by_color[c] = by_color.get(c, 0) | 1 << universe.index(x)
+        tables.append((universe.mask_of(q.assignment), values, by_color))
+    relevant = []
+    for dom_mask, _, _ in tables:
+        rel = dom_mask
+        for i in range(len(universe)):
+            if dom_mask >> i & 1:
+                rel |= open_masks[i]
+        relevant.append(rel)
+    nodes = 0
+
+    def clashes(member, i, c):
+        dom_mask, values, by_color = tables[member]
+        if dom_mask >> i & 1 and values[i] != c:
+            return True
+        return bool(open_masks[i] & by_color.get(c, 0))
+
+    def rec(pos, alive, partial):
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_limit:
+            raise OracleBoundError("predensity scan exceeded its node limit")
+        if not alive:
+            return False
+        remaining = 0
+        for j in idxs[pos:]:
+            remaining |= 1 << j
+        if any(not (relevant[s] & remaining) for s in alive):
+            return True
+        if pos == len(idxs):
+            return True
+        i = idxs[pos]
+        if not rec(pos + 1, alive, partial):
+            return False
+        for c in range(color_budget):
+            if any(open_masks[i] >> j & 1 and pc == c for j, pc in partial.items()):
+                continue
+            new_alive = tuple(s for s in alive if not clashes(s, i, c))
+            partial[i] = c
+            ok = rec(pos + 1, new_alive, partial)
+            del partial[i]
+            if not ok:
+                return False
+        return True
+
+    return rec(0, tuple(range(len(d))), {})
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except OracleBoundError:
+        return "node-limit"
+
+
+def _predense_family(rng):
+    n = rng.randint(2, 8)
+    style = rng.choice(("explicit", "line", "path"))
+    if style == "explicit":
+        u = random_explicit_universe(rng, n, rng.uniform(0.2, 0.6))
+    else:
+        u = line_universe(n) if style == "line" else path_explicit_universe(n)
+    d = [random_qcondition(rng, u, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+    mask = None if rng.random() < 0.5 else rng.getrandbits(n)
+    return u, d, rng.randint(1, 5), mask
+
+
+def test_predense_check_agrees_with_the_partial_dict_search(monkeypatch):
+    rng = random.Random(2203)
+    seen = Counter()
+    for _ in range(2000):
+        u, d, budget, mask = _predense_family(rng)
+        limit = rng.choice((5, 20, 80, 2_000_000))
+        monkeypatch.setattr(control_poset, "_PREDENSE_NODE_LIMIT", limit)
+        full = u.full_mask if mask is None else mask
+        reference = _outcome(
+            _predense_check_partial_dict, d, u, budget, domain_mask=mask, node_limit=limit
+        )
+        # unclamped, the search visits the same nodes: same answers, same trips
+        assert _outcome(_predense_search, d, u, budget, full) == reference
+        clamped = min(budget, budget_clamp(d))
+        got = _outcome(predense_check, d, u, budget, domain_mask=mask)
+        assert got == _outcome(
+            _predense_check_partial_dict, d, u, clamped, domain_mask=mask, node_limit=limit
+        )
+        if limit == 2_000_000:
+            assert got == reference  # the clamp keeps the answer
+        seen[got] += 1
+        seen["clamped"] += clamped < budget
+    assert all(seen[k] > 0 for k in (True, False, "node-limit", "clamped")), seen
+
+
+def test_budget_clamp_seed23_counterexample():
+    # budget-clamp seed 23, trial 121: two colors cannot clash with both
+    # members, a third color can
+    u = explicit_universe(5, [(1, 4)])
+    d = [QCondition(u, {vertex_point(4): 0}), QCondition(u, {vertex_point(1): 0})]
+    answers = [_predense_search(d, u, b, u.full_mask) for b in range(1, 8)]
+    assert answers == [True, True, False, False, False, False, False]
+    # max(d) = 0: the old clamp max(d)+2 disagrees with max(d)+4, the new
+    # clamp 3 agrees with 5
+    assert answers[2 - 1] != answers[4 - 1]
+    assert budget_clamp(d) == 3
+    assert answers[3 - 1] == answers[5 - 1]
+    assert predense_check(d, u, 7) is False
+    assert predense_check(d, u, 2) is True
+
+
+def _is_at_location_scan(q, loc):
+    hits = [0] * len(loc.cells)
+    for x, c in q.assignment.items():
+        cell_idx = next((i for i, cell in enumerate(loc.cells) if cell_contains(cell, x)), None)
+        if cell_idx is None or c != loc.colors[cell_idx]:
+            return False
+        hits[cell_idx] += 1
+    return all(h == 1 for h in hits)
+
+
+def _perturbed(rng, u, loc, q):
+    """q, or q with a second point in a cell, a wrong color, an emptied
+    cell, or an extra point anywhere."""
+    how = rng.choice(("same", "two-in-a-cell", "wrong-color", "empty-cell", "anywhere"))
+    a = dict(q.assignment)
+    if how == "two-in-a-cell":
+        i = rng.randrange(len(loc.cells))
+        extra = [p for p in u.points if cell_contains(loc.cells[i], p) and p not in a]
+        if not extra:
+            return "same", q
+        a[rng.choice(extra)] = loc.colors[i]
+    elif how == "wrong-color":
+        x = rng.choice(list(a))
+        a[x] += 1
+    elif how == "empty-cell":
+        del a[rng.choice(list(a))]
+    elif how == "anywhere":
+        a[rng.choice(u.points)] = rng.randrange(3)
+    return how, QCondition(u, a)
+
+
+def test_cell_selection_agrees_with_the_membership_scan():
+    rng = random.Random(2204)
+    seen = Counter()
+    for _ in range(40):
+        for u in universes_of_every_kind(rng):
+            loc = _random_location(rng, u)
+            conds = []
+            for q in _conditions_at(rng, u, loc, rng.randint(1, 5)):
+                how, q = _perturbed(rng, u, loc, q)
+                at = _is_at_location_scan(q, loc)
+                assert is_at_location(q, loc) == at, (how, u.instance.kind)
+                expected = [_selection_scan(q, loc, i) for i in range(len(loc.cells))] if at else None
+                assert _selected(q, loc) == expected, (how, u.instance.kind)
+                seen[how, at] += 1
+                seen["vertex-subset" if isinstance(loc.cells[0], frozenset) else "box"] += 1
+                conds.append(q)
+            if all(_is_at_location_scan(q, loc) for q in conds):
+                reference = [
+                    [u.index(_selection_scan(q, loc, i)) for i in range(len(loc.cells))]
+                    for q in conds
+                ]
+                assert _selections(conds, loc) == reference
+            else:
+                with pytest.raises(LocationError):
+                    _selections(conds, loc)
+    kinds = ("two-in-a-cell", "wrong-color", "empty-cell")
+    assert all(seen[k, False] > 0 for k in kinds), seen
+    assert seen["same", True] > 0 and seen["anywhere", False] > 0, seen
+    assert seen["vertex-subset"] > 0 and seen["box"] > 0, seen
