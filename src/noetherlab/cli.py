@@ -287,6 +287,9 @@ def _cmd_poset(args) -> int:
 
 
 def _cmd_hamming(args) -> int:
+    for flag, value in (("--breadth", args.breadth), ("--alphabet", args.alphabet)):
+        if value < 1:
+            raise ParseError(f"{flag} must be a positive integer, got {value}")
     if args.verb == "gen":
         universe = (
             make_diagonal_hamming(args.breadth)
@@ -341,6 +344,8 @@ def _parse_bounds(pairs: list[str]) -> dict:
             bounds[name] = int(value)
         except ValueError:
             raise ParseError(f"--bound {name}: {value!r} is not an integer") from None
+        if bounds[name] < 1:
+            raise ParseError(f"--bound {name}: {value!r} is not a positive integer")
     return bounds
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .coloring import chromatic_number
@@ -96,15 +97,23 @@ def epsilon_matrix(rows: int, cols: int) -> EpsilonMatrix:
     return EpsilonMatrix(rows, cols, values)
 
 
-def vitali_map(x: Point, eps: EpsilonMatrix) -> Fraction:
-    """h(x) = sum_n eps[n][x(n)], exactly."""
+def _columns(x: Point, eps: EpsilonMatrix) -> list[int]:
+    """The matrix column x(n) of every row n; raises InvalidPointError."""
     if x.dimension > eps.rows:
         raise InvalidPointError("point breadth exceeds the epsilon matrix rows")
-    total = Fraction(0)
-    for n, c in enumerate(x.coords):
-        if c.denominator != 1 or not (0 <= c < eps.cols):
+    columns = []
+    for c in x.coords:
+        if c.denominator != 1 or not (0 <= c.numerator < eps.cols):
             raise InvalidPointError(f"entry {c} outside the matrix columns")
-        total += eps.at(n, int(c))
+        columns.append(c.numerator)
+    return columns
+
+
+def vitali_map(x: Point, eps: EpsilonMatrix) -> Fraction:
+    """h(x) = sum_n eps[n][x(n)], exactly."""
+    total = Fraction(0)
+    for n, m in enumerate(_columns(x, eps)):
+        total += eps.at(n, m)
     return total
 
 
@@ -119,8 +128,17 @@ def _edges(universe: SampleUniverse):
 
 
 def verify_vitali_homomorphism(universe: SampleUniverse, eps: EpsilonMatrix) -> dict:
-    """Check every edge maps to a nonzero (automatically rational) shift."""
-    images = [vitali_map(p, eps) for p in universe.points]
+    """Check every edge maps to a nonzero (automatically rational) shift.
+
+    The images are vitali_map scaled by D, the lcm of the denominators of
+    the matrix, so they are integers and a shift is zero exactly when the
+    scaled shift is.
+    """
+    scale = lcm(*(v.denominator for row in eps.values for v in row))
+    table = [[v.numerator * (scale // v.denominator) for v in row] for row in eps.values]
+    images = [
+        sum(table[n][m] for n, m in enumerate(_columns(p, eps))) for p in universe.points
+    ]
     pairs_checked = 0
     failures = []
     for i, j in _edges(universe):
@@ -187,13 +205,17 @@ def embed_diagonal_into_distance(
     With strict_distinct, any (m, n) collision raises; by default
     collisions are merged and reported (set semantics).
     """
-    universe, images, instance, report = _diagonal_embedding(breadth, eps, strict_distinct)
-    return dict(zip(universe.points, images)), instance, report
+    universe, eps, instance, report = _diagonal_embedding(breadth, eps, strict_distinct)
+    images = {
+        p: sum((c * eps.values[n] for n, c in enumerate(p.coords)), Fraction(0))
+        for p in universe.points
+    }
+    return images, instance, report
 
 
 def _diagonal_embedding(breadth, eps, strict_distinct):
-    """The diagonal universe, its images listed by point index, the line
-    instance and the report of embed_diagonal_into_distance."""
+    """The diagonal universe, the epsilon sequence cut to the breadth, the
+    line instance and the report of embed_diagonal_into_distance."""
     if breadth < 1:
         raise InvalidSequenceError("breadth must be >= 1")
     if eps is None:
@@ -206,8 +228,6 @@ def _diagonal_embedding(breadth, eps, strict_distinct):
     if strict_distinct and collisions:
         raise InvalidSequenceError(f"derived distance collisions: {collisions}")
     universe = make_diagonal_hamming(breadth)
-    images = [sum((c * eps.values[n] for n, c in enumerate(p.coords)), Fraction(0))
-              for p in universe.points]
     if breadth == 1:
         # single vertex, no edges; any positive distance yields a valid instance
         instance = distance_graph(1, [Fraction(1)])
@@ -220,21 +240,33 @@ def _diagonal_embedding(breadth, eps, strict_distinct):
             [str(v), [[m, n] for m, n in pairs]] for v, pairs in collisions
         ],
     }
-    return universe, images, instance, report
+    return universe, eps, instance, report
 
 
 def verify_embedding(
     breadth: int, eps: Optional[EpsilonSequence] = None
 ) -> dict:
-    """Every diagonal-Hamming edge maps to an exact edge of the line graph."""
-    universe, images, instance, report = _diagonal_embedding(breadth, eps, False)
+    """Every diagonal-Hamming edge maps to an exact edge of the line graph.
+
+    The images are h scaled by D, the lcm of the denominators of the
+    epsilon sequence, so they are integers; a gap g is an edge exactly when
+    (g D)^2 lies in the integers of {s D^2 : s a squared distance}.
+    """
+    universe, eps, instance, report = _diagonal_embedding(breadth, eps, False)
+    scale = lcm(*(v.denominator for v in eps.values))
+    steps = [v.numerator * (scale // v.denominator) for v in eps.values]
+    images = [
+        sum(c.numerator * step for c, step in zip(p.coords, steps)) for p in universe.points
+    ]
+    targets = {s * scale * scale for s in instance.squared_distances}
+    squares = {t.numerator for t in targets if t.denominator == 1}
     edges_checked = 0
     failures = []
     for i, j in _edges(universe):
         edges_checked += 1
         gap = images[i] - images[j]
-        if gap * gap not in instance.squared_distances:
-            failures.append((i, j, str(gap)))
+        if gap * gap not in squares:
+            failures.append((i, j, str(Fraction(gap, scale))))
     report.update(
         {
             "edges_checked": edges_checked,

@@ -38,6 +38,16 @@ class ClosedFamilyElement:
         return ClosedFamilyElement.of(universe, self.generators).extent
 
 
+def _indices(mask: int) -> list[int]:
+    """The positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _heart_of_extent_mask(universe: SampleUniverse, extent: int) -> int:
     """Members of the extent adjacent-or-equal to every member of the extent."""
     closed = universe.closed_masks
@@ -202,30 +212,67 @@ def longest_descent_chain(
     # of it); a generator already in the mask leaves the extent unchanged and
     # is skipped with the other non-strict steps.  A candidate's sort key
     # packs its extent size above its path, one index per `width` bits, so at
-    # a fixed path length the int keys sort as (size, path tuple) would.
+    # a fixed path length the int keys sort as (size, path tuple) would.  Of
+    # two candidates with one generator mask, the first seen in frontier
+    # order is kept.
     width = (n - 1).bit_length()
     digit = (1 << width) - 1
     frontier: list[tuple[int, int, int]] = [(full, 0, 0)]  # extent, gen mask, path
     best_path, length = 0, 0
     for step in range(1, max_arity + 1):
         shift = step * width
+        # Closed masks are symmetric and reflexive, so closed[i] meets a
+        # non-empty extent exactly when i lies in `reach`, the union of the
+        # closed masks over the extent.  Every other i empties the extent.
+        reach = []
+        for extent, _, _ in frontier:
+            union, m = extent, extent
+            while m and union != full:
+                low = m & -m
+                m ^= low
+                union |= closed[low.bit_length() - 1]
+            reach.append(union)
+        # Emptying candidates have key prefix | i, below every non-empty key,
+        # so they fill the beam first: by path, then i, taken lazily.  One is
+        # a duplicate when an earlier state with a non-empty extent has its
+        # generator mask less one generator of this state.
+        rank = {gen_mask: k for k, (extent, gen_mask, _) in enumerate(frontier) if extent}
         keys: list[int] = []
-        seen: set[int] = set()
-        for extent, gen_mask, path in frontier:
+        for k in sorted(range(len(frontier)), key=lambda k: frontier[k][2]):
+            if len(keys) == beam_width:
+                break
+            extent, gen_mask, path = frontier[k]
+            out = full & ~reach[k]
+            if not extent or not out:
+                continue
             prefix = path << width
-            for i, own in enumerate(closed):
-                new_extent = extent & own
-                if new_extent == extent:
-                    continue
-                g = gen_mask | 1 << i
-                if g in seen:
-                    continue
-                seen.add(g)
-                keys.append(new_extent.bit_count() << shift | prefix | i)
+            singles = [1 << j for j in _indices(gen_mask)]
+            while out and len(keys) < beam_width:
+                low = out & -out
+                out ^= low
+                g = gen_mask | low
+                if not any(rank.get(g ^ j, k) < k for j in singles):
+                    keys.append(prefix | low.bit_length() - 1)
+        if len(keys) < beam_width:
+            # Top up from the candidates that keep a non-empty extent.
+            others: list[int] = []
+            seen: set[int] = set()
+            for (extent, gen_mask, path), m in zip(frontier, reach):
+                prefix = path << width
+                for i in range(n) if m == full else _indices(m):
+                    new_extent = extent & closed[i]
+                    if new_extent == extent:
+                        continue
+                    g = gen_mask | 1 << i
+                    if g in seen:
+                        continue
+                    seen.add(g)
+                    others.append(new_extent.bit_count() << shift | prefix | i)
+            keys += heapq.nsmallest(beam_width - len(keys), others)
         if not keys:
             break
         frontier = []
-        for key in heapq.nsmallest(beam_width, keys):
+        for key in keys:
             path = key & (1 << shift) - 1
             extent, gen_mask, rest = full, 0, path
             for _ in range(step):

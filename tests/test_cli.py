@@ -229,6 +229,17 @@ def test_malformed_containers_exit_2(tmp_path, capsys):
     assert main(["color", "verify", inst, "--file", write("c.json", {"assignment": "x"})]) == 2
     assert main(["adj", inst, "--x", "nope"]) == 2
     assert main(["color", "chi", inst, "--bound", "orcale=1"]) == 2  # a misspelt bound name
+    # bounds, breadths and alphabets are positive integers
+    assert main(["lattice", inst, "--bound", "maxArity=0"]) == 2
+    assert main(["color", "chi", inst, "--bound", "oracle=-1"]) == 2
+    for argv in (
+        ["vitali", "--breadth", "0"],
+        ["vitali", "--breadth", "3", "--alphabet", "0"],
+        ["chi", "--breadth", "0"],
+        ["sigma", "--breadth", "0"],
+        ["embed", "--breadth", "0"],
+    ):
+        assert main(["hamming", *argv]) == 2, argv
     empty = {"kind": "distance", "dim": 1, "squared_distances": ["1"], "points": []}
     assert main(["lattice", write("empty.json", empty)]) == 2
     assert main(["adj", inst, "--x", '["1"]', "--y", "[1,"]) == 2
@@ -241,6 +252,8 @@ def test_malformed_containers_exit_2(tmp_path, capsys):
     assert "expected a JSON array" in err and "expected a JSON object" in err
     assert "missing 'location'" in err and "Traceback" not in err
     assert "--bound orcale: unknown name" in err
+    assert "--bound oracle: '-1' is not a positive integer" in err
+    assert "--alphabet must be a positive integer, got 0" in err
 
     # null stays the default threshold
     two = [{"assignment": {"0": 0}}, {"assignment": {"1": 0}}]

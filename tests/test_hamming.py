@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -22,8 +23,12 @@ from noetherlab.errors import (
     OracleBoundError,
     PartitionError,
 )
+from noetherlab import hamming
+from noetherlab.graphs import SampleUniverse, distance_graph
 from noetherlab.hamming import (
     DEFAULT_SIZE_BOUND,
+    EpsilonMatrix,
+    _edges,
     derived_distances,
     layer_supremum_distances,
     mixed_radix_coloring,
@@ -166,3 +171,105 @@ def test_sigma_bounded_reports_planted_clique():
     piece = report["pieces"][1]
     assert not report["passed"]
     assert piece["chromatic_number"] == 4 and piece["max_clique"] == 4
+
+
+def _fraction_verify_embedding(breadth, eps):
+    """verify_embedding on the Fraction images of embed_diagonal_into_distance."""
+    images, instance, report = embed_diagonal_into_distance(breadth, eps)
+    universe = make_diagonal_hamming(breadth)
+    edges = list(_edges(universe))
+    failures = []
+    for i, j in edges:
+        gap = images[universe.points[i]] - images[universe.points[j]]
+        if gap * gap not in instance.squared_distances:
+            failures.append((i, j, str(gap)))
+    report.update(
+        {"edges_checked": len(edges), "failures": failures, "passed": not failures,
+         "zero_tolerance": True}
+    )
+    return report
+
+
+def _fraction_verify_vitali(universe, eps):
+    """verify_vitali_homomorphism on the Fraction images of vitali_map."""
+    images = [vitali_map(p, eps) for p in universe.points]
+    edges = list(_edges(universe))
+    failures = [(i, j) for i, j in edges if images[i] - images[j] == 0]
+    return {
+        "edges_checked": len(edges),
+        "failures": failures,
+        "passed": not failures,
+        "relative_to_universe": True,
+    }
+
+
+MIXED_SEQUENCE = EpsilonSequence(
+    (Fraction(1, 2), Fraction(1, 3), Fraction(1, 7), Fraction(2, 9), Fraction(1, 12),
+     Fraction(3, 35)),
+    bound=Fraction(10),
+)
+
+
+def _sequences(breadth):
+    for ratio in (Fraction(1, 3), Fraction(1, 7), Fraction(2, 9)):
+        yield geometric_epsilon_sequence(breadth, ratio)
+    yield MIXED_SEQUENCE
+
+
+def test_integer_embedding_verify_matches_fraction_reference(monkeypatch):
+    for breadth in range(1, 7):
+        for eps in _sequences(breadth):
+            assert verify_embedding(breadth, eps) == _fraction_verify_embedding(breadth, eps)
+    # Move the largest squared distance s to s + 1/(2 D^2), which scales to
+    # no integer but rounds down to the old target, so the edges at s fail;
+    # the failure tuples carry str(gap).
+    real = hamming.distance_graph
+    for breadth in range(2, 6):
+        for eps in _sequences(breadth):
+            scale = lcm(*(v.denominator for v in eps.values))
+
+            def moved(dimension, squared, scale=scale):
+                top = max(squared)
+                return real(dimension, [s for s in squared if s != top]
+                            + [top + Fraction(1, 2 * scale**2)])
+
+            monkeypatch.setattr(hamming, "distance_graph", moved)
+            report = verify_embedding(breadth, eps)
+            assert not report["passed"]
+            assert report == _fraction_verify_embedding(breadth, eps)
+            assert any(gap.startswith("-") for _, _, gap in report["failures"])
+
+
+def test_integer_vitali_verify_matches_fraction_reference():
+    mixed = EpsilonMatrix(3, 3, (
+        (Fraction(1, 3), Fraction(1, 7), Fraction(2, 9)),
+        (Fraction(1, 10), Fraction(1, 11), Fraction(1, 13)),
+        (Fraction(1, 34), Fraction(1, 38), Fraction(1, 46)),
+    ))
+    # a repeated entry in a row maps the edges along it to a zero shift
+    repeated = EpsilonMatrix(2, 3, (
+        (Fraction(1, 3), Fraction(1, 3), Fraction(1, 9)),
+        (Fraction(1, 7), Fraction(2, 21), Fraction(1, 5)),
+    ))
+    for breadth in range(1, 4):
+        u = make_uniform_hamming(breadth, 3)
+        assert verify_vitali_homomorphism(u, mixed) == _fraction_verify_vitali(u, mixed)
+    u = make_uniform_hamming(2, 3)
+    report = verify_vitali_homomorphism(u, repeated)
+    assert report == _fraction_verify_vitali(u, repeated) and report["failures"]
+    assert verify_vitali_homomorphism(
+        make_uniform_hamming(4, 2), epsilon_matrix(4, 2)
+    ) == _fraction_verify_vitali(make_uniform_hamming(4, 2), epsilon_matrix(4, 2))
+
+    plane = distance_graph(2, [1])
+    invalid = [
+        SampleUniverse(plane, [pt(0, 0), pt("1/2", 0)]),  # not an integer
+        make_uniform_hamming(2, 4),  # entry 3 is outside the 3 columns
+        make_uniform_hamming(4, 2),  # wider than the 3 rows
+    ]
+    for u in invalid:
+        with pytest.raises(InvalidPointError) as expected:
+            _fraction_verify_vitali(u, mixed)
+        with pytest.raises(InvalidPointError) as got:
+            verify_vitali_homomorphism(u, mixed)
+        assert str(got.value) == str(expected.value)

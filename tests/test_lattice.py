@@ -1,5 +1,6 @@
 import random
-from itertools import combinations
+from collections import Counter, deque
+from itertools import combinations, islice
 
 from conftest import explicit_universe
 from noetherlab import (
@@ -13,6 +14,7 @@ from noetherlab import (
     pt,
     vertex_point,
 )
+from noetherlab.hamming import make_diagonal_hamming, make_uniform_hamming
 from noetherlab.generators import (
     line_universe,
     planar_unit_universe,
@@ -181,10 +183,21 @@ def test_closed_family_element_recompute():
 
 def _tuple_keyed_beam(universe, max_arity, beam_width):
     """The beam on (extent, generator mask) states with tuple paths and keys."""
+    paths = islice(_tuple_keyed_beam_steps(universe, beam_width, Counter()), max_arity + 1)
+    return [universe.points[i] for i in deque(paths, maxlen=1)[0]]
+
+
+def _tuple_keyed_beam_steps(universe, beam_width, stats):
+    """The best path before the first step and after each step taken.
+
+    Counts in the Counter stats the steps whose beam took some but fewer than
+    beam_width emptying candidates before a non-empty one ("topped_up"),
+    and the emptying candidates dropped as duplicates ("emptying_dropped").
+    """
     closed = universe.closed_masks
     frontier = [(universe.full_mask, 0, ())]
-    best_path = ()
-    for _ in range(max_arity):
+    yield ()
+    while True:
         nxt = []
         seen = set()
         for extent, gen_mask, path in frontier:
@@ -192,16 +205,20 @@ def _tuple_keyed_beam(universe, max_arity, beam_width):
                 if gen_mask >> i & 1:
                     continue
                 new_extent = extent & closed[i]
-                if new_extent == extent or (new_extent, gen_mask | 1 << i) in seen:
+                if new_extent == extent:
+                    continue
+                if (new_extent, gen_mask | 1 << i) in seen:
+                    stats["emptying_dropped"] += not new_extent
                     continue
                 seen.add((new_extent, gen_mask | 1 << i))
                 nxt.append((new_extent, gen_mask | 1 << i, path + (i,)))
         if not nxt:
-            break
+            return
         nxt.sort(key=lambda t: (t[0].bit_count(), t[2]))
         frontier = nxt[:beam_width]
-        best_path = frontier[0][2]
-    return [universe.points[i] for i in best_path]
+        emptying = sum(not extent for extent, _, _ in frontier)
+        stats["topped_up"] += 0 < emptying < len(frontier)
+        yield frontier[0][2]
 
 
 def test_descent_beam_matches_tuple_keyed_reference():
@@ -225,3 +242,41 @@ def test_descent_beam_matches_tuple_keyed_reference():
             ]
             lengths.add(len(path))
     assert len(lengths) >= 4
+
+
+def _beam_path(universe, max_arity, beam_width):
+    chain = longest_descent_chain(universe, max_arity, beam_width=beam_width)
+    assert not chain.certified
+    return [next(iter(b.generators[0] - a.generators[0]))
+            for a, b in zip(chain.elements, chain.elements[1:])]
+
+
+def test_descent_beam_emptying_shortcut_matches_reference():
+    """Candidates that empty the extent are taken without scoring every point.
+
+    The universes are the benchmark's scale shapes and random explicit
+    graphs of every density; the reference must see both a beam topped up
+    after its emptying candidates and an emptying duplicate dropped.
+    """
+    rng = random.Random(20261018)
+    universes = [
+        make_uniform_hamming(5, 3),
+        make_uniform_hamming(8, 2),
+        make_diagonal_hamming(5),
+        line_universe(300),
+        planar_unit_universe(rng, 150),
+        random_explicit_universe(rng, 300, 0.05),
+    ]
+    for p in (0, 0.05, 0.1, 0.3, 0.6, 0.9, 1):
+        for _ in range(6):
+            universes.append(random_explicit_universe(rng, rng.randint(11, 60), p))
+    stats = Counter()
+    for u in universes:
+        for width in (1, 2, 4, 16, 64):
+            # The beam never looks ahead, so one reference run gives the
+            # path of every arity; past the last step the path stays.
+            paths = list(islice(_tuple_keyed_beam_steps(u, width, stats), 7))
+            for arity in range(1, 7):
+                expected = [u.points[i] for i in paths[min(arity, len(paths) - 1)]]
+                assert _beam_path(u, arity, width) == expected, (len(u), arity, width)
+    assert stats["topped_up"] and stats["emptying_dropped"], stats
