@@ -100,6 +100,15 @@ DEFAULT_BOUNDS = {
     "colorBudget": 3,
     "maxPoints": 12,
 }
+# The least value of each bound that every suite's draws accept:
+# pattern-oracle draws randint(6, maxPoints), and the predensity suites
+# draw randint(2, colorBudget).
+BOUND_MINIMA = {
+    "oracle": 1,
+    "maxArity": 1,
+    "colorBudget": 2,
+    "maxPoints": 6,
+}
 
 
 @dataclass(frozen=True)

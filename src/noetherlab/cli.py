@@ -346,6 +346,9 @@ def _parse_bounds(pairs: list[str]) -> dict:
             raise ParseError(f"--bound {name}: {value!r} is not an integer") from None
         if bounds[name] < 1:
             raise ParseError(f"--bound {name}: {value!r} is not a positive integer")
+        minimum = campaign_mod.BOUND_MINIMA[name]
+        if bounds[name] < minimum:
+            raise ParseError(f"--bound {name}: {value!r} is below its minimum {minimum}")
     return bounds
 
 

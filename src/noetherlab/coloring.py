@@ -88,14 +88,28 @@ def separating_box(
     to boxes outside ``exclude`` (used for fresh-box injections).  Always
     terminates: the forbidden points are finitely many and distinct from x,
     and boxes around x shrink dyadically.
+
+    The forbidden points are the neighbours of x that lie in ``avoid``, read
+    from the neighbour mask of x, so the cost follows the degree of x and
+    not the size of ``avoid``: a set or frozenset is used as it is, any
+    other iterable is copied first, and an avoid point outside the universe
+    is never a neighbour.
     """
-    avoid = frozenset(avoid)
+    if not isinstance(avoid, (set, frozenset)):
+        avoid = frozenset(avoid)
     if x in avoid:
         raise PreconditionError(f"{x} is a member of the avoid set")
     if within is not None and not box_contains(within, x):
         raise PreconditionError("within-box does not contain x")
+    points = universe.points
+    forbidden = []
     neighbors = universe.open_masks[universe.index(x)]
-    forbidden = [a for a in avoid if neighbors >> universe.index(a) & 1]
+    while neighbors:
+        low = neighbors & -neighbors
+        a = points[low.bit_length() - 1]
+        if a in avoid:
+            forbidden.append(a)
+        neighbors ^= low
     excluded = frozenset(exclude)
     for box in iter_boxes_containing(x, tag=tag, within=within):
         if box in excluded:
@@ -121,12 +135,12 @@ def greedy_coloring(
         if not box_contains(box, x):
             raise PreconditionError(f"constraint box for {x} does not contain it")
     assignment: dict[Point, TaggedBox] = {}
-    earlier: list[Point] = []
+    earlier: set[Point] = set()
     for x in universe.points:
         assignment[x] = separating_box(
             universe, x, earlier, within=constraints.get(x)
         )
-        earlier.append(x)
+        earlier.add(x)
     coloring = SuitableColoring(universe, assignment)
     coloring.validate()
     return coloring
@@ -145,12 +159,12 @@ def extend_coloring(universe: SampleUniverse, p) -> SuitableColoring:
         raise InvalidConditionError("; ".join(issues))
     dom = set(base)
     assignment = dict(base)
-    earlier_new: list[Point] = []
+    older = set(dom)  # dom(p) and the new points colored so far
     for x in universe.points:
         if x in dom:
             continue
-        assignment[x] = separating_box(universe, x, list(dom) + earlier_new)
-        earlier_new.append(x)
+        assignment[x] = separating_box(universe, x, older)
+        older.add(x)
     coloring = SuitableColoring(universe, assignment)
     coloring.validate()
     return coloring
@@ -207,7 +221,7 @@ def stitch_colorings(
             if x in dom_p:
                 continue
             tag = chain.stage_colorings[alpha][x]
-            assignment[x] = separating_box(universe, x, older - {x}, tag=tag)
+            assignment[x] = separating_box(universe, x, older, tag=tag)
         covered |= stage
     coloring = SuitableColoring(universe, assignment)
     coloring.validate()

@@ -218,6 +218,25 @@ def _containing_corners(x: Point, level: int) -> list[tuple[int, ...]]:
     return combos
 
 
+def _first_level(x: Point) -> int:
+    """Least level whose corner window |m| <= 4^k holds a box around ``x``.
+
+    By the bounds of _containing_corners, a coordinate v = c * 2^k has a
+    corner at level k iff floor(v) - 1 <= 4^k and ceil(v) - 1 >= -4^k, that
+    is iff -4^k < c * 2^k < 4^k + 2.  Both conditions are monotone in k:
+    from c * 2^k < 4^k + 2 follows c * 2^(k+1) < 2 * 4^k + 4 <= 4^(k+1) + 2,
+    and from -c * 2^k < 4^k follows -c * 2^(k+1) < 2 * 4^k <= 4^(k+1).  So
+    the levels below this one hold no box around ``x`` at all, and skipping
+    them leaves the canonical order of the boxes that remain unchanged.
+    """
+    level = 0
+    for c in x.coords:
+        p, q = c.numerator, c.denominator
+        while not -(q << 2 * level) < p << level < (q << 2 * level) + 2 * q:
+            level += 1
+    return level
+
+
 def iter_boxes_containing(
     x: Point,
     *,
@@ -233,14 +252,15 @@ def iter_boxes_containing(
     exhausts: arbitrarily small boxes around any rational point exist at
     every tag.
     """
-    dim = x.dimension
-
     def admit(box: TaggedBox) -> bool:
         if within is not None and not box_within(box, within):
             return False
         return True
 
-    for stage in count(0):
+    # stage s lists boxes of levels <= s only, so the stages below the
+    # least admissible level yield nothing
+    min_level = max(min_level, _first_level(x))
+    for stage in count(min_level):
         # part A: levels k < stage, tag = stage
         if tag is None or tag == stage:
             for k in range(min_level, stage):
@@ -249,17 +269,16 @@ def iter_boxes_containing(
                     if admit(box):
                         yield box
         # part B: level = stage, tags 0..stage
-        if stage >= min_level:
-            for corners in _containing_corners(x, stage):
-                if tag is None:
-                    for t in range(stage + 1):
-                        box = TaggedBox(tag=t, level=stage, corners=corners)
-                        if admit(box):
-                            yield box
-                elif tag <= stage:
-                    box = TaggedBox(tag=tag, level=stage, corners=corners)
+        for corners in _containing_corners(x, stage):
+            if tag is None:
+                for t in range(stage + 1):
+                    box = TaggedBox(tag=t, level=stage, corners=corners)
                     if admit(box):
                         yield box
+            elif tag <= stage:
+                box = TaggedBox(tag=tag, level=stage, corners=corners)
+                if admit(box):
+                    yield box
 
 
 def first_box_containing(x: Point, **kwargs) -> TaggedBox:

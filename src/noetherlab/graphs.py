@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from math import isqrt, lcm
 from typing import Iterable, Optional
 
@@ -43,6 +44,9 @@ class TwoVarPoly:
 
     @staticmethod
     def from_dict(d) -> "TwoVarPoly":
+        for i, j in d:
+            if i < 0 or j < 0:
+                raise ValueError(f"negative exponent in term ({i}, {j})")
         items = tuple(
             sorted(((i, j), Fraction(c)) for (i, j), c in d.items() if Fraction(c) != 0)
         )
@@ -72,17 +76,20 @@ class GraphInstance:
             raise InvalidPointError(
                 f"point dimension {x.dimension} != instance dimension {self.dimension}"
             )
+        # numerators compare as ints, far cheaper than Fraction comparisons
         if self.kind in (HAMMING_UNIFORM, HAMMING_DIAGONAL):
+            uniform = self.kind == HAMMING_UNIFORM
             for n, c in enumerate(x.coords):
-                if c.denominator != 1 or c < 0:
+                v = c.numerator
+                if c.denominator != 1 or v < 0:
                     raise InvalidPointError(f"Hamming entry {c} is not a natural")
-                if self.kind == HAMMING_UNIFORM and c >= self.alphabet:
+                if uniform and v >= self.alphabet:
                     raise InvalidPointError(f"entry {c} >= alphabet {self.alphabet}")
-                if self.kind == HAMMING_DIAGONAL and c > n:
+                if not uniform and v > n:
                     raise InvalidPointError(f"entry {c} exceeds diagonal bound {n}")
         elif self.kind == EXPLICIT:
             c = x.coords[0]
-            if c.denominator != 1 or not (0 <= c < self.n_vertices):
+            if c.denominator != 1 or not (0 <= c.numerator < self.n_vertices):
                 raise InvalidPointError(f"vertex index {c} out of range")
 
 
@@ -260,6 +267,8 @@ def _distance_edges(instance: GraphInstance, points: tuple[Point, ...]):
         for s in instance.squared_distances
         if dd % s.denominator == 0
     }
+    if not targets:
+        return
     if instance.dimension == 1:
         where = {x: i for i, (x,) in enumerate(scaled)}
         roots = [r for t in targets if (r := isqrt(t)) * r == t]
@@ -269,10 +278,38 @@ def _distance_edges(instance: GraphInstance, points: tuple[Point, ...]):
                 if j is not None:
                     yield i, j
         return
+    # Grid cells of side r on at most the first two coordinates.  An
+    # adjacent pair differs by at most sqrt(max target) < r in every
+    # coordinate, so its cells differ by at most one step in each keyed
+    # coordinate: each pair is met once, inside one cell or across one of
+    # the lexicographically positive offsets (four of them in the plane).
+    r = isqrt(max(targets)) + 1
+    keyed = min(2, instance.dimension)
+    forward = [o for o in product((-1, 0, 1), repeat=keyed) if o > (0,) * keyed]
+    gap = _planar_gap if instance.dimension == 2 else _gap
+    cells: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
     for i, x in enumerate(scaled):
-        for j in range(i + 1, len(scaled)):
-            if sum((a - b) ** 2 for a, b in zip(x, scaled[j])) in targets:
-                yield i, j
+        cells.setdefault(tuple(c // r for c in x[:keyed]), []).append((i, x))
+    for cell, members in cells.items():
+        for k, (i, x) in enumerate(members):
+            for j, y in members[k + 1 :]:
+                if gap(x, y) in targets:
+                    yield i, j
+        for offset in forward:
+            for j, y in cells.get(tuple(c + o for c, o in zip(cell, offset)), ()):
+                for i, x in members:
+                    if gap(x, y) in targets:
+                        yield i, j
+
+
+def _gap(x: tuple[int, ...], y: tuple[int, ...]) -> int:
+    """Squared distance of two integer points."""
+    return sum((a - b) ** 2 for a, b in zip(x, y))
+
+
+def _planar_gap(x: tuple[int, ...], y: tuple[int, ...]) -> int:
+    """_gap in the plane, without the generator."""
+    return (x[0] - y[0]) ** 2 + (x[1] - y[1]) ** 2
 
 
 def _curve_difference_edges(instance: GraphInstance, points: tuple[Point, ...]):

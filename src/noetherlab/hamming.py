@@ -39,10 +39,8 @@ def make_diagonal_hamming(breadth: int, *, size_bound: int = DEFAULT_SIZE_BOUND)
         if size > size_bound:
             raise OracleBoundError(f"diagonal truncation exceeds size bound {size_bound}")
     instance = hamming_diagonal(breadth)
-    points = [
-        Point(tuple(Fraction(v) for v in vec))
-        for vec in product(*(range(n + 1) for n in range(breadth)))
-    ]
+    values = [Fraction(v) for v in range(breadth)]
+    points = [Point(vec) for vec in product(*(values[: n + 1] for n in range(breadth)))]
     return SampleUniverse(instance, points)
 
 
@@ -52,10 +50,8 @@ def make_uniform_hamming(
     if alphabet**breadth > size_bound:
         raise OracleBoundError(f"uniform truncation exceeds size bound {size_bound}")
     instance = hamming_uniform(breadth, alphabet)
-    points = [
-        Point(tuple(Fraction(v) for v in vec))
-        for vec in product(range(alphabet), repeat=breadth)
-    ]
+    values = [Fraction(v) for v in range(alphabet)]
+    points = [Point(vec) for vec in product(values, repeat=breadth)]
     return SampleUniverse(instance, points)
 
 

@@ -2,7 +2,15 @@ import random
 
 from conftest import universes_of_every_kind
 from noetherlab import adjacent
-from noetherlab.campaign import SUITES, RunConfig, _first_fit_chain, emit_report, run_campaign
+from noetherlab.campaign import (
+    BOUND_MINIMA,
+    DEFAULT_BOUNDS,
+    SUITES,
+    RunConfig,
+    _first_fit_chain,
+    emit_report,
+    run_campaign,
+)
 from noetherlab.errors import NoetherError
 
 import pytest
@@ -15,6 +23,16 @@ def test_every_registered_suite_passes_briefly():
     failing = {n: r for n, r in report["suites"].items() if r["failures"]}
     assert not failing, failing
     assert report["all_passed"]
+
+
+def test_every_suite_draws_within_the_bound_minima():
+    # oracle is a size bound, which a suite may meet with OracleBoundError
+    assert BOUND_MINIMA.keys() == DEFAULT_BOUNDS.keys()
+    bounds = {name: m for name, m in BOUND_MINIMA.items() if name != "oracle"}
+    names = sorted(n for n in SUITES if n != "selftest-mutation")
+    for seed in (1, 2):
+        report = run_campaign(RunConfig(seed=seed, trials=8, bounds=bounds), names)
+        assert report["all_passed"], seed
 
 
 def test_reports_are_byte_identical_across_runs():

@@ -125,6 +125,32 @@ def test_campaign_exit_codes(capsys):
     assert report["suites"]["selftest-mutation"]["counterexamples"]
 
 
+def test_campaign_bounds_below_their_minimum_exit_2(capsys):
+    # each suite's draws need maxPoints >= 6 and colorBudget >= 2
+    for suite, bound in (
+        ("lattice-laws", "maxPoints=1"),
+        ("pattern-oracle", "maxPoints=5"),
+        ("predense-equivalence", "colorBudget=1"),
+    ):
+        assert main(["campaign", suite, "--trials", "2", "--bound", bound]) == 2, bound
+    err = capsys.readouterr().err
+    assert "--bound maxPoints: '5' is below its minimum 6" in err
+    assert "--bound colorBudget: '1' is below its minimum 2" in err
+    for suite, bound in (("pattern-oracle", "maxPoints=6"), ("predense-equivalence", "colorBudget=2")):
+        code, report = _run(capsys, ["campaign", suite, "--trials", "3", "--bound", bound])
+        assert code == 0 and report["all_passed"] is True, bound
+
+
+def test_negative_curve_exponent_exits_2(tmp_path, capsys):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({
+        "instance": {"kind": "curveDifference", "poly": [{"powers": [-1, 0], "coeff": "1"}]},
+        "points": [["0", "0"], ["0", "1"]],
+    }))
+    assert main(["adj", str(path), "--indices", "0", "1"]) == 2
+    assert "negative exponent" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["adj", str(tmp_path / "missing.json")]) == 2
     assert main(["campaign", "--bound", "oracle"]) == 2

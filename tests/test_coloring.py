@@ -29,7 +29,7 @@ from noetherlab.errors import (
     VerificationError,
 )
 from noetherlab.cli import main
-from noetherlab.generators import line_universe, random_universe
+from noetherlab.generators import clustered_line_universe, line_universe, random_universe
 from noetherlab.graphs import adjacent
 
 
@@ -49,6 +49,13 @@ def test_separating_box_examples():
 
     assert box_within(sub, within) and box_contains(sub, pt(1))
     assert not box_contains(sub, pt(2))
+    # only neighbours that are also avoid points are excluded, whether the
+    # avoid points come as a list or as a set
+    cl = clustered_line_universe()  # 17/16 ~ 1/16, and (0, 2) holds both
+    x, neighbor = pt("17/16"), pt("1/16")
+    assert separating_box(cl, x, []) == _box(0, 0)
+    assert separating_box(cl, x, [pt("2/16"), pt("18/16")]) == _box(0, 0)
+    assert separating_box(cl, x, [neighbor]) == separating_box(cl, x, {neighbor}) == _box(1, 0)
 
 
 def test_separating_box_precondition():

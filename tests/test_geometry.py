@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import count, islice, product
 from math import floor
 
 import pytest
@@ -229,6 +229,50 @@ def test_containing_corners_at_the_corner_bound():
     }
     for (x, level), corners in cases.items():
         assert _containing_corners(x, level) == corners == _corners_by_intervals(x, level)
+
+
+def _boxes_from_level_zero(x, n, tag=None, within=None, min_level=0):
+    """The first n boxes of the filtered canonical order, scanned from stage 0."""
+    out = []
+    for stage in count(0):
+        boxes = []
+        if tag is None or tag == stage:
+            for k in range(min_level, stage):
+                boxes += [TaggedBox(stage, k, m) for m in _corners_by_intervals(x, k)]
+        if stage >= min_level:
+            tags = range(stage + 1) if tag is None else [tag] if tag <= stage else []
+            boxes += [
+                TaggedBox(t, stage, m) for m in _corners_by_intervals(x, stage) for t in tags
+            ]
+        out += [b for b in boxes if within is None or _within_by_intervals(b, within)]
+        if len(out) >= n:
+            return out[:n]
+
+
+def test_level_skip_keeps_the_canonical_order():
+    # far points have no box at the low levels, which the enumeration skips;
+    # 2, 3, 11/4, -2 and -15/8 sit at the edges of the windows -4^k < x*2^k < 4^k + 2
+    points = [
+        pt(199), pt(-37, "5/3"), pt("1000001/3"), pt(5), pt("-9/4"), pt("1/3", 0),
+        pt(2), pt(3), pt("11/4"), pt(-2), pt("-15/8"),
+    ]
+    for x in points:
+        first = next(iter_boxes_containing(x)).level
+        within = list(islice(iter_boxes_containing(x), 3))[-1]
+        for tag, inside, min_level in product(
+            (None, 0, 2, first + 3), (None, within), (0, max(first - 1, 0), first + 2)
+        ):
+            n = 40
+            got = list(
+                islice(
+                    iter_boxes_containing(x, tag=tag, within=inside, min_level=min_level), n
+                )
+            )
+            assert got == _boxes_from_level_zero(x, n, tag, inside, min_level), (
+                x, tag, inside, min_level,
+            )
+    first_levels = [next(iter_boxes_containing(x)).level for x in points]
+    assert first_levels == [8, 6, 19, 3, 2, 0, 0, 2, 0, 2, 1]
 
 
 def test_integer_box_tests_check_dimensions():

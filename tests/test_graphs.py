@@ -1,6 +1,7 @@
 import ast
 import random
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -19,13 +20,19 @@ from noetherlab import (
     distance_graph,
     explicit_graph,
     hamming_diagonal,
+    hamming_uniform,
     neighborhood,
     pt,
     vertex_point,
 )
 from noetherlab.campaign import _pairwise_masks
 from noetherlab.errors import InvalidPointError, UnknownPointError, UnsupportedKindError
-from noetherlab.generators import clustered_line_universe, line_universe, random_universe
+from noetherlab.generators import (
+    clustered_line_universe,
+    line_universe,
+    planar_unit_universe,
+    random_universe,
+)
 from noetherlab.hamming import make_diagonal_hamming, make_uniform_hamming
 
 
@@ -138,6 +145,63 @@ def test_masks_match_pairwise_adjacency_for_every_kind():
         assert u.closed_masks == _pairwise_masks(u)
 
 
+def _grid_subset(rng, span, dim, k, denominators=(1,)):
+    points = {
+        tuple(Fraction(rng.randint(*span), rng.choice(denominators)) for _ in range(dim))
+        for _ in range(k)
+    }
+    return [pt(*p) for p in sorted(points)]
+
+
+def test_grid_cell_distance_builder_matches_pairwise():
+    """The dimension >= 2 builder compares only points in neighbouring cells.
+
+    With integer points and max target 25 the cell side is r = 6, so a grid
+    around the origin holds pairs exactly r - 1 = 5 apart (adjacent, often
+    across a cell boundary and across every forward offset) and pairs
+    exactly r = 6 apart (in neighbouring cells, not adjacent).
+    """
+    rng = random.Random(41)
+    cases = [
+        # negative coordinates and mixed denominators
+        (distance_graph(2, [1, 2, "25/4", "13/9"]), _grid_subset(rng, (-6, 6), 2, 80, (1, 2, 3))),
+        # r - 1 and r apart: r = 6 on integer points
+        (distance_graph(2, [25]), [pt(a, b) for a in range(-6, 8) for b in range(-5, 5)]),
+        (distance_graph(2, [25, 36]), _grid_subset(rng, (-14, 14), 2, 120)),
+        # 1/4 does not scale to an integer at D = 1, and 2 is not a square
+        (distance_graph(2, ["1/4", 2]), [pt(a, b) for a in range(-3, 4) for b in range(-3, 4)]),
+        (distance_graph(2, ["1/9", 3, "5/4"]), _grid_subset(rng, (-6, 6), 2, 60, (1, 2))),
+        # every point in one cell: r = 1001 and all coordinates in [0, 20]
+        (distance_graph(2, [1, 25, 10**6]), _grid_subset(rng, (0, 20), 2, 80)),
+        # dimensions 3 and 4; 35 = 5^2 + 3^2 + 1^2 puts r - 1 = 5 in one coordinate
+        (distance_graph(3, [1, 2, 3, "9/4", 35]), _grid_subset(rng, (-4, 4), 3, 120, (1, 2))),
+        (distance_graph(3, [35]), [pt(a, b, c) for a in range(-1, 7) for b in range(-1, 5) for c in range(2)]),
+        (distance_graph(4, [1, 2, 4, "5/4"]), _grid_subset(rng, (-2, 2), 4, 120, (1, 2))),
+    ]
+    for instance, points in cases:
+        u = SampleUniverse(instance, rng.sample(points, k=len(points)))
+        assert u.closed_masks == _pairwise_masks(u), instance
+    # the r - 1 grid has edges across cells; the (1/4, 2) grid only diagonal ones
+    assert sum(m.bit_count() - 1 for m in SampleUniverse(*cases[1]).closed_masks) > 0
+    diag = SampleUniverse(*cases[3])
+    assert sum(m.bit_count() - 1 for m in diag.closed_masks) == 2 * 2 * 6 * 6
+
+
+def test_grid_cell_builder_counts_planar_unit_pairs():
+    """A 2000-point planar sample against an all-pairs integer count."""
+    u = planar_unit_universe(random.Random(3), 2000)
+    d = 1
+    for p in u.points:
+        d = lcm(d, *(c.denominator for c in p.coords))
+    ints = [tuple(c.numerator * (d // c.denominator) for c in p.coords) for p in u.points]
+    target = d * d
+    expected = 0
+    for i, (xi, yi) in enumerate(ints):
+        expected += sum(1 for xj, yj in ints[i + 1 :] if (xi - xj) ** 2 + (yi - yj) ** 2 == target)
+    assert expected > 2000
+    assert sum(m.bit_count() - 1 for m in u.closed_masks) == 2 * expected
+
+
 def test_reference_adjacent_is_the_coordinate_route():
     rng = random.Random(8)
     for _ in range(30):
@@ -202,6 +266,24 @@ def test_universe_rejects_duplicates_and_bad_points():
         SampleUniverse(line, [pt(0), pt(0)])
     with pytest.raises(InvalidPointError):
         SampleUniverse(line, [pt(0, 0)])
+    # Hamming entries are naturals below the alphabet, or at most n at entry n
+    uniform, diagonal = hamming_uniform(2, 3), hamming_diagonal(3)
+    bad = [
+        (uniform, pt(0, 3), "entry 3 >= alphabet 3"),
+        (uniform, pt(-1, 0), "Hamming entry -1 is not a natural"),
+        (uniform, pt("1/2", 0), "Hamming entry 1/2 is not a natural"),
+        (diagonal, pt(1, 0, 0), "entry 1 exceeds diagonal bound 0"),
+        (diagonal, pt(0, 1, 3), "entry 3 exceeds diagonal bound 2"),
+        (explicit_graph(3, []), pt(3), "vertex index 3 out of range"),
+        (explicit_graph(3, []), pt(-1), "vertex index -1 out of range"),
+        (explicit_graph(3, []), pt("1/2"), "vertex index 1/2 out of range"),
+    ]
+    for instance, p, message in bad:
+        with pytest.raises(InvalidPointError) as caught:
+            SampleUniverse(instance, [p])
+        assert str(caught.value) == message
+    SampleUniverse(uniform, [pt(2, 2)])
+    SampleUniverse(diagonal, [pt(0, 1, 2)])
 
 
 def test_explicit_graph_validation():

@@ -76,6 +76,16 @@ def test_instance_roundtrips():
         instance_from_json({"kind": "distance", "dim": 1, "squared_distances": ["1/0"]})
 
 
+def test_negative_curve_exponents_are_refused():
+    # u**-1 is undefined at u = 0, so no negative exponent is accepted
+    for powers in ([-1, 0], [0, -2]):
+        data = {"kind": "curveDifference", "poly": [{"powers": powers, "coeff": "1"}]}
+        with pytest.raises(ParseError, match="negative exponent"):
+            instance_from_json(data)
+        with pytest.raises(ValueError, match="negative exponent"):
+            TwoVarPoly.from_dict({tuple(powers): 1})
+
+
 def test_universe_roundtrip_and_errors():
     u = line_universe(3)
     data = universe_to_json(u)
