@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 from math import isqrt, lcm
 from typing import Iterable, Optional
 
@@ -278,38 +277,30 @@ def _distance_edges(instance: GraphInstance, points: tuple[Point, ...]):
                 if j is not None:
                     yield i, j
         return
-    # Grid cells of side r on at most the first two coordinates.  An
-    # adjacent pair differs by at most sqrt(max target) < r in every
-    # coordinate, so its cells differ by at most one step in each keyed
-    # coordinate: each pair is met once, inside one cell or across one of
-    # the lexicographically positive offsets (four of them in the plane).
+    # Grid cells of side r on the first two coordinates.  An adjacent pair
+    # differs by at most sqrt(max target) < r in every coordinate, so its
+    # cells differ by at most one step in each keyed coordinate: each pair
+    # is met once, inside one cell or across one of the four
+    # lexicographically positive offsets.
     r = isqrt(max(targets)) + 1
-    keyed = min(2, instance.dimension)
-    forward = [o for o in product((-1, 0, 1), repeat=keyed) if o > (0,) * keyed]
-    gap = _planar_gap if instance.dimension == 2 else _gap
-    cells: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
+    cells: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
     for i, x in enumerate(scaled):
-        cells.setdefault(tuple(c // r for c in x[:keyed]), []).append((i, x))
-    for cell, members in cells.items():
+        cells.setdefault((x[0] // r, x[1] // r), []).append((i, x))
+    for (a, b), members in cells.items():
         for k, (i, x) in enumerate(members):
             for j, y in members[k + 1 :]:
-                if gap(x, y) in targets:
+                if _gap(x, y) in targets:
                     yield i, j
-        for offset in forward:
-            for j, y in cells.get(tuple(c + o for c, o in zip(cell, offset)), ()):
+        for da, db in ((0, 1), (1, -1), (1, 0), (1, 1)):
+            for j, y in cells.get((a + da, b + db), ()):
                 for i, x in members:
-                    if gap(x, y) in targets:
+                    if _gap(x, y) in targets:
                         yield i, j
 
 
 def _gap(x: tuple[int, ...], y: tuple[int, ...]) -> int:
     """Squared distance of two integer points."""
     return sum((a - b) ** 2 for a, b in zip(x, y))
-
-
-def _planar_gap(x: tuple[int, ...], y: tuple[int, ...]) -> int:
-    """_gap in the plane, without the generator."""
-    return (x[0] - y[0]) ** 2 + (x[1] - y[1]) ** 2
 
 
 def _curve_difference_edges(instance: GraphInstance, points: tuple[Point, ...]):

@@ -64,6 +64,34 @@ def test_separating_box_precondition():
         separating_box(u, pt(1), [pt(1)])
 
 
+def test_separating_box_ignores_avoid_points_outside_the_universe():
+    # forbidden points are read from the neighbour mask of x, so an avoid
+    # point outside the universe is never a neighbour and changes nothing,
+    # whether the avoid points come as a list or as a set
+    u = line_universe(3)
+    outside = [pt(7), pt("1/2"), pt(2, 0)]
+    for avoid in ([pt(0), pt(2)], {pt(0), pt(2)}):
+        expected = separating_box(u, pt(1), avoid)
+        assert separating_box(u, pt(1), list(avoid) + outside) == expected
+        assert separating_box(u, pt(1), set(avoid) | set(outside)) == expected
+    assert separating_box(u, pt(1), outside) == separating_box(u, pt(1), []) == _box(0, 0)
+    # x itself must still be a universe point
+    with pytest.raises(UnknownPointError):
+        separating_box(u, pt(7), [pt(0)])
+
+
+def test_lower_bound_rejects_a_condition_from_another_universe():
+    # p_lower_bound passes the union of the member domains to
+    # separating_box as its avoid set; a member point outside the universe
+    # is refused before that, when the good closure of the domains is built
+    from noetherlab import p_lower_bound
+
+    u = line_universe(3)
+    foreign = PCondition(line_universe(4), {pt(3): _box(11, 2)})
+    with pytest.raises(UnknownPointError):
+        p_lower_bound([foreign], universe=u)
+
+
 def test_greedy_coloring_line():
     u = line_universe(3)
     coloring = greedy_coloring(u)
