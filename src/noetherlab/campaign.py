@@ -254,26 +254,31 @@ def _no_rational_unit_triangle(rng, config):
 # -- pattern-lab suites ----------------------------------------------------------
 
 def _variation_oracle(universe: SampleUniverse, spec: VariationSpec) -> bool:
-    """Brute-force induced-copy decision: all ordered injections, no pruning."""
+    """Brute-force induced-copy decision, no pruning.
+
+    An ordered injection of the pattern is a sorted k-subset together with
+    an ordering of it, so every k-subset is tested against the induced-edge
+    shapes of every relabelling sigma of the pattern.  A shape folds one
+    bit per position pair (a, b), a < b, in ``combinations`` order: the bit
+    is the edge between the subset's a-th and b-th points, or for sigma the
+    pattern edge between sigma(a) and sigma(b).
+    """
     verts = spec.vertices()
     k = len(verts)
-    pts = universe.points
-    if k > len(pts):
-        return False
+    want = [[spec.has_edge(verts[i], verts[j]) for j in range(k)] for i in range(k)]
+    pairs = list(combinations(range(k), 2))
+    shapes = set()
+    for sigma in permutations(range(k)):
+        shape = 0
+        for a, b in pairs:
+            shape = shape << 1 | want[sigma[a]][sigma[b]]
+        shapes.add(shape)
     masks = universe.open_masks
-    want = [
-        [spec.has_edge(verts[i], verts[j]) for j in range(k)] for i in range(k)
-    ]
-    for image in permutations(range(len(pts)), k):
-        ok = True
-        for i in range(k):
-            for j in range(i + 1, k):
-                if bool(masks[image[i]] >> image[j] & 1) != want[i][j]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+    for subset in combinations(range(len(universe.points)), k):
+        shape = 0
+        for a, b in pairs:
+            shape = shape << 1 | masks[subset[a]] >> subset[b] & 1
+        if shape in shapes:
             return True
     return False
 

@@ -34,6 +34,7 @@ from .generators import (
 )
 from .graphs import adjacent, common_neighborhood, neighborhood
 from .hamming import (
+    DEFAULT_SIZE_BOUND,
     epsilon_matrix,
     geometric_epsilon_sequence,
     make_diagonal_hamming,
@@ -73,6 +74,13 @@ def _emit(data, out: Optional[str]) -> None:
 
 
 def _cmd_gen(args) -> int:
+    # a Hamming --size is a breadth, bounded by the point count it makes
+    if args.family in ("line", "planar", "explicit") and args.size > DEFAULT_SIZE_BOUND:
+        raise ParseError(f"--size {args.size} exceeds the bound {DEFAULT_SIZE_BOUND}")
+    if not 0 <= args.edge_probability <= 1:
+        raise ParseError(
+            f"--edge-probability must be a number in [0, 1], got {args.edge_probability}"
+        )
     rng = random.Random(args.seed)
     if args.family == "line":
         universe = line_universe(args.size)
@@ -287,9 +295,6 @@ def _cmd_poset(args) -> int:
 
 
 def _cmd_hamming(args) -> int:
-    for flag, value in (("--breadth", args.breadth), ("--alphabet", args.alphabet)):
-        if value < 1:
-            raise ParseError(f"{flag} must be a positive integer, got {value}")
     if args.verb == "gen":
         universe = (
             make_diagonal_hamming(args.breadth)
@@ -350,6 +355,18 @@ def _parse_bounds(pairs: list[str]) -> dict:
         if bounds[name] < minimum:
             raise ParseError(f"--bound {name}: {value!r} is below its minimum {minimum}")
     return bounds
+
+
+# The least value of each numeric option a verb takes.
+_OPTION_MINIMA = {"trials": 1, "jobs": 1, "size": 1, "breadth": 1, "alphabet": 1, "depth": 2}
+
+
+def _check_option_minima(args) -> None:
+    for name, least in _OPTION_MINIMA.items():
+        value = getattr(args, name, least)
+        if value < least:
+            what = "a positive integer" if least == 1 else f"an integer >= {least}"
+            raise ParseError(f"--{name} must be {what}, got {value}")
 
 
 @functools.cache
@@ -437,6 +454,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         args.bounds = _parse_bounds(args.bound_pairs)
+        _check_option_minima(args)
         if getattr(args, "list_suites", False):
             _emit({"suites": sorted(campaign_mod.SUITES)}, args.out)
             return 0

@@ -21,7 +21,7 @@ from math import isqrt, lcm
 from typing import Iterable, Optional
 
 from .errors import InvalidPointError, UnknownPointError, UnsupportedKindError
-from .geometry import Point, TaggedBox, box_contains, pt, squared_distance
+from .geometry import Point, TaggedBox, box_contains, pt
 
 DISTANCE = "distance"
 CURVE_DIFFERENCE = "curveDifference"
@@ -151,22 +151,44 @@ def adjacent(instance: GraphInstance, x: Point, y: Point) -> bool:
 
 
 def _exact_adjacent(instance: GraphInstance, x: Point, y: Point) -> bool:
-    """The coordinate predicate behind adjacent(), on validated points."""
-    if x == y:
-        return False
-    if instance.kind == DISTANCE:
-        return squared_distance(x, y) in instance.squared_distances
-    if instance.kind == CURVE_DIFFERENCE:
+    """The coordinate predicate behind adjacent(), on validated points.
+
+    Integer arithmetic on each pair's own numerators and denominators.  The
+    mask builders scale a whole universe to one denominator instead, so the
+    two routes share no arithmetic.  Every kind but curve-difference is
+    irreflexive without a guard: equal points are at squared distance 0,
+    differ in no entry, and explicit graphs refuse self-loops.
+    """
+    kind = instance.kind
+    if kind == DISTANCE:
+        # sum of (a - b)^2 as num/den, with a - b = (an*bd - bn*ad) / (ad*bd)
+        num, den = 0, 1
+        for a, b in zip(x.coords, y.coords):
+            ad, bd = a.denominator, b.denominator
+            diff = a.numerator * bd - b.numerator * ad
+            square = (ad * bd) ** 2
+            num = num * square + diff * diff * den
+            den *= square
+        return any(
+            num * s.denominator == s.numerator * den for s in instance.squared_distances
+        )
+    if kind in (HAMMING_UNIFORM, HAMMING_DIAGONAL):
+        # validated entries are naturals, so they compare by numerator
+        diffs = 0
+        for a, b in zip(x.coords, y.coords):
+            if a.numerator != b.numerator:
+                diffs += 1
+        return diffs == 1
+    if kind == EXPLICIT:
+        return frozenset((x.coords[0].numerator, y.coords[0].numerator)) in instance.edges
+    if kind == CURVE_DIFFERENCE:
+        if x == y:
+            return False
         u = x.coords[0] - y.coords[0]
         v = x.coords[1] - y.coords[1]
         p = instance.poly
         return p.evaluate(u, v) == 0 or p.evaluate(-u, -v) == 0
-    if instance.kind in (HAMMING_UNIFORM, HAMMING_DIAGONAL):
-        diffs = sum(1 for a, b in zip(x.coords, y.coords) if a != b)
-        return diffs == 1
-    if instance.kind == EXPLICIT:
-        return frozenset((int(x.coords[0]), int(y.coords[0]))) in instance.edges
-    raise UnsupportedKindError(instance.kind)
+    raise UnsupportedKindError(kind)
 
 
 class SampleUniverse:
@@ -304,12 +326,33 @@ def _gap(x: tuple[int, ...], y: tuple[int, ...]) -> int:
 
 
 def _curve_difference_edges(instance: GraphInstance, points: tuple[Point, ...]):
-    p = instance.poly
-    for i, x in enumerate(points):
-        x0, x1 = x.coords
-        for j in range(i + 1, len(points)):
-            u, v = x0 - points[j].coords[0], x1 - points[j].coords[1]
-            if p.evaluate(u, v) == 0 or p.evaluate(-u, -v) == 0:
+    """Integer evaluation after scaling to one common denominator D.
+
+    With U = D*u and V = D*v, L * D^deg * p(u, v) = q(U, V) for the integer
+    polynomial q with coefficients L * c * D^(deg - i - j), where deg is the
+    total degree of p and L the lcm of its coefficient denominators.  Split
+    q into the terms of even and of odd total degree, E and O: then
+    q(U, V) = E + O and q(-U, -V) = E - O, so p(u, v) = 0 or p(-u, -v) = 0
+    exactly when E = O or E = -O.
+    """
+    terms = instance.poly.terms
+    d = lcm(*(c.denominator for p in points for c in p.coords))
+    coef_lcm = lcm(*(c.denominator for _, c in terms))
+    deg = max((i + j for (i, j), _ in terms), default=0)
+    even, odd = [], []
+    for (i, j), c in terms:
+        scaled_c = c.numerator * (coef_lcm // c.denominator) * d ** (deg - i - j)
+        (odd if (i + j) % 2 else even).append((i, j, scaled_c))
+    scaled = [
+        tuple(c.numerator * (d // c.denominator) for c in p.coords) for p in points
+    ]
+    for i, (x0, x1) in enumerate(scaled):
+        for j in range(i + 1, len(scaled)):
+            y0, y1 = scaled[j]
+            u, v = x0 - y0, x1 - y1
+            e = sum(c * u**a * v**b for a, b, c in even)
+            o = sum(c * u**a * v**b for a, b, c in odd)
+            if e == o or e == -o:
                 yield i, j
 
 

@@ -289,6 +289,49 @@ def test_malformed_containers_exit_2(tmp_path, capsys):
     assert code == 0 and report["threshold"] == 2
 
 
+def test_numeric_options_exit_2(tmp_path, capsys):
+    inst = _write_line_universe(tmp_path)
+    probability = "--edge-probability must be a number in [0, 1],"
+    cases = [
+        (["gen", "hamming-diagonal", "--size", "0"], "--size must be a positive integer, got 0"),
+        (["gen", "hamming-uniform", "--size", "-2"], "--size must be a positive integer, got -2"),
+        (["gen", "hamming-uniform", "--alphabet", "0"],
+         "--alphabet must be a positive integer, got 0"),
+        (["gen", "line", "--size", "-1"], "--size must be a positive integer, got -1"),
+        (["gen", "planar", "--size", "-1"], "--size must be a positive integer, got -1"),
+        (["gen", "explicit", "--size", "-1"], "--size must be a positive integer, got -1"),
+        (["gen", "line", "--size", "5000"], "--size 5000 exceeds the bound 4096"),
+        (["gen", "planar", "--size", "4097"], "--size 4097 exceeds the bound 4096"),
+        (["gen", "explicit", "--edge-probability", "-1"], f"{probability} got -1.0"),
+        (["gen", "explicit", "--edge-probability", "7"], f"{probability} got 7.0"),
+        (["gen", "explicit", "--edge-probability", "nan"], f"{probability} got nan"),
+        (["campaign", "--trials", "-1"], "--trials must be a positive integer, got -1"),
+        (["campaign", "--trials", "0"], "--trials must be a positive integer, got 0"),
+        (["lattice", inst, "--trials", "-5"], "--trials must be a positive integer, got -5"),
+        (["campaign", "--jobs", "0"], "--jobs must be a positive integer, got 0"),
+        (["campaign", "--jobs", "-2"], "--jobs must be a positive integer, got -2"),
+        (["detect", inst, "--depth", "1"], "--depth must be an integer >= 2, got 1"),
+    ]
+    for argv, message in cases:
+        out = tmp_path / "out.json"
+        assert main([*argv, "--out", str(out)]) == 2, argv
+        captured = capsys.readouterr()
+        assert f"parse error: {message}" in captured.err, argv
+        assert "Traceback" not in captured.err and not out.exists(), argv
+    # the least and greatest accepted values still run
+    for argv in (
+        ["gen", "line", "--size", "4096"],
+        ["gen", "explicit", "--size", "1", "--edge-probability", "0"],
+        ["gen", "explicit", "--size", "3", "--edge-probability", "1"],
+        ["campaign", "adjacency-laws", "--trials", "1", "--jobs", "1"],
+        ["detect", inst, "--depth", "2"],
+    ):
+        assert main([*argv, "--out", str(tmp_path / "ok.json")]) == 0, argv
+    # a Hamming breadth above the size bound is a bounded oracle, not a usage error
+    assert main(["gen", "hamming-diagonal", "--size", "5000"]) == 1
+    assert "exceeds size bound 4096" in capsys.readouterr().err
+
+
 def test_parser_reuse_leaks_nothing_between_calls(tmp_path, capsys):
     inst = _write_line_universe(tmp_path, 6)
     sequences = [

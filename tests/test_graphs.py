@@ -23,6 +23,7 @@ from noetherlab import (
     hamming_uniform,
     neighborhood,
     pt,
+    squared_distance,
     vertex_point,
 )
 from noetherlab.campaign import _pairwise_masks
@@ -31,8 +32,10 @@ from noetherlab.generators import (
     clustered_line_universe,
     line_universe,
     planar_unit_universe,
+    random_explicit_universe,
     random_universe,
 )
+from noetherlab.graphs import _exact_adjacent
 from noetherlab.hamming import make_diagonal_hamming, make_uniform_hamming
 
 
@@ -143,6 +146,90 @@ def test_masks_match_pairwise_adjacency_for_every_kind():
         u = random_universe(rng, 12)
         u = SampleUniverse(u.instance, _shuffled_subset(rng, u.points))
         assert u.closed_masks == _pairwise_masks(u)
+
+
+def _fraction_adjacent(instance, x, y):
+    """The Fraction pair predicate, kept as the reference for _exact_adjacent."""
+    if x == y:
+        return False
+    if instance.kind == "distance":
+        return squared_distance(x, y) in instance.squared_distances
+    if instance.kind in ("hammingUniform", "hammingDiagonal"):
+        return sum(1 for a, b in zip(x.coords, y.coords) if a != b) == 1
+    return frozenset((int(x.coords[0]), int(y.coords[0]))) in instance.edges
+
+
+def test_integer_pair_predicate_matches_the_fraction_one():
+    rng = random.Random(23)
+    denominators = (1, 2, 3, 4, 7, 12, 10**9 + 7, 2**61 - 1)
+    for dim in (1, 2, 3, 4):
+        for _ in range(6):
+            coords = {
+                tuple(Fraction(rng.randint(-9, 9), rng.choice(denominators)) for _ in range(dim))
+                for _ in range(12)
+            }
+            points = [pt(*c) for c in sorted(coords)]
+            # targets that pairs hit, with large denominators, and targets
+            # whose value no pair's denominator scales to an integer
+            hit = {squared_distance(*rng.sample(points, 2)) for _ in range(3)}
+            for targets in (hit, hit | {Fraction(1, 3), Fraction(5, 11)}, {1, "1/4", 2}):
+                instance = distance_graph(dim, targets)
+                pairs = [(x, y) for x in points for y in points]
+                got = [_exact_adjacent(instance, x, y) for x, y in pairs]
+                assert got == [_fraction_adjacent(instance, x, y) for x, y in pairs]
+                if targets is hit:
+                    assert any(got)
+                assert not any(_exact_adjacent(instance, x, x) for x in points)
+    # integer coordinates, and points at mixed denominators on one target
+    plane = distance_graph(2, [1, 2])
+    for x, y, expected in (
+        (pt(0, 0), pt("3/5", "4/5"), True),
+        (pt("-1/2", "1/3"), pt("1/2", "4/3"), True),
+        (pt("1/7", "-2/3"), pt("8/7", "-2/3"), True),
+        (pt(0, 0), pt("3/5", "3/5"), False),
+        (pt(-3, 5), pt(-2, 6), True),
+    ):
+        assert _exact_adjacent(plane, x, y) is _fraction_adjacent(plane, x, y) is expected
+    # Hamming pairs differ in 0, 1 or 2 entries; explicit pairs include u = v
+    for u in (
+        make_uniform_hamming(3, 3),
+        make_diagonal_hamming(4),
+        random_explicit_universe(rng, 12, 0.4),
+    ):
+        pairs = [(x, y) for x in u.points for y in u.points]
+        got = [_exact_adjacent(u.instance, x, y) for x, y in pairs]
+        assert got == [_fraction_adjacent(u.instance, x, y) for x, y in pairs]
+        assert any(got) and not all(got)
+
+
+def test_integer_curve_builder_matches_pairwise():
+    rng = random.Random(29)
+    polys = [
+        # the non-integer coefficient 1/3 on mixed denominators
+        {(2, 0): 1, (0, 2): 1, (1, 1): "1/3", (0, 0): -1},
+        # p(0, 0) = 0: the axes, and a parabola through the origin
+        {(1, 1): 1},
+        {(0, 1): "2/5", (2, 0): -1},
+        # odd parts, so that often only p(-u, -v) vanishes
+        {(1, 0): 1, (0, 0): "-1/2"},
+        {(3, 0): 1, (0, 1): "-3/4", (0, 0): "1/4"},
+        {(0, 2): "-5/7", (1, 0): 1, (0, 0): "5/7"},
+        # the zero polynomial joins every pair, a nonzero constant none
+        {(1, 0): 0},
+        {(0, 0): "2/3"},
+    ]
+    for terms in polys:
+        instance = curve_difference_graph(TwoVarPoly.from_dict(terms))
+        coords = {
+            tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(2))
+            for _ in range(60)
+        }
+        u = SampleUniverse(instance, [pt(*c) for c in rng.sample(sorted(coords), k=len(coords))])
+        assert u.closed_masks == _pairwise_masks(u), terms
+    # one pair where only p(-u, -v) vanishes, in either point order
+    shifted = curve_difference_graph(TwoVarPoly.from_dict({(1, 0): 1, (0, 0): "-1/2"}))
+    for order in ([pt(0, 0), pt("1/2", 3)], [pt("1/2", 3), pt(0, 0)]):
+        assert SampleUniverse(shifted, order).closed_masks == [0b11, 0b11]
 
 
 def _grid_subset(rng, span, dim, k, denominators=(1,)):

@@ -2,7 +2,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -127,6 +127,67 @@ def test_detector_vs_bruteforce_oracle():
         u = explicit_universe(n, edges)
         spec = rng.choice(all_variations(2))
         assert (find_variation_prefix(u, spec) is not None) == _variation_oracle(u, spec)
+
+
+def _injection_oracle(universe, spec):
+    """Every ordered injection of the pattern: the reference for _variation_oracle."""
+    verts = spec.vertices()
+    k = len(verts)
+    pts = universe.points
+    if k > len(pts):
+        return False
+    masks = universe.open_masks
+    want = [
+        [spec.has_edge(verts[i], verts[j]) for j in range(k)] for i in range(k)
+    ]
+    for image in permutations(range(len(pts)), k):
+        ok = True
+        for i in range(k):
+            for j in range(i + 1, k):
+                if bool(masks[image[i]] >> image[j] & 1) != want[i][j]:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            return True
+    return False
+
+
+def test_variation_oracle_matches_the_injection_oracle():
+    rng = random.Random(17)
+    seen = set()
+    for depth in (2, 3):
+        k = 2 * depth
+        for spec in all_variations(depth):
+            universes = [_plant_variation(rng, spec, 0, 0.3), explicit_universe(k - 1, [])]
+            for n in range(4, 11) if depth == 2 else (4, 6, 8, 10):
+                universes.append(
+                    explicit_universe(
+                        n, [e for e in combinations(range(n), 2) if rng.random() < 0.5]
+                    )
+                )
+                # no copy in an empty or complete graph: the full enumeration,
+                # whose cost at n = 10 and depth 3 is left to the random graphs
+                if depth == 2 or n < 10:
+                    universes.append(explicit_universe(n, []))
+                    universes.append(explicit_universe(n, list(combinations(range(n), 2))))
+                if n > k:
+                    # the planted copy moved off the first vertices
+                    planted = _plant_variation(rng, spec, n - k, 0.3)
+                    order = rng.sample(range(n), n)
+                    edges = [
+                        (order[i], order[j])
+                        for i in range(n)
+                        for j in range(i + 1, n)
+                        if planted.open_masks[i] >> j & 1
+                    ]
+                    universes.append(explicit_universe(n, edges))
+            for u in universes:
+                expected = _injection_oracle(u, spec)
+                assert _variation_oracle(u, spec) == expected, (spec, u.instance.edges)
+                seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_planted_depth5_in_40_vertices():
