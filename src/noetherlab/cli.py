@@ -138,6 +138,8 @@ def _point_arg(raw: str, flag: str) -> Point:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{flag}: invalid JSON: {exc.msg}") from None
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ParseError(f"{flag}: invalid JSON: {exc}") from None
     return point_from_json(data, flag)
 
 
@@ -360,13 +362,21 @@ def _parse_bounds(pairs: list[str]) -> dict:
 # The least value of each numeric option a verb takes.
 _OPTION_MINIMA = {"trials": 1, "jobs": 1, "size": 1, "breadth": 1, "alphabet": 1, "depth": 2}
 
+# The largest --trials of the verbs whose work it multiplies, lattice and
+# campaign: ten times the 1000 trials of the largest acceptance campaign.
+# A campaign of every suite takes 8 s at 1000 trials (2-vCPU host,
+# CPython 3.11), so about 80 s at this bound.
+MAX_TRIALS = 10_000
 
-def _check_option_minima(args) -> None:
+
+def _check_options(args) -> None:
     for name, least in _OPTION_MINIMA.items():
         value = getattr(args, name, least)
         if value < least:
             what = "a positive integer" if least == 1 else f"an integer >= {least}"
             raise ParseError(f"--{name} must be {what}, got {value}")
+    if args.command in ("lattice", "campaign") and args.trials > MAX_TRIALS:
+        raise ParseError(f"--trials {args.trials} exceeds the bound {MAX_TRIALS}")
 
 
 @functools.cache
@@ -454,7 +464,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         args.bounds = _parse_bounds(args.bound_pairs)
-        _check_option_minima(args)
+        _check_options(args)
         if getattr(args, "list_suites", False):
             _emit({"suites": sorted(campaign_mod.SUITES)}, args.out)
             return 0

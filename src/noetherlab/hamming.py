@@ -31,13 +31,19 @@ from .graphs import (
 DEFAULT_SIZE_BOUND = 4096
 
 
-def make_diagonal_hamming(breadth: int, *, size_bound: int = DEFAULT_SIZE_BOUND) -> SampleUniverse:
-    """All vectors x with x(n) <= n for n < breadth, in lexicographic order."""
+def _diagonal_size(breadth: int, size_bound: int = DEFAULT_SIZE_BOUND) -> int:
+    """The number of diagonal words, breadth!; raises OracleBoundError above the bound."""
     size = 1
     for n in range(breadth):
         size *= n + 1
         if size > size_bound:
             raise OracleBoundError(f"diagonal truncation exceeds size bound {size_bound}")
+    return size
+
+
+def make_diagonal_hamming(breadth: int, *, size_bound: int = DEFAULT_SIZE_BOUND) -> SampleUniverse:
+    """All vectors x with x(n) <= n for n < breadth, in lexicographic order."""
+    _diagonal_size(breadth, size_bound)
     instance = hamming_diagonal(breadth)
     values = [Fraction(v) for v in range(breadth)]
     points = [Point(vec) for vec in product(*(values[: n + 1] for n in range(breadth)))]
@@ -201,17 +207,17 @@ def embed_diagonal_into_distance(
     With strict_distinct, any (m, n) collision raises; by default
     collisions are merged and reported (set semantics).
     """
-    universe, eps, instance, report = _diagonal_embedding(breadth, eps, strict_distinct)
+    eps, instance, report = _diagonal_embedding(breadth, eps, strict_distinct)
     images = {
         p: sum((c * eps.values[n] for n, c in enumerate(p.coords)), Fraction(0))
-        for p in universe.points
+        for p in make_diagonal_hamming(breadth).points
     }
     return images, instance, report
 
 
 def _diagonal_embedding(breadth, eps, strict_distinct):
-    """The diagonal universe, the epsilon sequence cut to the breadth, the
-    line instance and the report of embed_diagonal_into_distance."""
+    """The epsilon sequence cut to the breadth, the line instance and the
+    report of embed_diagonal_into_distance."""
     if breadth < 1:
         raise InvalidSequenceError("breadth must be >= 1")
     if eps is None:
@@ -223,7 +229,7 @@ def _diagonal_embedding(breadth, eps, strict_distinct):
     table, collisions = derived_distances(eps)
     if strict_distinct and collisions:
         raise InvalidSequenceError(f"derived distance collisions: {collisions}")
-    universe = make_diagonal_hamming(breadth)
+    vertices = _diagonal_size(breadth)
     if breadth == 1:
         # single vertex, no edges; any positive distance yields a valid instance
         instance = distance_graph(1, [Fraction(1)])
@@ -231,12 +237,38 @@ def _diagonal_embedding(breadth, eps, strict_distinct):
         instance = distance_graph(1, [v * v for v in table])
     report = {
         "breadth": breadth,
-        "vertices": len(universe),
+        "vertices": vertices,
         "collisions": [
             [str(v), [[m, n] for m, n in pairs]] for v, pairs in collisions
         ],
     }
-    return universe, eps, instance, report
+    return eps, instance, report
+
+
+def _diagonal_words(breadth: int) -> list[tuple[int, ...]]:
+    """The diagonal words as int tuples, in the point order of make_diagonal_hamming."""
+    return list(product(*(range(n + 1) for n in range(breadth))))
+
+
+def _diagonal_edges(words: Sequence[tuple[int, ...]]):
+    """Index pairs i < j of diagonal words that differ in exactly one entry,
+    in the order of _edges on make_diagonal_hamming.
+
+    The words are in lexicographic order, so word i has the mixed-radix
+    index i, where entry n has the stride (n + 2)(n + 3)...breadth.  Raising
+    entry n by d adds d * stride[n] <= n * stride[n] < stride[n - 1] to the
+    index, so the larger neighbours of word i come in ascending order from
+    the last entry back to the first, each entry's values ascending.
+    """
+    breadth = len(words[0])
+    strides = [1] * breadth
+    for n in range(breadth - 2, -1, -1):
+        strides[n] = strides[n + 1] * (n + 2)
+    for i, word in enumerate(words):
+        for n in range(breadth - 1, 0, -1):  # entry 0 takes only the value 0
+            stride = strides[n]
+            for j in range(i + stride, i + (n - word[n]) * stride + 1, stride):
+                yield i, j
 
 
 def verify_embedding(
@@ -244,21 +276,23 @@ def verify_embedding(
 ) -> dict:
     """Every diagonal-Hamming edge maps to an exact edge of the line graph.
 
-    The images are h scaled by D, the lcm of the denominators of the
-    epsilon sequence, so they are integers; a gap g is an edge exactly when
-    (g D)^2 lies in the integers of {s D^2 : s a squared distance}.
+    The check runs on integer words and builds no universe: the edges join
+    words that differ in exactly one entry, listed in the order of _edges
+    on make_diagonal_hamming.  The images are h scaled by D, the lcm of the
+    denominators of the epsilon sequence, so they are integers; a gap g is
+    an edge exactly when (g D)^2 lies in the integers of
+    {s D^2 : s a squared distance}.
     """
-    universe, eps, instance, report = _diagonal_embedding(breadth, eps, False)
+    eps, instance, report = _diagonal_embedding(breadth, eps, False)
     scale = lcm(*(v.denominator for v in eps.values))
     steps = [v.numerator * (scale // v.denominator) for v in eps.values]
-    images = [
-        sum(c.numerator * step for c, step in zip(p.coords, steps)) for p in universe.points
-    ]
+    words = _diagonal_words(breadth)
+    images = [sum(c * step for c, step in zip(word, steps)) for word in words]
     targets = {s * scale * scale for s in instance.squared_distances}
     squares = {t.numerator for t in targets if t.denominator == 1}
     edges_checked = 0
     failures = []
-    for i, j in _edges(universe):
+    for i, j in _diagonal_edges(words):
         edges_checked += 1
         gap = images[i] - images[j]
         if gap * gap not in squares:

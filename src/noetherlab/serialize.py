@@ -38,6 +38,14 @@ from .hamming import DEFAULT_SIZE_BOUND
 
 _JSON_TYPES = {dict: "object", list: "array"}
 
+# The largest box level a file may give.  On the largest universes the
+# library builds (4096-point line, planar, uniform Hamming and explicit
+# samples, the 720-point diagonal Hamming), greedy_coloring emits levels of
+# at most 12.  A box of level k has corners |m| <= 4^k, so at this bound a
+# corner has at most 617 digits: far below Python's 4300-digit limit for
+# printing an int, and cheap in every integer box test.
+MAX_BOX_LEVEL = 1024
+
 
 def expect(value: Any, kind: type, field: str) -> Any:
     """``value`` if it is a JSON object (dict) or array (list), else ParseError."""
@@ -109,9 +117,13 @@ def box_from_json(data: Any, field: str = "box") -> TaggedBox:
     expect(data, dict, field)
     corners = require(data, "corners", list, field)
     try:
+        tag = expect_int(data["tag"], f"{field}.tag")
+        level = expect_int(data["level"], f"{field}.level")
+        if level > MAX_BOX_LEVEL:
+            raise ParseError(f"{field}.level: {level} exceeds the bound {MAX_BOX_LEVEL}")
         return TaggedBox(
-            tag=expect_int(data["tag"], f"{field}.tag"),
-            level=expect_int(data["level"], f"{field}.level"),
+            tag=tag,
+            level=level,
             corners=tuple(
                 expect_int(m, f"{field}.corners[{i}]") for i, m in enumerate(corners)
             ),
@@ -328,6 +340,8 @@ def load_path(path: str) -> Any:
         raise ParseError(f"{path}: no such file") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
 
 def parse_instance_file(path: str) -> tuple[GraphInstance, SampleUniverse]:

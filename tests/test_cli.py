@@ -2,7 +2,7 @@ import json
 import subprocess
 import sys
 
-from noetherlab.cli import build_parser, main
+from noetherlab.cli import MAX_TRIALS, build_parser, main
 from noetherlab.serialize import universe_to_json
 from noetherlab.generators import line_universe
 
@@ -67,6 +67,44 @@ def test_color_make_and_verify(tmp_path, capsys):
     cfile.write_text(json.dumps(coloring))
     code, verdict = _run(capsys, ["color", "verify", inst, "--file", str(cfile)])
     assert code == 1 and verdict["valid"] is False
+
+
+def test_color_verify_bounds_the_box_level(tmp_path, capsys):
+    from noetherlab.serialize import MAX_BOX_LEVEL
+
+    inst = _write_line_universe(tmp_path, 4)
+    code, coloring = _run(capsys, ["color", "make", inst])
+    assert code == 0
+    cfile = tmp_path / "c.json"
+    for level in (40000000, MAX_BOX_LEVEL + 1):
+        coloring["assignment"]["1"]["level"] = level
+        cfile.write_text(json.dumps(coloring))
+        assert main(["color", "verify", inst, "--file", str(cfile)]) == 2, level
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err == (
+            f"parse error: assignment[1].level: {level} exceeds the bound {MAX_BOX_LEVEL}\n"
+        )
+    # at the bound the box parses, and verify judges it (it misses point 1)
+    coloring["assignment"]["1"]["level"] = MAX_BOX_LEVEL
+    cfile.write_text(json.dumps(coloring))
+    code, verdict = _run(capsys, ["color", "verify", inst, "--file", str(cfile)])
+    assert code == 1 and verdict["valid"] is False
+
+
+def test_integer_literals_past_the_digit_limit_exit_2(tmp_path, capsys):
+    inst = _write_line_universe(tmp_path)
+    huge = "1" * 5000  # Python refuses to convert an int string this long
+    cfile = tmp_path / "c.json"
+    cfile.write_text('{"assignment": {"0": {"tag": 0, "level": 0, "corners": [%s]}}}' % huge)
+    for argv in (
+        ["color", "verify", inst, "--file", str(cfile)],
+        ["adj", inst, "--x", f"[{huge}]", "--y", "[1]"],
+    ):
+        assert main(argv) == 2, argv[:2]
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("parse error: ") and "invalid JSON" in captured.err
 
 
 def test_poset_verbs(tmp_path, capsys):
@@ -308,6 +346,10 @@ def test_numeric_options_exit_2(tmp_path, capsys):
         (["campaign", "--trials", "-1"], "--trials must be a positive integer, got -1"),
         (["campaign", "--trials", "0"], "--trials must be a positive integer, got 0"),
         (["lattice", inst, "--trials", "-5"], "--trials must be a positive integer, got -5"),
+        (["lattice", inst, "--trials", str(MAX_TRIALS + 1)],
+         f"--trials {MAX_TRIALS + 1} exceeds the bound {MAX_TRIALS}"),
+        (["campaign", "--trials", str(MAX_TRIALS + 1)],
+         f"--trials {MAX_TRIALS + 1} exceeds the bound {MAX_TRIALS}"),
         (["campaign", "--jobs", "0"], "--jobs must be a positive integer, got 0"),
         (["campaign", "--jobs", "-2"], "--jobs must be a positive integer, got -2"),
         (["detect", inst, "--depth", "1"], "--depth must be an integer >= 2, got 1"),
@@ -325,6 +367,7 @@ def test_numeric_options_exit_2(tmp_path, capsys):
         ["gen", "explicit", "--size", "3", "--edge-probability", "1"],
         ["campaign", "adjacency-laws", "--trials", "1", "--jobs", "1"],
         ["detect", inst, "--depth", "2"],
+        ["lattice", inst, "--trials", str(MAX_TRIALS)],
     ):
         assert main([*argv, "--out", str(tmp_path / "ok.json")]) == 0, argv
     # a Hamming breadth above the size bound is a bounded oracle, not a usage error

@@ -273,3 +273,41 @@ def test_integer_vitali_verify_matches_fraction_reference():
         with pytest.raises(InvalidPointError) as got:
             verify_vitali_homomorphism(u, mixed)
         assert str(got.value) == str(expected.value)
+
+
+def test_embedding_verify_builds_no_universe(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_embedding built a universe")
+
+    expected = {b: verify_embedding(b) for b in range(1, 7)}
+    monkeypatch.setattr(hamming, "SampleUniverse", refuse)
+    monkeypatch.setattr(hamming, "make_diagonal_hamming", refuse)
+    for breadth in range(1, 7):
+        report = verify_embedding(breadth)
+        assert report == expected[breadth]
+        assert report["vertices"] == len(hamming._diagonal_words(breadth))
+    with pytest.raises(AssertionError):
+        embed_diagonal_into_distance(3)  # the Fraction reference still builds one
+
+
+def test_diagonal_word_edges_match_the_universe_edges():
+    for breadth in range(1, 7):
+        universe = make_diagonal_hamming(breadth)
+        words = hamming._diagonal_words(breadth)
+        assert [tuple(int(c) for c in p.coords) for p in universe.points] == words
+        assert list(hamming._diagonal_edges(words)) == list(_edges(universe))
+
+
+def test_embedding_verify_keeps_the_size_bound(capsys):
+    from noetherlab.cli import main
+
+    message = f"diagonal truncation exceeds size bound {DEFAULT_SIZE_BOUND}"
+    with pytest.raises(OracleBoundError) as got:
+        verify_embedding(7)
+    assert str(got.value) == message
+    with pytest.raises(OracleBoundError) as got:
+        make_diagonal_hamming(7)
+    assert str(got.value) == message
+    assert main(["hamming", "embed", "--breadth", "7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
