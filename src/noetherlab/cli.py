@@ -46,6 +46,7 @@ from .hamming import (
 from .lattice import good_closure, heart, longest_descent_chain, minimal_subfamily
 from .patterns import SearchStats, VariationSpec, find_variation_prefix, max_embedded_depth
 from .serialize import (
+    MAX_BOX_LEVEL,
     dump_canonical,
     expect,
     load_path,
@@ -202,6 +203,13 @@ def _cmd_color(args) -> int:
     _, universe = parse_instance_file(args.instance)
     if args.verb == "make":
         coloring = greedy_coloring(universe)
+        for x, b in coloring.assignment.items():
+            # color verify refuses such a box, so none is written
+            if b.level > MAX_BOX_LEVEL:
+                raise ParseError(
+                    f"point {universe.index(x)} needs a box of level {b.level}, "
+                    f"past the bound {MAX_BOX_LEVEL}"
+                )
         payload = {
             "assignment": {
                 str(universe.index(x)): box_to_json(b)

@@ -180,6 +180,8 @@ def instance_from_json(data: Any) -> GraphInstance:
                 if len(powers) != 2:
                     raise ParseError(f"{where}.powers: expected two exponents")
                 i_pow, j_pow = (expect_int(e, f"{where}.powers") for e in powers)
+                if (i_pow, j_pow) in terms:
+                    raise ParseError(f"{where}.powers: [{i_pow}, {j_pow}] repeats an earlier term")
                 terms[i_pow, j_pow] = rational_from_str(t["coeff"], "poly coeff")
             return curve_difference_graph(TwoVarPoly.from_dict(terms))
         if kind == HAMMING_UNIFORM:

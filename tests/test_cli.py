@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+from noetherlab import SampleUniverse, distance_graph, pt
 from noetherlab.cli import MAX_TRIALS, build_parser, main
 from noetherlab.serialize import universe_to_json
 from noetherlab.generators import line_universe
@@ -92,6 +93,31 @@ def test_color_verify_bounds_the_box_level(tmp_path, capsys):
     assert code == 1 and verdict["valid"] is False
 
 
+def test_color_make_keeps_to_the_box_level_bound(tmp_path, capsys):
+    from noetherlab.serialize import MAX_BOX_LEVEL
+
+    # two adjacent points past 2**1024 are parted only by a box of level
+    # 1025, which color verify would refuse: make writes nothing
+    far = SampleUniverse(distance_graph(1, [1]), [pt(2**1024 + 5), pt(2**1024 + 6)])
+    inst = tmp_path / "far.json"
+    inst.write_text(json.dumps(universe_to_json(far)))
+    cfile = tmp_path / "c.json"
+    for out in ([], ["--out", str(cfile)]):
+        assert main(["color", "make", str(inst), *out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not cfile.exists()
+        assert captured.err == (
+            f"parse error: point 0 needs a box of level 1025, past the bound {MAX_BOX_LEVEL}\n"
+        )
+    # one power of two lower, the boxes reach the bound and verify accepts them
+    near = SampleUniverse(distance_graph(1, [1]), [pt(2**1023 + 5), pt(2**1023 + 6)])
+    inst.write_text(json.dumps(universe_to_json(near)))
+    assert main(["color", "make", str(inst), "--out", str(cfile)]) == 0
+    assert MAX_BOX_LEVEL in {b["level"] for b in json.loads(cfile.read_text())["assignment"].values()}
+    code, verdict = _run(capsys, ["color", "verify", str(inst), "--file", str(cfile)])
+    assert code == 0 and verdict["valid"] is True
+
+
 def test_integer_literals_past_the_digit_limit_exit_2(tmp_path, capsys):
     inst = _write_line_universe(tmp_path)
     huge = "1" * 5000  # Python refuses to convert an int string this long
@@ -125,7 +151,7 @@ def test_poset_verbs(tmp_path, capsys):
 
 def test_poset_lower_bound(tmp_path, capsys):
     inst = _write_line_universe(tmp_path)
-    from noetherlab import PCondition, TaggedBox, pt
+    from noetherlab import PCondition, TaggedBox
     from noetherlab.serialize import pcondition_to_json
 
     u = line_universe(3)
@@ -187,6 +213,24 @@ def test_negative_curve_exponent_exits_2(tmp_path, capsys):
     }))
     assert main(["adj", str(path), "--indices", "0", "1"]) == 2
     assert "negative exponent" in capsys.readouterr().err
+
+
+def test_repeated_polynomial_term_exits_2(tmp_path, capsys):
+    # keeping the last coefficient would read p = -u - v, and summing the
+    # terms p = -v; either way the file means something it does not say
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({
+        "instance": {"kind": "curveDifference", "poly": [
+            {"powers": [1, 0], "coeff": "1"},
+            {"powers": [1, 0], "coeff": "-1"},
+            {"powers": [0, 1], "coeff": "-1"},
+        ]},
+        "points": [["0", "0"], ["1", "0"]],
+    }))
+    assert main(["adj", str(path), "--x", '["0","0"]', "--y", '["1","0"]']) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: instance.poly[1].powers: [1, 0] repeats an earlier term\n"
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):

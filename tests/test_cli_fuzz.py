@@ -88,8 +88,9 @@ _WRONG_TYPES = {
 _NULL_MEANS_DEFAULT = {"threshold"}
 
 # Integers stay small: JSON integers are sizes and exponents here (vertex
-# counts, box levels, polynomial powers); box levels and powers have no upper
-# bound yet, so a large one would exhaust memory instead of exercising a parser.
+# counts, box levels, polynomial powers).  Box levels are bounded by
+# serialize.MAX_BOX_LEVEL, but powers have no upper bound yet, so a large one
+# would exhaust memory instead of exercising a parser.
 _SCALARS = (
     st.none()
     | st.booleans()

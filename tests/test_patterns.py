@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -203,52 +204,76 @@ def test_planted_depth5_in_40_vertices():
 
 def _per_vertex_scan(universe, spec):
     """The search as a scan over every unused vertex at every level, testing
-    each assigned image bit by bit: (witness indices or None, nodes tried)."""
+    each assigned image bit by bit: (witness indices or None, nodes tried,
+    dead subtrees by level).  A subtree below the image v of level i is dead
+    when level i + 1 has a candidate and none of them leaves a candidate at
+    level i + 2."""
     verts = spec.vertices()
     k, n = len(verts), len(universe)
+    dead = Counter()
     if k > n:
-        return None, 0
+        return None, 0, dead
     masks = universe.open_masks
     pattern_edges = [[spec.has_edge(verts[i], verts[j]) for j in range(i)] for i in range(k)]
     assignment, nodes = [], 0
 
     def rec():
+        """(witness or None, whether some unused vertex fits this level,
+        whether every vertex that fits leaves the next level empty)"""
         nonlocal nodes
         i = len(assignment)
         if i == k:
-            return tuple(assignment)
+            return tuple(assignment), True, True
+        fit, children_empty = False, True
         for v in range(n):
             if v in assignment:
                 continue
             nodes += 1
             if any(bool(masks[w] >> v & 1) != pattern_edges[i][j] for j, w in enumerate(assignment)):
                 continue
+            fit = True
             assignment.append(v)
-            found = rec()
+            found, child_fit, grandchildren_empty = rec()
             if found is not None:
-                return found
+                return found, fit, False
+            if i + 2 < k and child_fit and grandchildren_empty:
+                dead[i] += 1
+            children_empty = children_empty and not child_fit
             assignment.pop()
-        return None
+        return None, fit, children_empty
 
-    return rec(), nodes
+    return rec()[0], nodes, dead
 
 
 def test_candidate_masks_match_per_vertex_scan():
     rng = random.Random(5)
     universes = [explicit_universe(n, []) for n in (4, 7)]
     universes += [explicit_universe(n, list(combinations(range(n), 2))) for n in (4, 7)]
+    # a star plus isolated vertices: below an isolated image, a level that
+    # must be adjacent to it is empty before any row is tested
+    universes.append(explicit_universe(10, [(0, j) for j in range(1, 6)]))
+    # a perfect matching: every level that must meet two images is empty
+    universes.append(explicit_universe(12, [(2 * j, 2 * j + 1) for j in range(6)]))
     for _ in range(60):
         n = rng.randint(2, 16)
         p = rng.choice([0.15, 0.35, 0.5, 0.65, 0.85])
         universes.append(explicit_universe(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    dead_levels = Counter()
     for u in universes:
-        for depth in (2, 3):
+        for depth in (2, 3, 4) if len(u) <= 12 else (2, 3):
             for spec in all_variations(depth):
                 stats = SearchStats()
                 witness = find_variation_prefix(u, spec, stats)
-                want, nodes = _per_vertex_scan(u, spec)
+                want, nodes, dead = _per_vertex_scan(u, spec)
                 got = None if witness is None else tuple(u.index(x) for x in witness.mapping)
-                assert (got, stats.nodes_explored) == (want, nodes), (len(u), spec)
+                assert (got, stats.nodes_explored, stats.dead_subtrees) == (
+                    want, nodes, sum(dead.values())
+                ), (len(u), spec)
+                dead_levels += dead
+    # the two-level check fires at several levels, below an image whose
+    # next pair of pattern vertices is joined (even i) and one whose is not
+    assert {i for i in dead_levels if i % 2 == 0} and {i for i in dead_levels if i % 2}
+    assert len(dead_levels) >= 4, dead_levels
 
 
 def test_circulant_exhaustion_node_count():
