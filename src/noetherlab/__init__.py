@@ -9,7 +9,6 @@ and predensity criteria.
 from ._kernels import backend_name
 from .coloring import (
     StageChain,
-    SuitableColoring,
     chromatic_number,
     extend_coloring,
     greedy_coloring,

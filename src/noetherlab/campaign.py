@@ -91,6 +91,7 @@ from .patterns import (
     homogeneous_guarantee,
     homogeneous_subset,
 )
+from .serialize import dump_canonical, universe_to_json
 
 SCHEMA_VERSION = 1
 
@@ -135,12 +136,6 @@ def suite(name: str):
     return register
 
 
-def _universe_digest(universe: SampleUniverse) -> dict:
-    from .serialize import universe_to_json
-
-    return universe_to_json(universe)
-
-
 # -- graph-kernel suites -------------------------------------------------------
 
 @suite("adjacency-laws")
@@ -150,9 +145,9 @@ def _adjacency_laws(rng, config):
     for _ in range(10):
         x, y = rng.choice(universe.points), rng.choice(universe.points)
         if adjacent(inst, x, y) != adjacent(inst, y, x):
-            return False, {"law": "symmetry", "universe": _universe_digest(universe)}
+            return False, {"law": "symmetry", "universe": universe_to_json(universe)}
         if adjacent(inst, x, x):
-            return False, {"law": "irreflexivity", "universe": _universe_digest(universe)}
+            return False, {"law": "irreflexivity", "universe": universe_to_json(universe)}
     return True, None
 
 
@@ -165,9 +160,9 @@ def _neighborhood_laws(rng, config):
     union = common_neighborhood(universe, a | b)
     meet = common_neighborhood(universe, a) & common_neighborhood(universe, b)
     if union != meet:
-        return False, {"law": "intersection", "universe": _universe_digest(universe)}
+        return False, {"law": "intersection", "universe": universe_to_json(universe)}
     if a <= b and not common_neighborhood(universe, b) <= common_neighborhood(universe, a):
-        return False, {"law": "antitone", "universe": _universe_digest(universe)}
+        return False, {"law": "antitone", "universe": universe_to_json(universe)}
     return True, None
 
 
@@ -221,7 +216,7 @@ def _mask_adjacency_agreement(rng, config):
     ]
     for universe in universes:
         if universe.closed_masks != _pairwise_masks(universe):
-            return False, {"universe": _universe_digest(universe)}
+            return False, {"universe": universe_to_json(universe)}
     return True, None
 
 
@@ -320,7 +315,7 @@ def _pattern_oracle(rng, config):
             "spec": repr(spec),
             "detector": witness is not None,
             "oracle": expected,
-            "universe": _universe_digest(universe),
+            "universe": universe_to_json(universe),
         }
     return True, None
 
@@ -331,7 +326,7 @@ def _pattern_planted(rng, config):
     universe = _plant_variation(rng, spec, 40 - 10, rng.uniform(0.1, 0.35))
     witness = find_variation_prefix(universe, spec)
     if witness is None:
-        return False, {"spec": repr(spec), "universe": _universe_digest(universe)}
+        return False, {"spec": repr(spec), "universe": universe_to_json(universe)}
     return True, None
 
 
@@ -363,7 +358,7 @@ def _lattice_laws(rng, config):
     for x in h:
         for y in h:
             if x != y and not adjacent(inst, x, y):
-                return False, {"law": "heart-clique", "universe": _universe_digest(universe)}
+                return False, {"law": "heart-clique", "universe": universe_to_json(universe)}
     small = frozenset(rng.sample(pts, k=rng.randint(0, min(4, len(pts)))))
     big = small | frozenset(rng.sample(pts, k=rng.randint(0, min(3, len(pts)))))
     cl_small, cl_big = good_closure(universe, small), good_closure(universe, big)
@@ -440,14 +435,14 @@ def _coloring_constructions(rng, config):
 
     greedy = greedy_coloring(universe)
     if check_suitable(greedy.assignment) or check_proper(universe, greedy.assignment):
-        return False, {"op": "greedy", "universe": _universe_digest(universe)}
+        return False, {"op": "greedy", "universe": universe_to_json(universe)}
 
     p = random_pcondition(rng, universe)
     extended = extend_coloring(universe, p)
     if check_suitable(extended.assignment) or check_proper(universe, extended.assignment):
-        return False, {"op": "extend", "universe": _universe_digest(universe)}
-    if not p_leq(PCondition(universe, extended.assignment), p):
-        return False, {"op": "extend-pleq", "universe": _universe_digest(universe)}
+        return False, {"op": "extend", "universe": universe_to_json(universe)}
+    if not p_leq(extended, p):
+        return False, {"op": "extend-pleq", "universe": universe_to_json(universe)}
 
     chain = _random_stage_chain(rng, universe)
     dom0 = sorted(chain.stages[0], key=universe.index)
@@ -455,9 +450,9 @@ def _coloring_constructions(rng, config):
     base = PCondition(universe, {x: greedy.assignment[x] for x in sub})
     stitched = stitch_colorings(universe, chain, base)
     if check_suitable(stitched.assignment) or check_proper(universe, stitched.assignment):
-        return False, {"op": "stitch", "universe": _universe_digest(universe)}
-    if not p_leq(PCondition(universe, stitched.assignment), base):
-        return False, {"op": "stitch-pleq", "universe": _universe_digest(universe)}
+        return False, {"op": "stitch", "universe": universe_to_json(universe)}
+    if not p_leq(stitched, base):
+        return False, {"op": "stitch-pleq", "universe": universe_to_json(universe)}
     return True, None
 
 
@@ -477,7 +472,7 @@ def _stitch_nongood(rng, config):
     chain = _first_fit_chain(universe, stages)
     stitched = stitch_colorings(universe, chain, None, require_good=False)
     if check_suitable(stitched.assignment) or check_proper(universe, stitched.assignment):
-        return False, {"universe": _universe_digest(universe)}
+        return False, {"universe": universe_to_json(universe)}
     return True, None
 
 
@@ -486,7 +481,7 @@ def _chromatic_oracle_agreement(rng, config):
     universe = random_universe(rng, 9)
     chi, coloring = chromatic_number(universe, bound=config.bound("oracle"))
     if check_proper(universe, coloring):
-        return False, {"why": "improper-optimal", "universe": _universe_digest(universe)}
+        return False, {"why": "improper-optimal", "universe": universe_to_json(universe)}
     if len(set(coloring.values())) > chi:
         return False, {"why": "too-many-colors"}
     if k_colorable_fixed_order(universe, chi) is None:
@@ -516,12 +511,12 @@ def _prop43_equivalence(rng, config):
     except AmalgamationError:
         # cannot happen for the separated conditions this suite draws;
         # treat as a visible equivalence failure if it ever does
-        return False, {"why": "amalgamation-gap", "universe": _universe_digest(universe)}
+        return False, {"why": "amalgamation-gap", "universe": universe_to_json(universe)}
     if built != compatible:
         return False, {
             "pairwise_compatible": compatible,
             "lower_bound_built": built,
-            "universe": _universe_digest(universe),
+            "universe": universe_to_json(universe),
         }
     if built:
         if x not in bound.domain():
@@ -653,7 +648,7 @@ def _predense_equivalence(rng, config):
         return False, {
             "full": full,
             "reduced": reduced,
-            "universe": _universe_digest(universe),
+            "universe": universe_to_json(universe),
         }
     return True, None
 
@@ -672,11 +667,11 @@ def _budget_clamp(rng, config):
     at_clamp, beyond = predense(clamp), predense(clamp + 2)
     if at_clamp != beyond:
         return False, {"clamp": clamp, "at_clamp": at_clamp, "beyond": beyond,
-                       "universe": _universe_digest(universe)}
+                       "universe": universe_to_json(universe)}
     budget = rng.randint(1, clamp + 1)
     if predense(budget + 1) and not predense(budget):
         return False, {"why": "not-monotone", "budget": budget,
-                       "universe": _universe_digest(universe)}
+                       "universe": universe_to_json(universe)}
     return True, None
 
 
@@ -805,8 +800,6 @@ def run_campaign(config: RunConfig, suite_names: list[str], jobs: int = 1) -> di
 
 
 def emit_report(report: dict, path: Optional[str] = None) -> str:
-    from .serialize import dump_canonical
-
     text = dump_canonical(report)
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:

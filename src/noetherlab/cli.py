@@ -36,7 +36,6 @@ from .graphs import adjacent, common_neighborhood, neighborhood
 from .hamming import (
     DEFAULT_SIZE_BOUND,
     epsilon_matrix,
-    geometric_epsilon_sequence,
     make_diagonal_hamming,
     make_uniform_hamming,
     sigma_bounded_check,
@@ -162,7 +161,13 @@ def _cmd_detect(args) -> int:
         "nodes_explored": stats.nodes_explored,
     }
     if args.stress:
-        report["max_embedded_depth"] = max_embedded_depth(universe, spec, args.depth)
+        # the depth-k prefix is an induced subgraph of the depth-(k+1) one,
+        # so a depth-d witness means that every smaller depth embeds too
+        report["max_embedded_depth"] = (
+            args.depth
+            if witness is not None
+            else max_embedded_depth(universe, spec, args.depth - 1)
+        )
     _emit(report, args.out)
     return 0
 

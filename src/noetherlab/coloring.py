@@ -1,5 +1,8 @@
 """Constructive colorings by tagged boxes, plus the exact chromatic oracle.
 
+A coloring is a PCondition, a condition of the box-valued coloring poset
+(coloring_poset), so a construction compares with p_leq as it stands.
+
 Every construction is deterministic: "first box" always means first in the
 canonical box enumeration.  Each public construction re-verifies its output
 with the independent properness/suitability checkers before returning.
@@ -7,7 +10,7 @@ with the independent properness/suitability checkers before returning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from . import _kernels
@@ -56,21 +59,35 @@ def check_proper(universe: SampleUniverse, assignment: Mapping) -> list[str]:
 
 
 @dataclass
-class SuitableColoring:
-    """Partial coloring by tagged boxes: proper, and each x lies in c(x)."""
+class PCondition:
+    """Finite partial coloring Point -> TaggedBox over a declared universe."""
 
     universe: SampleUniverse
     assignment: dict[Point, TaggedBox]
 
-    def validate(self) -> None:
-        problems = check_suitable(self.assignment) + check_proper(
-            self.universe, self.assignment
-        )
-        if problems:
-            raise InvalidConditionError("; ".join(problems))
-
     def domain(self) -> frozenset[Point]:
         return frozenset(self.assignment)
+
+    def __len__(self):
+        return len(self.assignment)
+
+
+def validate_pcondition(p: PCondition, *, require_good: bool = False) -> None:
+    """Suitability and properness always; domain goodness only on request.
+
+    The compatibility and ordering criteria are well-defined without
+    goodness, and the worked examples rely on that; constructions whose
+    correctness argument needs good domains (the lower bound) produce them
+    via good_closure themselves.
+    """
+    for x in p.assignment:
+        if x not in p.universe:
+            raise InvalidConditionError(f"{x} not in the universe")
+    problems = check_suitable(p.assignment) + check_proper(p.universe, p.assignment)
+    if problems:
+        raise InvalidConditionError("; ".join(problems))
+    if require_good and not is_good(p.universe, p.assignment.keys()):
+        raise InvalidConditionError("domain is not good relative to the universe")
 
 
 def separating_box(
@@ -122,7 +139,7 @@ def separating_box(
 def greedy_coloring(
     universe: SampleUniverse,
     constraints: Optional[Mapping[Point, TaggedBox]] = None,
-) -> SuitableColoring:
+) -> PCondition:
     """The greedy suitable coloring in universe order.
 
     Each point receives the separating box against all earlier points,
@@ -141,12 +158,12 @@ def greedy_coloring(
             universe, x, earlier, within=constraints.get(x)
         )
         earlier.add(x)
-    coloring = SuitableColoring(universe, assignment)
-    coloring.validate()
+    coloring = PCondition(universe, assignment)
+    validate_pcondition(coloring)
     return coloring
 
 
-def extend_coloring(universe: SampleUniverse, p) -> SuitableColoring:
+def extend_coloring(universe: SampleUniverse, p) -> PCondition:
     """Total suitable coloring extending the condition p, with c <= p.
 
     New points are processed in universe order; each new color excludes all
@@ -165,8 +182,8 @@ def extend_coloring(universe: SampleUniverse, p) -> SuitableColoring:
             continue
         assignment[x] = separating_box(universe, x, older)
         older.add(x)
-    coloring = SuitableColoring(universe, assignment)
-    coloring.validate()
+    coloring = PCondition(universe, assignment)
+    validate_pcondition(coloring)
     return coloring
 
 
@@ -197,7 +214,7 @@ def stitch_colorings(
     p=None,
     *,
     require_good: bool = True,
-) -> SuitableColoring:
+) -> PCondition:
     """Stitch a chain of stage colorings into one suitable coloring below p.
 
     A point keeps p's color on dom(p); otherwise, with a the least stage
@@ -223,8 +240,8 @@ def stitch_colorings(
             tag = chain.stage_colorings[alpha][x]
             assignment[x] = separating_box(universe, x, older, tag=tag)
         covered |= stage
-    coloring = SuitableColoring(universe, assignment)
-    coloring.validate()
+    coloring = PCondition(universe, assignment)
+    validate_pcondition(coloring)
     return coloring
 
 

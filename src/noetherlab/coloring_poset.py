@@ -4,57 +4,22 @@ and the constructive common lower bound.
 Conditions are finite suitable proper colorings by tagged boxes whose
 domain is good relative to the universe.  Goodness is where the finite
 artifact deliberately diverges from some of its own worked examples (see
-validate_pcondition); the ordering and compatibility criteria themselves
-never mention goodness and accept any suitable proper assignment.
+coloring.validate_pcondition); the ordering and compatibility criteria
+themselves never mention goodness and accept any suitable proper
+assignment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .coloring import check_proper, check_suitable, separating_box
-from .errors import (
-    AmalgamationError,
-    IncompatibilityError,
-    InvalidConditionError,
-    PreconditionError,
-)
-from .geometry import Point, TaggedBox, box_contains, first_box_containing
+# PCondition and validate_pcondition live with the constructions that build
+# them; the poset operations re-export them.
+from .coloring import PCondition, separating_box, validate_pcondition
+from .errors import AmalgamationError, IncompatibilityError, PreconditionError
+from .geometry import Point, TaggedBox, box_contains
 from .graphs import SampleUniverse
-from .lattice import good_closure, is_good
-
-
-@dataclass
-class PCondition:
-    """Finite partial coloring Point -> TaggedBox over a declared universe."""
-
-    universe: SampleUniverse
-    assignment: dict[Point, TaggedBox]
-
-    def domain(self) -> frozenset[Point]:
-        return frozenset(self.assignment)
-
-    def __len__(self):
-        return len(self.assignment)
-
-
-def validate_pcondition(p: PCondition, *, require_good: bool = False) -> None:
-    """Suitability and properness always; domain goodness only on request.
-
-    The compatibility and ordering criteria are well-defined without
-    goodness, and the worked examples rely on that; constructions whose
-    correctness argument needs good domains (the lower bound) produce them
-    via good_closure themselves.
-    """
-    for x in p.assignment:
-        if x not in p.universe:
-            raise InvalidConditionError(f"{x} not in the universe")
-    problems = check_suitable(p.assignment) + check_proper(p.universe, p.assignment)
-    if problems:
-        raise InvalidConditionError("; ".join(problems))
-    if require_good and not is_good(p.universe, p.assignment.keys()):
-        raise InvalidConditionError("domain is not good relative to the universe")
+from .lattice import good_closure
 
 
 def _neighbors_in(universe: SampleUniverse, x: Point, mask: int) -> list[Point]:

@@ -14,7 +14,7 @@ kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm
@@ -412,14 +412,12 @@ def common_neighborhood(universe: SampleUniverse, pts: Iterable[Point]) -> froze
 class EdgeFreeResult:
     """Verdict of the exact cell-pair edge check.
 
-    status is "empty" (certified no edge), "nonempty" (certified some edge;
-    a rational witness pair is attached when one was constructed), or
-    "unknown" (a candidate squared distance touches the achievable-range
-    boundary, so neither certificate applies).
+    status is "empty" (certified no edge), "nonempty" (certified some
+    edge), or "unknown" (a candidate squared distance touches the
+    achievable-range boundary, so neither certificate applies).
     """
 
     status: str
-    witness: Optional[tuple[Point, Point]] = None
 
     def __bool__(self):  # pragma: no cover - guard against accidental truthiness
         raise TypeError("compare EdgeFreeResult.status explicitly")
@@ -436,89 +434,15 @@ def _cell_points(instance: GraphInstance, cell) -> frozenset[Point]:
     return frozenset(cell)
 
 
-def _diff_interval_squares(b0: TaggedBox, b1: TaggedBox):
-    """Per-coordinate ranges of (x_i - y_i)^2 over the closed boxes."""
-    lows, highs = [], []
+def _squared_distance_range(b0: TaggedBox, b1: TaggedBox) -> tuple[Fraction, Fraction]:
+    """Least and greatest |x - y|^2 over x, y in the closed boxes."""
+    lo_total = hi_total = Fraction(0)
     for (a, b), (c, d) in zip(b0.intervals(), b1.intervals()):
         lo, hi = a - d, b - c
-        sq_lo = Fraction(0) if lo <= 0 <= hi else min(lo * lo, hi * hi)
-        lows.append(sq_lo)
-        highs.append(max(lo * lo, hi * hi))
-    return lows, highs
-
-
-def _is_rational_square(q: Fraction) -> Optional[Fraction]:
-    if q < 0:
-        return None
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-def _mid(lo: Fraction, hi: Fraction) -> Fraction:
-    return (lo + hi) / 2
-
-
-def _witness_search(b0: TaggedBox, b1: TaggedBox, target: Fraction):
-    """Best-effort exact witness pair at the target squared distance.
-
-    Picks simple rationals for all coordinate differences but the first and
-    demands that the remainder be a perfect rational square.  Returns None
-    when no candidate is found; the nonempty verdict does not depend on it.
-    """
-    iv0, iv1 = b0.intervals(), b1.intervals()
-    diff_ranges = [(a - d, b - c) for (a, b), (c, d) in zip(iv0, iv1)]
-
-    def assemble(diffs):
-        xs, ys = [], []
-        for (a, b), (c, d), delta in zip(iv0, iv1, diffs):
-            # need x in (a,b), y in (c,d), x - y = delta
-            lo = max(a, c + delta)
-            hi = min(b, d + delta)
-            if lo >= hi:
-                return None
-            x = _mid(lo, hi)
-            xs.append(x)
-            ys.append(x - delta)
-        return Point(tuple(xs)), Point(tuple(ys))
-
-    def candidates(lo, hi):
-        vals = []
-        for denom_pow in range(0, 8):
-            step = Fraction(1, 2**denom_pow)
-            m = (lo // step + 1) * step
-            while m < hi and len(vals) < 40:
-                if m not in vals:
-                    vals.append(m)
-                m += step
-            if len(vals) >= 40:
-                break
-        return vals
-
-    def rec(idx, remaining, chosen):
-        if idx == len(diff_ranges) - 1:
-            root = _is_rational_square(remaining)
-            if root is None:
-                return None
-            lo, hi = diff_ranges[idx]
-            for delta in (root, -root):
-                if lo < delta < hi:
-                    result = assemble(chosen + [delta])
-                    if result is not None:
-                        return result
-            return None
-        lo, hi = diff_ranges[idx]
-        for delta in candidates(lo, hi):
-            rem = remaining - delta * delta
-            if rem < 0:
-                continue
-            result = rec(idx + 1, rem, chosen + [delta])
-            if result is not None:
-                return result
-        return None
-
-    return rec(0, target, [])
+        if not lo <= 0 <= hi:
+            lo_total += min(lo * lo, hi * hi)
+        hi_total += max(lo * lo, hi * hi)
+    return lo_total, hi_total
 
 
 def box_edge_free(instance: GraphInstance, cell0, cell1) -> EdgeFreeResult:
@@ -537,24 +461,16 @@ def box_edge_free(instance: GraphInstance, cell0, cell1) -> EdgeFreeResult:
         for p in pts0:
             for q in pts1:
                 if adjacent(instance, p, q):
-                    return EdgeFreeResult("nonempty", (p, q))
+                    return EdgeFreeResult("nonempty")
         return EdgeFreeResult("empty")
     if instance.kind != DISTANCE:
         raise UnsupportedKindError(f"box_edge_free undefined for kind {instance.kind}")
     if not (isinstance(cell0, TaggedBox) and isinstance(cell1, TaggedBox)):
         raise UnsupportedKindError("distance instances use TaggedBox cells")
-    lows, highs = _diff_interval_squares(cell0, cell1)
-    lo_total = sum(lows, Fraction(0))
-    hi_total = sum(highs, Fraction(0))
-    interior = [s for s in instance.squared_distances if lo_total < s < hi_total]
-    boundary = [s for s in instance.squared_distances if s == lo_total or s == hi_total]
-    if interior:
-        witness = None
-        for s in sorted(interior):
-            witness = _witness_search(cell0, cell1, s)
-            if witness is not None:
-                break
-        return EdgeFreeResult("nonempty", witness)
-    if boundary:
+    lo_total, hi_total = _squared_distance_range(cell0, cell1)
+    distances = instance.squared_distances
+    if any(lo_total < s < hi_total for s in distances):
+        return EdgeFreeResult("nonempty")
+    if lo_total in distances or hi_total in distances:
         return EdgeFreeResult("unknown")
     return EdgeFreeResult("empty")

@@ -46,6 +46,15 @@ _JSON_TYPES = {dict: "object", list: "array"}
 # printing an int, and cheap in every integer box test.
 MAX_BOX_LEVEL = 1024
 
+# The largest exponent a polynomial term may give.  The campaign curves have
+# degree at most 2, so 64 leaves a factor of 32.  The mask build evaluates
+# u**a once per point pair, at a cost that grows with the digits of u**a: a
+# 300-point build on half-integer coordinates in [-20, 20] took 0.052 s at
+# exponent 2, 0.085 s at 64, 0.39 s at 1024 and 3.4 s at 4096 (2-vCPU
+# host, CPython 3.11).  Without a bound, one 3-point adjacency query at
+# exponent 3,000,000 took 28 s.
+MAX_POWER = 64
+
 
 def expect(value: Any, kind: type, field: str) -> Any:
     """``value`` if it is a JSON object (dict) or array (list), else ParseError."""
@@ -180,6 +189,10 @@ def instance_from_json(data: Any) -> GraphInstance:
                 if len(powers) != 2:
                     raise ParseError(f"{where}.powers: expected two exponents")
                 i_pow, j_pow = (expect_int(e, f"{where}.powers") for e in powers)
+                if max(i_pow, j_pow) > MAX_POWER:
+                    raise ParseError(
+                        f"{where}.powers: [{i_pow}, {j_pow}] exceeds the bound {MAX_POWER}"
+                    )
                 if (i_pow, j_pow) in terms:
                     raise ParseError(f"{where}.powers: [{i_pow}, {j_pow}] repeats an earlier term")
                 terms[i_pow, j_pow] = rational_from_str(t["coeff"], "poly coeff")

@@ -2,9 +2,10 @@ import json
 import subprocess
 import sys
 
-from noetherlab import SampleUniverse, distance_graph, pt
+from noetherlab import SampleUniverse, VariationSpec, cli, distance_graph, patterns, pt
 from noetherlab.cli import MAX_TRIALS, build_parser, main
-from noetherlab.serialize import universe_to_json
+from noetherlab.patterns import find_variation_prefix
+from noetherlab.serialize import MAX_POWER, universe_to_json
 from noetherlab.generators import line_universe
 
 
@@ -44,6 +45,32 @@ def test_detect_report_shape(tmp_path, capsys):
     assert code == 0
     assert set(report) >= {"pattern", "witness", "nodes_explored", "max_embedded_depth"}
     assert report["nodes_explored"] > 0
+
+
+def test_detect_stress_runs_one_search_when_the_depth_embeds(tmp_path, capsys, monkeypatch):
+    # the depth-4 half anticlique/anticlique prefix itself, on 8 vertices
+    spec = VariationSpec("half", "anticlique", "anticlique", 4)
+    verts = spec.vertices()
+    edges = [[i, j] for i in range(8) for j in range(i + 1, 8)
+             if spec.has_edge(verts[i], verts[j])]
+    inst = tmp_path / "prefix4.json"
+    inst.write_text(json.dumps({"kind": "explicit", "vertices": 8, "edges": edges}))
+    calls = []
+
+    def counted(universe, spec, stats=None):
+        calls.append(spec.depth)
+        return find_variation_prefix(universe, spec, stats)
+
+    monkeypatch.setattr(cli, "find_variation_prefix", counted)
+    monkeypatch.setattr(patterns, "find_variation_prefix", counted)
+    code, report = _run(capsys, ["detect", str(inst), "--depth", "4", "--stress"])
+    assert code == 0 and report["witness"] is not None
+    assert report["max_embedded_depth"] == 4 and calls == [4]
+    # no depth-6 witness: the statistic comes from the depths below 6
+    calls.clear()
+    code, report = _run(capsys, ["detect", str(inst), "--depth", "6", "--stress"])
+    assert code == 0 and report["witness"] is None
+    assert report["max_embedded_depth"] == 4 and calls == [6, 2, 3, 4, 5]
 
 
 def test_lattice_report(tmp_path, capsys):
@@ -213,6 +240,24 @@ def test_negative_curve_exponent_exits_2(tmp_path, capsys):
     }))
     assert main(["adj", str(path), "--indices", "0", "1"]) == 2
     assert "negative exponent" in capsys.readouterr().err
+
+
+def test_curve_exponent_bound(tmp_path, capsys):
+    path = tmp_path / "curve.json"
+    for power, code in ((MAX_POWER, 0), (MAX_POWER + 1, 2)):
+        path.write_text(json.dumps({
+            "instance": {"kind": "curveDifference", "poly": [
+                {"powers": [0, 1], "coeff": "1"}, {"powers": [power, 0], "coeff": "-1"},
+            ]},
+            "points": [["0", "0"], ["1", "1"], ["2", "1"]],
+        }))
+        assert main(["adj", str(path), "--indices", "0"]) == code, power
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["common_neighborhood"] == [["0", "0"], ["1", "1"]]
+    assert captured.err == (
+        f"parse error: instance.poly[1].powers: [{MAX_POWER + 1}, 0] "
+        f"exceeds the bound {MAX_POWER}\n"
+    )
 
 
 def test_repeated_polynomial_term_exits_2(tmp_path, capsys):

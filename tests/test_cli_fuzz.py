@@ -88,9 +88,10 @@ _WRONG_TYPES = {
 _NULL_MEANS_DEFAULT = {"threshold"}
 
 # Integers stay small: JSON integers are sizes and exponents here (vertex
-# counts, box levels, polynomial powers).  Box levels are bounded by
-# serialize.MAX_BOX_LEVEL, but powers have no upper bound yet, so a large one
-# would exhaust memory instead of exercising a parser.
+# counts, box levels, polynomial powers).  Each has an upper bound
+# (DEFAULT_SIZE_BOUND, serialize.MAX_BOX_LEVEL, serialize.MAX_POWER), tested
+# at the bound in test_cli.py; below the bounds, a small range keeps each
+# fuzz case fast.
 _SCALARS = (
     st.none()
     | st.booleans()

