@@ -32,6 +32,11 @@ DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 
 CAMPAIGN_SEED = 20260811
 CAMPAIGN_TRIALS = 50
+# Three more seeds at 40 trials, over every suite except the
+# selftest-mutation fixture: this adds mask-adjacency-agreement, the
+# campaign check of the masks against the pair predicate.
+EXTRA_SEEDS = (1, 2, 3)
+EXTRA_TRIALS = 40
 # The 21 suites of the acceptance campaign: every suite except the
 # mask-adjacency-agreement check and the selftest-mutation fixture.
 CAMPAIGN_SUITES = (
@@ -196,6 +201,10 @@ def golden_outputs():
     config = RunConfig(seed=CAMPAIGN_SEED, trials=CAMPAIGN_TRIALS)
     for suite in CAMPAIGN_SUITES:
         yield f"campaign {suite}", emit_report(run_campaign(config, [suite]))
+    for seed in EXTRA_SEEDS:
+        config = RunConfig(seed=seed, trials=EXTRA_TRIALS)
+        for suite in sorted((*CAMPAIGN_SUITES, "mask-adjacency-agreement")):
+            yield f"campaign seed {seed} {suite}", emit_report(run_campaign(config, [suite]))
     for breadth in range(1, 7):
         for k, eps in enumerate(_sequences(breadth)):
             yield f"verify_embedding {breadth} sequence {k}", dump_canonical(
