@@ -292,8 +292,8 @@ def _plant_variation(rng, spec: VariationSpec, extra: int, edge_p: float) -> Sam
         if spec.has_edge(verts[i], verts[j])
     ]
     for i in range(k, n):
-        for j in range(n):
-            if j < i and rng.random() < edge_p:
+        for j in range(i):
+            if rng.random() < edge_p:
                 edges.append((j, i))
     instance = explicit_graph(n, edges)
     return SampleUniverse(instance, [vertex_point(i) for i in range(n)])
@@ -565,14 +565,14 @@ def _ramsey_centered(rng, config):
     except NoetherError:
         return True, None  # sampled location invalid; nothing to test
     k = ramsey_bound(m, len(cells))
+    cell_members = [[p for p in universe.points if cell_contains(cell, p)] for cell in cells]
     conditions = []
     for _ in range(k):
         assignment = {}
-        for idx, cell in enumerate(cells):
-            members = [p for p in universe.points if cell_contains(cell, p)]
+        for members, color in zip(cell_members, colors):
             if not members:
                 return True, None
-            assignment[rng.choice(members)] = colors[idx]
+            assignment[rng.choice(members)] = color
         if len(assignment) < len(cells):
             return True, None
         q = QCondition(universe, assignment)

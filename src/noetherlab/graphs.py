@@ -308,16 +308,33 @@ def _distance_edges(instance: GraphInstance, points: tuple[Point, ...]):
     cells: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
     for i, x in enumerate(scaled):
         cells.setdefault((x[0] // r, x[1] // r), []).append((i, x))
-    for (a, b), members in cells.items():
-        for k, (i, x) in enumerate(members):
-            for j, y in members[k + 1 :]:
+    if instance.dimension == 2:
+        # the squared gap inline: most of a planar build is this test
+        for left, right in _cell_blocks(cells):
+            for i, (x0, x1) in left:
+                for j, (y0, y1) in right:
+                    d0 = x0 - y0
+                    d1 = x1 - y1
+                    if d0 * d0 + d1 * d1 in targets:
+                        yield i, j
+        return
+    for left, right in _cell_blocks(cells):
+        for i, x in left:
+            for j, y in right:
                 if _gap(x, y) in targets:
                     yield i, j
+
+
+def _cell_blocks(cells: dict):
+    """Pairs (left, right) of member lists whose cross pairs are every pair
+    of points in one cell or in cells one forward offset apart, each once."""
+    for (a, b), members in cells.items():
+        for k in range(len(members) - 1):
+            yield members[k : k + 1], members[k + 1 :]
         for da, db in ((0, 1), (1, -1), (1, 0), (1, 1)):
-            for j, y in cells.get((a + da, b + db), ()):
-                for i, x in members:
-                    if _gap(x, y) in targets:
-                        yield i, j
+            others = cells.get((a + da, b + db))
+            if others:
+                yield members, others
 
 
 def _gap(x: tuple[int, ...], y: tuple[int, ...]) -> int:
@@ -357,16 +374,28 @@ def _curve_difference_edges(instance: GraphInstance, points: tuple[Point, ...]):
 
 
 def _hamming_edges(instance: GraphInstance, points: tuple[Point, ...]):
-    """Look up every one-coordinate mutation: O(n * sum of alphabets)."""
+    """Look up every one-coordinate mutation: O(n * sum of alphabets).
+
+    Each word gets a mixed-radix integer code, where entry k has the radix
+    1 + the largest entry at k over the words, so the codes are distinct.
+    Raising entry k from a to v adds (v - a) * stride[k] to the code.
+    """
     words = [tuple(c.numerator for c in p.coords) for p in points]
-    where = {w: i for i, w in enumerate(words)}
+    if not words:
+        return
     values = [sorted({w[k] for w in words}) for k in range(instance.dimension)]
+    strides = [1] * instance.dimension
+    for k in range(instance.dimension - 1, 0, -1):
+        strides[k - 1] = strides[k] * (1 + values[k][-1])
+    codes = [sum(a * stride for a, stride in zip(w, strides)) for w in words]
+    where = {code: i for i, code in enumerate(codes)}
+    columns = tuple(zip(values, strides))
     for i, w in enumerate(words):
-        for k, vals in enumerate(values):
-            head, tail = w[:k], w[k + 1 :]
+        code = codes[i]
+        for a, (vals, stride) in zip(w, columns):
             for v in vals:
-                if v > w[k]:
-                    j = where.get(head + (v,) + tail)
+                if v > a:
+                    j = where.get(code + (v - a) * stride)
                     if j is not None:
                         yield i, j
 

@@ -250,9 +250,11 @@ def _diagonal_words(breadth: int) -> list[tuple[int, ...]]:
     return list(product(*(range(n + 1) for n in range(breadth))))
 
 
-def _diagonal_edges(words: Sequence[tuple[int, ...]]):
-    """Index pairs i < j of diagonal words that differ in exactly one entry,
-    in the order of _edges on make_diagonal_hamming.
+def _diagonal_neighbours(words: Sequence[tuple[int, ...]]):
+    """(i, js) for each diagonal word i and each entry n below its top value
+    n: js is the range of the indices j > i of the words that differ from
+    word i only at entry n.  Flattened, the pairs (i, j) come in the order
+    of _edges on make_diagonal_hamming.
 
     The words are in lexicographic order, so word i has the mixed-radix
     index i, where entry n has the stride (n + 2)(n + 3)...breadth.  Raising
@@ -266,9 +268,9 @@ def _diagonal_edges(words: Sequence[tuple[int, ...]]):
         strides[n] = strides[n + 1] * (n + 2)
     for i, word in enumerate(words):
         for n in range(breadth - 1, 0, -1):  # entry 0 takes only the value 0
-            stride = strides[n]
-            for j in range(i + stride, i + (n - word[n]) * stride + 1, stride):
-                yield i, j
+            if word[n] < n:
+                stride = strides[n]
+                yield i, range(i + stride, i + (n - word[n]) * stride + 1, stride)
 
 
 def verify_embedding(
@@ -278,25 +280,29 @@ def verify_embedding(
 
     The check runs on integer words and builds no universe: the edges join
     words that differ in exactly one entry, listed in the order of _edges
-    on make_diagonal_hamming.  The images are h scaled by D, the lcm of the
-    denominators of the epsilon sequence, so they are integers; a gap g is
-    an edge exactly when (g D)^2 lies in the integers of
-    {s D^2 : s a squared distance}.
+    on make_diagonal_hamming, and each edge is tested by its own gap.  The
+    images are h scaled by D, the lcm of the denominators of the epsilon
+    sequence, so they are integers; they are built in the lexicographic
+    order of the words, one entry at a time.  A gap g is an edge exactly
+    when (g D)^2 lies in the integers of {s D^2 : s a squared distance}.
     """
     eps, instance, report = _diagonal_embedding(breadth, eps, False)
     scale = lcm(*(v.denominator for v in eps.values))
-    steps = [v.numerator * (scale // v.denominator) for v in eps.values]
-    words = _diagonal_words(breadth)
-    images = [sum(c * step for c, step in zip(word, steps)) for word in words]
+    images = [0]
+    for n, v in enumerate(eps.values):
+        step = v.numerator * (scale // v.denominator)
+        images = [a + c * step for a in images for c in range(n + 1)]
     targets = {s * scale * scale for s in instance.squared_distances}
     squares = {t.numerator for t in targets if t.denominator == 1}
     edges_checked = 0
     failures = []
-    for i, j in _diagonal_edges(words):
-        edges_checked += 1
-        gap = images[i] - images[j]
-        if gap * gap not in squares:
-            failures.append((i, j, str(Fraction(gap, scale))))
+    for i, js in _diagonal_neighbours(_diagonal_words(breadth)):
+        edges_checked += len(js)
+        image = images[i]
+        for j in js:
+            gap = image - images[j]
+            if gap * gap not in squares:
+                failures.append((i, j, str(Fraction(gap, scale))))
     report.update(
         {
             "edges_checked": edges_checked,

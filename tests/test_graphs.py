@@ -1,5 +1,6 @@
 import ast
 import random
+import time
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -32,6 +33,7 @@ from noetherlab.errors import InvalidPointError, UnknownPointError, UnsupportedK
 from noetherlab.generators import (
     clustered_line_universe,
     line_universe,
+    path_explicit_universe,
     planar_unit_universe,
     random_explicit_universe,
     random_universe,
@@ -137,6 +139,18 @@ def test_masks_match_pairwise_adjacency_for_every_kind():
     for full in (make_uniform_hamming(3, 3), make_diagonal_hamming(4), universes[4]):
         universes.append(full)
         universes.append(SampleUniverse(full.instance, _shuffled_subset(rng, full.points)))
+    # Hamming subsets whose entries skip a value ({0, 2} only) or lack the
+    # top value, and the empty and one-point universes
+    cube, diagonal = make_uniform_hamming(3, 3), make_diagonal_hamming(4)
+    universes += [
+        SampleUniverse(cube.instance, [p for p in cube.points if 1 not in p.coords]),
+        SampleUniverse(cube.instance, [p for p in cube.points if p.coords[0] < 2]),
+        SampleUniverse(diagonal.instance, [p for p in diagonal.points if p.coords[3] < 3]),
+        SampleUniverse(cube.instance, []),
+        SampleUniverse(diagonal.instance, [pt(0, 1, 0, 3)]),
+    ]
+    # the planar builder's inline squared gap, across many grid cells
+    universes.append(planar_unit_universe(random.Random(150), 150))
     for u in universes:
         assert u.closed_masks == _pairwise_masks(u), u.instance.kind
     assert universes[0].closed_masks[0] == 0b111  # 0 ~ 1/2, 1
@@ -288,6 +302,28 @@ def test_grid_cell_builder_counts_planar_unit_pairs():
         expected += sum(1 for xj, yj in ints[i + 1 :] if (xi - xj) ** 2 + (yi - yj) ** 2 == target)
     assert expected > 2000
     assert sum(m.bit_count() - 1 for m in u.closed_masks) == 2 * expected
+
+
+def test_masks_build_within_budget_at_the_size_bound():
+    """Each kind's largest accepted universe builds its masks in an
+    acceptance-style budget of 10 s (curve-difference excepted: ROADMAP
+    item 2 has its times)."""
+    builds = {
+        "uniform Hamming 2^12": (lambda: make_uniform_hamming(12, 2), 4096 * 12 // 2),
+        "diagonal Hamming 6": (lambda: make_diagonal_hamming(6), 720 * 6 * 5 // 4),
+        "planar 4096": (lambda: planar_unit_universe(random.Random(4096), 4096), None),
+        "line 4096": (lambda: line_universe(4096), 4095),
+        "path 4096": (lambda: path_explicit_universe(4096), 4095),
+    }
+    for name, (make, edges) in builds.items():
+        universe = make()
+        assert len(universe) in (720, 4096), name
+        started = time.monotonic()
+        masks = universe.closed_masks
+        elapsed = time.monotonic() - started
+        assert elapsed < 10, f"{name}: {elapsed:.1f}s"
+        if edges is not None:
+            assert sum(m.bit_count() - 1 for m in masks) == 2 * edges, name
 
 
 def test_reference_adjacent_is_the_coordinate_route():
