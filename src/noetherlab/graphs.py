@@ -278,7 +278,8 @@ def _distance_edges(instance: GraphInstance, points: tuple[Point, ...]):
     """Integer squared distances after scaling to one common denominator D.
 
     |x - y|^2 = s exactly iff the scaled points differ by s * D^2, so only
-    targets s * D^2 that are integers can be hit.
+    targets s * D^2 that are integers can be hit.  In dimension 2 each
+    pair's squared gap is computed inline; dimension 3 and up use _gap.
     """
     d = lcm(*(c.denominator for p in points for c in p.coords))
     scaled = [tuple(c.numerator * (d // c.denominator) for c in p.coords) for p in points]
@@ -309,7 +310,6 @@ def _distance_edges(instance: GraphInstance, points: tuple[Point, ...]):
     for i, x in enumerate(scaled):
         cells.setdefault((x[0] // r, x[1] // r), []).append((i, x))
     if instance.dimension == 2:
-        # the squared gap inline: most of a planar build is this test
         for left, right in _cell_blocks(cells):
             for i, (x0, x1) in left:
                 for j, (y0, y1) in right:

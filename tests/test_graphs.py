@@ -139,11 +139,13 @@ def test_masks_match_pairwise_adjacency_for_every_kind():
     for full in (make_uniform_hamming(3, 3), make_diagonal_hamming(4), universes[4]):
         universes.append(full)
         universes.append(SampleUniverse(full.instance, _shuffled_subset(rng, full.points)))
-    # Hamming subsets whose entries skip a value ({0, 2} only) or lack the
-    # top value, and the empty and one-point universes
+    # Hamming subsets whose entries skip a value ({0, 2} only, everywhere or
+    # in the last entry) or lack the top value, and the empty and one-point
+    # universes
     cube, diagonal = make_uniform_hamming(3, 3), make_diagonal_hamming(4)
     universes += [
         SampleUniverse(cube.instance, [p for p in cube.points if 1 not in p.coords]),
+        SampleUniverse(cube.instance, [p for p in cube.points if p.coords[2] != 1]),
         SampleUniverse(cube.instance, [p for p in cube.points if p.coords[0] < 2]),
         SampleUniverse(diagonal.instance, [p for p in diagonal.points if p.coords[3] < 3]),
         SampleUniverse(cube.instance, []),
