@@ -799,9 +799,6 @@ def run_campaign(config: RunConfig, suite_names: list[str], jobs: int = 1) -> di
     }
 
 
-def emit_report(report: dict, path: Optional[str] = None) -> str:
-    text = dump_canonical(report)
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+def emit_report(report: dict) -> str:
+    """The canonical text of a campaign report."""
+    return dump_canonical(report)

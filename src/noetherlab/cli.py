@@ -99,12 +99,12 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_adj(args) -> int:
-    instance, universe = parse_instance_file(args.instance)
+    universe = parse_instance_file(args.instance)
     if args.x is not None and args.y is not None:
         x = _point_arg(args.x, "--x")
         y = _point_arg(args.y, "--y")
         try:
-            result = adjacent(instance, x, y)
+            result = adjacent(universe.instance, x, y)
         except InvalidPointError as exc:
             raise ParseError(f"--x/--y: {exc}") from None
         _emit({"adjacent": result}, args.out)
@@ -144,7 +144,7 @@ def _point_arg(raw: str, flag: str) -> Point:
 
 
 def _cmd_detect(args) -> int:
-    _, universe = parse_instance_file(args.instance)
+    universe = parse_instance_file(args.instance)
     spec = VariationSpec(args.family, args.left, args.right, args.depth)
     stats = SearchStats()
     witness = find_variation_prefix(universe, spec, stats)
@@ -173,7 +173,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    _, universe = parse_instance_file(args.instance)
+    universe = parse_instance_file(args.instance)
     if not universe.points:
         raise ParseError(f"{args.instance}: the universe has no points to sample")
     rng = random.Random(args.seed)
@@ -205,7 +205,7 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_color(args) -> int:
-    _, universe = parse_instance_file(args.instance)
+    universe = parse_instance_file(args.instance)
     if args.verb == "make":
         coloring = greedy_coloring(universe)
         for x, b in coloring.assignment.items():
@@ -235,7 +235,7 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_poset(args) -> int:
-    _, universe = parse_instance_file(args.instance)
+    universe = parse_instance_file(args.instance)
     data = expect(load_path(args.file), dict, args.file)
     raw_conditions = require(data, "conditions", list, args.file)
     if args.verb == "compat":
@@ -310,14 +310,6 @@ def _cmd_poset(args) -> int:
 
 
 def _cmd_hamming(args) -> int:
-    if args.verb == "gen":
-        universe = (
-            make_diagonal_hamming(args.breadth)
-            if args.diagonal
-            else make_uniform_hamming(args.breadth, args.alphabet)
-        )
-        _emit(universe_to_json(universe), args.out)
-        return 0
     if args.verb == "chi":
         universe = make_diagonal_hamming(args.breadth)
         chi, _ = chromatic_number(universe, bound=args.bounds.get("oracle", 24))
@@ -345,9 +337,7 @@ def _cmd_campaign(args) -> int:
     names = args.suites or sorted(n for n in campaign_mod.SUITES if n != "selftest-mutation")
     config = campaign_mod.RunConfig(seed=args.seed, trials=args.trials, bounds=args.bounds)
     report = campaign_mod.run_campaign(config, names, jobs=args.jobs)
-    text = campaign_mod.emit_report(report, args.out)
-    if not args.out:
-        sys.stdout.write(text)
+    _emit(report, args.out)
     return 0 if report["all_passed"] else 1
 
 
@@ -454,10 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
     poset.set_defaults(fn=_cmd_poset)
 
     hamming = sub.add_parser("hamming", help="Hamming truncations and embeddings", parents=[common])
-    hamming.add_argument("verb", choices=["gen", "chi", "vitali", "embed", "sigma"])
+    hamming.add_argument("verb", choices=["chi", "vitali", "embed", "sigma"])
     hamming.add_argument("--breadth", type=int, default=3)
     hamming.add_argument("--alphabet", type=int, default=2)
-    hamming.add_argument("--diagonal", action="store_true")
     hamming.set_defaults(fn=_cmd_hamming)
 
     camp = sub.add_parser("campaign", help="run seeded property suites", parents=[common])

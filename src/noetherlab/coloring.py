@@ -94,17 +94,16 @@ def separating_box(
     universe: SampleUniverse,
     x: Point,
     avoid: Iterable[Point],
-    within: Optional[TaggedBox] = None,
     *,
     tag: Optional[int] = None,
     exclude: Iterable[TaggedBox] = (),
 ) -> TaggedBox:
     """Canonically first box around x containing no avoid-point adjacent to x.
 
-    Optionally constrained to a fixed tag, to sub-boxes of ``within``, and
-    to boxes outside ``exclude`` (used for fresh-box injections).  Always
-    terminates: the forbidden points are finitely many and distinct from x,
-    and boxes around x shrink dyadically.
+    Optionally constrained to a fixed tag and to boxes outside ``exclude``
+    (used for fresh-box injections).  Always terminates: the forbidden
+    points are finitely many and distinct from x, and boxes around x shrink
+    dyadically.
 
     The forbidden points are the neighbours of x that lie in ``avoid``, read
     from the neighbour mask of x, so the cost follows the degree of x and
@@ -116,8 +115,6 @@ def separating_box(
         avoid = frozenset(avoid)
     if x in avoid:
         raise PreconditionError(f"{x} is a member of the avoid set")
-    if within is not None and not box_contains(within, x):
-        raise PreconditionError("within-box does not contain x")
     points = universe.points
     forbidden = []
     neighbors = universe.open_masks[universe.index(x)]
@@ -128,7 +125,7 @@ def separating_box(
             forbidden.append(a)
         neighbors ^= low
     excluded = frozenset(exclude)
-    for box in iter_boxes_containing(x, tag=tag, within=within):
+    for box in iter_boxes_containing(x, tag=tag):
         if box in excluded:
             continue
         if all(not box_contains(box, a) for a in forbidden):
@@ -136,31 +133,16 @@ def separating_box(
     raise AssertionError("unreachable: enumeration yields arbitrarily small boxes")
 
 
-def greedy_coloring(
-    universe: SampleUniverse,
-    constraints: Optional[Mapping[Point, TaggedBox]] = None,
-) -> PCondition:
-    """The greedy suitable coloring in universe order.
+def greedy_coloring(universe: SampleUniverse) -> PCondition:
+    """The greedy suitable coloring in universe order: the extension of the
+    empty condition.
 
-    Each point receives the separating box against all earlier points,
-    inside its constraint box when one is given.  The order-respecting
-    property (later colors exclude all earlier adjacent points) is what
-    relates the box poset to the finite-condition poset downstream.
+    Each point receives the separating box against all earlier points.  The
+    order-respecting property (later colors exclude all earlier adjacent
+    points) is what relates the box poset to the finite-condition poset
+    downstream.
     """
-    constraints = dict(constraints or {})
-    for x, box in constraints.items():
-        if not box_contains(box, x):
-            raise PreconditionError(f"constraint box for {x} does not contain it")
-    assignment: dict[Point, TaggedBox] = {}
-    earlier: set[Point] = set()
-    for x in universe.points:
-        assignment[x] = separating_box(
-            universe, x, earlier, within=constraints.get(x)
-        )
-        earlier.add(x)
-    coloring = PCondition(universe, assignment)
-    validate_pcondition(coloring)
-    return coloring
+    return extend_coloring(universe, PCondition(universe, {}))
 
 
 def extend_coloring(universe: SampleUniverse, p) -> PCondition:

@@ -42,16 +42,16 @@ def path_explicit_universe(n: int) -> SampleUniverse:
     return SampleUniverse(instance, [vertex_point(i) for i in range(n)])
 
 
-def clustered_line_universe(cluster: int = 8, denominator: int = 16) -> SampleUniverse:
+def clustered_line_universe() -> SampleUniverse:
     """Two clusters of rationals one unit apart, all inside the box (0, 2).
 
-    Points i/denominator and 1 + i/denominator for 1 <= i <= cluster; the
-    only unit-distance pairs are the matched cluster positions, so the
-    sample is triangle-free while a single level-0 box carries every point.
+    Points i/16 and 1 + i/16 for 1 <= i <= 8; the only unit-distance pairs
+    are the matched cluster positions, so the sample is triangle-free while
+    a single level-0 box carries every point.
     """
     instance = distance_graph(1, [1])
-    points = [pt(Fraction(i, denominator)) for i in range(1, cluster + 1)]
-    points += [pt(1 + Fraction(i, denominator)) for i in range(1, cluster + 1)]
+    points = [pt(Fraction(i, 16)) for i in range(1, 9)]
+    points += [pt(1 + Fraction(i, 16)) for i in range(1, 9)]
     return SampleUniverse(instance, points)
 
 
@@ -105,21 +105,20 @@ def random_universe(rng: random.Random, max_points: int = 12) -> SampleUniverse:
     return random_explicit_universe(rng, rng.randint(3, min(10, max_points)), rng.uniform(0.2, 0.6))
 
 
-def random_good_domain(rng: random.Random, universe: SampleUniverse, max_seed: int = 4) -> frozenset[Point]:
-    seeds = rng.sample(universe.points, k=min(len(universe), rng.randint(1, max_seed)))
+def random_good_domain(rng: random.Random, universe: SampleUniverse) -> frozenset[Point]:
+    """The good closure of one to three random points."""
+    seeds = rng.sample(universe.points, k=min(len(universe), rng.randint(1, 3)))
     return good_closure(universe, seeds)
 
 
-def random_pcondition(
-    rng: random.Random, universe: SampleUniverse, max_seed: int = 3
-) -> PCondition:
+def random_pcondition(rng: random.Random, universe: SampleUniverse) -> PCondition:
     """A valid separated condition: good domain, random tags.
 
     Every color avoids all adjacent domain points (not just earlier ones),
     which is the class on which the pairwise compatibility criterion
     exactly characterizes amalgamation.
     """
-    domain = sorted(random_good_domain(rng, universe, max_seed), key=universe.index)
+    domain = sorted(random_good_domain(rng, universe), key=universe.index)
     assignment = {}
     for x in domain:
         assignment[x] = separating_box(
@@ -131,11 +130,12 @@ def random_pcondition(
 
 
 def random_qcondition(
-    rng: random.Random, universe: SampleUniverse, color_budget: int, max_size: int = 4
+    rng: random.Random, universe: SampleUniverse, color_budget: int
 ) -> QCondition:
-    """A proper natural-valued partial coloring drawn by rejection."""
+    """A proper natural-valued partial coloring of one to four points,
+    drawn by rejection."""
     for _ in range(200):
-        pts = rng.sample(universe.points, k=min(len(universe), rng.randint(1, max_size)))
+        pts = rng.sample(universe.points, k=min(len(universe), rng.randint(1, 4)))
         assignment = {x: rng.randrange(color_budget) for x in pts}
         q = QCondition(universe, assignment)
         try:

@@ -238,25 +238,15 @@ def _first_level(x: Point) -> int:
 
 
 def iter_boxes_containing(
-    x: Point,
-    *,
-    tag: int | None = None,
-    within: TaggedBox | None = None,
-    min_level: int = 0,
+    x: Point, *, tag: int | None = None, min_level: int = 0
 ) -> Iterator[TaggedBox]:
     """Boxes containing ``x`` in canonical order, optionally filtered.
 
     The subsequence of the canonical enumeration consisting of boxes that
-    strictly contain ``x``, restricted to a fixed tag, to subsets of
-    ``within``, and to levels >= ``min_level`` when requested.  Never
-    exhausts: arbitrarily small boxes around any rational point exist at
-    every tag.
+    strictly contain ``x``, restricted to a fixed tag and to levels >=
+    ``min_level`` when requested.  Never exhausts: arbitrarily small boxes
+    around any rational point exist at every tag.
     """
-    def admit(box: TaggedBox) -> bool:
-        if within is not None and not box_within(box, within):
-            return False
-        return True
-
     # stage s lists boxes of levels <= s only, so the stages below the
     # least admissible level yield nothing
     min_level = max(min_level, _first_level(x))
@@ -265,20 +255,14 @@ def iter_boxes_containing(
         if tag is None or tag == stage:
             for k in range(min_level, stage):
                 for corners in _containing_corners(x, k):
-                    box = TaggedBox(tag=stage, level=k, corners=corners)
-                    if admit(box):
-                        yield box
+                    yield TaggedBox(tag=stage, level=k, corners=corners)
         # part B: level = stage, tags 0..stage
         for corners in _containing_corners(x, stage):
             if tag is None:
                 for t in range(stage + 1):
-                    box = TaggedBox(tag=t, level=stage, corners=corners)
-                    if admit(box):
-                        yield box
+                    yield TaggedBox(tag=t, level=stage, corners=corners)
             elif tag <= stage:
-                box = TaggedBox(tag=tag, level=stage, corners=corners)
-                if admit(box):
-                    yield box
+                yield TaggedBox(tag=tag, level=stage, corners=corners)
 
 
 def first_box_containing(x: Point, **kwargs) -> TaggedBox:

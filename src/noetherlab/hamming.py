@@ -31,30 +31,30 @@ from .graphs import (
 DEFAULT_SIZE_BOUND = 4096
 
 
-def _diagonal_size(breadth: int, size_bound: int = DEFAULT_SIZE_BOUND) -> int:
-    """The number of diagonal words, breadth!; raises OracleBoundError above the bound."""
+def _diagonal_size(breadth: int) -> int:
+    """The number of diagonal words, breadth!; raises OracleBoundError above
+    DEFAULT_SIZE_BOUND."""
     size = 1
     for n in range(breadth):
         size *= n + 1
-        if size > size_bound:
-            raise OracleBoundError(f"diagonal truncation exceeds size bound {size_bound}")
+        if size > DEFAULT_SIZE_BOUND:
+            raise OracleBoundError(f"diagonal truncation exceeds size bound {DEFAULT_SIZE_BOUND}")
     return size
 
 
-def make_diagonal_hamming(breadth: int, *, size_bound: int = DEFAULT_SIZE_BOUND) -> SampleUniverse:
+def make_diagonal_hamming(breadth: int) -> SampleUniverse:
     """All vectors x with x(n) <= n for n < breadth, in lexicographic order."""
-    _diagonal_size(breadth, size_bound)
+    _diagonal_size(breadth)
     instance = hamming_diagonal(breadth)
     values = [Fraction(v) for v in range(breadth)]
     points = [Point(vec) for vec in product(*(values[: n + 1] for n in range(breadth)))]
     return SampleUniverse(instance, points)
 
 
-def make_uniform_hamming(
-    breadth: int, alphabet: int, *, size_bound: int = DEFAULT_SIZE_BOUND
-) -> SampleUniverse:
-    if alphabet**breadth > size_bound:
-        raise OracleBoundError(f"uniform truncation exceeds size bound {size_bound}")
+def make_uniform_hamming(breadth: int, alphabet: int) -> SampleUniverse:
+    """All words of the given breadth over the alphabet, in lexicographic order."""
+    if alphabet**breadth > DEFAULT_SIZE_BOUND:
+        raise OracleBoundError(f"uniform truncation exceeds size bound {DEFAULT_SIZE_BOUND}")
     instance = hamming_uniform(breadth, alphabet)
     values = [Fraction(v) for v in range(alphabet)]
     points = [Point(vec) for vec in product(values, repeat=breadth)]

@@ -55,6 +55,15 @@ MAX_BOX_LEVEL = 1024
 # exponent 3,000,000 took 28 s.
 MAX_POWER = 64
 
+# The most points a curve-difference universe may give.  Its mask build
+# makes O(n^2) integer polynomial evaluations: on random points with
+# coordinates p/q, |p| <= 80 and q <= 4, a build took 0.17-0.20 s at 512
+# points and 0.85 s at 1024 for u^2 + v^2 + uv/3 - 1, 0.22-0.33 s and
+# 1.1-1.6 s for u^64 - v, and 22.4 s at 4096 points (2-vCPU host,
+# CPython 3.11).  So the other kinds keep DEFAULT_SIZE_BOUND and this kind
+# stops at the largest power of two that builds within seconds.
+MAX_CURVE_POINTS = 1024
+
 
 def expect(value: Any, kind: type, field: str) -> Any:
     """``value`` if it is a JSON object (dict) or array (list), else ParseError."""
@@ -241,9 +250,10 @@ def universe_from_json(data: Any) -> SampleUniverse:
             raise ParseError("universe: 'points' required for this kind")
     else:
         expect(raw_points, list, "universe.points")
-        if len(raw_points) > DEFAULT_SIZE_BOUND:
+        bound = MAX_CURVE_POINTS if instance.kind == CURVE_DIFFERENCE else DEFAULT_SIZE_BOUND
+        if len(raw_points) > bound:
             raise ParseError(
-                f"universe.points: {len(raw_points)} points exceed the bound {DEFAULT_SIZE_BOUND}"
+                f"universe.points: {len(raw_points)} points exceed the bound {bound}"
             )
         points = [point_from_json(p, f"points[{i}]") for i, p in enumerate(raw_points)]
     try:
@@ -359,11 +369,11 @@ def load_path(path: str) -> Any:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
 
-def parse_instance_file(path: str) -> tuple[GraphInstance, SampleUniverse]:
-    """Instance file -> (instance, universe); the CLI's main input format."""
+def parse_instance_file(path: str) -> SampleUniverse:
+    """Instance file -> universe; the CLI's main input format."""
     data = expect(load_path(path), dict, path)
     if "instance" in data:
         universe = universe_from_json(data)
     else:
         universe = universe_from_json({"instance": data, "points": data.get("points")})
-    return universe.instance, universe
+    return universe

@@ -5,7 +5,7 @@ import sys
 from noetherlab import SampleUniverse, VariationSpec, cli, distance_graph, patterns, pt
 from noetherlab.cli import MAX_TRIALS, build_parser, main
 from noetherlab.patterns import find_variation_prefix
-from noetherlab.serialize import MAX_POWER, universe_to_json
+from noetherlab.serialize import MAX_CURVE_POINTS, MAX_POWER, universe_to_json
 from noetherlab.generators import line_universe
 
 
@@ -208,12 +208,32 @@ def test_hamming_verbs(capsys):
     assert code == 1 and report["passed"] is False
 
 
+def test_hamming_gen_is_not_a_verb(capsys):
+    # Hamming universe files come from gen hamming-diagonal|hamming-uniform
+    assert main(["hamming", "gen", "--breadth", "3"]) == 2
+    assert main(["hamming", "chi", "--breadth", "3", "--diagonal"]) == 2
+    assert "invalid choice: 'gen'" in capsys.readouterr().err
+
+
 def test_campaign_exit_codes(capsys):
     code, report = _run(capsys, ["campaign", "adjacency-laws", "--trials", "3"])
     assert code == 0 and report["all_passed"] is True
     code, report = _run(capsys, ["campaign", "selftest-mutation", "--trials", "10"])
     assert code == 1
     assert report["suites"]["selftest-mutation"]["counterexamples"]
+
+
+def test_campaign_out_file_holds_the_stdout_bytes(tmp_path, capsys):
+    for argv, code in (
+        (["campaign", "adjacency-laws", "--trials", "3"], 0),
+        (["campaign", "selftest-mutation", "--trials", "10"], 1),
+    ):
+        assert main(argv) == code
+        printed = capsys.readouterr().out
+        out = tmp_path / "report.json"
+        assert main([*argv, "--out", str(out)]) == code
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed.encode("utf-8")
 
 
 def test_campaign_bounds_below_their_minimum_exit_2(capsys):
@@ -257,6 +277,23 @@ def test_curve_exponent_bound(tmp_path, capsys):
     assert captured.err == (
         f"parse error: instance.poly[1].powers: [{MAX_POWER + 1}, 0] "
         f"exceeds the bound {MAX_POWER}\n"
+    )
+
+
+def test_curve_point_bound(tmp_path, capsys):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({
+        "instance": {"kind": "curveDifference", "poly": [
+            {"powers": [0, 1], "coeff": "1"}, {"powers": [1, 0], "coeff": "-1"},
+        ]},
+        "points": [[str(i), "0"] for i in range(MAX_CURVE_POINTS + 1)],
+    }))
+    assert main(["adj", str(path), "--indices", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"parse error: universe.points: {MAX_CURVE_POINTS + 1} points "
+        f"exceed the bound {MAX_CURVE_POINTS}\n"
     )
 
 

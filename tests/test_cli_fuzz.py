@@ -16,8 +16,14 @@ from noetherlab import PCondition, SampleUniverse, TaggedBox, TwoVarPoly, cli, p
 from noetherlab.coloring import greedy_coloring
 from noetherlab.generators import line_universe
 from noetherlab.graphs import curve_difference_graph
-from noetherlab.hamming import make_diagonal_hamming, make_uniform_hamming
-from noetherlab.serialize import box_to_json, pcondition_to_json, universe_to_json
+from noetherlab.hamming import DEFAULT_SIZE_BOUND, make_diagonal_hamming, make_uniform_hamming
+from noetherlab.serialize import (
+    MAX_BOX_LEVEL,
+    MAX_POWER,
+    box_to_json,
+    pcondition_to_json,
+    universe_to_json,
+)
 
 _LINE = line_universe(3)
 _CURVE = SampleUniverse(
@@ -87,15 +93,17 @@ _WRONG_TYPES = {
 # JSON null is a valid value here: it selects the default.
 _NULL_MEANS_DEFAULT = {"threshold"}
 
-# Integers stay small: JSON integers are sizes and exponents here (vertex
-# counts, box levels, polynomial powers).  Each has an upper bound
-# (DEFAULT_SIZE_BOUND, serialize.MAX_BOX_LEVEL, serialize.MAX_POWER), tested
-# at the bound in test_cli.py; below the bounds, a small range keeps each
-# fuzz case fast.
+# JSON integers are sizes and exponents here (vertex counts, box levels,
+# polynomial powers).  Most draws stay small, which keeps each fuzz case
+# fast; the rest are each upper bound and one past it (DEFAULT_SIZE_BOUND,
+# serialize.MAX_BOX_LEVEL, serialize.MAX_POWER), so that files at and just
+# past a bound keep the exit-code contract too.
+_BOUNDS = (DEFAULT_SIZE_BOUND, MAX_BOX_LEVEL, MAX_POWER)
 _SCALARS = (
     st.none()
     | st.booleans()
     | st.integers(-3, 12)
+    | st.sampled_from([v for bound in _BOUNDS for v in (bound, bound + 1)])
     | st.floats(allow_nan=False, allow_infinity=False)
     | st.text(max_size=4)
 )

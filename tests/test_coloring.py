@@ -43,12 +43,6 @@ def test_separating_box_examples():
     # nothing to avoid: the very first box containing the point
     assert separating_box(u, pt(1), []) == _box(0, 0)
     assert separating_box(u, pt(0), []) == _box(-1, 0)
-    within = _box(0, 0)  # (0, 2)
-    sub = separating_box(u, pt(1), [pt(0), pt(2)], within=within)
-    from noetherlab import box_contains, box_within
-
-    assert box_within(sub, within) and box_contains(sub, pt(1))
-    assert not box_contains(sub, pt(2))
     # only neighbours that are also avoid points are excluded, whether the
     # avoid points come as a list or as a set
     cl = clustered_line_universe()  # 17/16 ~ 1/16, and (0, 2) holds both

@@ -14,7 +14,6 @@ from noetherlab import (
     box_index,
     box_within,
     boxes_disjoint,
-    first_box_containing,
     pt,
     squared_distance,
 )
@@ -106,12 +105,6 @@ def test_iter_boxes_tag_filter():
         assert box_contains(box, x)
     tagged = iter_boxes_containing(x, tag=2)
     assert all(next(tagged).tag == 2 for _ in range(8))
-
-
-def test_first_box_within():
-    within = TaggedBox(tag=0, level=0, corners=(0,))
-    box = first_box_containing(pt(1), within=within)
-    assert box_within(box, within) and box_contains(box, pt(1))
 
 
 def test_squared_distance_exact():
@@ -231,7 +224,7 @@ def test_containing_corners_at_the_corner_bound():
         assert _containing_corners(x, level) == corners == _corners_by_intervals(x, level)
 
 
-def _boxes_from_level_zero(x, n, tag=None, within=None, min_level=0):
+def _boxes_from_level_zero(x, n, tag=None, min_level=0):
     """The first n boxes of the filtered canonical order, scanned from stage 0."""
     out = []
     for stage in count(0):
@@ -244,7 +237,7 @@ def _boxes_from_level_zero(x, n, tag=None, within=None, min_level=0):
             boxes += [
                 TaggedBox(t, stage, m) for m in _corners_by_intervals(x, stage) for t in tags
             ]
-        out += [b for b in boxes if within is None or _within_by_intervals(b, within)]
+        out += boxes
         if len(out) >= n:
             return out[:n]
 
@@ -258,19 +251,10 @@ def test_level_skip_keeps_the_canonical_order():
     ]
     for x in points:
         first = next(iter_boxes_containing(x)).level
-        within = list(islice(iter_boxes_containing(x), 3))[-1]
-        for tag, inside, min_level in product(
-            (None, 0, 2, first + 3), (None, within), (0, max(first - 1, 0), first + 2)
-        ):
+        for tag, min_level in product((None, 0, 2, first + 3), (0, max(first - 1, 0), first + 2)):
             n = 40
-            got = list(
-                islice(
-                    iter_boxes_containing(x, tag=tag, within=inside, min_level=min_level), n
-                )
-            )
-            assert got == _boxes_from_level_zero(x, n, tag, inside, min_level), (
-                x, tag, inside, min_level,
-            )
+            got = list(islice(iter_boxes_containing(x, tag=tag, min_level=min_level), n))
+            assert got == _boxes_from_level_zero(x, n, tag, min_level), (x, tag, min_level)
     first_levels = [next(iter_boxes_containing(x)).level for x in points]
     assert first_levels == [8, 6, 19, 3, 2, 0, 0, 2, 0, 2, 1]
 

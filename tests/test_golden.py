@@ -62,7 +62,16 @@ CAMPAIGN_SUITES = (
     "stitch-nongood-experiment",
     "vitali-embedding",
 )
-CLI_CALLS = tuple(["hamming", verb, "--breadth", "3"] for verb in ("embed", "vitali", "chi"))
+CLI_CALLS = (
+    *(["hamming", verb, "--breadth", "3"] for verb in ("embed", "vitali", "chi")),
+    # one universe of each generator family, printed to stdout
+    ["gen", "line", "--size", "12"],
+    ["gen", "clustered-line"],
+    ["gen", "planar", "--size", "8", "--seed", "3"],
+    ["gen", "explicit", "--size", "12", "--seed", "7"],
+    ["gen", "hamming-diagonal", "--size", "4"],
+    ["gen", "hamming-uniform", "--size", "3", "--alphabet", "3"],
+)
 
 
 def _cli_output(argv):

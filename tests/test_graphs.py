@@ -40,6 +40,7 @@ from noetherlab.generators import (
 )
 from noetherlab.graphs import _exact_adjacent
 from noetherlab.hamming import make_diagonal_hamming, make_uniform_hamming
+from noetherlab.serialize import MAX_CURVE_POINTS, MAX_POWER, universe_from_json
 
 
 def test_distance_adjacency_examples():
@@ -308,8 +309,8 @@ def test_grid_cell_builder_counts_planar_unit_pairs():
 
 def test_masks_build_within_budget_at_the_size_bound():
     """Each kind's largest accepted universe builds its masks in an
-    acceptance-style budget of 10 s (curve-difference excepted: ROADMAP
-    item 2 has its times)."""
+    acceptance-style budget of 10 s (curve-difference has its own point
+    bound, tested below)."""
     builds = {
         "uniform Hamming 2^12": (lambda: make_uniform_hamming(12, 2), 4096 * 12 // 2),
         "diagonal Hamming 6": (lambda: make_diagonal_hamming(6), 720 * 6 * 5 // 4),
@@ -326,6 +327,27 @@ def test_masks_build_within_budget_at_the_size_bound():
         assert elapsed < 10, f"{name}: {elapsed:.1f}s"
         if edges is not None:
             assert sum(m.bit_count() - 1 for m in masks) == 2 * edges, name
+
+
+def test_curve_masks_build_within_budget_at_the_point_bound():
+    """A curve-difference file at MAX_CURVE_POINTS random points, with a
+    term at MAX_POWER, parses and builds its masks within 10 s."""
+    rng = random.Random(MAX_CURVE_POINTS)
+    coords = set()
+    while len(coords) < MAX_CURVE_POINTS:
+        coords.add(tuple(Fraction(rng.randint(-80, 80), rng.randint(1, 4)) for _ in range(2)))
+    universe = universe_from_json({
+        "instance": {"kind": "curveDifference", "poly": [
+            {"powers": [MAX_POWER, 0], "coeff": "1"}, {"powers": [0, 1], "coeff": "-1"},
+        ]},
+        "points": [[str(c) for c in xy] for xy in sorted(coords)],
+    })
+    assert len(universe) == MAX_CURVE_POINTS
+    started = time.monotonic()
+    masks = universe.closed_masks
+    elapsed = time.monotonic() - started
+    assert elapsed < 10, f"{elapsed:.1f}s"
+    assert len(masks) == MAX_CURVE_POINTS
 
 
 def test_reference_adjacent_is_the_coordinate_route():

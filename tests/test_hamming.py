@@ -43,7 +43,7 @@ def test_make_diagonal_hamming_sizes():
 
     assert adjacent(u3.instance, pt(0, 0, 0), pt(0, 1, 0))
     with pytest.raises(OracleBoundError):
-        make_diagonal_hamming(10, size_bound=100)
+        make_diagonal_hamming(7)  # 5040 words
 
 
 def test_masks_build_at_the_default_size_bound():

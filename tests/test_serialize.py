@@ -173,7 +173,7 @@ def test_parse_instance_file(tmp_path):
     u = line_universe(3)
     path = tmp_path / "line.json"
     path.write_text(json.dumps(universe_to_json(u)))
-    instance, back = parse_instance_file(str(path))
+    back = parse_instance_file(str(path))
     assert back.points == u.points
     missing = tmp_path / "nope.json"
     with pytest.raises(ParseError):
