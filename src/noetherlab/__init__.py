@@ -93,7 +93,6 @@ from .patterns import (
     PatternWitness,
     VariationSpec,
     all_variations,
-    find_bipartite_k2n,
     find_clique,
     find_variation_prefix,
     homogeneous_guarantee,

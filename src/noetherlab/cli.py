@@ -341,15 +341,29 @@ def _cmd_campaign(args) -> int:
     return 0 if report["all_passed"] else 1
 
 
-def _parse_bounds(pairs: list[str]) -> dict:
+# The --bound names that each verb reads; campaign reads all of them.
+_BOUND_NAMES = {
+    "lattice": ("maxArity",),
+    "color chi": ("oracle",),
+    "hamming chi": ("oracle",),
+    "hamming sigma": ("oracle",),
+    "poset predense": ("colorBudget", "maxArity"),
+    "campaign": tuple(campaign_mod.DEFAULT_BOUNDS),
+}
+
+
+def _parse_bounds(args) -> dict:
     bounds = {}
-    for pair in pairs or []:
+    verb = f"{args.command} {getattr(args, 'verb', '')}".strip()
+    for pair in getattr(args, "bound_pairs", None) or []:
         if "=" not in pair:
             raise ParseError(f"--bound expects name=value, got {pair!r}")
         name, value = pair.split("=", 1)
         if name not in campaign_mod.DEFAULT_BOUNDS:
             known = ", ".join(campaign_mod.DEFAULT_BOUNDS)
             raise ParseError(f"--bound {name}: unknown name (known: {known})")
+        if name not in _BOUND_NAMES.get(verb, ()):
+            raise ParseError(f"--bound {name}: {verb} reads no such bound")
         try:
             bounds[name] = int(value)
         except ValueError:
@@ -378,7 +392,7 @@ def _check_options(args) -> None:
         if value < least:
             what = "a positive integer" if least == 1 else f"an integer >= {least}"
             raise ParseError(f"--{name} must be {what}, got {value}")
-    if args.command in ("lattice", "campaign") and args.trials > MAX_TRIALS:
+    if getattr(args, "trials", 0) > MAX_TRIALS:
         raise ParseError(f"--trials {args.trials} exceeds the bound {MAX_TRIALS}")
 
 
@@ -393,14 +407,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="noetherlab",
         description="exact combinatorial laboratory for Noetherian graph colorings",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--trials", type=int, default=100)
-    common.add_argument("--bound", action="append", dest="bound_pairs", metavar="NAME=VALUE")
+    # every verb takes --out, and only those of --seed, --trials and --bound
+    # that it reads
+    common, seed, trials, bound = (argparse.ArgumentParser(add_help=False) for _ in range(4))
     common.add_argument("--out", default=None, help="write JSON here instead of stdout")
+    seed.add_argument("--seed", type=int, default=0)
+    trials.add_argument("--trials", type=int, default=100)
+    bound.add_argument("--bound", action="append", dest="bound_pairs", metavar="NAME=VALUE")
+    seeded = [common, seed, trials, bound]
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate an instance/universe file", parents=[common])
+    gen = sub.add_parser("gen", help="generate an instance/universe file", parents=[common, seed])
     gen.add_argument(
         "family",
         choices=["line", "clustered-line", "planar", "explicit", "hamming-diagonal", "hamming-uniform"],
@@ -426,30 +443,31 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--stress", action="store_true")
     detect.set_defaults(fn=_cmd_detect)
 
-    lattice = sub.add_parser("lattice", help="descent chains and closure statistics", parents=[common])
+    lattice = sub.add_parser("lattice", help="descent chains and closure statistics", parents=seeded)
     lattice.add_argument("instance")
     lattice.set_defaults(fn=_cmd_lattice)
 
-    color = sub.add_parser("color", help="emit and verify box colorings", parents=[common])
+    color = sub.add_parser("color", help="emit and verify box colorings", parents=[common, bound])
     color.add_argument("verb", choices=["make", "chi", "verify"])
     color.add_argument("instance")
     color.add_argument("--file", default=None, help="coloring file for verify")
     color.set_defaults(fn=_cmd_color)
 
-    poset = sub.add_parser("poset", help="poset operations", parents=[common])
+    poset = sub.add_parser("poset", help="poset operations", parents=[common, bound])
     poset.add_argument("verb", choices=["compat", "lower-bound", "ramsey", "liminf", "predense"])
     poset.add_argument("instance")
     poset.add_argument("--file", required=True, help="conditions/location file")
     poset.add_argument("--kind", choices=["p", "q"], default="q")
     poset.set_defaults(fn=_cmd_poset)
 
-    hamming = sub.add_parser("hamming", help="Hamming truncations and embeddings", parents=[common])
+    hamming = sub.add_parser("hamming", help="Hamming truncations and embeddings",
+                             parents=[common, bound])
     hamming.add_argument("verb", choices=["chi", "vitali", "embed", "sigma"])
     hamming.add_argument("--breadth", type=int, default=3)
     hamming.add_argument("--alphabet", type=int, default=2)
     hamming.set_defaults(fn=_cmd_hamming)
 
-    camp = sub.add_parser("campaign", help="run seeded property suites", parents=[common])
+    camp = sub.add_parser("campaign", help="run seeded property suites", parents=seeded)
     camp.add_argument("suites", nargs="*", help="suite names (default: all)")
     camp.add_argument("--jobs", type=int, default=1)
     camp.add_argument("--list", action="store_true", dest="list_suites")
@@ -465,7 +483,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        args.bounds = _parse_bounds(args.bound_pairs)
+        args.bounds = _parse_bounds(args)
         _check_options(args)
         if getattr(args, "list_suites", False):
             _emit({"suites": sorted(campaign_mod.SUITES)}, args.out)

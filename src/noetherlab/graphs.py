@@ -29,8 +29,6 @@ HAMMING_UNIFORM = "hammingUniform"
 HAMMING_DIAGONAL = "hammingDiagonal"
 EXPLICIT = "explicit"
 
-KINDS = (DISTANCE, CURVE_DIFFERENCE, HAMMING_UNIFORM, HAMMING_DIAGONAL, EXPLICIT)
-
 
 @dataclass(frozen=True)
 class TwoVarPoly:

@@ -314,11 +314,6 @@ def verify_embedding(
     return report
 
 
-def layer_supremum_distances(eps: EpsilonSequence) -> list[Fraction]:
-    """Per-layer largest jump n * eps_n; tends to zero for tight witnesses."""
-    return [n * v for n, v in enumerate(eps.values)]
-
-
 def sigma_bounded_check(
     universe: SampleUniverse,
     pieces: Sequence[Iterable[Point]],

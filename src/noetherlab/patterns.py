@@ -1,5 +1,5 @@
 """Forbidden-pattern detection: half/three-quarter-graph prefixes, cliques,
-K_{2,n}, and the greedy homogeneous-subset extractor.
+and the greedy homogeneous-subset extractor.
 
 Finite universes cannot contain the infinitary forbidden patterns; the
 detectors search for depth-k prefixes (the pattern restricted to vertices
@@ -9,6 +9,7 @@ lexicographic in universe order, so outputs are reproducible.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -99,106 +100,126 @@ class PatternWitness:
 
 @dataclass
 class SearchStats:
-    nodes_explored: int = 0
-    # candidates skipped because the two-level check found their subtree dead
-    dead_subtrees: int = 0
+    nodes_explored: int = 0  # candidates taken from the candidate masks
+
+
+class _SpecTables(dict):
+    """A spec's edge matrix, and its completion plans by the number of
+    pattern vertices a prefix places, each built on first use."""
+
+    def __init__(self, spec: VariationSpec):
+        super().__init__()
+        verts = spec.vertices()
+        self.edge = tuple(tuple(spec.has_edge(a, b) for b in verts) for a in verts)
+
+    def __missing__(self, placed: int):
+        """``(order, known, joined)``: ``order`` puts the unplaced pattern
+        vertices in a connected order (the lowest one joined to a placed
+        vertex, else the lowest one joined to an unplaced one, and vertices
+        with no edge left last, where any candidate will do); its first
+        ``known - placed`` entries are placed, placed + 1, ...; and
+        ``joined[a][c]`` tells whether order[a] and order[a + 1 + c] are."""
+        edge = self.edge
+        done, rest = list(range(placed)), list(range(placed, len(edge)))
+        while rest:
+            nxt = next((t for t in rest if any(edge[t][s] for s in done)), None)
+            if nxt is None:
+                nxt = min(rest, key=lambda t: (not any(edge[t][s] for s in rest), t))
+            done.append(nxt)
+            rest.remove(nxt)
+        order, known = done[placed:], placed
+        while known < len(edge) and order[known - placed] == known:
+            known += 1
+        joined = tuple(tuple(edge[t][s] for s in order[a + 1 :]) for a, t in enumerate(order))
+        self[placed] = order, known, joined
+        return self[placed]
+
+
+# bounded, since --depth takes any integer: room for eight depths of all eight variations
+_spec_tables = functools.lru_cache(maxsize=64)(_SpecTables)
 
 
 def find_variation_prefix(
     universe: SampleUniverse, spec: VariationSpec, stats: Optional[SearchStats] = None
 ) -> Optional[PatternWitness]:
-    """Exhaustive backtracking search for an induced copy of the prefix.
+    """Exhaustive search for an induced copy of the prefix.
 
     Returns the first witness in lexicographic universe order, or None
     (certified by exhaustion).  Requires 2*depth <= |universe| to have any
     chance; smaller universes return None immediately.
 
-    Each later pattern vertex t keeps a candidate mask: the universe
-    indices whose adjacency to every image assigned so far matches the
-    pattern.  Assigning vertex i to v narrows each mask by ``masks[v]`` or
-    its complement, and the candidates of a level are the set bits of its
-    mask minus the used ones, walked in ascending order.  ``nodes_explored``
-    counts the unused indices a per-vertex scan would try: all n - i of
-    them at a level that fails, those up to v at a level that succeeds at v.
-
-    Before recursing into v, the search looks two levels ahead: the
-    candidates w of level i + 1 (``head``) keep a candidate at level i + 2
-    only if some index u of that level has w in its row, ``masks[u]`` when
-    the pattern joins vertices i + 1 and i + 2 and the non-adjacency mask
-    otherwise.  When no row meets ``head``, every w fails after trying its
-    n - i - 2 unused indices and level i + 1 fails after its n - i - 1, so
-    v is skipped with those (n - i - 1) + (n - i - 2) * |head| nodes counted
-    and no narrowed masks built; ``SearchStats.dead_subtrees`` counts these
-    skips.  On the circulant C40(1,2) the exhaustive depth-4 threeQuarter
-    search skips 4,960 of its 5,360 level-2 subtrees this way and takes
-    6.7 ms instead of 17.8 ms (in-process, best of 60, 2-vCPU host).
+    ``complete`` extends images of the pattern vertices (0,0), (0,1),
+    (1,0), ... up to some level to a whole witness, or finds that none
+    exists.  It places the other pattern vertices in the connected order of
+    ``_SpecTables``, so that on a sparse graph each one after the first
+    picks from a neighbourhood.  Each unplaced vertex keeps a mask of the
+    indices whose adjacency to every image so far fits the pattern, and a
+    placement that empties a mask is undone at once.  Absence is the
+    failure of the empty prefix.  Otherwise a walk makes that witness W
+    the first one: level i tries the candidates u < W[i] in ascending
+    order, and the first prefix W[:i] + [u] that completes gives the new
+    W.  The walk skips the levels whose lowest image the last completion
+    found.  ``nodes_explored`` counts the candidates that the completions
+    and the walk took.
     """
-    verts = spec.vertices()
-    k = len(verts)
-    n = len(universe)
-    if k > n:
+    plans = _spec_tables(spec)
+    edge = plans.edge
+    k = len(edge)
+    if k > len(universe):
         return None
-    masks = universe.open_masks
     full = universe.full_mask
-    non_masks = [full & ~m & ~(1 << w) for w, m in enumerate(masks)]
-    # narrow[i][t - i - 1]: the masks that narrow level t once vertex i is
-    # assigned, ``masks`` if the pattern joins i and t, ``non_masks`` if not
-    narrow = [
-        [masks if spec.has_edge(verts[t], verts[i]) else non_masks for t in range(i + 1, k)]
-        for i in range(k)
-    ]
-    found: list[int] = []  # the witness, deepest level first
-    nodes = dead = 0
+    # fit[w][joined]: the indices that fit a pattern vertex joined (or not)
+    # to the one at w; neither holds w itself, which is in full but not in m
+    fit = [(full ^ m ^ (1 << w), m) for w, m in enumerate(universe.open_masks)]
+    nodes = 0
 
-    def rec(i: int, allowed: list[int], used: int) -> bool:
-        nonlocal nodes, dead
-        candidates = allowed[0] & ~used
-        if i + 1 == k:
-            # entered only with a candidate, and the lowest one completes
-            # the witness
-            low = candidates & -candidates
-            found.append(low.bit_length() - 1)
-            nodes += ((low << 1) - 1 & ~used).bit_count()
-            return True
-        later = allowed[1:]
-        sels = narrow[i]
-        # every mask of ``narrow`` leaves out its own index, so v drops out
-        # of both next levels without being added to ``used`` here
-        nxt, sel = later[0] & ~used, sels[0]
-        if i + 2 < k:
-            nxt2, sel2, row = later[1] & ~used, sels[1], narrow[i + 1][0]
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            v = low.bit_length() - 1
-            head = nxt & sel[v]
-            if not head:
-                # the next level has no candidate: it fails after
-                # trying each of its n - i - 1 unused indices
-                nodes += n - i - 1
-                continue
-            if i + 2 < k:
-                rest = nxt2 & sel2[v]
-                while rest and not row[(rest & -rest).bit_length() - 1] & head:
-                    rest &= rest - 1
-                if not rest:  # every candidate of level i + 1 fails at once
-                    nodes += n - i - 1 + (n - i - 2) * head.bit_count()
-                    dead += 1
-                    continue
-            if rec(i + 1, [a & s[v] for a, s in zip(later, sels)], used | low):
-                found.append(v)
-                nodes += ((low << 1) - 1 & ~used).bit_count()
+    def fits(t: int, prefix: list[int]) -> int:
+        row, m = edge[t], full
+        for j, w in enumerate(prefix):
+            m &= fit[w][row[j]]
+        return m
+
+    def complete(prefix: list[int]) -> Optional[tuple[list[int], int]]:
+        """A witness that extends ``prefix``, and the ``known`` of its plan."""
+        order, known, joined = plans[len(prefix)]
+        witness = prefix + [0] * len(order)
+
+        def rec(a: int, allowed: list[int]) -> bool:
+            nonlocal nodes
+            if a == len(order):
                 return True
-        nodes += n - i
-        return False
+            candidates, later, sel = allowed[0], allowed[1:], joined[a]
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                v = low.bit_length() - 1
+                nodes += 1
+                narrowed = [m & fit[v][e] for m, e in zip(later, sel)]
+                if all(narrowed) and rec(a + 1, narrowed):
+                    witness[order[a]] = v
+                    return True
+            return False
 
-    rec(0, [full] * k, 0)
+        allowed = [fits(t, prefix) for t in order]
+        return (witness, known) if all(allowed) and rec(0, allowed) else None
+
+    found = complete([])
+    if found is not None:
+        found, i = found
+        while i < k:
+            below = fits(i, found[:i]) & ((1 << found[i]) - 1)
+            better = None
+            while below and better is None:
+                low = below & -below
+                below ^= low
+                nodes += 1
+                better = complete(found[:i] + [low.bit_length() - 1])
+            found, i = better or (found, i + 1)
     if stats is not None:
         stats.nodes_explored += nodes
-        stats.dead_subtrees += dead
-    if not found:
+    if found is None:
         return None
-    witness = PatternWitness(spec, tuple(universe.points[v] for v in reversed(found)))
+    witness = PatternWitness(spec, tuple(universe.points[v] for v in found))
     if not witness.verify(universe):
         raise VerificationError(f"search returned a non-induced copy of {spec}")
     return witness
@@ -226,23 +247,6 @@ def find_clique(universe: SampleUniverse, m: int) -> Optional[frozenset[Point]]:
     if not all(universe.reference_adjacent(p, q) for p in pts for q in pts if p != q):
         raise VerificationError(f"kernel returned a non-clique for m={m}")
     return pts
-
-
-def find_bipartite_k2n(
-    universe: SampleUniverse, n: int
-) -> Optional[tuple[tuple[Point, Point], frozenset[Point]]]:
-    """Two distinct points with n common neighbors (excluding the pair), or None."""
-    if n < 1:
-        raise InvalidSpecError("n must be >= 1")
-    size = len(universe)
-    closed = universe.closed_masks
-    for i in range(size):
-        for j in range(i + 1, size):
-            common = closed[i] & closed[j] & ~(1 << i) & ~(1 << j)
-            if common.bit_count() >= n:
-                commons = universe.ordered_points_of(common)[:n]
-                return (universe.points[i], universe.points[j]), frozenset(commons)
-    return None
 
 
 def homogeneous_guarantee(n: int, c: int) -> int:

@@ -279,13 +279,6 @@ def point_at(universe: SampleUniverse, raw: Any, field: str = "index") -> Point:
     return universe.points[i]
 
 
-def qcondition_to_json(q: QCondition) -> dict:
-    items = sorted(
-        ((q.universe.index(x), c) for x, c in q.assignment.items())
-    )
-    return {"assignment": {str(i): c for i, c in items}}
-
-
 def qcondition_from_json(data: Any, universe: SampleUniverse) -> QCondition:
     raw = require(expect(data, dict, "q-condition"), "assignment", dict, "q-condition")
     assignment = {
@@ -314,16 +307,6 @@ def pcondition_from_json(data: Any, universe: SampleUniverse) -> PCondition:
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"p-condition: {exc}") from None
     return PCondition(universe, assignment)
-
-
-def location_to_json(loc: Location, universe: SampleUniverse) -> dict:
-    cells = []
-    for cell in loc.cells:
-        if isinstance(cell, TaggedBox):
-            cells.append({"box": box_to_json(cell)})
-        else:
-            cells.append({"vertices": sorted(universe.index(p) for p in cell)})
-    return {"cells": cells, "colors": list(loc.colors)}
 
 
 def location_from_json(data: Any, universe: SampleUniverse) -> Location:

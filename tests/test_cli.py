@@ -236,6 +236,36 @@ def test_campaign_out_file_holds_the_stdout_bytes(tmp_path, capsys):
         assert out.read_bytes() == printed.encode("utf-8")
 
 
+def test_each_verb_reads_only_its_own_options(tmp_path, capsys):
+    inst = _write_line_universe(tmp_path)
+    # --seed, --trials and --bound on a verb that does not read them
+    for argv in (
+        ["adj", inst, "--indices", "0", "--trials", "5"],
+        ["detect", inst, "--seed", "9"],
+        ["detect", inst, "--bound", "oracle=x"],
+        ["color", "make", inst, "--bound", "oracle=3"],
+        ["hamming", "chi", "--breadth", "2", "--trials", "7"],
+        ["hamming", "vitali", "--breadth", "2", "--bound", "oracle=3"],
+        ["poset", "compat", inst, "--file", inst, "--bound", "colorBudget=3"],
+        ["lattice", inst, "--bound", "oracle=3"],
+    ):
+        assert main(argv) == 2, argv
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --trials 5" in err
+    assert "--bound oracle: color make reads no such bound" in err
+    assert "--bound oracle: lattice reads no such bound" in err
+    # and each verb that reads one still takes it
+    for argv in (
+        ["gen", "explicit", "--size", "4", "--seed", "9"],
+        ["lattice", inst, "--seed", "9", "--trials", "2", "--bound", "maxArity=2"],
+        ["color", "chi", inst, "--bound", "oracle=3"],
+        ["hamming", "chi", "--breadth", "2", "--bound", "oracle=3"],
+        ["hamming", "sigma", "--breadth", "2", "--bound", "oracle=3"],
+    ):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+
+
 def test_campaign_bounds_below_their_minimum_exit_2(capsys):
     # each suite's draws need maxPoints >= 6 and colorBudget >= 2
     for suite, bound in (

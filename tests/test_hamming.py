@@ -30,7 +30,6 @@ from noetherlab.hamming import (
     EpsilonMatrix,
     _edges,
     derived_distances,
-    layer_supremum_distances,
     mixed_radix_coloring,
 )
 
@@ -133,8 +132,9 @@ def test_epsilon_sequence_weighted_sum_invariant():
     with pytest.raises(InvalidSequenceError):
         EpsilonSequence((Fraction(1),), bound=Fraction(1))
     seq = geometric_epsilon_sequence(6)
-    sups = layer_supremum_distances(seq)
-    assert all(a > b for a, b in zip(sups[1:], sups[2:]))  # n * 4^-n decreases
+    # the per-layer largest jump n * eps_n = n * 4^-n decreases
+    sups = [n * v for n, v in enumerate(seq.values)]
+    assert all(a > b for a, b in zip(sups[1:], sups[2:]))
 
 
 def test_derived_distances_provenance():

@@ -2,7 +2,7 @@ import os
 import random
 import subprocess
 import sys
-from collections import Counter
+import time
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -11,21 +11,13 @@ import pytest
 from conftest import explicit_universe
 from noetherlab import (
     PatternWitness,
-    SampleUniverse,
-    TwoVarPoly,
     VariationSpec,
-    adjacent,
     all_variations,
-    common_neighborhood,
-    curve_difference_graph,
-    find_bipartite_k2n,
     find_clique,
     find_variation_prefix,
     homogeneous_guarantee,
     homogeneous_subset,
-    neighborhood,
     pt,
-    vertex_point,
 )
 from noetherlab.campaign import _plant_variation, _variation_oracle
 import noetherlab
@@ -203,87 +195,133 @@ def test_planted_depth5_in_40_vertices():
 
 
 def _per_vertex_scan(universe, spec):
-    """The search as a scan over every unused vertex at every level, testing
-    each assigned image bit by bit: (witness indices or None, nodes tried,
-    dead subtrees by level).  A subtree below the image v of level i is dead
-    when level i + 1 has a candidate and none of them leaves a candidate at
-    level i + 2."""
+    """The fixed-order reference: a scan over every unused vertex at every
+    level, testing each assigned image bit by bit, that returns the indices
+    of the first witness or None."""
     verts = spec.vertices()
     k, n = len(verts), len(universe)
-    dead = Counter()
     if k > n:
-        return None, 0, dead
+        return None
     masks = universe.open_masks
     pattern_edges = [[spec.has_edge(verts[i], verts[j]) for j in range(i)] for i in range(k)]
-    assignment, nodes = [], 0
+    assignment = []
 
     def rec():
-        """(witness or None, whether some unused vertex fits this level,
-        whether every vertex that fits leaves the next level empty)"""
-        nonlocal nodes
         i = len(assignment)
         if i == k:
-            return tuple(assignment), True, True
-        fit, children_empty = False, True
+            return tuple(assignment)
         for v in range(n):
             if v in assignment:
                 continue
-            nodes += 1
             if any(bool(masks[w] >> v & 1) != pattern_edges[i][j] for j, w in enumerate(assignment)):
                 continue
-            fit = True
             assignment.append(v)
-            found, child_fit, grandchildren_empty = rec()
+            found = rec()
             if found is not None:
-                return found, fit, False
-            if i + 2 < k and child_fit and grandchildren_empty:
-                dead[i] += 1
-            children_empty = children_empty and not child_fit
+                return found
             assignment.pop()
-        return None, fit, children_empty
+        return None
 
-    return rec()[0], nodes, dead
+    return rec()
+
+
+def _circulant(n):
+    """C_n(1,2): each i joined to i +- 1 and i +- 2 mod n."""
+    return explicit_universe(n, sorted({tuple(sorted((i, (i + o) % n))) for i in range(n) for o in (1, 2)}))
 
 
 def test_candidate_masks_match_per_vertex_scan():
     rng = random.Random(5)
     universes = [explicit_universe(n, []) for n in (4, 7)]
     universes += [explicit_universe(n, list(combinations(range(n), 2))) for n in (4, 7)]
-    # a star plus isolated vertices: below an isolated image, a level that
-    # must be adjacent to it is empty before any row is tested
-    universes.append(explicit_universe(10, [(0, j) for j in range(1, 6)]))
-    # a perfect matching: every level that must meet two images is empty
+    # stars plus isolated vertices: below an isolated image, a vertex that
+    # must be adjacent to it has no candidate
+    universes += [explicit_universe(n, [(0, j) for j in range(1, 6)]) for n in (8, 10)]
+    # a perfect matching: every vertex that must meet two images is empty
     universes.append(explicit_universe(12, [(2 * j, 2 * j + 1) for j in range(6)]))
+    # sparse shapes, where the completion order differs most from the
+    # fixed one: paths and circulants C_n(1,2)
+    universes += [explicit_universe(n, [(i, i + 1) for i in range(n - 1)]) for n in (6, 9, 12)]
+    universes += [_circulant(n) for n in (7, 10, 12)]
     for _ in range(60):
         n = rng.randint(2, 16)
         p = rng.choice([0.15, 0.35, 0.5, 0.65, 0.85])
         universes.append(explicit_universe(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
-    dead_levels = Counter()
-    for u in universes:
-        for depth in (2, 3, 4) if len(u) <= 12 else (2, 3):
-            for spec in all_variations(depth):
-                stats = SearchStats()
-                witness = find_variation_prefix(u, spec, stats)
-                want, nodes, dead = _per_vertex_scan(u, spec)
-                got = None if witness is None else tuple(u.index(x) for x in witness.mapping)
-                assert (got, stats.nodes_explored, stats.dead_subtrees) == (
-                    want, nodes, sum(dead.values())
-                ), (len(u), spec)
-                dead_levels += dead
-    # the two-level check fires at several levels, below an image whose
-    # next pair of pattern vertices is joined (even i) and one whose is not
-    assert {i for i in dead_levels if i % 2 == 0} and {i for i in dead_levels if i % 2}
-    assert len(dead_levels) >= 4, dead_levels
+    sweeps = [(u, all_variations(d)) for u in universes
+              for d in ((2, 3, 4) if len(u) <= 12 else (2, 3))]
+    # the campaign's planted shapes, with the labels shuffled so that the
+    # copy is not on the first vertices
+    for depth in (2, 3, 4):
+        for spec in all_variations(depth):
+            planted = _plant_variation(rng, spec, rng.randint(0, 4), rng.uniform(0.1, 0.4))
+            n = len(planted)
+            label = rng.sample(range(n), n)
+            edges = [(label[i], label[j]) for i, j in combinations(range(n), 2)
+                     if planted.open_masks[i] >> j & 1]
+            sweeps += [(planted, [spec]), (explicit_universe(n, edges), [spec])]
+    found = set()
+    for u, specs in sweeps:
+        for spec in specs:
+            witness = find_variation_prefix(u, spec)
+            got = None if witness is None else tuple(u.index(x) for x in witness.mapping)
+            assert got == _per_vertex_scan(u, spec), (len(u), spec)
+            found.add((spec.family, spec.left, spec.right, got is not None))
+    # every variation, half anticlique/* with its edgeless vertex (0,0)
+    # among them, is both found and ruled out
+    assert len(found) == 16
 
 
 def test_circulant_exhaustion_node_count():
     # C40(1,2) holds no induced threeQuarter anticlique/anticlique prefix of
-    # depth 4; the exhaustive search tries exactly this many vertices
-    u = explicit_universe(40, [(i, (i + o) % 40) for i in range(40) for o in (1, 2)])
+    # depth 4; the completion search takes exactly this many candidates
+    u = _circulant(40)
     stats = SearchStats()
     spec = VariationSpec("threeQuarter", "anticlique", "anticlique", 4)
     assert find_variation_prefix(u, spec, stats) is None
-    assert stats.nodes_explored == 1_012_800
+    assert stats.nodes_explored == 440
+
+
+def _sparse_edges(n, per_vertex, seed):
+    """About per_vertex * n seeded random edges, drawn in O(n)."""
+    rng = random.Random(seed)
+    edges = set()
+    for i in range(n):
+        for _ in range(per_vertex):
+            j = rng.randrange(n)
+            if j != i:
+                edges.add((min(i, j), max(i, j)))
+    return sorted(edges)
+
+
+def _size_bound_searches(n=4096):
+    """(universe, spec, planted) for every depth-4 variation on an n-point
+    line and a sparse n-vertex graph, and on a path and that sparse graph
+    with a copy of the spec planted on the top eight indices."""
+    path = [(i, i + 1) for i in range(n - 1)]
+    sparse = _sparse_edges(n, 2, 7)
+    for universe in (line_universe(n), explicit_universe(n, sparse)):
+        for spec in all_variations(4):
+            yield universe, spec, False
+    for spec in all_variations(4):
+        verts = spec.vertices()
+        top = n - len(verts)
+        copy = [(top + i, top + j) for i, j in combinations(range(len(verts)), 2)
+                if spec.has_edge(verts[i], verts[j])]
+        for edges in (path, sparse):
+            yield explicit_universe(n, [e for e in edges if e[1] < top] + copy), spec, True
+
+
+def test_variation_search_within_budget_at_the_size_bound():
+    """Each search of ``_size_bound_searches`` finishes within an
+    acceptance-style budget of 10 s, and each planted copy is found."""
+    for universe, spec, planted in _size_bound_searches():
+        universe.open_masks  # the mask build has its own budget test
+        started = time.monotonic()
+        witness = find_variation_prefix(universe, spec)
+        elapsed = time.monotonic() - started
+        assert elapsed < 10, f"{spec}, planted={planted}: {elapsed:.1f}s"
+        if planted:
+            assert witness is not None and witness.verify(universe), spec
 
 
 def test_noetherian_stress_statistic():
@@ -349,46 +387,6 @@ def test_rational_unit_triangles_do_not_exist():
     for _ in range(40):
         u = planar_unit_universe(rng, 9)
         assert find_clique(u, 3) is None
-
-
-def test_k2n_examples():
-    k4 = explicit_universe(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    found = find_bipartite_k2n(k4, 2)
-    assert found is not None
-    (a, b), commons = found
-    assert len(commons) == 2 and not commons & {a, b}
-
-    line = line_universe(3)
-    (a, b), commons = find_bipartite_k2n(line, 1)
-    assert {a, b} == {pt(0), pt(2)} and commons == frozenset([pt(1)])
-
-
-def test_k2n_parabola_grid_excluded():
-    inst = curve_difference_graph(TwoVarPoly.from_dict({(0, 1): 1, (2, 0): -1}))
-    grid = SampleUniverse(inst, [pt(i, j) for i in range(5) for j in range(5)])
-    assert find_bipartite_k2n(grid, 5) is None
-    # independent enumeration of the densest common neighborhood
-    best = max(
-        len((neighborhood(grid, a) & neighborhood(grid, b)) - {a, b})
-        for a, b in combinations(grid.points, 2)
-    )
-    assert best < 5
-
-
-def test_k2n_returned_witness_verifies():
-    rng = random.Random(3)
-    for _ in range(30):
-        n = rng.randint(4, 9)
-        edges = [
-            (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5
-        ]
-        u = explicit_universe(n, edges)
-        found = find_bipartite_k2n(u, 2)
-        if found is None:
-            continue
-        (a, b), commons = found
-        for z in commons:
-            assert adjacent(u.instance, z, a) and adjacent(u.instance, z, b)
 
 
 def test_homogeneous_subset_examples():

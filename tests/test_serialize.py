@@ -24,7 +24,6 @@ from noetherlab.serialize import (
     instance_from_json,
     instance_to_json,
     location_from_json,
-    location_to_json,
     parse_instance_file,
     pcondition_from_json,
     pcondition_to_json,
@@ -32,7 +31,6 @@ from noetherlab.serialize import (
     point_from_json,
     point_to_json,
     qcondition_from_json,
-    qcondition_to_json,
     rational_from_str,
     rational_to_str,
     universe_from_json,
@@ -137,7 +135,7 @@ def test_condition_roundtrips():
     p = random_pcondition(random.Random(0), u)
     assert pcondition_from_json(pcondition_to_json(p), u).assignment == p.assignment
     q = QCondition(u, {pt(0): 0, pt(2): 1})
-    assert qcondition_from_json(qcondition_to_json(q), u).assignment == q.assignment
+    assert qcondition_from_json({"assignment": {"2": 1, "0": 0}}, u).assignment == q.assignment
 
 
 def test_point_index_is_checked():
@@ -160,13 +158,13 @@ def test_location_roundtrip():
         (frozenset([vertex_point(0)]), frozenset([vertex_point(2), vertex_point(3)])),
         (0, 1),
     )
-    data = location_to_json(loc, u)
-    back = location_from_json(data, u)
-    assert back == loc
+    data = {"cells": [{"vertices": [0]}, {"vertices": [3, 2]}], "colors": [0, 1]}
+    assert location_from_json(data, u) == loc
 
     line = line_universe(3)
     box_loc = Location((TaggedBox(0, 2, (-1,)),), (0,))
-    assert location_from_json(location_to_json(box_loc, line), line) == box_loc
+    data = {"cells": [{"box": box_to_json(box_loc.cells[0])}], "colors": [0]}
+    assert location_from_json(data, line) == box_loc
 
 
 def test_parse_instance_file(tmp_path):
