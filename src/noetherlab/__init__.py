@@ -8,6 +8,7 @@ and predensity criteria.
 
 from ._kernels import backend_name
 from .coloring import (
+    PCondition,
     StageChain,
     chromatic_number,
     extend_coloring,
@@ -15,14 +16,13 @@ from .coloring import (
     k_colorable_fixed_order,
     separating_box,
     stitch_colorings,
+    validate_pcondition,
 )
 from .coloring_poset import (
-    PCondition,
     is_separated,
     p_compatible,
     p_leq,
     p_lower_bound,
-    validate_pcondition,
 )
 from .control_poset import (
     Location,

@@ -177,7 +177,7 @@ def _cmd_lattice(args) -> int:
     if not universe.points:
         raise ParseError(f"{args.instance}: the universe has no points to sample")
     rng = random.Random(args.seed)
-    chain = longest_descent_chain(universe, max_arity=args.bounds.get("maxArity", 4))
+    chain = longest_descent_chain(universe, max_arity=args.bounds["maxArity"])
     closure_sizes = []
     subfamily_sizes: dict[int, int] = {}
     heart_sizes = []
@@ -224,7 +224,7 @@ def _cmd_color(args) -> int:
         _emit(payload, args.out)
         return 0
     if args.verb == "chi":
-        chi, _ = chromatic_number(universe, bound=args.bounds.get("oracle", 24))
+        chi, _ = chromatic_number(universe, bound=args.bounds["oracle"])
         _emit({"chromatic_number": chi}, args.out)
         return 0
     data = load_path(args.file)
@@ -301,8 +301,8 @@ def _cmd_poset(args) -> int:
         return 0
     # predense
     conds = [qcondition_from_json(c, universe) for c in raw_conditions]
-    budget = optional_int(data, "color_budget", args.bounds.get("colorBudget", 3), args.file)
-    max_arity = args.bounds.get("maxArity", len(universe))
+    budget = optional_int(data, "color_budget", args.bounds["colorBudget"], args.file)
+    max_arity = args.bounds["maxArity"] or len(universe)
     full = predense_check(conds, universe, budget)
     reduced = predense_check_reduced(conds, universe, budget, max_arity)
     _emit({"predense": full, "predense_reduced": reduced, "agree": full == reduced}, args.out)
@@ -312,7 +312,7 @@ def _cmd_poset(args) -> int:
 def _cmd_hamming(args) -> int:
     if args.verb == "chi":
         universe = make_diagonal_hamming(args.breadth)
-        chi, _ = chromatic_number(universe, bound=args.bounds.get("oracle", 24))
+        chi, _ = chromatic_number(universe, bound=args.bounds["oracle"])
         _emit({"breadth": args.breadth, "chromatic_number": chi}, args.out)
         return 0
     if args.verb == "vitali":
@@ -328,33 +328,36 @@ def _cmd_hamming(args) -> int:
         return 0 if report["passed"] else 1
     universe = make_diagonal_hamming(args.breadth)
     pieces = [universe.points]
-    report = sigma_bounded_check(universe, pieces, oracle_bound=args.bounds.get("oracle", 64))
+    report = sigma_bounded_check(universe, pieces, oracle_bound=args.bounds["oracle"])
     _emit(report, args.out)
     return 0 if report["passed"] else 1
 
 
 def _cmd_campaign(args) -> int:
     names = args.suites or sorted(n for n in campaign_mod.SUITES if n != "selftest-mutation")
-    config = campaign_mod.RunConfig(seed=args.seed, trials=args.trials, bounds=args.bounds)
+    given = {name: value for name, value in args.bounds.items() if value is not None}
+    config = campaign_mod.RunConfig(seed=args.seed, trials=args.trials, bounds=given)
     report = campaign_mod.run_campaign(config, names, jobs=args.jobs)
     _emit(report, args.out)
     return 0 if report["all_passed"] else 1
 
 
-# The --bound names that each verb reads; campaign reads all of them.
-_BOUND_NAMES = {
-    "lattice": ("maxArity",),
-    "color chi": ("oracle",),
-    "hamming chi": ("oracle",),
-    "hamming sigma": ("oracle",),
-    "poset predense": ("colorBudget", "maxArity"),
-    "campaign": tuple(campaign_mod.DEFAULT_BOUNDS),
+# The --bound names that each verb reads, with their defaults.  With None
+# the verb chooses: predense takes maxArity = |universe|, and campaign
+# leaves the bounds not given to RunConfig, which reports the given ones.
+_VERB_BOUNDS = {
+    "lattice": {"maxArity": 4},
+    "color chi": {"oracle": 24},
+    "hamming chi": {"oracle": 24},
+    "hamming sigma": {"oracle": 64},
+    "poset predense": {"colorBudget": 3, "maxArity": None},
+    "campaign": dict.fromkeys(campaign_mod.DEFAULT_BOUNDS),
 }
 
 
 def _parse_bounds(args) -> dict:
-    bounds = {}
     verb = f"{args.command} {getattr(args, 'verb', '')}".strip()
+    bounds = dict(_VERB_BOUNDS.get(verb, {}))
     for pair in getattr(args, "bound_pairs", None) or []:
         if "=" not in pair:
             raise ParseError(f"--bound expects name=value, got {pair!r}")
@@ -362,7 +365,7 @@ def _parse_bounds(args) -> dict:
         if name not in campaign_mod.DEFAULT_BOUNDS:
             known = ", ".join(campaign_mod.DEFAULT_BOUNDS)
             raise ParseError(f"--bound {name}: unknown name (known: {known})")
-        if name not in _BOUND_NAMES.get(verb, ()):
+        if name not in bounds:
             raise ParseError(f"--bound {name}: {verb} reads no such bound")
         try:
             bounds[name] = int(value)

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-# PCondition and validate_pcondition live with the constructions that build
-# them; the poset operations re-export them.
 from .coloring import PCondition, separating_box, validate_pcondition
 from .errors import AmalgamationError, IncompatibilityError, PreconditionError
 from .geometry import Point, TaggedBox, box_contains

@@ -13,8 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .coloring import separating_box
-from .coloring_poset import PCondition, validate_pcondition
+from .coloring import PCondition, separating_box, validate_pcondition
 from .control_poset import QCondition, validate_qcondition
 from .errors import InvalidConditionError
 from .geometry import Point, pt

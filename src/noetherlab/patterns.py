@@ -103,40 +103,42 @@ class SearchStats:
     nodes_explored: int = 0  # candidates taken from the candidate masks
 
 
-class _SpecTables(dict):
-    """A spec's edge matrix, and its completion plans by the number of
-    pattern vertices a prefix places, each built on first use."""
-
-    def __init__(self, spec: VariationSpec):
-        super().__init__()
-        verts = spec.vertices()
-        self.edge = tuple(tuple(spec.has_edge(a, b) for b in verts) for a in verts)
-
-    def __missing__(self, placed: int):
-        """``(order, known, joined)``: ``order`` puts the unplaced pattern
-        vertices in a connected order (the lowest one joined to a placed
-        vertex, else the lowest one joined to an unplaced one, and vertices
-        with no edge left last, where any candidate will do); its first
-        ``known - placed`` entries are placed, placed + 1, ...; and
-        ``joined[a][c]`` tells whether order[a] and order[a + 1 + c] are."""
-        edge = self.edge
-        done, rest = list(range(placed)), list(range(placed, len(edge)))
-        while rest:
-            nxt = next((t for t in rest if any(edge[t][s] for s in done)), None)
-            if nxt is None:
-                nxt = min(rest, key=lambda t: (not any(edge[t][s] for s in rest), t))
-            done.append(nxt)
-            rest.remove(nxt)
-        order, known = done[placed:], placed
-        while known < len(edge) and order[known - placed] == known:
-            known += 1
-        joined = tuple(tuple(edge[t][s] for s in order[a + 1 :]) for a, t in enumerate(order))
-        self[placed] = order, known, joined
-        return self[placed]
+# Both caches are bounded, since --depth takes any integer.
+@functools.lru_cache(maxsize=64)
+def _edges(spec: VariationSpec) -> tuple[int, ...]:
+    """Bit s of row t is set iff the pattern joins vertices t and s."""
+    verts = spec.vertices()
+    return tuple(sum(spec.has_edge(a, b) << s for s, b in enumerate(verts)) for a in verts)
 
 
-# bounded, since --depth takes any integer: room for eight depths of all eight variations
-_spec_tables = functools.lru_cache(maxsize=64)(_SpecTables)
+@functools.lru_cache(maxsize=128)
+def _plan(spec: VariationSpec, placed: int, dense: bool):
+    """``(order, known, joined)`` for completing a prefix of ``placed``
+    pattern vertices.  ``order`` puts the others in a connected order: next
+    the lowest one related to a placed vertex, else the lowest one related
+    to an unplaced one, and those related to no unplaced vertex last, where
+    any candidate will do.  The relation is the pattern's edges, or its
+    non-edges on a dense universe, so that each vertex picks from the
+    smaller side of a row.  The first ``known - placed`` entries of
+    ``order`` are placed, placed + 1, ..., and ``joined[a][c]`` tells
+    whether the pattern joins order[a] and order[a + 1 + c]."""
+    edges = rows = _edges(spec)
+    k = len(rows)
+    if dense:
+        rows = [((1 << k) - 1) ^ r ^ (1 << t) for t, r in enumerate(rows)]
+    rest, reach, order = ((1 << k) - 1) >> placed << placed, 0, []
+    for t in range(placed):
+        reach |= rows[t]
+    while rest:
+        nxt = reach & rest or sum(1 << s for s in range(k) if rest >> s & 1 and rows[s] & rest) or rest
+        t = (nxt & -nxt).bit_length() - 1
+        order.append(t)
+        rest ^= 1 << t
+        reach |= rows[t]
+    known = placed
+    while known < k and order[known - placed] == known:
+        known += 1
+    return order, known, tuple(tuple(edges[t] >> s & 1 for s in order[a + 1 :]) for a, t in enumerate(order))
 
 
 def find_variation_prefix(
@@ -146,15 +148,15 @@ def find_variation_prefix(
 
     Returns the first witness in lexicographic universe order, or None
     (certified by exhaustion).  Requires 2*depth <= |universe| to have any
-    chance; smaller universes return None immediately.
+    chance; smaller universes return None before any pattern table is built.
 
     ``complete`` extends images of the pattern vertices (0,0), (0,1),
     (1,0), ... up to some level to a whole witness, or finds that none
-    exists.  It places the other pattern vertices in the connected order of
-    ``_SpecTables``, so that on a sparse graph each one after the first
-    picks from a neighbourhood.  Each unplaced vertex keeps a mask of the
-    indices whose adjacency to every image so far fits the pattern, and a
-    placement that empties a mask is undone at once.  Absence is the
+    exists.  It places the others in the connected order of ``_plan``,
+    along pattern edges, or along non-edges when more than half of the
+    universe's pairs are adjacent.  Each unplaced vertex keeps a mask of
+    the indices whose adjacency to every image so far fits the pattern,
+    and a placement that empties a mask is undone at once.  Absence is the
     failure of the empty prefix.  Otherwise a walk makes that witness W
     the first one: level i tries the candidates u < W[i] in ascending
     order, and the first prefix W[:i] + [u] that completes gives the new
@@ -162,26 +164,26 @@ def find_variation_prefix(
     found.  ``nodes_explored`` counts the candidates that the completions
     and the walk took.
     """
-    plans = _spec_tables(spec)
-    edge = plans.edge
-    k = len(edge)
-    if k > len(universe):
+    n = len(universe)
+    if 2 * spec.depth > n:
         return None
+    edges = _edges(spec)
     full = universe.full_mask
     # fit[w][joined]: the indices that fit a pattern vertex joined (or not)
     # to the one at w; neither holds w itself, which is in full but not in m
     fit = [(full ^ m ^ (1 << w), m) for w, m in enumerate(universe.open_masks)]
+    dense = 2 * sum(m.bit_count() for m in universe.open_masks) > n * (n - 1)
     nodes = 0
 
     def fits(t: int, prefix: list[int]) -> int:
-        row, m = edge[t], full
+        m = full
         for j, w in enumerate(prefix):
-            m &= fit[w][row[j]]
+            m &= fit[w][edges[t] >> j & 1]
         return m
 
     def complete(prefix: list[int]) -> Optional[tuple[list[int], int]]:
         """A witness that extends ``prefix``, and the ``known`` of its plan."""
-        order, known, joined = plans[len(prefix)]
+        order, known, joined = _plan(spec, len(prefix), dense)
         witness = prefix + [0] * len(order)
 
         def rec(a: int, allowed: list[int]) -> bool:
@@ -206,7 +208,7 @@ def find_variation_prefix(
     found = complete([])
     if found is not None:
         found, i = found
-        while i < k:
+        while i < len(edges):
             below = fits(i, found[:i]) & ((1 << found[i]) - 1)
             better = None
             while below and better is None:

@@ -13,8 +13,8 @@ import json
 from fractions import Fraction
 from typing import Any, Optional
 
+from .coloring import PCondition
 from .control_poset import Location, QCondition
-from .coloring_poset import PCondition
 from .errors import ParseError
 from .geometry import Point, TaggedBox
 from .graphs import (

@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 import time
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -21,7 +21,7 @@ from noetherlab import (
 )
 from noetherlab.campaign import _plant_variation, _variation_oracle
 import noetherlab
-from noetherlab import _kernels
+from noetherlab import _kernels, patterns
 from noetherlab.errors import InvalidSpecError, VerificationError
 from noetherlab.generators import line_universe, planar_unit_universe
 from noetherlab.patterns import SearchStats, max_embedded_depth
@@ -108,6 +108,13 @@ def test_edgeless_graph_rejects_cross_edge_patterns():
 def test_universe_smaller_than_pattern_returns_none():
     tiny = explicit_universe(3, [(0, 1)])
     assert find_variation_prefix(tiny, VariationSpec("half", "clique", "clique", 2)) is None
+    # a pattern far larger than the universe is ruled out before its
+    # tables are built or cached
+    tables = patterns._edges.cache_info().currsize
+    started = time.monotonic()
+    assert find_variation_prefix(line_universe(3), VariationSpec("half", "clique", "clique", 10**5)) is None
+    assert time.monotonic() - started < 0.5
+    assert patterns._edges.cache_info().currsize == tables
 
 
 def test_detector_vs_bruteforce_oracle():
@@ -237,8 +244,10 @@ def test_candidate_masks_match_per_vertex_scan():
     # stars plus isolated vertices: below an isolated image, a vertex that
     # must be adjacent to it has no candidate
     universes += [explicit_universe(n, [(0, j) for j in range(1, 6)]) for n in (8, 10)]
-    # a perfect matching: every vertex that must meet two images is empty
+    # a perfect matching: every vertex that must meet two images is empty;
+    # and its complement, where the completion follows pattern non-edges
     universes.append(explicit_universe(12, [(2 * j, 2 * j + 1) for j in range(6)]))
+    universes.append(explicit_universe(12, [(i, j) for i, j in combinations(range(12), 2) if j != i ^ 1]))
     # sparse shapes, where the completion order differs most from the
     # fixed one: paths and circulants C_n(1,2)
     universes += [explicit_universe(n, [(i, i + 1) for i in range(n - 1)]) for n in (6, 9, 12)]
@@ -311,10 +320,49 @@ def _size_bound_searches(n=4096):
             yield explicit_universe(n, [e for e in edges if e[1] < top] + copy), spec, True
 
 
+class _ComplementUniverse:
+    """The complement of the n-vertex graph with the given edges, held as
+    adjacency masks only: an explicit dense graph on thousands of vertices
+    has millions of edges.  It offers what the search and
+    ``PatternWitness.verify`` read of a ``SampleUniverse``."""
+
+    def __init__(self, n, non_edges):
+        self.points = tuple(range(n))
+        self.full_mask = (1 << n) - 1
+        self.open_masks = [self.full_mask ^ (1 << i) for i in range(n)]
+        for i, j in non_edges:
+            self.open_masks[i] &= ~(1 << j)
+            self.open_masks[j] &= ~(1 << i)
+
+    def __len__(self):
+        return len(self.points)
+
+    def __contains__(self, p):
+        return p in self.points
+
+    def reference_adjacent(self, a, b):
+        return bool(self.open_masks[a] >> b & 1)
+
+
+def _dense_size_bound_searches(n=2048):
+    """(universe, spec, planted) for every depth-4 variation on the
+    complements of a perfect matching and of a sparse graph on n vertices,
+    plain and with a copy of the spec planted on the top eight indices."""
+    for non_edges in ([(i, i + 1) for i in range(0, n, 2)], _sparse_edges(n, 2, 7)):
+        for spec in all_variations(4):
+            verts = spec.vertices()
+            top = n - len(verts)
+            copy = [(top + i, top + j) for i, j in combinations(range(len(verts)), 2)
+                    if not spec.has_edge(verts[i], verts[j])]
+            yield _ComplementUniverse(n, non_edges), spec, False
+            yield _ComplementUniverse(n, [e for e in non_edges if e[1] < top] + copy), spec, True
+
+
 def test_variation_search_within_budget_at_the_size_bound():
-    """Each search of ``_size_bound_searches`` finishes within an
-    acceptance-style budget of 10 s, and each planted copy is found."""
-    for universe, spec, planted in _size_bound_searches():
+    """Each search of ``_size_bound_searches`` and of
+    ``_dense_size_bound_searches`` finishes within an acceptance-style
+    budget of 10 s, and each planted copy is found."""
+    for universe, spec, planted in chain(_size_bound_searches(), _dense_size_bound_searches()):
         universe.open_masks  # the mask build has its own budget test
         started = time.monotonic()
         witness = find_variation_prefix(universe, spec)
