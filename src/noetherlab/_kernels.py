@@ -53,26 +53,6 @@ def find_clique(adj: Sequence[int], m: int) -> Optional[tuple[int, ...]]:
     return rec([], (1 << n) - 1)
 
 
-def _greedy_clique_size(adj: Sequence[int], n: int) -> int:
-    best = 0
-    for start in range(n):
-        size = 1
-        cand = adj[start]
-        while cand:
-            pick, pick_deg = -1, -1
-            c = cand
-            while c:
-                i = (c & -c).bit_length() - 1
-                c &= c - 1
-                deg = (cand & adj[i]).bit_count()
-                if deg > pick_deg:
-                    pick, pick_deg = i, deg
-            size += 1
-            cand &= adj[pick]
-        best = max(best, size)
-    return best
-
-
 def _dsatur_colorable(adj: Sequence[int], k: int) -> Optional[list[int]]:
     """Exact k-colorability by branch and bound with saturation ordering."""
     n = len(adj)
@@ -125,8 +105,7 @@ def chromatic_number(adj: Sequence[int]) -> tuple[int, list[int]]:
     n = len(adj)
     if n == 0:
         return 0, []
-    lower = max(1, _greedy_clique_size(adj, n))
-    for k in range(lower, n + 1):
+    for k in range(1, n + 1):
         coloring = _dsatur_colorable(adj, k)
         if coloring is not None:
             return k, coloring

@@ -119,9 +119,7 @@ class RunConfig:
     bounds: dict = field(default_factory=dict)
 
     def bound(self, name: str) -> int:
-        merged = dict(DEFAULT_BOUNDS)
-        merged.update(self.bounds)
-        return merged[name]
+        return self.bounds.get(name, DEFAULT_BOUNDS[name])
 
 
 TrialFn = Callable[[random.Random, RunConfig], tuple[bool, Optional[dict]]]

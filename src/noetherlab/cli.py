@@ -11,10 +11,17 @@ import functools
 import json
 import random
 import sys
+from itertools import combinations
 from typing import Optional
 
 from . import campaign as campaign_mod
-from .coloring import check_proper, check_suitable, chromatic_number, greedy_coloring
+from .coloring import (
+    check_proper,
+    check_suitable,
+    chromatic_number,
+    greedy_coloring,
+    validate_pcondition,
+)
 from .control_poset import (
     liminf_thin,
     predense_check,
@@ -22,6 +29,7 @@ from .control_poset import (
     q_compatible,
     ramsey_bound,
     ramsey_compatible_subset,
+    validate_qcondition,
 )
 from .coloring_poset import p_compatible, p_lower_bound
 from .errors import InvalidPointError, NoetherError, ParseError
@@ -99,6 +107,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_adj(args) -> int:
+    if args.y is not None and args.x is None:
+        raise ParseError("--y needs --x")
     universe = parse_instance_file(args.instance)
     if args.x is not None and args.y is not None:
         x = _point_arg(args.x, "--x")
@@ -227,8 +237,9 @@ def _cmd_color(args) -> int:
         chi, _ = chromatic_number(universe, bound=args.bounds["oracle"])
         _emit({"chromatic_number": chi}, args.out)
         return 0
-    data = load_path(args.file)
-    p = pcondition_from_json(data, universe)
+    if args.file is None:
+        raise ParseError("color verify needs --file")
+    p = pcondition_from_json(load_path(args.file), universe)
     problems = check_suitable(p.assignment) + check_proper(universe, p.assignment)
     _emit({"valid": not problems, "problems": problems}, args.out)
     return 0 if not problems else 1
@@ -238,28 +249,34 @@ def _cmd_poset(args) -> int:
     universe = parse_instance_file(args.instance)
     data = expect(load_path(args.file), dict, args.file)
     raw_conditions = require(data, "conditions", list, args.file)
+    if args.verb == "lower-bound" or args.verb == "compat" and args.kind == "p":
+        read, validate, compatible = pcondition_from_json, validate_pcondition, p_compatible
+    else:
+        read, validate, compatible = qcondition_from_json, validate_qcondition, q_compatible
+    conds = [read(c, universe) for c in raw_conditions]
+    # every field is parsed before any check, so a malformed file exits 2
+    if args.verb in ("ramsey", "liminf"):
+        loc = location_from_json(require(data, "location", dict, args.file), universe)
+    if args.verb == "lower-bound":
+        x = point_at(universe, data["point"], "point") if "point" in data else None
+    elif args.verb == "ramsey":
+        m = optional_int(data, "m", 3, args.file)
+    elif args.verb == "liminf":
+        test_set = [
+            point_at(universe, i, "test_set")
+            for i in expect(data.get("test_set", []), list, f"{args.file}.test_set")
+        ]
+        threshold = optional_int(data, "threshold", None, args.file)
+    elif args.verb == "predense":
+        budget = optional_int(data, "color_budget", args.bounds["colorBudget"], args.file)
+    for cond in conds:
+        validate(cond)
+
     if args.verb == "compat":
-        if args.kind == "p":
-            conds = [pcondition_from_json(c, universe) for c in raw_conditions]
-            ok = all(
-                p_compatible(a, b)
-                for i, a in enumerate(conds)
-                for b in conds[i + 1 :]
-            )
-        else:
-            conds = [qcondition_from_json(c, universe) for c in raw_conditions]
-            ok = all(
-                q_compatible(a, b)
-                for i, a in enumerate(conds)
-                for b in conds[i + 1 :]
-            )
+        ok = all(compatible(a, b) for a, b in combinations(conds, 2))
         _emit({"pairwise_compatible": ok}, args.out)
         return 0
     if args.verb == "lower-bound":
-        conds = [pcondition_from_json(c, universe) for c in raw_conditions]
-        x = None
-        if "point" in data:
-            x = point_at(universe, data["point"], "point")
         try:
             bound = p_lower_bound(conds, x, universe=universe)
         except NoetherError as exc:
@@ -268,9 +285,6 @@ def _cmd_poset(args) -> int:
         _emit({"built": True, "bound": pcondition_to_json(bound)}, args.out)
         return 0
     if args.verb == "ramsey":
-        loc = location_from_json(require(data, "location", dict, args.file), universe)
-        conds = [qcondition_from_json(c, universe) for c in raw_conditions]
-        m = optional_int(data, "m", 3, args.file)
         found = ramsey_compatible_subset(conds, m, loc)
         _emit(
             {
@@ -281,13 +295,6 @@ def _cmd_poset(args) -> int:
         )
         return 0
     if args.verb == "liminf":
-        loc = location_from_json(require(data, "location", dict, args.file), universe)
-        conds = [qcondition_from_json(c, universe) for c in raw_conditions]
-        test_set = [
-            point_at(universe, i, "test_set")
-            for i in expect(data.get("test_set", []), list, f"{args.file}.test_set")
-        ]
-        threshold = optional_int(data, "threshold", None, args.file)
         result = liminf_thin(conds, loc, test_set, threshold)
         _emit(
             {
@@ -300,8 +307,6 @@ def _cmd_poset(args) -> int:
         )
         return 0
     # predense
-    conds = [qcondition_from_json(c, universe) for c in raw_conditions]
-    budget = optional_int(data, "color_budget", args.bounds["colorBudget"], args.file)
     max_arity = args.bounds["maxArity"] or len(universe)
     full = predense_check(conds, universe, budget)
     reduced = predense_check_reduced(conds, universe, budget, max_arity)

@@ -251,8 +251,8 @@ def k_colorable_fixed_order(universe: SampleUniverse, k: int) -> Optional[dict[P
     """Independent exhaustive k-colorability decision.
 
     Deliberately different from the branch-and-bound oracle: fixed universe
-    order, first-fit color loop, no saturation heuristics and no clique
-    bound.  Used as the second route of the chromatic dual check.
+    order, first-fit color loop and no saturation heuristics.  Used as the
+    second route of the chromatic dual check.
     """
     if k < 0:
         raise ValueError("k must be >= 0")

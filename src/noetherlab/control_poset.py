@@ -32,6 +32,7 @@ from .graphs import (
     SampleUniverse,
     box_edge_free,
     common_neighborhood_mask,
+    vertex_point,
 )
 
 
@@ -138,21 +139,47 @@ class Location:
             raise LocationError("a location needs at least one cell")
 
     def validate(self, instance) -> None:
+        """Raise unless the cells are pairwise disjoint and each same-colored
+        pair is certified edge-free: by box_edge_free on a distance
+        instance, from one scan of the edge list on an explicit one."""
         for cell in self.cells:
             if isinstance(cell, frozenset) and instance.kind != EXPLICIT:
                 raise UnsupportedKindError("vertex-subset cells need an explicit instance")
-        for i, c0 in enumerate(self.cells):
-            for j in range(i + 1, len(self.cells)):
-                c1 = self.cells[j]
-                if not cells_disjoint(c0, c1):
-                    raise LocationError(f"cells {i} and {j} overlap")
-                if self.colors[i] == self.colors[j]:
-                    verdict = box_edge_free(instance, c0, c1)
-                    if verdict.status != "empty":
-                        raise LocationError(
-                            f"same-colored cells {i},{j} are not certified edge-free"
-                            f" (status {verdict.status})"
-                        )
+        joined = None
+        if instance.kind == EXPLICIT and len(set(self.colors)) < len(self.colors):
+            joined = self._joined_cells(instance)
+        for i, j in combinations(range(len(self.cells)), 2):
+            if not cells_disjoint(self.cells[i], self.cells[j]):
+                raise LocationError(f"cells {i} and {j} overlap")
+            if self.colors[i] == self.colors[j]:
+                if joined is None:
+                    status = box_edge_free(instance, self.cells[i], self.cells[j]).status
+                else:
+                    status = "nonempty" if (i, j) in joined else "empty"
+                if status != "empty":
+                    raise LocationError(
+                        f"same-colored cells {i},{j} are not certified edge-free"
+                        f" (status {status})"
+                    )
+
+    def _joined_cells(self, instance) -> set[tuple[int, int]]:
+        """The pairs (i, j), i < j, of cells that an edge of the explicit
+        instance joins."""
+        owners: dict[int, list[int]] = {}
+        for k, cell in enumerate(self.cells):
+            if isinstance(cell, TaggedBox):
+                vertices = map(vertex_point, range(instance.n_vertices))
+                cell = [p for p in vertices if box_contains(cell, p)]
+            for p in cell:
+                instance.validate_point(p)  # so that pt(1/2) never reads as vertex 1
+                owners.setdefault(p.coords[0].numerator, []).append(k)
+        return {
+            (min(a, b), max(a, b))
+            for u, v in instance.edges
+            for a in owners.get(u, ())
+            for b in owners.get(v, ())
+            if a != b
+        }
 
 
 def _selected(q: QCondition, loc: Location) -> Optional[list[Point]]:

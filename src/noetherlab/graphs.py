@@ -21,7 +21,7 @@ from math import isqrt, lcm
 from typing import Iterable, Optional
 
 from .errors import InvalidPointError, UnknownPointError, UnsupportedKindError
-from .geometry import Point, TaggedBox, box_contains, pt
+from .geometry import Point, TaggedBox, pt
 
 DISTANCE = "distance"
 CURVE_DIFFERENCE = "curveDifference"
@@ -450,17 +450,6 @@ class EdgeFreeResult:
         raise TypeError("compare EdgeFreeResult.status explicitly")
 
 
-def _cell_points(instance: GraphInstance, cell) -> frozenset[Point]:
-    """Vertices of an explicit instance lying in a cell (box or point set)."""
-    if isinstance(cell, TaggedBox):
-        return frozenset(
-            p
-            for p in (vertex_point(i) for i in range(instance.n_vertices))
-            if box_contains(cell, p)
-        )
-    return frozenset(cell)
-
-
 def _squared_distance_range(b0: TaggedBox, b1: TaggedBox) -> tuple[Fraction, Fraction]:
     """Least and greatest |x - y|^2 over x, y in the closed boxes."""
     lo_total = hi_total = Fraction(0)
@@ -472,29 +461,22 @@ def _squared_distance_range(b0: TaggedBox, b1: TaggedBox) -> tuple[Fraction, Fra
     return lo_total, hi_total
 
 
-def box_edge_free(instance: GraphInstance, cell0, cell1) -> EdgeFreeResult:
-    """Decide whether (cell0 x cell1) meets the edge relation, exactly.
+def box_edge_free(instance: GraphInstance, box0: TaggedBox, box1: TaggedBox) -> EdgeFreeResult:
+    """Decide whether (box0 x box1) meets the edge relation of a distance
+    instance, exactly.
 
-    Distance kind: exact interval arithmetic on the achievable squared
-    distance between the closed boxes; a squared distance strictly inside
-    the open achievable range certifies an edge over the ambient space even
-    when no rational witness exists.  Explicit kind: cells are vertex
-    subsets and the check is literal.  Other kinds are unsupported
-    (conservative).
+    Exact interval arithmetic on the achievable squared distance between
+    the closed boxes; a squared distance strictly inside the open
+    achievable range certifies an edge over the ambient space even when no
+    rational witness exists.  Other kinds are unsupported (conservative);
+    Location.validate certifies the cells of an explicit instance from its
+    edge list.
     """
-    if instance.kind == EXPLICIT:
-        pts0 = sorted(_cell_points(instance, cell0), key=lambda p: p.coords)
-        pts1 = sorted(_cell_points(instance, cell1), key=lambda p: p.coords)
-        for p in pts0:
-            for q in pts1:
-                if adjacent(instance, p, q):
-                    return EdgeFreeResult("nonempty")
-        return EdgeFreeResult("empty")
     if instance.kind != DISTANCE:
         raise UnsupportedKindError(f"box_edge_free undefined for kind {instance.kind}")
-    if not (isinstance(cell0, TaggedBox) and isinstance(cell1, TaggedBox)):
+    if not (isinstance(box0, TaggedBox) and isinstance(box1, TaggedBox)):
         raise UnsupportedKindError("distance instances use TaggedBox cells")
-    lo_total, hi_total = _squared_distance_range(cell0, cell1)
+    lo_total, hi_total = _squared_distance_range(box0, box1)
     distances = instance.squared_distances
     if any(lo_total < s < hi_total for s in distances):
         return EdgeFreeResult("nonempty")

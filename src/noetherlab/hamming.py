@@ -196,18 +196,15 @@ def derived_distances(eps: EpsilonSequence) -> tuple[dict[Fraction, list], list]
 
 
 def embed_diagonal_into_distance(
-    breadth: int,
-    eps: Optional[EpsilonSequence] = None,
-    *,
-    strict_distinct: bool = False,
+    breadth: int, eps: Optional[EpsilonSequence] = None
 ) -> tuple[dict[Point, Fraction], GraphInstance, dict]:
     """h(x) = sum_n x(n) eps_n plus the line distance graph it maps into.
 
     The instance's squared distance set is {(m eps_n)^2 : 1 <= m <= n}.
-    With strict_distinct, any (m, n) collision raises; by default
-    collisions are merged and reported (set semantics).
+    Collisions, distinct (m, n) with one value m eps_n, are merged (set
+    semantics) and listed in the report.
     """
-    eps, instance, report = _diagonal_embedding(breadth, eps, strict_distinct)
+    eps, instance, report = _diagonal_embedding(breadth, eps)
     images = {
         p: sum((c * eps.values[n] for n, c in enumerate(p.coords)), Fraction(0))
         for p in make_diagonal_hamming(breadth).points
@@ -215,7 +212,7 @@ def embed_diagonal_into_distance(
     return images, instance, report
 
 
-def _diagonal_embedding(breadth, eps, strict_distinct):
+def _diagonal_embedding(breadth, eps):
     """The epsilon sequence cut to the breadth, the line instance and the
     report of embed_diagonal_into_distance."""
     if breadth < 1:
@@ -227,8 +224,6 @@ def _diagonal_embedding(breadth, eps, strict_distinct):
     if len(eps.values) > breadth:
         eps = EpsilonSequence(eps.values[:breadth], eps.bound)
     table, collisions = derived_distances(eps)
-    if strict_distinct and collisions:
-        raise InvalidSequenceError(f"derived distance collisions: {collisions}")
     vertices = _diagonal_size(breadth)
     if breadth == 1:
         # single vertex, no edges; any positive distance yields a valid instance
@@ -286,7 +281,7 @@ def verify_embedding(
     order of the words, one entry at a time.  A gap g is an edge exactly
     when (g D)^2 lies in the integers of {s D^2 : s a squared distance}.
     """
-    eps, instance, report = _diagonal_embedding(breadth, eps, False)
+    eps, instance, report = _diagonal_embedding(breadth, eps)
     scale = lcm(*(v.denominator for v in eps.values))
     images = [0]
     for n, v in enumerate(eps.values):

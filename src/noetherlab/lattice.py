@@ -34,9 +34,6 @@ class ClosedFamilyElement:
             extent_mask |= common_neighborhood_mask(universe, g)
         return ClosedFamilyElement(gens, universe.points_of(extent_mask))
 
-    def recomputed_extent(self, universe: SampleUniverse) -> frozenset:
-        return ClosedFamilyElement.of(universe, self.generators).extent
-
 
 def _indices(mask: int) -> list[int]:
     """The positions of the set bits of mask, ascending."""

@@ -15,7 +15,7 @@ from typing import Any, Optional
 
 from .coloring import PCondition
 from .control_poset import Location, QCondition
-from .errors import ParseError
+from .errors import InvalidPointError, LocationError, ParseError
 from .geometry import Point, TaggedBox
 from .graphs import (
     CURVE_DIFFERENCE,
@@ -224,8 +224,6 @@ def instance_from_json(data: Any) -> GraphInstance:
                     f"instance.vertices: {n_vertices} is outside 0..{DEFAULT_SIZE_BOUND}"
                 )
             return explicit_graph(n_vertices, edges)
-    except ParseError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"instance ({kind}): {exc}") from None
     raise ParseError(f"instance: unknown kind {kind!r}")
@@ -258,7 +256,7 @@ def universe_from_json(data: Any) -> SampleUniverse:
         points = [point_from_json(p, f"points[{i}]") for i, p in enumerate(raw_points)]
     try:
         return SampleUniverse(instance, points)
-    except Exception as exc:
+    except InvalidPointError as exc:
         raise ParseError(f"universe: {exc}") from None
 
 
@@ -281,10 +279,12 @@ def point_at(universe: SampleUniverse, raw: Any, field: str = "index") -> Point:
 
 def qcondition_from_json(data: Any, universe: SampleUniverse) -> QCondition:
     raw = require(expect(data, dict, "q-condition"), "assignment", dict, "q-condition")
-    assignment = {
-        point_at(universe, i, "assignment"): expect_int(c, f"q-condition.assignment[{i}]")
-        for i, c in raw.items()
-    }
+    assignment = {}
+    for i, c in raw.items():
+        x = point_at(universe, i, "assignment")
+        assignment[x] = expect_int(c, f"q-condition.assignment[{i}]")
+        if assignment[x] < 0:
+            raise ParseError(f"q-condition.assignment[{i}]: color {c} is not a natural")
     return QCondition(universe, assignment)
 
 
@@ -297,41 +297,32 @@ def pcondition_to_json(p: PCondition) -> dict:
 
 def pcondition_from_json(data: Any, universe: SampleUniverse) -> PCondition:
     raw = require(expect(data, dict, "p-condition"), "assignment", dict, "p-condition")
-    try:
-        assignment = {
-            point_at(universe, i, "assignment"): box_from_json(b, f"assignment[{i}]")
-            for i, b in raw.items()
-        }
-    except ParseError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"p-condition: {exc}") from None
+    assignment = {
+        point_at(universe, i, "assignment"): box_from_json(b, f"assignment[{i}]")
+        for i, b in raw.items()
+    }
     return PCondition(universe, assignment)
 
 
 def location_from_json(data: Any, universe: SampleUniverse) -> Location:
     expect(data, dict, "location")
-    colors = require(data, "colors", list, "location")
-    try:
-        cells = []
-        for i, cell in enumerate(require(data, "cells", list, "location")):
-            where = f"location.cells[{i}]"
-            if "box" in expect(cell, dict, where):
-                cells.append(box_from_json(cell["box"], f"cells[{i}]"))
-            else:
-                cells.append(
-                    frozenset(
-                        point_at(universe, v, f"cells[{i}]")
-                        for v in require(cell, "vertices", list, where)
-                    )
+    raw_colors = require(data, "colors", list, "location")
+    cells = []
+    for i, cell in enumerate(require(data, "cells", list, "location")):
+        where = f"location.cells[{i}]"
+        if "box" in expect(cell, dict, where):
+            cells.append(box_from_json(cell["box"], f"cells[{i}]"))
+        else:
+            cells.append(
+                frozenset(
+                    point_at(universe, v, f"cells[{i}]")
+                    for v in require(cell, "vertices", list, where)
                 )
-        return Location(
-            tuple(cells),
-            tuple(expect_int(c, f"location.colors[{i}]") for i, c in enumerate(colors)),
-        )
-    except ParseError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+            )
+    colors = tuple(expect_int(c, f"location.colors[{i}]") for i, c in enumerate(raw_colors))
+    try:
+        return Location(tuple(cells), colors)
+    except LocationError as exc:
         raise ParseError(f"location: {exc}") from None
 
 

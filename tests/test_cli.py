@@ -193,6 +193,65 @@ def test_poset_lower_bound(tmp_path, capsys):
     assert set(report["bound"]["assignment"]) == {"0", "1", "2"}
 
 
+def _poset_file(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_poset_verbs_refuse_invalid_conditions(tmp_path, capsys):
+    inst = _write_line_universe(tmp_path, 4)
+    negative = _poset_file(tmp_path, "negative.json", {"conditions": [{"assignment": {"0": -1}}]})
+    improper = _poset_file(tmp_path, "improper.json", {"conditions": [{"assignment": {"0": 0, "1": 0}}]})
+    for verb in ("compat", "predense"):
+        assert main(["poset", verb, inst, "--file", negative]) == 2, verb
+        err = capsys.readouterr().err
+        assert err == "parse error: q-condition.assignment[0]: color -1 is not a natural\n"
+        assert main(["poset", verb, inst, "--file", improper]) == 1, verb
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: adjacent ")
+    # the box (1/2, 3/2) does not hold point 0
+    unsuitable = _poset_file(tmp_path, "unsuitable.json", {"conditions": [
+        {"assignment": {"0": {"tag": 0, "level": 1, "corners": [1]}}}
+    ]})
+    for verb in ("compat", "lower-bound"):
+        assert main(["poset", verb, inst, "--kind", "p", "--file", unsuitable]) == 1, verb
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not inside its color" in captured.err
+
+
+def test_poset_locations_are_checked(tmp_path, capsys):
+    clustered = str(tmp_path / "clustered.json")
+    assert main(["gen", "clustered-line", "--out", clustered]) == 0
+    # points i/16 (indices 0-7) and 1 + i/16 (8-15); the level-3 boxes
+    # (0, 1/4) and (1, 5/4) carry the unit edge 1/16 - 17/16
+    cell0, cell8 = ({"box": {"tag": 0, "level": 3, "corners": [m]}} for m in (0, 8))
+    conds = [{"assignment": {str(a): 0, str(b): 0}} for a, b in ((0, 9), (1, 10))]
+    malformed = [
+        ({"cells": [], "colors": []}, "a location needs at least one cell"),
+        ({"cells": [cell0], "colors": [0, 1]}, "cells and colors must align"),
+    ]
+    for location, message in malformed:
+        for verb in ("ramsey", "liminf"):
+            data = {"conditions": conds, "location": location}
+            assert main(["poset", verb, clustered, "--file", _poset_file(tmp_path, "bad.json", data)]) == 2
+            assert capsys.readouterr().err == f"parse error: location: {message}\n"
+    far = {"conditions": conds, "location": {"cells": [cell0, cell8], "colors": [0, 0]}, "m": 2}
+    assert main(["poset", "ramsey", clustered, "--file", _poset_file(tmp_path, "far.json", far)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: same-colored cells 0,1 are not certified edge-free" in captured.err
+
+
+def test_mistyped_calls_exit_2(tmp_path, capsys):
+    inst = _write_line_universe(tmp_path)
+    assert main(["color", "verify", inst]) == 2
+    assert main(["adj", inst, "--y", '["1"]']) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: color verify needs --file\nparse error: --y needs --x\n"
+
+
 def test_hamming_verbs(capsys):
     code, report = _run(capsys, ["hamming", "chi", "--breadth", "3"])
     assert code == 0 and report["chromatic_number"] == 3

@@ -11,6 +11,7 @@ import noetherlab
 
 from conftest import explicit_universe
 from noetherlab import (
+    Location,
     SampleUniverse,
     TaggedBox,
     TwoVarPoly,
@@ -29,7 +30,12 @@ from noetherlab import (
     vertex_point,
 )
 from noetherlab.campaign import _pairwise_masks
-from noetherlab.errors import InvalidPointError, UnknownPointError, UnsupportedKindError
+from noetherlab.errors import (
+    InvalidPointError,
+    LocationError,
+    UnknownPointError,
+    UnsupportedKindError,
+)
 from noetherlab.generators import (
     clustered_line_universe,
     line_universe,
@@ -376,7 +382,6 @@ _REFERENCE_ROUTES = {
     ("campaign", "_liminf_thin", "adjacent"),
     ("cli", "_cmd_adj", "adjacent"),
     ("coloring", "check_proper", "reference_adjacent"),
-    ("graphs", "box_edge_free", "adjacent"),
     ("graphs", "adjacent", "_exact_adjacent"),
     ("graphs", "SampleUniverse.reference_adjacent", "_exact_adjacent"),
     ("patterns", "PatternWitness.verify", "reference_adjacent"),
@@ -500,15 +505,18 @@ def test_edge_free_2d_witness():
 
 
 def test_edge_free_explicit_cells():
-    u = explicit_universe(4, [(0, 1), (2, 3)])
-    inst = u.instance
+    inst = explicit_universe(4, [(0, 1), (2, 3)]).instance
     c01 = frozenset([vertex_point(0), vertex_point(1)])
     c23 = frozenset([vertex_point(2), vertex_point(3)])
-    assert box_edge_free(inst, c01, c23).status == "empty"
-    assert box_edge_free(inst, c01, frozenset([vertex_point(1)])).status == "nonempty"
+    Location((c01, c23), (0, 0)).validate(inst)
+    # the box (1/2, 3/2) holds vertex 1, joined to vertex 0; (3/2, 5/2) holds 2
+    with pytest.raises(LocationError, match="cells 0,1 are not certified edge-free"):
+        Location((frozenset([vertex_point(0)]), _box(1, 1)), (0, 0)).validate(inst)
+    Location((frozenset([vertex_point(0)]), _box(3, 1)), (0, 0)).validate(inst)
 
 
 def test_edge_free_unsupported_kind():
-    inst = curve_difference_graph(TwoVarPoly.from_dict({(0, 1): 1, (2, 0): -1}))
-    with pytest.raises(UnsupportedKindError):
-        box_edge_free(inst, _box(0, 0), _box(0, 0))
+    curve = curve_difference_graph(TwoVarPoly.from_dict({(0, 1): 1, (2, 0): -1}))
+    for inst in (curve, explicit_graph(2, [(0, 1)])):
+        with pytest.raises(UnsupportedKindError):
+            box_edge_free(inst, _box(0, 0), _box(0, 0))

