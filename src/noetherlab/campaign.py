@@ -17,6 +17,7 @@ from typing import Callable, Optional
 
 from . import _kernels
 from .coloring import (
+    DEFAULT_ORACLE_BOUND,
     StageChain,
     check_proper,
     check_suitable,
@@ -96,7 +97,7 @@ from .serialize import dump_canonical, universe_to_json
 SCHEMA_VERSION = 1
 
 DEFAULT_BOUNDS = {
-    "oracle": 24,
+    "oracle": DEFAULT_ORACLE_BOUND,
     "maxArity": 8,
     "colorBudget": 3,
     "maxPoints": 12,

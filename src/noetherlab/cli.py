@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import random
 import sys
 from itertools import combinations
@@ -16,6 +15,7 @@ from typing import Optional
 
 from . import campaign as campaign_mod
 from .coloring import (
+    DEFAULT_ORACLE_BOUND,
     check_proper,
     check_suitable,
     chromatic_number,
@@ -57,6 +57,7 @@ from .serialize import (
     dump_canonical,
     expect,
     load_path,
+    read_json,
     location_from_json,
     parse_instance_file,
     pcondition_from_json,
@@ -85,24 +86,7 @@ def _cmd_gen(args) -> int:
     # a Hamming --size is a breadth, bounded by the point count it makes
     if args.family in ("line", "planar", "explicit") and args.size > DEFAULT_SIZE_BOUND:
         raise ParseError(f"--size {args.size} exceeds the bound {DEFAULT_SIZE_BOUND}")
-    if not 0 <= args.edge_probability <= 1:
-        raise ParseError(
-            f"--edge-probability must be a number in [0, 1], got {args.edge_probability}"
-        )
-    rng = random.Random(args.seed)
-    if args.family == "line":
-        universe = line_universe(args.size)
-    elif args.family == "clustered-line":
-        universe = clustered_line_universe()
-    elif args.family == "planar":
-        universe = planar_unit_universe(rng, args.size)
-    elif args.family == "explicit":
-        universe = random_explicit_universe(rng, args.size, args.edge_probability)
-    elif args.family == "hamming-diagonal":
-        universe = make_diagonal_hamming(args.size)
-    else:
-        universe = make_uniform_hamming(args.size, args.alphabet)
-    _emit(universe_to_json(universe), args.out)
+    _emit(universe_to_json(args.build(args)), args.out)
     return 0
 
 
@@ -144,13 +128,7 @@ def _cmd_adj(args) -> int:
 
 def _point_arg(raw: str, flag: str) -> Point:
     """A point given on the command line as a JSON array of rationals."""
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{flag}: invalid JSON: {exc.msg}") from None
-    except ValueError as exc:  # an integer literal past Python's digit limit
-        raise ParseError(f"{flag}: invalid JSON: {exc}") from None
-    return point_from_json(data, flag)
+    return point_from_json(read_json(raw, flag), flag)
 
 
 def _cmd_detect(args) -> int:
@@ -237,8 +215,6 @@ def _cmd_color(args) -> int:
         chi, _ = chromatic_number(universe, bound=args.bounds["oracle"])
         _emit({"chromatic_number": chi}, args.out)
         return 0
-    if args.file is None:
-        raise ParseError("color verify needs --file")
     p = pcondition_from_json(load_path(args.file), universe)
     problems = check_suitable(p.assignment) + check_proper(universe, p.assignment)
     _emit({"valid": not problems, "problems": problems}, args.out)
@@ -249,7 +225,7 @@ def _cmd_poset(args) -> int:
     universe = parse_instance_file(args.instance)
     data = expect(load_path(args.file), dict, args.file)
     raw_conditions = require(data, "conditions", list, args.file)
-    if args.verb == "lower-bound" or args.verb == "compat" and args.kind == "p":
+    if args.kind == "p":
         read, validate, compatible = pcondition_from_json, validate_pcondition, p_compatible
     else:
         read, validate, compatible = qcondition_from_json, validate_qcondition, q_compatible
@@ -339,6 +315,9 @@ def _cmd_hamming(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
+    if args.list_suites:
+        _emit({"suites": sorted(campaign_mod.SUITES)}, args.out)
+        return 0
     names = args.suites or sorted(n for n in campaign_mod.SUITES if n != "selftest-mutation")
     given = {name: value for name, value in args.bounds.items() if value is not None}
     config = campaign_mod.RunConfig(seed=args.seed, trials=args.trials, bounds=given)
@@ -347,22 +326,9 @@ def _cmd_campaign(args) -> int:
     return 0 if report["all_passed"] else 1
 
 
-# The --bound names that each verb reads, with their defaults.  With None
-# the verb chooses: predense takes maxArity = |universe|, and campaign
-# leaves the bounds not given to RunConfig, which reports the given ones.
-_VERB_BOUNDS = {
-    "lattice": {"maxArity": 4},
-    "color chi": {"oracle": 24},
-    "hamming chi": {"oracle": 24},
-    "hamming sigma": {"oracle": 64},
-    "poset predense": {"colorBudget": 3, "maxArity": None},
-    "campaign": dict.fromkeys(campaign_mod.DEFAULT_BOUNDS),
-}
-
-
 def _parse_bounds(args) -> dict:
-    verb = f"{args.command} {getattr(args, 'verb', '')}".strip()
-    bounds = dict(_VERB_BOUNDS.get(verb, {}))
+    # a copy: the default dict belongs to the cached parser, shared by every call
+    bounds = dict(getattr(args, "bounds", {}))
     for pair in getattr(args, "bound_pairs", None) or []:
         if "=" not in pair:
             raise ParseError(f"--bound expects name=value, got {pair!r}")
@@ -371,6 +337,7 @@ def _parse_bounds(args) -> dict:
             known = ", ".join(campaign_mod.DEFAULT_BOUNDS)
             raise ParseError(f"--bound {name}: unknown name (known: {known})")
         if name not in bounds:
+            verb = f"{args.command} {getattr(args, 'verb', '')}".strip()
             raise ParseError(f"--bound {name}: {verb} reads no such bound")
         try:
             bounds[name] = int(value)
@@ -402,6 +369,10 @@ def _check_options(args) -> None:
             raise ParseError(f"--{name} must be {what}, got {value}")
     if getattr(args, "trials", 0) > MAX_TRIALS:
         raise ParseError(f"--trials {args.trials} exceeds the bound {MAX_TRIALS}")
+    if not 0 <= getattr(args, "edge_probability", 0) <= 1:
+        raise ParseError(
+            f"--edge-probability must be a number in [0, 1], got {args.edge_probability}"
+        )
 
 
 @functools.cache
@@ -409,77 +380,96 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process.
 
     Parsing keeps all of its state in the returned ``Namespace``, so one
-    parser serves every ``main`` call.
+    parser serves every ``main`` call.  Each verb declares only the options
+    it reads, so any other exits 2.  ``bounds`` holds the --bound names a
+    verb reads, with their defaults; with None the verb chooses: predense
+    takes maxArity = |universe|, and campaign gives RunConfig only those set.
     """
     parser = argparse.ArgumentParser(
         prog="noetherlab",
         description="exact combinatorial laboratory for Noetherian graph colorings",
     )
-    # every verb takes --out, and only those of --seed, --trials and --bound
-    # that it reads
-    common, seed, trials, bound = (argparse.ArgumentParser(add_help=False) for _ in range(4))
-    common.add_argument("--out", default=None, help="write JSON here instead of stdout")
-    seed.add_argument("--seed", type=int, default=0)
-    trials.add_argument("--trials", type=int, default=100)
-    bound.add_argument("--bound", action="append", dest="bound_pairs", metavar="NAME=VALUE")
-    seeded = [common, seed, trials, bound]
+
+    def option(*flags, **kwargs) -> argparse.ArgumentParser:
+        holder = argparse.ArgumentParser(add_help=False)
+        holder.add_argument(*flags, **kwargs)
+        return holder
+
+    out = option("--out", default=None, help="write JSON here instead of stdout")
+    instance = option("instance")
+    seed = option("--seed", type=int, default=0)
+    trials = option("--trials", type=int, default=100)
+    bound = option("--bound", action="append", dest="bound_pairs", metavar="NAME=VALUE")
+    size = option("--size", type=int, default=6)
+    alphabet = option("--alphabet", type=int, default=2)
+    breadth = option("--breadth", type=int, default=3)
+    file = option("--file", required=True, help="JSON input file")
+    edge_probability = option("--edge-probability", type=float, default=0.35)
+    oracle = {"oracle": DEFAULT_ORACLE_BOUND}
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate an instance/universe file", parents=[common, seed])
-    gen.add_argument(
-        "family",
-        choices=["line", "clustered-line", "planar", "explicit", "hamming-diagonal", "hamming-uniform"],
-    )
-    gen.add_argument("--size", type=int, default=6)
-    gen.add_argument("--alphabet", type=int, default=2)
-    gen.add_argument("--edge-probability", type=float, default=0.35)
-    gen.set_defaults(fn=_cmd_gen)
+    def verbs(command, dest, help):
+        return sub.add_parser(command, help=help).add_subparsers(dest=dest, required=True)
 
-    adj = sub.add_parser("adj", help="adjacency and neighborhood queries", parents=[common])
-    adj.add_argument("instance")
-    adj.add_argument("--x", default=None, help="point as JSON array of rationals")
+    def leaf(group, name, *parents, fn, help=None, **defaults):
+        verb = group.add_parser(name, help=help, parents=[out, *parents])
+        verb.set_defaults(fn=fn, **defaults)
+        return verb
+
+    gen = verbs("gen", "family", "generate an instance/universe file")
+    for family, parents, build in (
+        ("line", [size], lambda a: line_universe(a.size)),
+        ("clustered-line", [], lambda a: clustered_line_universe()),
+        ("planar", [size, seed], lambda a: planar_unit_universe(random.Random(a.seed), a.size)),
+        ("explicit", [size, seed, edge_probability], lambda a: random_explicit_universe(
+            random.Random(a.seed), a.size, a.edge_probability)),
+        ("hamming-diagonal", [size], lambda a: make_diagonal_hamming(a.size)),
+        ("hamming-uniform", [size, alphabet], lambda a: make_uniform_hamming(a.size, a.alphabet)),
+    ):
+        leaf(gen, family, *parents, fn=_cmd_gen, build=build)
+
+    adj = leaf(sub, "adj", instance, fn=_cmd_adj, help="adjacency and neighborhood queries")
+    point = adj.add_mutually_exclusive_group()
+    point.add_argument("--x", default=None, help="point as JSON array of rationals")
+    point.add_argument("--indices", type=int, nargs="*", default=[])
     adj.add_argument("--y", default=None)
-    adj.add_argument("--indices", type=int, nargs="*", default=[])
-    adj.set_defaults(fn=_cmd_adj)
 
-    detect = sub.add_parser("detect", help="forbidden-pattern prefix search", parents=[common])
-    detect.add_argument("instance")
+    detect = leaf(sub, "detect", instance, fn=_cmd_detect, help="forbidden-pattern prefix search")
     detect.add_argument("--family", choices=["half", "threeQuarter"], default="half")
     detect.add_argument("--left", choices=["clique", "anticlique"], default="anticlique")
     detect.add_argument("--right", choices=["clique", "anticlique"], default="anticlique")
     detect.add_argument("--depth", type=int, default=2)
     detect.add_argument("--stress", action="store_true")
-    detect.set_defaults(fn=_cmd_detect)
 
-    lattice = sub.add_parser("lattice", help="descent chains and closure statistics", parents=seeded)
-    lattice.add_argument("instance")
-    lattice.set_defaults(fn=_cmd_lattice)
+    leaf(sub, "lattice", instance, seed, trials, bound, fn=_cmd_lattice,
+         help="descent chains and closure statistics", bounds={"maxArity": 4})
 
-    color = sub.add_parser("color", help="emit and verify box colorings", parents=[common, bound])
-    color.add_argument("verb", choices=["make", "chi", "verify"])
-    color.add_argument("instance")
-    color.add_argument("--file", default=None, help="coloring file for verify")
-    color.set_defaults(fn=_cmd_color)
+    color = verbs("color", "verb", "emit and verify box colorings")
+    leaf(color, "make", instance, fn=_cmd_color)
+    leaf(color, "chi", instance, bound, fn=_cmd_color, bounds=oracle)
+    leaf(color, "verify", instance, file, fn=_cmd_color)
 
-    poset = sub.add_parser("poset", help="poset operations", parents=[common, bound])
-    poset.add_argument("verb", choices=["compat", "lower-bound", "ramsey", "liminf", "predense"])
-    poset.add_argument("instance")
-    poset.add_argument("--file", required=True, help="conditions/location file")
-    poset.add_argument("--kind", choices=["p", "q"], default="q")
-    poset.set_defaults(fn=_cmd_poset)
+    poset = verbs("poset", "verb", "poset operations")
+    compat = leaf(poset, "compat", instance, file, fn=_cmd_poset)
+    compat.add_argument("--kind", choices=["p", "q"], default="q")
+    leaf(poset, "lower-bound", instance, file, fn=_cmd_poset, kind="p")
+    leaf(poset, "ramsey", instance, file, fn=_cmd_poset, kind="q")
+    leaf(poset, "liminf", instance, file, fn=_cmd_poset, kind="q")
+    leaf(poset, "predense", instance, file, bound, fn=_cmd_poset, kind="q",
+         bounds={"colorBudget": 3, "maxArity": None})
 
-    hamming = sub.add_parser("hamming", help="Hamming truncations and embeddings",
-                             parents=[common, bound])
-    hamming.add_argument("verb", choices=["chi", "vitali", "embed", "sigma"])
-    hamming.add_argument("--breadth", type=int, default=3)
-    hamming.add_argument("--alphabet", type=int, default=2)
-    hamming.set_defaults(fn=_cmd_hamming)
+    hamming = verbs("hamming", "verb", "Hamming truncations and embeddings")
+    leaf(hamming, "chi", breadth, bound, fn=_cmd_hamming, bounds=oracle)
+    leaf(hamming, "vitali", breadth, alphabet, fn=_cmd_hamming)
+    leaf(hamming, "embed", breadth, fn=_cmd_hamming)
+    leaf(hamming, "sigma", breadth, bound, fn=_cmd_hamming, bounds=oracle)
 
-    camp = sub.add_parser("campaign", help="run seeded property suites", parents=seeded)
+    camp = leaf(sub, "campaign", seed, trials, bound, fn=_cmd_campaign,
+                help="run seeded property suites",
+                bounds=dict.fromkeys(campaign_mod.DEFAULT_BOUNDS))
     camp.add_argument("suites", nargs="*", help="suite names (default: all)")
     camp.add_argument("--jobs", type=int, default=1)
     camp.add_argument("--list", action="store_true", dest="list_suites")
-    camp.set_defaults(fn=_cmd_campaign)
 
     return parser
 
@@ -493,9 +483,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args.bounds = _parse_bounds(args)
         _check_options(args)
-        if getattr(args, "list_suites", False):
-            _emit({"suites": sorted(campaign_mod.SUITES)}, args.out)
-            return 0
         return args.fn(args)
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")

@@ -25,7 +25,7 @@ from .geometry import Point, TaggedBox, box_contains, iter_boxes_containing
 from .graphs import SampleUniverse
 from .lattice import is_good
 
-DEFAULT_ORACLE_BOUND = 20
+DEFAULT_ORACLE_BOUND = 24
 
 
 def check_suitable(assignment: Mapping[Point, TaggedBox]) -> list[str]:

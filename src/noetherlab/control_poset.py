@@ -227,7 +227,7 @@ def canonical_location(q: QCondition) -> Location:
         loc = Location(boxes, colors)
         try:
             loc.validate(universe.instance)
-        except (LocationError, UnsupportedKindError):
+        except LocationError:
             continue
         return loc
     raise LocationError(f"no separating level below {_CANONICAL_MAX_LEVEL}")

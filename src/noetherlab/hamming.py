@@ -12,7 +12,7 @@ from itertools import product
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .coloring import chromatic_number
+from .coloring import DEFAULT_ORACLE_BOUND, chromatic_number
 from .errors import (
     InvalidPointError,
     InvalidSequenceError,
@@ -313,7 +313,7 @@ def sigma_bounded_check(
     universe: SampleUniverse,
     pieces: Sequence[Iterable[Point]],
     *,
-    oracle_bound: int = 64,
+    oracle_bound: int = DEFAULT_ORACLE_BOUND,
 ) -> dict:
     """Exact chromatic number and clique size of every piece of a partition.
 

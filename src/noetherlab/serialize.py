@@ -264,14 +264,15 @@ def point_at(universe: SampleUniverse, raw: Any, field: str = "index") -> Point:
     """The universe point at a JSON index: an int or a decimal string.
 
     Negative, out-of-range and non-integer indices raise ParseError, so
-    that -1 never wraps around to the last point.
+    that -1 never wraps around to the last point, and so do strings other
+    than ``str(i)``, so that "00", " 1" and "1_0" never alias 0, 1 and 10.
     """
-    if isinstance(raw, bool) or not isinstance(raw, (int, str)):
-        raise ParseError(f"{field}: expected an integer index, got {raw!r}")
     try:
-        i = int(raw)
+        i = int(raw) if isinstance(raw, (int, str)) and not isinstance(raw, bool) else None
     except ValueError:
-        raise ParseError(f"{field}: expected an integer index, got {raw!r}") from None
+        i = None
+    if i is None or str(i) != str(raw):
+        raise ParseError(f"{field}: expected an integer index, got {raw!r}")
     if not 0 <= i < len(universe.points):
         raise ParseError(f"{field}: index {i} outside 0..{len(universe.points) - 1}")
     return universe.points[i]
@@ -331,15 +332,31 @@ def dump_canonical(data: Any) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
+def _unique_keys(pairs: list, where: str) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ParseError(f"{where}: repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
+def read_json(text: str, where: str) -> Any:
+    """JSON text as data; malformed text, an overlong integer or a repeated key is a ParseError."""
+    try:
+        return json.loads(text, object_pairs_hook=lambda pairs: _unique_keys(pairs, where))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{where}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ParseError(f"{where}: invalid JSON: {exc}") from None
+
+
 def load_path(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return read_json(fh.read(), path)
     except FileNotFoundError:
         raise ParseError(f"{path}: no such file") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    except ValueError as exc:  # an integer literal past Python's digit limit
+    except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
 

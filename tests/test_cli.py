@@ -1,11 +1,26 @@
+import argparse
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
-from noetherlab import SampleUniverse, VariationSpec, cli, distance_graph, patterns, pt
+import pytest
+
+from noetherlab import (
+    PCondition,
+    SampleUniverse,
+    TaggedBox,
+    VariationSpec,
+    cli,
+    distance_graph,
+    patterns,
+    pt,
+)
 from noetherlab.cli import MAX_TRIALS, build_parser, main
 from noetherlab.patterns import find_variation_prefix
-from noetherlab.serialize import MAX_CURVE_POINTS, MAX_POWER, universe_to_json
+from noetherlab.serialize import MAX_CURVE_POINTS, MAX_POWER, pcondition_to_json, universe_to_json
 from noetherlab.generators import line_universe
 
 
@@ -186,9 +201,7 @@ def test_poset_lower_bound(tmp_path, capsys):
     p1 = pcondition_to_json(PCondition(u, {pt(1): TaggedBox(0, 2, (3,))}))
     cfile = tmp_path / "p.json"
     cfile.write_text(json.dumps({"conditions": [p0, p1], "point": 2}))
-    code, report = _run(
-        capsys, ["poset", "lower-bound", inst, "--kind", "p", "--file", str(cfile)]
-    )
+    code, report = _run(capsys, ["poset", "lower-bound", inst, "--file", str(cfile)])
     assert code == 0 and report["built"] is True
     assert set(report["bound"]["assignment"]) == {"0", "1", "2"}
 
@@ -214,8 +227,8 @@ def test_poset_verbs_refuse_invalid_conditions(tmp_path, capsys):
     unsuitable = _poset_file(tmp_path, "unsuitable.json", {"conditions": [
         {"assignment": {"0": {"tag": 0, "level": 1, "corners": [1]}}}
     ]})
-    for verb in ("compat", "lower-bound"):
-        assert main(["poset", verb, inst, "--kind", "p", "--file", unsuitable]) == 1, verb
+    for argv in (["compat", "--kind", "p"], ["lower-bound"]):
+        assert main(["poset", *argv, inst, "--file", unsuitable]) == 1, argv
         captured = capsys.readouterr()
         assert captured.out == "" and "not inside its color" in captured.err
 
@@ -249,7 +262,8 @@ def test_mistyped_calls_exit_2(tmp_path, capsys):
     assert main(["adj", inst, "--y", '["1"]']) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "parse error: color verify needs --file\nparse error: --y needs --x\n"
+    assert "the following arguments are required: --file" in captured.err
+    assert captured.err.endswith("\nparse error: --y needs --x\n")
 
 
 def test_hamming_verbs(capsys):
@@ -311,7 +325,7 @@ def test_each_verb_reads_only_its_own_options(tmp_path, capsys):
         assert main(argv) == 2, argv
     err = capsys.readouterr().err
     assert "unrecognized arguments: --trials 5" in err
-    assert "--bound oracle: color make reads no such bound" in err
+    assert "unrecognized arguments: --bound oracle=3" in err
     assert "--bound oracle: lattice reads no such bound" in err
     # and each verb that reads one still takes it
     for argv in (
@@ -320,6 +334,61 @@ def test_each_verb_reads_only_its_own_options(tmp_path, capsys):
         ["color", "chi", inst, "--bound", "oracle=3"],
         ["hamming", "chi", "--breadth", "2", "--bound", "oracle=3"],
         ["hamming", "sigma", "--breadth", "2", "--bound", "oracle=3"],
+    ):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+
+
+def test_options_a_verb_does_not_read_exit_2(tmp_path, capsys):
+    line = _write_line_universe(tmp_path)
+    path4 = _poset_file(tmp_path, "path4.json",
+                        {"kind": "explicit", "vertices": 4, "edges": [[0, 1], [1, 2], [2, 3]]})
+    q = _poset_file(tmp_path, "q.json", {
+        "conditions": [{"assignment": {"0": 0, "3": 1}}, {"assignment": {"1": 0, "3": 1}}],
+        "location": {"cells": [{"vertices": [0, 1]}, {"vertices": [3]}], "colors": [0, 1]},
+        "m": 2,
+    })
+    u = line_universe(3)
+    p = _poset_file(tmp_path, "p.json", {"point": 2, "conditions": [
+        pcondition_to_json(PCondition(u, {pt(0): TaggedBox(0, 2, (-1,))})),
+        pcondition_to_json(PCondition(u, {pt(1): TaggedBox(0, 2, (3,))})),
+    ]})
+    seed, alphabet, edge = ["--seed", "3"], ["--alphabet", "3"], ["--edge-probability", "0.5"]
+    # each verb with an option that it does not read; without the option it runs
+    ignored = [
+        *((["gen", "line"], option) for option in (seed, alphabet, edge)),
+        *((["gen", "hamming-diagonal", "--size", "3"], option) for option in (seed, alphabet, edge)),
+        *((["gen", "clustered-line"], option) for option in (["--size", "5"], seed, alphabet, edge)),
+        (["gen", "planar"], alphabet),
+        (["gen", "planar"], edge),
+        (["gen", "explicit"], alphabet),
+        (["gen", "hamming-uniform"], seed),
+        (["gen", "hamming-uniform"], edge),
+        *((["color", verb, line], ["--file", p]) for verb in ("make", "chi")),
+        (["poset", "lower-bound", line, "--file", p], ["--kind", "q"]),
+        *((["poset", verb, path4, "--file", q], ["--kind", "p"])
+          for verb in ("ramsey", "liminf", "predense")),
+        *((["hamming", verb, "--breadth", "2"], alphabet) for verb in ("chi", "embed", "sigma")),
+        (["adj", line, "--x", '["1"]'], ["--indices", "0"]),
+    ]
+    assert len(ignored) == 25
+    for argv, option in ignored:
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+        assert main([*argv, *option]) == 2, (argv, option)
+        assert capsys.readouterr().out == "", (argv, option)
+    # each verb that reads one of these options still takes it
+    coloring = str(tmp_path / "coloring.json")
+    assert main(["color", "make", line, "--out", coloring]) == 0
+    for argv in (
+        ["gen", "line", "--size", "5"],
+        ["gen", "planar", "--size", "5", "--seed", "3"],
+        ["gen", "explicit", "--seed", "3", "--edge-probability", "0.5"],
+        ["gen", "hamming-uniform", "--size", "3", "--alphabet", "3"],
+        ["color", "verify", line, "--file", coloring],
+        ["poset", "compat", line, "--file", p, "--kind", "p"],
+        ["hamming", "vitali", "--breadth", "2", "--alphabet", "3"],
+        ["adj", line, "--indices", "0"],
     ):
         assert main(argv) == 0, argv
     capsys.readouterr()
@@ -430,11 +499,24 @@ def test_bad_point_indices_exit_2(tmp_path, capsys):
     for verb, data in files.items():
         path = tmp_path / f"{verb}.json"
         path.write_text(json.dumps(data))
-        argv = ["poset", verb, inst, "--file", str(path)]
-        if verb == "lower-bound":
-            argv += ["--kind", "p"]
-        assert main(argv) == 2, verb
+        assert main(["poset", verb, inst, "--file", str(path)]) == 2, verb
     assert "outside" in capsys.readouterr().err
+
+
+def test_point_keys_name_one_point_each(tmp_path, capsys):
+    # "00" and " 1" would alias 0 and 1, "1_0" would read as 10, and a
+    # repeated key would keep only its last value
+    inst = tmp_path / "line12.json"
+    inst.write_text(json.dumps(universe_to_json(line_universe(12))))
+    other = '{"assignment": {"5": 0}}'
+    for assignment in ('{"0": 0, "00": 1}', '{" 1": 0}', '{"1_0": 0}', '{"0": 0, "0": 1}'):
+        path = tmp_path / "conds.json"
+        path.write_text('{"conditions": [{"assignment": %s}, %s]}' % (assignment, other))
+        assert main(["poset", "compat", str(inst), "--file", str(path)]) == 2, assignment
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("parse error: "), assignment
+    assert main(["adj", str(inst), "--x", '{"0": 1, "0": 2}']) == 2
+    assert "repeated key '0'" in capsys.readouterr().err
 
 
 def test_malformed_containers_exit_2(tmp_path, capsys):
@@ -503,7 +585,9 @@ def test_malformed_containers_exit_2(tmp_path, capsys):
         ("liminf", "q", {"conditions": conds, "location": loc, "threshold": True}),
     ]
     for i, (verb, kind, data) in enumerate(files):
-        argv = ["poset", verb, inst, "--kind", kind, "--file", write(f"poset{i}.json", data)]
+        argv = ["poset", verb, inst, "--file", write(f"poset{i}.json", data)]
+        if verb == "compat":
+            argv += ["--kind", kind]
         assert main(argv) == 2, (verb, data)
     assert main(["color", "verify", inst, "--file", write("c.json", {"assignment": "x"})]) == 2
     assert main(["adj", inst, "--x", "nope"]) == 2
@@ -623,3 +707,38 @@ def test_console_entrypoint_runs():
         text=True,
     )
     assert out.returncode == 0
+
+
+def _leaves(parser, prefix=()):
+    """(verb, parser) of each leaf sub-command, the verb as it is typed."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        yield " ".join(prefix), parser
+    for group in groups:
+        for name, child in group.choices.items():
+            yield from _leaves(child, (*prefix, name))
+
+
+def test_readme_command_line_matches_the_parser():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    # every example parses; none is run
+    examples = [line for line in section.splitlines() if line.startswith("noetherlab ")]
+    assert len(examples) >= 10
+    for line in examples:
+        try:
+            build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
+    # the option table names each verb with exactly the options its parser declares
+    table = {}
+    for row in section.splitlines():
+        if row.startswith("| `"):
+            verbs, options = row.split("|")[1:3]
+            for verb in re.findall(r"`([^`]+)`", verbs):
+                table[verb] = set(re.findall(r"--[a-z-]+", options))
+    declared = {
+        verb: {flag for a in leaf._actions for flag in a.option_strings} - {"-h", "--help", "--out"}
+        for verb, leaf in _leaves(build_parser())
+    }
+    assert table == declared

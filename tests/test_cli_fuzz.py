@@ -61,11 +61,7 @@ CASES = [
     (["color", "verify", "INSTANCE"], "line", {"assignment": _COLORING}),
     (["poset", "compat", "INSTANCE"], "path4", {"conditions": _Q}),
     (["poset", "compat", "INSTANCE", "--kind", "p"], "line", {"conditions": _P}),
-    (
-        ["poset", "lower-bound", "INSTANCE", "--kind", "p"],
-        "line",
-        {"conditions": _P, "point": 2},
-    ),
+    (["poset", "lower-bound", "INSTANCE"], "line", {"conditions": _P, "point": 2}),
     (["poset", "ramsey", "INSTANCE"], "path4", {"conditions": _Q, "location": _LOC, "m": 2}),
     (
         ["poset", "liminf", "INSTANCE"],

@@ -166,8 +166,7 @@ def _color_lattice_poset_calls(tmp):
                                           "--file", p_conds]
     yield "poset compat line12 --kind q", ["poset", "compat", line12, "--kind", "q",
                                           "--file", q_conds]
-    yield "poset lower-bound line12", ["poset", "lower-bound", line12, "--kind", "p",
-                                       "--file", p_bound]
+    yield "poset lower-bound line12", ["poset", "lower-bound", line12, "--file", p_bound]
     yield "poset predense line12", ["poset", "predense", line12, "--file", q_conds]
 
     # The clustered line: points i/16 (indices 0-7) and 1 + i/16 (8-15).

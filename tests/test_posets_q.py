@@ -48,6 +48,7 @@ from noetherlab.errors import (
     PreconditionError,
     ReductionFailureError,
     UnknownPointError,
+    UnsupportedKindError,
     VerificationError,
 )
 from noetherlab.geometry import box_contains, boxes_disjoint, first_box_containing
@@ -59,6 +60,7 @@ from noetherlab.generators import (
     random_explicit_universe,
     random_qcondition,
 )
+from noetherlab.hamming import make_diagonal_hamming
 
 
 def _box(corner, level, tag=0):
@@ -198,6 +200,15 @@ def test_canonical_location_geometric():
     loc = canonical_location(q)
     loc.validate(u.instance)
     assert is_at_location(q, loc)
+
+
+def test_canonical_location_names_a_kind_with_no_box_certificate():
+    # two non-adjacent, same-coloured words: no box level can certify them,
+    # because box_edge_free does not decide Hamming instances
+    u = make_diagonal_hamming(3)
+    x, y = next((x, y) for x, y in combinations(u.points, 2) if not adjacent(u.instance, x, y))
+    with pytest.raises(UnsupportedKindError):
+        canonical_location(QCondition(u, {x: 0, y: 0}))
 
 
 def test_ramsey_bound_values():
