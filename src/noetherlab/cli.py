@@ -76,8 +76,11 @@ from .serialize import (
 def _emit(data, out: Optional[str]) -> None:
     text = dump_canonical(data)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"--out {out}: cannot write ({exc.strerror or exc})") from None
     else:
         sys.stdout.write(text)
 

@@ -28,20 +28,44 @@ from typing import Iterator, Sequence
 from .errors import InvalidPointError
 
 
-@dataclass(frozen=True)
 class Point:
-    """A point with exact rational coordinates."""
+    """A point with exact rational coordinates; immutable and hashable."""
 
-    coords: tuple[Fraction, ...]
+    __slots__ = ("coords", "_hash")
+
+    def __init__(self, coords: tuple[Fraction, ...]):
+        # Points key every universe index, so the hash is computed once, here.
+        # It stays hash((coords,)): set iteration order, and so the golden
+        # report bytes, depend on it.  hash(Fraction(n)) == hash(n), so
+        # integer coordinates hash by their numerators, without the slower
+        # Fraction.__hash__.
+        nums = []
+        for c in coords:
+            if c.denominator != 1:
+                h = hash((coords,))
+                break
+            nums.append(c.numerator)
+        else:
+            h = hash((tuple(nums),))
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "_hash", h)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Point is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Point is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coords == other.coords
+        return NotImplemented
 
     def __hash__(self):
-        # the dataclass hash, computed once: points key every universe index
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.coords,))
-            object.__setattr__(self, "_hash", h)
-            return h
+        return self._hash
+
+    def __reduce__(self):
+        return Point, (self.coords,)
 
     def __repr__(self):
         return "Point(" + ", ".join(str(c) for c in self.coords) + ")"
@@ -53,7 +77,7 @@ class Point:
 
 def pt(*coords) -> Point:
     """Build a Point from ints, strings or Fractions."""
-    return Point(tuple(Fraction(c) for c in coords))
+    return Point(tuple(map(Fraction, coords)))
 
 
 def squared_distance(x: Point, y: Point) -> Fraction:

@@ -187,6 +187,9 @@ def longest_descent_chain(
                         steps, _ = best_from(nxt, arity_left - 1)
                         if steps + 1 > best[0]:
                             best = (steps + 1, i)
+                            # each step spends one arity, so no later i beats this
+                            if steps + 1 == arity_left:
+                                break
             memo[key] = best
             return best
 

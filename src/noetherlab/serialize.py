@@ -10,7 +10,9 @@ never answers a key lookup: malformed input raises ParseError.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
 from .coloring import PCondition
@@ -106,15 +108,46 @@ def rational_to_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+# A rational string in ASCII digits: "p" or "p/q", with an optional minus
+# sign on p only.  No blanks, underscores, exponents, decimal points, plus
+# signs or non-ASCII digits, so no malformed text reads as another number.
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def rational_from_str(s: Any, field: str = "rational") -> Fraction:
-    """A "p/q" string or a JSON integer; floats are refused, not rounded."""
-    if isinstance(s, bool) or not isinstance(s, (str, int)):
-        raise ParseError(f"{field}: expected a rational string or an integer, got {s!r}")
+    """A "p/q" string or a JSON integer; floats are refused, not rounded.
+
+    "2/4" reads as 1/2.  A string must match ``-?[0-9]+(/[0-9]+)?`` whole,
+    and neither part may pass Python's 4300-digit limit.
+    """
+    if type(s) is str:
+        m = _RATIONAL.fullmatch(s)
+        if m is None:
+            raise ParseError(
+                f"{field}: malformed rational {s!r} (not of the form -?[0-9]+(/[0-9]+)?)"
+            )
+        p, q = m.groups()
+        try:
+            return Fraction(int(p)) if q is None else Fraction(int(p), int(q))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"{field}: malformed rational {s!r} ({exc})") from None
+    if isinstance(s, int) and not isinstance(s, bool):
+        return Fraction(s)
+    raise ParseError(f"{field}: expected a rational string or an integer, got {s!r}")
+
+
+def _each(parse, items: list, field: str) -> list:
+    """``parse`` applied to every item, as a list.
+
+    On a ParseError the items are parsed again, each named ``field[i]``, so
+    that the index strings are only built for malformed input.
+    """
     try:
-        q = Fraction(str(s))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"{field}: malformed rational {s!r} ({exc})") from None
-    return q
+        return list(map(parse, items))
+    except ParseError:
+        for i, item in enumerate(items):
+            parse(item, f"{field}[{i}]")
+        raise
 
 
 def point_to_json(p: Point) -> list[str]:
@@ -124,7 +157,7 @@ def point_to_json(p: Point) -> list[str]:
 def point_from_json(data: Any, field: str = "point") -> Point:
     if not isinstance(data, list) or not data:
         raise ParseError(f"{field}: expected a nonempty coordinate array")
-    return Point(tuple(rational_from_str(c, f"{field}[{i}]") for i, c in enumerate(data)))
+    return Point(tuple(_each(rational_from_str, data, field)))
 
 
 def box_to_json(b: TaggedBox) -> dict:
@@ -183,12 +216,11 @@ def instance_from_json(data: Any) -> GraphInstance:
         if kind == DISTANCE:
             return distance_graph(
                 expect_int(data["dim"], "instance.dim"),
-                [
-                    rational_from_str(s, f"squared_distances[{i}]")
-                    for i, s in enumerate(
-                        require(data, "squared_distances", list, "instance")
-                    )
-                ],
+                _each(
+                    rational_from_str,
+                    require(data, "squared_distances", list, "instance"),
+                    "squared_distances",
+                ),
             )
         if kind == CURVE_DIFFERENCE:
             terms = {}
@@ -204,7 +236,7 @@ def instance_from_json(data: Any) -> GraphInstance:
                     )
                 if (i_pow, j_pow) in terms:
                     raise ParseError(f"{where}.powers: [{i_pow}, {j_pow}] repeats an earlier term")
-                terms[i_pow, j_pow] = rational_from_str(t["coeff"], "poly coeff")
+                terms[i_pow, j_pow] = rational_from_str(t["coeff"], f"{where}.coeff")
             return curve_difference_graph(TwoVarPoly.from_dict(terms))
         if kind == HAMMING_UNIFORM:
             return hamming_uniform(
@@ -214,10 +246,7 @@ def instance_from_json(data: Any) -> GraphInstance:
         if kind == HAMMING_DIAGONAL:
             return hamming_diagonal(expect_int(data["breadth"], "instance.breadth"))
         if kind == EXPLICIT:
-            edges = []
-            for i, e in enumerate(require(data, "edges", list, "instance")):
-                where = f"instance.edges[{i}]"
-                edges.append(tuple(expect_int(v, where) for v in expect(e, list, where)))
+            edges = _each(_edge, require(data, "edges", list, "instance"), "instance.edges")
             n_vertices = expect_int(data["vertices"], "instance.vertices")
             if not 0 <= n_vertices <= DEFAULT_SIZE_BOUND:
                 raise ParseError(
@@ -227,6 +256,12 @@ def instance_from_json(data: Any) -> GraphInstance:
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"instance ({kind}): {exc}") from None
     raise ParseError(f"instance: unknown kind {kind!r}")
+
+
+def _edge(data: Any, field: str = "edge") -> list:
+    for v in expect(data, list, field):
+        expect_int(v, field)
+    return data
 
 
 def universe_to_json(universe: SampleUniverse) -> dict:
@@ -253,7 +288,7 @@ def universe_from_json(data: Any) -> SampleUniverse:
             raise ParseError(
                 f"universe.points: {len(raw_points)} points exceed the bound {bound}"
             )
-        points = [point_from_json(p, f"points[{i}]") for i, p in enumerate(raw_points)]
+        points = _each(point_from_json, raw_points, "points")
     try:
         return SampleUniverse(instance, points)
     except InvalidPointError as exc:
@@ -328,8 +363,67 @@ def location_from_json(data: Any, universe: SampleUniverse) -> Location:
 
 
 def dump_canonical(data: Any) -> str:
-    """Deterministic JSON: sorted keys, no whitespace drift."""
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON: sorted keys, no whitespace drift.
+
+    The text of ``json.dumps(data, sort_keys=True, indent=2) + "\\n"``.
+    json's indented encoder is pure Python, so dicts with str keys, lists,
+    tuples, str, int, bool and None go through _emit instead; any other
+    value, a float or an int key say, falls back to json.dumps.
+    """
+    out: list[str] = []
+    try:
+        _emit(data, out, "\n")
+    except TypeError:
+        return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit(data: Any, out: list, newline: str) -> None:
+    """Append json.dumps's indented text of ``data`` to ``out``.
+
+    ``newline`` is a newline followed by the indent of the current line.
+    Raises TypeError on a value outside the types dump_canonical lists.
+    """
+    kind = type(data)
+    if kind is str:
+        out.append(encode_basestring_ascii(data))
+    elif kind is int:
+        out.append(repr(data))
+    elif kind is list or kind is tuple:
+        if not data:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in data:
+            out.append(sep)
+            _emit(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif kind is dict:
+        if not data:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(data):
+            if type(key) is not str:
+                raise TypeError(f"key {key!r} is not a str")
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _emit(data[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif data is None:
+        out.append("null")
+    elif data is True:
+        out.append("true")
+    elif data is False:
+        out.append("false")
+    else:
+        raise TypeError(f"{kind.__name__} is not emitted directly")
 
 
 def _unique_keys(pairs: list, where: str) -> dict:
@@ -354,8 +448,8 @@ def load_path(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return read_json(fh.read(), path)
-    except FileNotFoundError:
-        raise ParseError(f"{path}: no such file") from None
+    except OSError as exc:  # a missing file, a directory, no permission
+        raise ParseError(f"{path}: cannot read ({exc.strerror or exc})") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
 

@@ -9,6 +9,15 @@ sys.path.insert(0, str(Path(__file__).parent))
 from noetherlab import SampleUniverse, distance_graph, explicit_graph, pt, vertex_point
 
 
+# Strings outside the rational grammar -?[0-9]+(/[0-9]+)?, each of which
+# Fraction() alone would read as a number or refuse: underscores, blanks,
+# exponents, decimals, a plus sign, a signed denominator, a non-ASCII digit,
+# the empty string, a zero denominator, and one digit past Python's limit.
+MALFORMED_RATIONALS = [
+    "1_0", " 11/1 ", "1e3", "1.5", "+1", "1/-2", "\u0661", "", "1/0", "7" * 4301,
+]
+
+
 def explicit_universe(n, edges):
     return SampleUniverse(explicit_graph(n, edges), [vertex_point(i) for i in range(n)])
 

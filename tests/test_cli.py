@@ -742,3 +742,46 @@ def test_readme_command_line_matches_the_parser():
         for verb, leaf in _leaves(build_parser())
     }
     assert table == declared
+
+
+def test_unreadable_input_and_unwritable_output_exit_2(tmp_path, capsys):
+    assert main(["adj", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"parse error: {tmp_path}: cannot read")
+    for out in (tmp_path / "no" / "dir" / "x.json", tmp_path):
+        assert main(["gen", "line", "--size", "3", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith(f"parse error: --out {out}: cannot write")
+
+
+def test_rationals_outside_the_grammar_exit_2(tmp_path, capsys):
+    from conftest import MALFORMED_RATIONALS
+
+    line = _write_line_universe(tmp_path, 12)
+    data = universe_to_json(line_universe(12))
+    for text in MALFORMED_RATIONALS:
+        assert main(["adj", line, "--x", json.dumps([text])]) == 2, text
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("parse error: --x[0]: "), text
+        data["points"][3] = ["3/4", text]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["adj", str(path), "--indices", "0"]) == 2, text
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("parse error: points[3][1]: "), text
+
+
+def test_rationals_in_the_grammar_parse(tmp_path, capsys):
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps({
+        "instance": {"kind": "distance", "dim": 1, "squared_distances": ["1/16", 1]},
+        "points": [["3/4"], ["-3"], ["2/4"], [-2], ["007/4"]],
+    }))
+    # "2/4" reads as 1/2, a quarter below 3/4, and "007/4" as 7/4, one above
+    assert _run(capsys, ["adj", str(path), "--x", '["3/4"]']) == (
+        0, {"neighborhood": [["1/2"], ["3/4"], ["7/4"]]}
+    )
+    assert _run(capsys, ["adj", str(path), "--x", "[-3]", "--y", '["-2"]']) == (
+        0, {"adjacent": True}
+    )

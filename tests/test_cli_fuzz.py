@@ -9,6 +9,7 @@ field of the wrong type must exit 2.
 
 import json
 
+from conftest import MALFORMED_RATIONALS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -93,7 +94,8 @@ _NULL_MEANS_DEFAULT = {"threshold"}
 # polynomial powers).  Most draws stay small, which keeps each fuzz case
 # fast; the rest are each upper bound and one past it (DEFAULT_SIZE_BOUND,
 # serialize.MAX_BOX_LEVEL, serialize.MAX_POWER), so that files at and just
-# past a bound keep the exit-code contract too.
+# past a bound keep the exit-code contract too.  Strings include every
+# malformed rational of conftest.MALFORMED_RATIONALS.
 _BOUNDS = (DEFAULT_SIZE_BOUND, MAX_BOX_LEVEL, MAX_POWER)
 _SCALARS = (
     st.none()
@@ -102,6 +104,7 @@ _SCALARS = (
     | st.sampled_from([v for bound in _BOUNDS for v in (bound, bound + 1)])
     | st.floats(allow_nan=False, allow_infinity=False)
     | st.text(max_size=4)
+    | st.sampled_from(MALFORMED_RATIONALS)
 )
 _JSON = st.recursive(
     _SCALARS,

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 from itertools import count, islice, product
@@ -18,7 +19,7 @@ from noetherlab import (
     squared_distance,
 )
 from noetherlab.errors import InvalidPointError
-from noetherlab.geometry import _containing_corners, iter_boxes_containing
+from noetherlab.geometry import Point, _containing_corners, iter_boxes_containing
 
 
 def test_box_intervals():
@@ -272,3 +273,41 @@ def test_point_hash_is_the_dataclass_hash():
     assert hash(x) == hash((x.coords,)) == hash(x)
     assert x == pt("2/6", "-2") and hash(x) == hash(pt("2/6", "-2"))
     assert len({x, pt("1/3", -2), pt(0, 0)}) == 2
+
+
+_COORDS = st.lists(
+    st.integers().map(Fraction) | st.fractions(), min_size=1, max_size=4
+).map(tuple)
+
+
+@given(_COORDS)
+def test_point_hash_is_the_hash_of_its_coordinate_tuple(coords):
+    # set iteration order, and so report bytes, rest on this value
+    assert hash(Point(coords)) == hash((coords,))
+
+
+def test_point_contract():
+    F = Fraction
+    cases = [
+        (F(-1),),  # hash(-1) == -2
+        (F(-1), F(-2), F(0)),
+        (F(2**61 - 1), F(-(2**70))),
+        (F(1, 3),),
+        (F(-1, 2), F(5)),
+        (F(5), F(-1, 2)),
+    ]
+    for coords in cases:
+        p = Point(coords)
+        assert hash(p) == hash((coords,)) == hash((tuple(coords),))
+        assert p == Point(tuple(coords)) and p != Point(coords + (F(0),))
+        assert p != coords and {p: 0}[Point(tuple(coords))] == 0
+        back = pickle.loads(pickle.dumps(p))
+        assert back == p and hash(back) == hash(p) and back.coords == coords
+        with pytest.raises(AttributeError):
+            p.coords = (F(0),)
+        with pytest.raises(AttributeError):
+            p.label = "x"
+        with pytest.raises(AttributeError):
+            del p.coords
+        assert p.coords == coords
+    assert hash(Point((F(-1),))) == hash(((-1,),))

@@ -279,3 +279,48 @@ def test_descent_beam_emptying_shortcut_matches_reference():
                 expected = [u.points[i] for i in paths[min(arity, len(paths) - 1)]]
                 assert _beam_path(u, arity, width) == expected, (len(u), arity, width)
     assert stats["topped_up"] and stats["emptying_dropped"], stats
+
+
+def _exhaustive_picks_scanning_every_point(universe, max_arity):
+    """The exhaustive chain's generators, scoring every i in every state."""
+    n, closed = len(universe), universe.closed_masks
+    memo = {}
+
+    def best_from(extent, arity_left):
+        if (extent, arity_left) not in memo:
+            best = (0, None)
+            for i in range(n if arity_left else 0):
+                nxt = extent & closed[i]
+                if nxt != extent:
+                    steps = best_from(nxt, arity_left - 1)[0] + 1
+                    if steps > best[0]:
+                        best = (steps, i)
+            memo[extent, arity_left] = best
+        return memo[extent, arity_left]
+
+    picks, extent = [], universe.full_mask
+    for arity in range(max_arity, 0, -1):
+        pick = best_from(extent, arity)[1]
+        if pick is None:
+            break
+        picks.append(universe.points[pick])
+        extent &= closed[pick]
+    return picks
+
+
+def test_descent_exhaustive_early_exit_matches_full_scan():
+    """The exhaustive route stops scanning a state once a chain uses up the
+    arity left; its chain must equal the one a full scan picks."""
+    rng = random.Random(20261019)
+    full_length = 0
+    for trial in range(150):
+        u = random_universe(rng, EXHAUSTIVE_CHAIN_LIMIT)
+        max_arity = rng.randint(1, 6)
+        chain = longest_descent_chain(u, max_arity)
+        picks = _exhaustive_picks_scanning_every_point(u, max_arity)
+        assert chain.certified
+        assert [e.generators[0] for e in chain.elements] == [
+            frozenset(picks[:k]) for k in range(len(picks) + 1)
+        ], (trial, len(u), max_arity)
+        full_length += len(picks) == max_arity
+    assert full_length >= 20

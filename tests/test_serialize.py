@@ -1,8 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import explicit_universe
+from conftest import MALFORMED_RATIONALS, explicit_universe
 from noetherlab import (
     Location,
     PCondition,
@@ -21,6 +24,7 @@ from noetherlab.hamming import DEFAULT_SIZE_BOUND
 from noetherlab.serialize import (
     box_from_json,
     box_to_json,
+    dump_canonical,
     instance_from_json,
     instance_to_json,
     location_from_json,
@@ -39,8 +43,6 @@ from noetherlab.serialize import (
 
 
 def test_rational_strings():
-    from fractions import Fraction
-
     assert rational_to_str(Fraction(1, 4)) == "1/4"
     assert rational_to_str(Fraction(3)) == "3"
     assert rational_from_str("1/4") == Fraction(1, 4)
@@ -48,6 +50,13 @@ def test_rational_strings():
         rational_from_str("3/0")
     with pytest.raises(ParseError):
         rational_from_str("zebra")
+    # the grammar is -?[0-9]+(/[0-9]+)?; "2/4" is normalised, ints pass
+    assert rational_from_str("-3") == -3 and rational_from_str(-3) == -3
+    assert rational_from_str("2/4") == Fraction(1, 2)
+    assert rational_from_str("-0/5") == 0 and rational_from_str("007") == 7
+    for text in MALFORMED_RATIONALS:
+        with pytest.raises(ParseError, match="^squared_distances.0.: malformed rational"):
+            rational_from_str(text, "squared_distances[0]")
 
 
 def test_point_and_box_roundtrip():
@@ -181,3 +190,57 @@ def test_parse_instance_file(tmp_path):
     with pytest.raises(ParseError) as err:
         parse_instance_file(str(bad))
     assert "line" in str(err.value)
+
+
+def _dumps(data):
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+# every code point, control characters and lone surrogates included
+_TEXT = st.text(st.characters(codec=None, exclude_categories=()), max_size=6)
+_EMITTED_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**4000), 10**4000)
+    | _TEXT
+)
+
+
+def _containers(inner, keys=_TEXT):
+    return (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(keys, inner, max_size=4)
+    )
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.recursive(_EMITTED_LEAVES, _containers, max_leaves=40))
+def test_canonical_dump_matches_json_dumps(data):
+    assert dump_canonical(data) == _dumps(data)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(
+    st.recursive(
+        _EMITTED_LEAVES | st.floats(),
+        lambda inner: _containers(inner)
+        | st.dictionaries(st.integers(), inner, max_size=3)
+        | st.dictionaries(st.floats(allow_nan=False), inner, max_size=3)
+        | st.dictionaries(st.none(), inner, max_size=1),
+        max_leaves=20,
+    )
+)
+def test_canonical_dump_falls_back_to_json_dumps(data):
+    # floats and non-str keys go through json.dumps itself
+    assert dump_canonical(data) == _dumps(data)
+
+
+@given(st.integers(1, 300), st.booleans())
+def test_canonical_dump_of_deep_nesting(depth, leaf):
+    data = leaf
+    for level in range(depth):
+        data = {"k": data} if level % 2 else [data, []]
+    assert dump_canonical(data) == _dumps(data)
+    assert dump_canonical({}) == _dumps({}) and dump_canonical(()) == _dumps(())
