@@ -66,6 +66,7 @@ from .serialize import (
     point_to_json,
     optional_int,
     qcondition_from_json,
+    quoted,
     require,
     universe_to_json,
     box_to_json,
@@ -88,7 +89,7 @@ def _emit(data, out: Optional[str]) -> None:
 def _cmd_gen(args) -> int:
     # a Hamming --size is a breadth, bounded by the point count it makes
     if args.family in ("line", "planar", "explicit") and args.size > DEFAULT_SIZE_BOUND:
-        raise ParseError(f"--size {args.size} exceeds the bound {DEFAULT_SIZE_BOUND}")
+        raise ParseError(f"--size {quoted(args.size)} exceeds the bound {DEFAULT_SIZE_BOUND}")
     _emit(universe_to_json(args.build(args)), args.out)
     return 0
 
@@ -240,12 +241,16 @@ def _cmd_poset(args) -> int:
         x = point_at(universe, data["point"], "point") if "point" in data else None
     elif args.verb == "ramsey":
         m = optional_int(data, "m", 3, args.file)
+        if m < 2:
+            raise ParseError(f"{args.file}.m: {quoted(m)} is below 2")
     elif args.verb == "liminf":
         test_set = [
             point_at(universe, i, "test_set")
             for i in expect(data.get("test_set", []), list, f"{args.file}.test_set")
         ]
         threshold = optional_int(data, "threshold", None, args.file)
+        if threshold is not None and threshold < 0:
+            raise ParseError(f"{args.file}.threshold: {quoted(threshold)} is negative")
     elif args.verb == "predense":
         budget = optional_int(data, "color_budget", args.bounds["colorBudget"], args.file)
     for cond in conds:
@@ -264,14 +269,9 @@ def _cmd_poset(args) -> int:
         _emit({"built": True, "bound": pcondition_to_json(bound)}, args.out)
         return 0
     if args.verb == "ramsey":
+        bound = ramsey_bound(m, len(loc.cells))
         found = ramsey_compatible_subset(conds, m, loc)
-        _emit(
-            {
-                "bound": ramsey_bound(m, len(loc.cells)),
-                "subset": None if found is None else list(found[0]),
-            },
-            args.out,
-        )
+        _emit({"bound": bound, "subset": None if found is None else list(found[0])}, args.out)
         return 0
     if args.verb == "liminf":
         result = liminf_thin(conds, loc, test_set, threshold)
@@ -334,7 +334,7 @@ def _parse_bounds(args) -> dict:
     bounds = dict(getattr(args, "bounds", {}))
     for pair in getattr(args, "bound_pairs", None) or []:
         if "=" not in pair:
-            raise ParseError(f"--bound expects name=value, got {pair!r}")
+            raise ParseError(f"--bound expects name=value, got {quoted(pair)}")
         name, value = pair.split("=", 1)
         if name not in campaign_mod.DEFAULT_BOUNDS:
             known = ", ".join(campaign_mod.DEFAULT_BOUNDS)
@@ -345,12 +345,12 @@ def _parse_bounds(args) -> dict:
         try:
             bounds[name] = int(value)
         except ValueError:
-            raise ParseError(f"--bound {name}: {value!r} is not an integer") from None
+            raise ParseError(f"--bound {name}: {quoted(value)} is not an integer") from None
         if bounds[name] < 1:
-            raise ParseError(f"--bound {name}: {value!r} is not a positive integer")
+            raise ParseError(f"--bound {name}: {quoted(value)} is not a positive integer")
         minimum = campaign_mod.BOUND_MINIMA[name]
         if bounds[name] < minimum:
-            raise ParseError(f"--bound {name}: {value!r} is below its minimum {minimum}")
+            raise ParseError(f"--bound {name}: {quoted(value)} is below its minimum {minimum}")
     return bounds
 
 
@@ -369,13 +369,21 @@ def _check_options(args) -> None:
         value = getattr(args, name, least)
         if value < least:
             what = "a positive integer" if least == 1 else f"an integer >= {least}"
-            raise ParseError(f"--{name} must be {what}, got {value}")
+            raise ParseError(f"--{name} must be {what}, got {quoted(value)}")
     if getattr(args, "trials", 0) > MAX_TRIALS:
-        raise ParseError(f"--trials {args.trials} exceeds the bound {MAX_TRIALS}")
+        raise ParseError(f"--trials {quoted(args.trials)} exceeds the bound {MAX_TRIALS}")
     if not 0 <= getattr(args, "edge_probability", 0) <= 1:
         raise ParseError(
             f"--edge-probability must be a number in [0, 1], got {args.edge_probability}"
         )
+
+
+def _int(text: str) -> int:
+    """argparse's int type, with the offending text quoted short."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {quoted(text)}") from None
 
 
 @functools.cache
@@ -400,12 +408,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     out = option("--out", default=None, help="write JSON here instead of stdout")
     instance = option("instance")
-    seed = option("--seed", type=int, default=0)
-    trials = option("--trials", type=int, default=100)
+    seed = option("--seed", type=_int, default=0)
+    trials = option("--trials", type=_int, default=100)
     bound = option("--bound", action="append", dest="bound_pairs", metavar="NAME=VALUE")
-    size = option("--size", type=int, default=6)
-    alphabet = option("--alphabet", type=int, default=2)
-    breadth = option("--breadth", type=int, default=3)
+    size = option("--size", type=_int, default=6)
+    alphabet = option("--alphabet", type=_int, default=2)
+    breadth = option("--breadth", type=_int, default=3)
     file = option("--file", required=True, help="JSON input file")
     edge_probability = option("--edge-probability", type=float, default=0.35)
     oracle = {"oracle": DEFAULT_ORACLE_BOUND}
@@ -434,14 +442,14 @@ def build_parser() -> argparse.ArgumentParser:
     adj = leaf(sub, "adj", instance, fn=_cmd_adj, help="adjacency and neighborhood queries")
     point = adj.add_mutually_exclusive_group()
     point.add_argument("--x", default=None, help="point as JSON array of rationals")
-    point.add_argument("--indices", type=int, nargs="*", default=[])
+    point.add_argument("--indices", type=_int, nargs="*", default=[])
     adj.add_argument("--y", default=None)
 
     detect = leaf(sub, "detect", instance, fn=_cmd_detect, help="forbidden-pattern prefix search")
     detect.add_argument("--family", choices=["half", "threeQuarter"], default="half")
     detect.add_argument("--left", choices=["clique", "anticlique"], default="anticlique")
     detect.add_argument("--right", choices=["clique", "anticlique"], default="anticlique")
-    detect.add_argument("--depth", type=int, default=2)
+    detect.add_argument("--depth", type=_int, default=2)
     detect.add_argument("--stress", action="store_true")
 
     leaf(sub, "lattice", instance, seed, trials, bound, fn=_cmd_lattice,
@@ -471,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="run seeded property suites",
                 bounds=dict.fromkeys(campaign_mod.DEFAULT_BOUNDS))
     camp.add_argument("suites", nargs="*", help="suite names (default: all)")
-    camp.add_argument("--jobs", type=int, default=1)
+    camp.add_argument("--jobs", type=_int, default=1)
     camp.add_argument("--list", action="store_true", dest="list_suites")
 
     return parser

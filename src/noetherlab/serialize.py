@@ -67,6 +67,20 @@ MAX_POWER = 64
 MAX_CURVE_POINTS = 1024
 
 
+# The most characters of an offending value that a message quotes.
+QUOTE_LIMIT = 40
+
+
+def quoted(value: Any) -> str:
+    """``repr(value)``, cut to QUOTE_LIMIT characters with the value's length
+    stated when longer, so that a message stays short for any input."""
+    text = repr(value)
+    if len(text) <= QUOTE_LIMIT:
+        return text
+    size = len(value) if isinstance(value, str) else len(text)
+    return f"{text[:QUOTE_LIMIT]}... ({size} characters)"
+
+
 def expect(value: Any, kind: type, field: str) -> Any:
     """``value`` if it is a JSON object (dict) or array (list), else ParseError."""
     if not isinstance(value, kind):
@@ -90,7 +104,7 @@ def expect_int(value: Any, field: str) -> int:
     so ``1.5`` never reads as 1 and ``"2"`` never reads as 2.
     """
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{field}: expected an integer, got {value!r}")
+        raise ParseError(f"{field}: expected an integer, got {quoted(value)}")
     return value
 
 
@@ -124,16 +138,17 @@ def rational_from_str(s: Any, field: str = "rational") -> Fraction:
         m = _RATIONAL.fullmatch(s)
         if m is None:
             raise ParseError(
-                f"{field}: malformed rational {s!r} (not of the form -?[0-9]+(/[0-9]+)?)"
+                f"{field}: malformed rational {quoted(s)}"
+                " (not of the form -?[0-9]+(/[0-9]+)?)"
             )
         p, q = m.groups()
         try:
             return Fraction(int(p)) if q is None else Fraction(int(p), int(q))
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"{field}: malformed rational {s!r} ({exc})") from None
+            raise ParseError(f"{field}: malformed rational {quoted(s)} ({exc})") from None
     if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
-    raise ParseError(f"{field}: expected a rational string or an integer, got {s!r}")
+    raise ParseError(f"{field}: expected a rational string or an integer, got {quoted(s)}")
 
 
 def _each(parse, items: list, field: str) -> list:
@@ -171,7 +186,7 @@ def box_from_json(data: Any, field: str = "box") -> TaggedBox:
         tag = expect_int(data["tag"], f"{field}.tag")
         level = expect_int(data["level"], f"{field}.level")
         if level > MAX_BOX_LEVEL:
-            raise ParseError(f"{field}.level: {level} exceeds the bound {MAX_BOX_LEVEL}")
+            raise ParseError(f"{field}.level: {quoted(level)} exceeds the bound {MAX_BOX_LEVEL}")
         return TaggedBox(
             tag=tag,
             level=level,
@@ -232,7 +247,7 @@ def instance_from_json(data: Any) -> GraphInstance:
                 i_pow, j_pow = (expect_int(e, f"{where}.powers") for e in powers)
                 if max(i_pow, j_pow) > MAX_POWER:
                     raise ParseError(
-                        f"{where}.powers: [{i_pow}, {j_pow}] exceeds the bound {MAX_POWER}"
+                        f"{where}.powers: {quoted([i_pow, j_pow])} exceeds the bound {MAX_POWER}"
                     )
                 if (i_pow, j_pow) in terms:
                     raise ParseError(f"{where}.powers: [{i_pow}, {j_pow}] repeats an earlier term")
@@ -250,12 +265,12 @@ def instance_from_json(data: Any) -> GraphInstance:
             n_vertices = expect_int(data["vertices"], "instance.vertices")
             if not 0 <= n_vertices <= DEFAULT_SIZE_BOUND:
                 raise ParseError(
-                    f"instance.vertices: {n_vertices} is outside 0..{DEFAULT_SIZE_BOUND}"
+                    f"instance.vertices: {quoted(n_vertices)} is outside 0..{DEFAULT_SIZE_BOUND}"
                 )
             return explicit_graph(n_vertices, edges)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"instance ({kind}): {exc}") from None
-    raise ParseError(f"instance: unknown kind {kind!r}")
+    raise ParseError(f"instance: unknown kind {quoted(kind)}")
 
 
 def _edge(data: Any, field: str = "edge") -> list:
@@ -307,7 +322,7 @@ def point_at(universe: SampleUniverse, raw: Any, field: str = "index") -> Point:
     except ValueError:
         i = None
     if i is None or str(i) != str(raw):
-        raise ParseError(f"{field}: expected an integer index, got {raw!r}")
+        raise ParseError(f"{field}: expected an integer index, got {quoted(raw)}")
     if not 0 <= i < len(universe.points):
         raise ParseError(f"{field}: index {i} outside 0..{len(universe.points) - 1}")
     return universe.points[i]
@@ -320,7 +335,7 @@ def qcondition_from_json(data: Any, universe: SampleUniverse) -> QCondition:
         x = point_at(universe, i, "assignment")
         assignment[x] = expect_int(c, f"q-condition.assignment[{i}]")
         if assignment[x] < 0:
-            raise ParseError(f"q-condition.assignment[{i}]: color {c} is not a natural")
+            raise ParseError(f"q-condition.assignment[{i}]: color {quoted(c)} is not a natural")
     return QCondition(universe, assignment)
 
 
@@ -430,7 +445,8 @@ def _unique_keys(pairs: list, where: str) -> dict:
     obj = dict(pairs)
     if len(obj) < len(pairs):
         keys = [k for k, _ in pairs]
-        raise ParseError(f"{where}: repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+        repeated = next(k for k in keys if keys.count(k) > 1)
+        raise ParseError(f"{where}: repeated key {quoted(repeated)}")
     return obj
 
 

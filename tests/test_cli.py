@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -254,6 +255,83 @@ def test_poset_locations_are_checked(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: same-colored cells 0,1 are not certified edge-free" in captured.err
+
+
+def _path_instance(tmp_path, n):
+    return _poset_file(tmp_path, f"path{n}.json", {
+        "kind": "explicit", "vertices": n, "edges": [[v, v + 1] for v in range(n - 1)]
+    })
+
+
+def test_ramsey_scalars_exit_0_1_or_2(tmp_path, capsys):
+    clustered = str(tmp_path / "clustered.json")
+    assert main(["gen", "clustered-line", "--out", clustered]) == 0
+    box = {"cells": [{"box": {"tag": 0, "level": 0, "corners": [0]}}], "colors": [0]}
+    conds = [{"assignment": {"0": 0}}, {"assignment": {"3": 0}}]
+    path = _path_instance(tmp_path, 1024)
+    singletons = {"cells": [{"vertices": [v]} for v in range(1024)], "colors": list(range(1024))}
+    every = [{"assignment": {str(v): v for v in range(1024)}}] * 2
+    cases = [(clustered, {"conditions": conds, "location": box, "m": m}) for m in (-5, 0, 1)]
+    cases += [
+        (clustered, {"conditions": conds, "location": box, "m": 400}),
+        (path, {"conditions": every, "location": singletons}),
+        (clustered, {"conditions": conds, "location": box, "m": 2}),
+    ]
+    for (inst, data), expected in zip(cases, (2, 2, 2, 1, 1, 0)):
+        file = _poset_file(tmp_path, "ramsey.json", data)
+        start = time.perf_counter()
+        assert main(["poset", "ramsey", inst, "--file", file]) == expected, data.get("m")
+        assert time.perf_counter() - start < 2.0, data.get("m")
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if expected == 2:
+            assert captured.err == f"parse error: {file}.m: {data['m']} is below 2\n"
+        elif expected == 1:
+            assert captured.out == "" and captured.err.startswith("error: the Ramsey recursion ")
+    assert json.loads(captured.out) == {"bound": 2, "subset": [0, 1]}
+
+
+def test_liminf_negative_threshold_exits_2(tmp_path):
+    path = _path_instance(tmp_path, 10)
+    # no selection is adjacent to 9, so a threshold of -1 could never be met
+    data = {
+        "conditions": [{"assignment": {str(v): 0}} for v in (0, 2, 4, 6)],
+        "location": {"cells": [{"vertices": list(range(10))}], "colors": [0]},
+        "test_set": [9],
+    }
+    for threshold, expected in ((-1, 2), (0, 0)):
+        file = _poset_file(tmp_path, "liminf.json", {**data, "threshold": threshold})
+        out = subprocess.run(
+            [sys.executable, "-m", "noetherlab.cli", "poset", "liminf", path, "--file", file],
+            capture_output=True, text=True, timeout=20,
+        )
+        assert out.returncode == expected, out.stderr
+        if expected == 2:
+            assert out.stderr == f"parse error: {file}.threshold: -1 is negative\n"
+        else:
+            assert json.loads(out.stdout)["kept"] == [0, 1, 2, 3]
+
+
+def test_long_values_are_quoted_short(tmp_path, capsys):
+    digits = "7" * 4301  # one past Python's int conversion limit
+    line = _write_line_universe(tmp_path, 12)
+    data = universe_to_json(line_universe(12))
+    data["points"][3] = [digits]
+    points = _poset_file(tmp_path, "points.json", data)
+    key = _poset_file(tmp_path, "key.json", {"conditions": [{"assignment": {digits: 0}}]})
+    for argv in (
+        ["adj", line, "--x", json.dumps([digits])],
+        ["adj", line, "--indices", digits],
+        ["adj", points, "--indices", "0"],
+        ["poset", "compat", line, "--file", key],
+    ):
+        assert main(argv) == 2, argv[:3]
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.encode()) <= 300, argv[:3]
+        assert f"'{digits[:39]}... (4301 characters)" in captured.err, argv[:3]
+    # a short value keeps argparse's own wording
+    assert main(["adj", line, "--indices", "1x"]) == 2
+    assert capsys.readouterr().err.endswith("argument --indices: invalid int value: '1x'\n")
 
 
 def test_mistyped_calls_exit_2(tmp_path, capsys):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from noetherlab import PCondition, SampleUniverse, TaggedBox, TwoVarPoly, cli, pt
 from noetherlab.coloring import greedy_coloring
+from noetherlab.control_poset import MAX_RAMSEY_DEPTH, MAX_RAMSEY_STATES
 from noetherlab.generators import line_universe
 from noetherlab.graphs import curve_difference_graph
 from noetherlab.hamming import DEFAULT_SIZE_BOUND, make_diagonal_hamming, make_uniform_hamming
@@ -91,12 +92,13 @@ _WRONG_TYPES = {
 _NULL_MEANS_DEFAULT = {"threshold"}
 
 # JSON integers are sizes and exponents here (vertex counts, box levels,
-# polynomial powers).  Most draws stay small, which keeps each fuzz case
-# fast; the rest are each upper bound and one past it (DEFAULT_SIZE_BOUND,
-# serialize.MAX_BOX_LEVEL, serialize.MAX_POWER), so that files at and just
-# past a bound keep the exit-code contract too.  Strings include every
+# polynomial powers, the ramsey m).  Most draws stay small, which keeps each
+# fuzz case fast; the rest are each upper bound and one past it
+# (DEFAULT_SIZE_BOUND, serialize.MAX_BOX_LEVEL, serialize.MAX_POWER and the
+# two limits of control_poset.ramsey_bound), so that files at and just past
+# a bound keep the exit-code contract too.  Strings include every
 # malformed rational of conftest.MALFORMED_RATIONALS.
-_BOUNDS = (DEFAULT_SIZE_BOUND, MAX_BOX_LEVEL, MAX_POWER)
+_BOUNDS = (DEFAULT_SIZE_BOUND, MAX_BOX_LEVEL, MAX_POWER, MAX_RAMSEY_DEPTH, MAX_RAMSEY_STATES)
 _SCALARS = (
     st.none()
     | st.booleans()

@@ -1,7 +1,9 @@
+import json
 import random
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -27,15 +29,16 @@ from noetherlab import (
     two_coloring_forces_clique,
     vertex_point,
 )
-from noetherlab import control_poset
+from noetherlab import cli, control_poset
 from noetherlab.control_poset import (
     COMPATIBLE,
+    MAX_RAMSEY_DEPTH,
+    MAX_RAMSEY_STATES,
     _predense_search,
     _selected,
     _selections,
     budget_clamp,
     cell_contains,
-    cells_disjoint,
     pair_coloring,
     q_extends,
     q_incompatibility_witness,
@@ -61,6 +64,7 @@ from noetherlab.generators import (
     random_qcondition,
 )
 from noetherlab.hamming import make_diagonal_hamming
+from noetherlab.serialize import universe_to_json
 
 
 def _box(corner, level, tag=0):
@@ -133,8 +137,16 @@ def _validate_by_vertex_pairs(loc, instance):
             return [p for p in map(vertex_point, range(instance.n_vertices)) if box_contains(cell, p)]
         return list(cell)
 
+    def disjoint(cell0, cell1):
+        if isinstance(cell0, TaggedBox) and isinstance(cell1, TaggedBox):
+            return boxes_disjoint(cell0, cell1)
+        if isinstance(cell0, frozenset) and isinstance(cell1, frozenset):
+            return not (cell0 & cell1)
+        box, pts = (cell0, cell1) if isinstance(cell0, TaggedBox) else (cell1, cell0)
+        return all(not box_contains(box, p) for p in pts)
+
     for i, j in combinations(range(len(loc.cells)), 2):
-        if not cells_disjoint(loc.cells[i], loc.cells[j]):
+        if not disjoint(loc.cells[i], loc.cells[j]):
             raise LocationError(f"cells {i} and {j} overlap")
         if loc.colors[i] == loc.colors[j] and any(
             adjacent(instance, p, q) for p in vertices(loc.cells[i]) for q in vertices(loc.cells[j])
@@ -194,6 +206,38 @@ def test_explicit_location_validation_within_budget():
         assert time.perf_counter() - start < 2.0, len(loc.cells)
 
 
+def test_location_operations_on_4096_singleton_cells_within_budget(tmp_path, capsys):
+    u = path_explicit_universe(4096)
+    cells = tuple(frozenset([x]) for x in u.points)
+    distinct = tuple(range(len(cells)))  # keeps the pairwise check_proper cheap
+    for colors in (tuple(v % 2 for v in distinct), distinct):
+        start = time.perf_counter()
+        Location(cells, colors).validate(u.instance)
+        assert time.perf_counter() - start < 0.5, colors[:3]
+    loc = Location(cells, distinct)
+    q = QCondition(u, dict(zip(u.points, distinct)))
+    start = time.perf_counter()
+    assert is_at_location(q, loc)
+    assert time.perf_counter() - start < 0.5
+    inst, data = tmp_path / "path.json", tmp_path / "liminf.json"
+    inst.write_text(json.dumps(universe_to_json(u)))
+    data.write_text(json.dumps({
+        "conditions": [{"assignment": {str(v): v for v in distinct}}] * 2,
+        "location": {"cells": [{"vertices": [v]} for v in distinct], "colors": list(distinct)},
+        "test_set": [0],
+    }))
+    start = time.perf_counter()
+    assert cli.main(["poset", "liminf", str(inst), "--file", str(data)]) == 0
+    assert time.perf_counter() - start < 3.0
+    assert json.loads(capsys.readouterr().out)["constant_cells"] == list(distinct)
+
+
+def test_one_vertex_subset_cell_needs_an_explicit_instance():
+    u = line_universe(3)
+    with pytest.raises(UnsupportedKindError):
+        Location((frozenset([pt(0)]),), (0,)).validate(u.instance)
+
+
 def test_canonical_location_geometric():
     u = line_universe(3)
     q = QCondition(u, {pt(0): 0, pt(2): 0})
@@ -219,6 +263,48 @@ def test_ramsey_bound_values():
         ramsey_bound(1, 1)
     with pytest.raises(PreconditionError):
         ramsey_bound(3, 0)
+
+
+@lru_cache(maxsize=None)
+def _ramsey_per_goal(goals):
+    """The recursion with one term per goal, as the standard statement sums
+    it; goals come sorted and above 2."""
+    if len(goals) <= 1:
+        return goals[0] if goals else 2
+    lowered = (
+        tuple(sorted(g - (k == i) for k, g in enumerate(goals) if g - (k == i) > 2))
+        for i in range(len(goals))
+    )
+    return sum(map(_ramsey_per_goal, lowered)) - len(goals) + 2
+
+
+def test_ramsey_bound_sums_equal_goals_once():
+    for m in range(3, 7):
+        for s in range(1, 7):
+            assert ramsey_bound(m, s) == _ramsey_per_goal((m,) * (s + 1)), (m, s)
+
+
+def test_ramsey_bound_limits():
+    # the depth (m - 2)(s + 1) binds at m = 3, the multiset count comb(s + m - 1, m - 2)
+    # at m = 4: comb(141, 2) = 9870 and comb(142, 2) = 10011
+    assert (MAX_RAMSEY_DEPTH, MAX_RAMSEY_STATES) == (512, 10_000)
+    for m, s in ((3, 511), (4, 138), (3, 1024), (3, 512), (4, 139), (400, 1), (5, 84)):
+        start = time.perf_counter()
+        if (m, s) in ((3, 511), (4, 138)):
+            assert ramsey_bound(m, s) > ramsey_bound(m, s - 1)
+        else:
+            with pytest.raises(OracleBoundError):
+                ramsey_bound(m, s)
+        assert time.perf_counter() - start < 2.0, (m, s)
+
+
+def test_ramsey_compatible_subset_needs_a_positive_size():
+    u = clustered_line_universe()
+    loc = Location((_box(0, 0),), (0,))
+    conds = [QCondition(u, {u.points[0]: 0})] * 2
+    for m in (0, -5):
+        with pytest.raises(PreconditionError):
+            ramsey_compatible_subset(conds, m, loc)
 
 
 def test_ramsey_oracle_pins_r33():
@@ -274,6 +360,16 @@ def test_liminf_thin_identical_conditions():
     result = liminf_thin(conds, loc, [])
     assert result.constant_cells == (0,)
     assert result.kept == (0, 1, 2, 3)
+
+
+def test_liminf_thin_refuses_a_negative_threshold():
+    # no selection is adjacent to 9, so a threshold of -1 could never be met
+    u = path_explicit_universe(10)
+    loc = Location((frozenset(u.points),), (0,))
+    conds = [QCondition(u, {vertex_point(n): 0}) for n in (0, 2, 4, 6)]
+    assert liminf_thin(conds, loc, [vertex_point(9)], threshold=0).kept == (0, 1, 2, 3)
+    with pytest.raises(PreconditionError):
+        liminf_thin(conds, loc, [vertex_point(9)], threshold=-1)
 
 
 def test_liminf_thin_forces_dichotomy():
@@ -710,6 +806,29 @@ def _is_at_location_scan(q, loc):
     return all(h == 1 for h in hits)
 
 
+def _first_cell_selection(q, loc):
+    """For each cell, the point of q that it holds first among the cells."""
+    first = {
+        x: next(i for i, cell in enumerate(loc.cells) if cell_contains(cell, x))
+        for x in q.assignment
+    }
+    return [next(x for x in q.assignment if first[x] == i) for i in range(len(loc.cells))]
+
+
+def _with_an_overlap(rng, u, loc):
+    """loc with one more cell, of a new color and at a random index, that
+    shares a point with a cell of loc."""
+    i = rng.randrange(len(loc.cells))
+    x = rng.choice([p for p in u.points if cell_contains(loc.cells[i], p)])
+    if isinstance(loc.cells[i], frozenset):
+        cell = frozenset([x, *rng.sample(u.points, k=rng.randint(0, min(2, len(u))))])
+    else:
+        cell = first_box_containing(x, tag=0, min_level=rng.randint(0, 2))
+    k = rng.randint(0, len(loc.cells))
+    colors = loc.colors[:k] + (len(loc.cells),) + loc.colors[k:]
+    return Location(loc.cells[:k] + (cell,) + loc.cells[k:], colors)
+
+
 def _perturbed(rng, u, loc, q):
     """q, or q with a second point in a cell, a wrong color, an emptied
     cell, or an extra point anywhere."""
@@ -737,17 +856,21 @@ def test_cell_selection_agrees_with_the_membership_scan():
     for _ in range(40):
         for u in universes_of_every_kind(rng):
             loc = _random_location(rng, u)
+            overlap = rng.random() < 0.3  # a point of two cells is the first one's
+            if overlap:
+                loc = _with_an_overlap(rng, u, loc)
             conds = []
             for q in _conditions_at(rng, u, loc, rng.randint(1, 5)):
                 how, q = _perturbed(rng, u, loc, q)
                 at = _is_at_location_scan(q, loc)
                 assert is_at_location(q, loc) == at, (how, u.instance.kind)
-                expected = [_selection_scan(q, loc, i) for i in range(len(loc.cells))] if at else None
+                expected = _first_cell_selection(q, loc) if at else None
                 assert _selected(q, loc) == expected, (how, u.instance.kind)
                 seen[how, at] += 1
+                seen["overlap", at] += overlap
                 seen["vertex-subset" if isinstance(loc.cells[0], frozenset) else "box"] += 1
                 conds.append(q)
-            if all(_is_at_location_scan(q, loc) for q in conds):
+            if not overlap and all(_is_at_location_scan(q, loc) for q in conds):
                 reference = [
                     [u.index(_selection_scan(q, loc, i)) for i in range(len(loc.cells))]
                     for q in conds
@@ -760,3 +883,4 @@ def test_cell_selection_agrees_with_the_membership_scan():
     assert all(seen[k, False] > 0 for k in kinds), seen
     assert seen["same", True] > 0 and seen["anywhere", False] > 0, seen
     assert seen["vertex-subset"] > 0 and seen["box"] > 0, seen
+    assert seen["overlap", True] > 0 and seen["overlap", False] > 0, seen
