@@ -98,7 +98,6 @@ SCHEMA_VERSION = 1
 
 DEFAULT_BOUNDS = {
     "oracle": DEFAULT_ORACLE_BOUND,
-    "maxArity": 8,
     "colorBudget": 3,
     "maxPoints": 12,
 }
@@ -107,7 +106,6 @@ DEFAULT_BOUNDS = {
 # draw randint(2, colorBudget).
 BOUND_MINIMA = {
     "oracle": 1,
-    "maxArity": 1,
     "colorBudget": 2,
     "maxPoints": 6,
 }
@@ -642,7 +640,7 @@ def _random_predense_setup(rng, config):
 def _predense_equivalence(rng, config):
     universe, d, budget = _random_predense_setup(rng, config)
     full = predense_check(d, universe, budget)
-    reduced = predense_check_reduced(d, universe, budget, config.bound("maxArity"))
+    reduced = predense_check_reduced(d, universe, budget)
     if full != reduced:
         return False, {
             "full": full,
@@ -677,7 +675,7 @@ def _budget_clamp(rng, config):
 @suite("predense-reduce")
 def _predense_reduce(rng, config):
     universe, d, budget = _random_predense_setup(rng, config)
-    b_mask, c_mask = reduced_support(d, universe, config.bound("maxArity"))
+    b_mask, c_mask = reduced_support(d, universe)
     pool = universe.ordered_points_of(c_mask)
     if not pool:
         return True, None
@@ -694,7 +692,7 @@ def _predense_reduce(rng, config):
     if q is None:
         return True, None  # no everywhere-incompatible condition sampled
     loc = canonical_location(q)
-    r = predense_reduce(d, q, loc, universe, config.bound("maxArity"))
+    r = predense_reduce(d, q, loc, universe)
     if not is_at_location(r, loc):
         return False, {"why": "left-location"}
     return True, None

@@ -32,7 +32,7 @@ from .control_poset import (
     validate_qcondition,
 )
 from .coloring_poset import p_compatible, p_lower_bound
-from .errors import InvalidPointError, NoetherError, ParseError
+from .errors import InvalidPointError, NoetherError, ParseError, quoted
 from .geometry import Point
 from .generators import (
     clustered_line_universe,
@@ -66,7 +66,6 @@ from .serialize import (
     point_to_json,
     optional_int,
     qcondition_from_json,
-    quoted,
     require,
     universe_to_json,
     box_to_json,
@@ -286,9 +285,8 @@ def _cmd_poset(args) -> int:
         )
         return 0
     # predense
-    max_arity = args.bounds["maxArity"] or len(universe)
     full = predense_check(conds, universe, budget)
-    reduced = predense_check_reduced(conds, universe, budget, max_arity)
+    reduced = predense_check_reduced(conds, universe, budget)
     _emit({"predense": full, "predense_reduced": reduced, "agree": full == reduced}, args.out)
     return 0 if full == reduced else 1
 
@@ -336,8 +334,8 @@ def _parse_bounds(args) -> dict:
         if "=" not in pair:
             raise ParseError(f"--bound expects name=value, got {quoted(pair)}")
         name, value = pair.split("=", 1)
-        if name not in campaign_mod.DEFAULT_BOUNDS:
-            known = ", ".join(campaign_mod.DEFAULT_BOUNDS)
+        if name not in args.bound_names:
+            known = ", ".join(args.bound_names)
             raise ParseError(f"--bound {name}: unknown name (known: {known})")
         if name not in bounds:
             verb = f"{args.command} {getattr(args, 'verb', '')}".strip()
@@ -348,7 +346,7 @@ def _parse_bounds(args) -> dict:
             raise ParseError(f"--bound {name}: {quoted(value)} is not an integer") from None
         if bounds[name] < 1:
             raise ParseError(f"--bound {name}: {quoted(value)} is not a positive integer")
-        minimum = campaign_mod.BOUND_MINIMA[name]
+        minimum = campaign_mod.BOUND_MINIMA.get(name, 1)
         if bounds[name] < minimum:
             raise ParseError(f"--bound {name}: {quoted(value)} is below its minimum {minimum}")
     return bounds
@@ -393,8 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
     Parsing keeps all of its state in the returned ``Namespace``, so one
     parser serves every ``main`` call.  Each verb declares only the options
     it reads, so any other exits 2.  ``bounds`` holds the --bound names a
-    verb reads, with their defaults; with None the verb chooses: predense
-    takes maxArity = |universe|, and campaign gives RunConfig only those set.
+    verb reads, with their defaults; with None the verb chooses: campaign
+    gives RunConfig only those set.  ``bound_names`` holds every name that
+    some verb reads, so a misspelt name reads as unknown.
     """
     parser = argparse.ArgumentParser(
         prog="noetherlab",
@@ -422,9 +421,12 @@ def build_parser() -> argparse.ArgumentParser:
     def verbs(command, dest, help):
         return sub.add_parser(command, help=help).add_subparsers(dest=dest, required=True)
 
+    bound_names = {}  # an ordered set
+
     def leaf(group, name, *parents, fn, help=None, **defaults):
         verb = group.add_parser(name, help=help, parents=[out, *parents])
         verb.set_defaults(fn=fn, **defaults)
+        bound_names.update(dict.fromkeys(defaults.get("bounds", ())))
         return verb
 
     gen = verbs("gen", "family", "generate an instance/universe file")
@@ -467,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     leaf(poset, "ramsey", instance, file, fn=_cmd_poset, kind="q")
     leaf(poset, "liminf", instance, file, fn=_cmd_poset, kind="q")
     leaf(poset, "predense", instance, file, bound, fn=_cmd_poset, kind="q",
-         bounds={"colorBudget": 3, "maxArity": None})
+         bounds={"colorBudget": 3})
 
     hamming = verbs("hamming", "verb", "Hamming truncations and embeddings")
     leaf(hamming, "chi", breadth, bound, fn=_cmd_hamming, bounds=oracle)
@@ -482,6 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     camp.add_argument("--jobs", type=_int, default=1)
     camp.add_argument("--list", action="store_true", dest="list_suites")
 
+    parser.set_defaults(bound_names=tuple(bound_names))
     return parser
 
 

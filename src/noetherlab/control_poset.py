@@ -10,7 +10,7 @@ separation between distinct cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import accumulate, combinations, combinations_with_replacement
 from math import comb
 from operator import or_
@@ -467,24 +467,24 @@ def compatible_tail(
 
 # -- predensity ---------------------------------------------------------------
 
-def reduced_support(
-    d: Sequence[QCondition], universe: SampleUniverse, max_arity: int
-) -> tuple[int, int]:
-    """Masks (b, c): union of member domains, and its neighborhood closure.
-
-    c adds every common neighborhood of a nonempty subset of b of size at
-    most max_arity.  Nonemptiness matters: the empty family's neighborhood
-    is the whole universe and would trivialize the reduction.
+def reduced_support(d: Sequence[QCondition], universe: SampleUniverse) -> tuple[int, int]:
+    """Masks (b, c): the union b of the member domains, and the union c of
+    the closed neighborhoods N[x] of its points.  The common neighborhood of
+    a nonempty subset of b lies inside N[x] for each x of it, so c is also
+    the union of those; the empty subset's would be the whole universe.
     """
-    b_mask = 0
-    for q in d:
-        b_mask |= universe.mask_of(q.assignment)
-    b_points = universe.ordered_points_of(b_mask)
-    c_mask = b_mask
-    for size in range(1, min(max_arity, len(b_points)) + 1):
-        for combo in combinations(b_points, size):
-            c_mask |= common_neighborhood_mask(universe, combo)
-    return b_mask, c_mask
+    return _closed_union(universe, (x for q in d for x in q.assignment))
+
+
+def _closed_union(universe: SampleUniverse, pts: Iterable[Point]) -> tuple[int, int]:
+    """The mask of pts, and the union of their closed neighborhoods."""
+    index, closed_masks = universe.index, universe.closed_masks
+    mask = union = 0
+    for x in pts:
+        i = index(x)
+        mask |= 1 << i
+        union |= closed_masks[i]
+    return mask, union
 
 
 _PREDENSE_NODE_LIMIT = 2_000_000
@@ -539,12 +539,10 @@ def _predense_search(
 ) -> bool:
     """predense_check's search for a nonempty d, with no budget clamp."""
     idxs = [i for i in range(len(universe)) if full >> i & 1]
-    open_masks, closed_masks = universe.open_masks, universe.closed_masks
+    open_masks = universe.open_masks
     classes = [_color_classes(q) for q in d]
-    doms = [sum(by_color.values()) for by_color in classes]  # disjoint classes
-    relevant = [  # each member's domain and its neighbors
-        reduce(or_, (closed_masks[universe.index(x)] for x in q.assignment), 0) for q in d
-    ]
+    # each member's domain, and its domain with the neighbors
+    doms, relevant = zip(*(_closed_union(universe, q.assignment) for q in d))
     # remaining[pos]: the mask of idxs[pos:]
     remaining = list(accumulate((1 << i for i in reversed(idxs)), or_, initial=0))[::-1]
     partial = [0] * color_budget
@@ -583,24 +581,17 @@ def _predense_search(
 
 
 def predense_check_reduced(
-    d: Sequence[QCondition],
-    universe: SampleUniverse,
-    color_budget: int,
-    max_arity: int,
+    d: Sequence[QCondition], universe: SampleUniverse, color_budget: int
 ) -> bool:
     """predense_check restricted to domains inside the reduced support c."""
     if not d:
         return False
-    _, c_mask = reduced_support(d, universe, max_arity)
+    _, c_mask = reduced_support(d, universe)
     return predense_check(d, universe, color_budget, domain_mask=c_mask)
 
 
 def predense_reduce(
-    d: Sequence[QCondition],
-    q: QCondition,
-    loc: Location,
-    universe: SampleUniverse,
-    max_arity: Optional[int] = None,
+    d: Sequence[QCondition], q: QCondition, loc: Location, universe: SampleUniverse
 ) -> QCondition:
     """The location-preserving reduction of an everywhere-incompatible
     condition into the support set c.
@@ -620,9 +611,7 @@ def predense_reduce(
     for i, s in enumerate(d):
         if q_compatible(q, s):
             raise PreconditionError(f"q is compatible with member {i}")
-    b_mask, c_mask = reduced_support(
-        d, universe, len(universe) if max_arity is None else max_arity
-    )
+    b_mask, c_mask = reduced_support(d, universe)
     open_masks = universe.open_masks
     assignment: dict[Point, int] = {}
     for cell_idx, (cell, x) in enumerate(zip(loc.cells, sels)):

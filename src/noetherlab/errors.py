@@ -1,4 +1,20 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and the short quoting of
+offending values in their messages."""
+
+from typing import Any, Callable
+
+# The most characters of an offending value that a message quotes.
+QUOTE_LIMIT = 40
+
+
+def quoted(value: Any, form: Callable[[Any], str] = repr) -> str:
+    """``form(value)``, cut to QUOTE_LIMIT characters with the value's length
+    stated when longer, so that a message stays short for any input."""
+    text = form(value)
+    if len(text) <= QUOTE_LIMIT:
+        return text
+    size = len(value) if isinstance(value, str) else len(text)
+    return f"{text[:QUOTE_LIMIT]}... ({size} characters)"
 
 
 class NoetherError(Exception):

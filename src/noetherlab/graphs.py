@@ -20,7 +20,7 @@ from functools import cached_property
 from math import isqrt, lcm
 from typing import Iterable, Optional
 
-from .errors import InvalidPointError, UnknownPointError, UnsupportedKindError
+from .errors import InvalidPointError, UnknownPointError, UnsupportedKindError, quoted
 from .geometry import Point, TaggedBox, pt
 
 DISTANCE = "distance"
@@ -79,15 +79,15 @@ class GraphInstance:
             for n, c in enumerate(x.coords):
                 v = c.numerator
                 if c.denominator != 1 or v < 0:
-                    raise InvalidPointError(f"Hamming entry {c} is not a natural")
+                    raise InvalidPointError(f"Hamming entry {quoted(c, str)} is not a natural")
                 if uniform and v >= self.alphabet:
-                    raise InvalidPointError(f"entry {c} >= alphabet {self.alphabet}")
+                    raise InvalidPointError(f"entry {quoted(c, str)} >= alphabet {self.alphabet}")
                 if not uniform and v > n:
-                    raise InvalidPointError(f"entry {c} exceeds diagonal bound {n}")
+                    raise InvalidPointError(f"entry {quoted(c, str)} exceeds diagonal bound {n}")
         elif self.kind == EXPLICIT:
             c = x.coords[0]
             if c.denominator != 1 or not (0 <= c.numerator < self.n_vertices):
-                raise InvalidPointError(f"vertex index {c} out of range")
+                raise InvalidPointError(f"vertex index {quoted(c, str)} out of range")
 
 
 def distance_graph(dimension: int, squared: Iterable) -> GraphInstance:
@@ -203,7 +203,7 @@ class SampleUniverse:
         for i, p in enumerate(self.points):
             instance.validate_point(p)
             if self._index.setdefault(p, i) != i:
-                raise InvalidPointError(f"duplicate point at index {i}: {p}")
+                raise InvalidPointError(f"duplicate point at index {i}: {quoted(p)}")
 
     def __len__(self):
         return len(self.points)
@@ -215,7 +215,7 @@ class SampleUniverse:
         try:
             return self._index[p]
         except KeyError:
-            raise UnknownPointError(f"{p} is not in the universe") from None
+            raise UnknownPointError(f"{quoted(p)} is not in the universe") from None
 
     def reference_adjacent(self, x: Point, y: Point) -> bool:
         """Exact adjacency of two universe points, from their coordinates.

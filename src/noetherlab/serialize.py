@@ -17,7 +17,7 @@ from typing import Any, Optional
 
 from .coloring import PCondition
 from .control_poset import Location, QCondition
-from .errors import InvalidPointError, LocationError, ParseError
+from .errors import InvalidPointError, LocationError, ParseError, quoted
 from .geometry import Point, TaggedBox
 from .graphs import (
     CURVE_DIFFERENCE,
@@ -65,20 +65,6 @@ MAX_POWER = 64
 # CPython 3.11).  So the other kinds keep DEFAULT_SIZE_BOUND and this kind
 # stops at the largest power of two that builds within seconds.
 MAX_CURVE_POINTS = 1024
-
-
-# The most characters of an offending value that a message quotes.
-QUOTE_LIMIT = 40
-
-
-def quoted(value: Any) -> str:
-    """``repr(value)``, cut to QUOTE_LIMIT characters with the value's length
-    stated when longer, so that a message stays short for any input."""
-    text = repr(value)
-    if len(text) <= QUOTE_LIMIT:
-        return text
-    size = len(value) if isinstance(value, str) else len(text)
-    return f"{text[:QUOTE_LIMIT]}... ({size} characters)"
 
 
 def expect(value: Any, kind: type, field: str) -> Any:

@@ -1,0 +1,80 @@
+"""Worst-case budgets for CLI calls on inputs the parser accepts.
+
+Each row is one call: a builder that writes the call's input under a
+directory and returns its argv, the exit code it must give, a wall-time
+budget in seconds, and optionally a bound on the bytes of its stderr.
+
+Rows still open, with the times measured on a 2-vCPU host (CPython
+3.11); they become rows with the changes that bring them under budget:
+
+- ``lattice --trials 10000`` on a 4096-point universe: 63 s on ``gen
+  line``, 71 s on ``gen explicit --edge-probability 0.001`` and 104 s on
+  ``gen planar``.
+- ``color verify`` on ``gen planar --size 4096 --seed 3`` with one box for
+  every point: 34.5 s.
+- ``poset compat`` with 2000 pairwise compatible one-point conditions on
+  ``gen line --size 4096``: 4.8 s.
+"""
+
+import json
+import random
+import time
+
+import pytest
+
+from noetherlab.cli import main
+
+# A coordinate of 4300 digits, the most that Python converts to an int.
+LONG = "7" * 4300
+
+
+def _predense_line64(tmp_path):
+    # 40 one-point conditions at distinct seeded points; the subset
+    # enumeration that built the reduced support did not finish in 100 s
+    line = str(tmp_path / "line64.json")
+    assert main(["gen", "line", "--size", "64", "--out", line]) == 0
+    rng = random.Random(40)
+    conditions = [{"assignment": {str(i): rng.randrange(3)}} for i in rng.sample(range(64), 40)]
+    file = tmp_path / "conditions.json"
+    file.write_text(json.dumps({"conditions": conditions}))
+    return ["poset", "predense", line, "--file", str(file), "--out", str(tmp_path / "out.json")]
+
+
+def _adj_on(universe):
+    def build(tmp_path):
+        file = tmp_path / "universe.json"
+        file.write_text(json.dumps(universe))
+        return ["adj", str(file), "--indices", "0"]
+
+    return build
+
+
+ROWS = {
+    "predense-40-conditions-on-line-64": (_predense_line64, 0, 2.0, None),
+    "adj-vertex-index-out-of-range": (
+        _adj_on({"instance": {"kind": "explicit", "vertices": 3, "edges": []}, "points": [[LONG]]}),
+        2, 10.0, 200,
+    ),
+    "adj-duplicate-point": (
+        _adj_on({
+            "instance": {"kind": "distance", "dim": 1, "squared_distances": ["1"]},
+            "points": [[LONG], [LONG]],
+        }),
+        2, 10.0, 200,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ROWS)
+def test_call_within_budget(name, tmp_path, capsys):
+    build, code, seconds, stderr_bytes = ROWS[name]
+    argv = build(tmp_path)
+    capsys.readouterr()
+    started = time.perf_counter()
+    assert main(argv) == code
+    elapsed = time.perf_counter() - started
+    assert elapsed < seconds, elapsed
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if stderr_bytes is not None:
+        assert len(err.encode()) < stderr_bytes, err

@@ -399,12 +399,17 @@ def test_each_verb_reads_only_its_own_options(tmp_path, capsys):
         ["hamming", "vitali", "--breadth", "2", "--bound", "oracle=3"],
         ["poset", "compat", inst, "--file", inst, "--bound", "colorBudget=3"],
         ["lattice", inst, "--bound", "oracle=3"],
+        ["poset", "predense", inst, "--file", inst, "--bound", "maxArity=3"],
+        ["campaign", "--bound", "maxArity=3"],
     ):
         assert main(argv) == 2, argv
     err = capsys.readouterr().err
     assert "unrecognized arguments: --trials 5" in err
     assert "unrecognized arguments: --bound oracle=3" in err
     assert "--bound oracle: lattice reads no such bound" in err
+    # maxArity is lattice's alone
+    assert "--bound maxArity: poset predense reads no such bound" in err
+    assert "--bound maxArity: campaign reads no such bound" in err
     # and each verb that reads one still takes it
     for argv in (
         ["gen", "explicit", "--size", "4", "--seed", "9"],
@@ -808,18 +813,24 @@ def test_readme_command_line_matches_the_parser():
             build_parser().parse_args(shlex.split(line, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README example does not parse: {line}")
-    # the option table names each verb with exactly the options its parser declares
-    table = {}
+    # the option table names each verb with exactly the options its parser
+    # declares, and after --bound, in parentheses, the bound names it reads
+    table, bound_table = {}, {}
     for row in section.splitlines():
         if row.startswith("| `"):
             verbs, options = row.split("|")[1:3]
+            names = re.search(r"`--bound` \(([^)]*)\)", options)
             for verb in re.findall(r"`([^`]+)`", verbs):
                 table[verb] = set(re.findall(r"--[a-z-]+", options))
-    declared = {
+                bound_table[verb] = set(re.findall(r"`([^`]+)`", names[1])) if names else set()
+    leaves = dict(_leaves(build_parser()))
+    assert table == {
         verb: {flag for a in leaf._actions for flag in a.option_strings} - {"-h", "--help", "--out"}
-        for verb, leaf in _leaves(build_parser())
+        for verb, leaf in leaves.items()
     }
-    assert table == declared
+    assert bound_table == {
+        verb: set(leaf.get_default("bounds") or ()) for verb, leaf in leaves.items()
+    }
 
 
 def test_unreadable_input_and_unwritable_output_exit_2(tmp_path, capsys):

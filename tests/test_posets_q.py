@@ -55,7 +55,7 @@ from noetherlab.errors import (
     VerificationError,
 )
 from noetherlab.geometry import box_contains, boxes_disjoint, first_box_containing
-from noetherlab.graphs import EXPLICIT
+from noetherlab.graphs import EXPLICIT, common_neighborhood_mask
 from noetherlab.generators import (
     clustered_line_universe,
     line_universe,
@@ -412,15 +412,47 @@ def test_predense_check_examples():
     assert not predense_check([], u2, 2)
 
 
-def test_predense_reduced_support_nonempty_subsets_only():
+def test_reduced_support_is_the_closed_neighborhood_union():
     u = line_universe(3)
     d = [QCondition(u, {pt(1): 0})]
-    b_mask, c_mask = reduced_support(d, u, 3)
+    b_mask, c_mask = reduced_support(d, u)
     assert u.points_of(b_mask) == frozenset([pt(1)])
     assert u.points_of(c_mask) == frozenset(u.points)  # N[1] covers everything
     d0 = [QCondition(u, {pt(0): 0})]
-    _, c0 = reduced_support(d0, u, 3)
+    _, c0 = reduced_support(d0, u)
     assert u.points_of(c0) == frozenset([pt(0), pt(1)])  # 2 is out of reach
+
+
+def _subset_support(d, universe, max_arity):
+    """(b, c) with c the union of b and the common closed neighborhood of
+    every nonempty subset of b of at most max_arity points."""
+    b_mask = 0
+    for q in d:
+        b_mask |= universe.mask_of(q.assignment)
+    b_points = universe.ordered_points_of(b_mask)
+    c_mask = b_mask
+    for size in range(1, min(max_arity, len(b_points)) + 1):
+        for combo in combinations(b_points, size):
+            c_mask |= common_neighborhood_mask(universe, combo)
+    return b_mask, c_mask
+
+
+def test_reduced_support_matches_the_subset_enumeration_at_every_arity():
+    rng = random.Random(21)
+    cases = 0
+    for _ in range(4):
+        for u in universes_of_every_kind(rng, max_points=10):
+            d = []
+            for _ in range(rng.randint(1, 3)):
+                pts = rng.sample(u.points, k=rng.randint(1, min(3, len(u))))
+                d.append(QCondition(u, {x: rng.randrange(3) for x in pts}))
+            support = reduced_support(d, u)
+            b_size = bin(support[0]).count("1")
+            assert b_size <= 10
+            for arity in range(1, b_size + 1):
+                assert support == _subset_support(d, u, arity), (u.instance.kind, arity)
+            cases += 1
+    assert cases == 32
 
 
 def test_predense_equivalence_randomized():
@@ -432,7 +464,7 @@ def test_predense_equivalence_randomized():
         u = random_explicit_universe(rng, n, rng.uniform(0.2, 0.6))
         budget = rng.randint(2, 3)
         d = [random_qcondition(rng, u, budget) for _ in range(rng.randint(1, 3))]
-        assert predense_check(d, u, budget) == predense_check_reduced(d, u, budget, n)
+        assert predense_check(d, u, budget) == predense_check_reduced(d, u, budget)
 
 
 def test_predense_reduce_spec_example():
