@@ -68,7 +68,6 @@ from .serialize import (
     qcondition_from_json,
     require,
     universe_to_json,
-    box_to_json,
     pcondition_to_json,
 )
 
@@ -85,15 +84,14 @@ def _emit(data, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> tuple[dict, int]:
     # a Hamming --size is a breadth, bounded by the point count it makes
     if args.family in ("line", "planar", "explicit") and args.size > DEFAULT_SIZE_BOUND:
         raise ParseError(f"--size {quoted(args.size)} exceeds the bound {DEFAULT_SIZE_BOUND}")
-    _emit(universe_to_json(args.build(args)), args.out)
-    return 0
+    return universe_to_json(args.build(args)), 0
 
 
-def _cmd_adj(args) -> int:
+def _cmd_adj(args) -> tuple[dict, int]:
     if args.y is not None and args.x is None:
         raise ParseError("--y needs --x")
     universe = parse_instance_file(args.instance)
@@ -104,29 +102,19 @@ def _cmd_adj(args) -> int:
             result = adjacent(universe.instance, x, y)
         except InvalidPointError as exc:
             raise ParseError(f"--x/--y: {exc}") from None
-        _emit({"adjacent": result}, args.out)
-        return 0
+        return {"adjacent": result}, 0
     if args.x is not None:
         x = _point_arg(args.x, "--x")
         if x not in universe:
             raise ParseError(f"--x: {args.x} is not a point of the universe")
-        nbrs = neighborhood(universe, x)
-        _emit(
-            {"neighborhood": sorted(point_to_json(p) for p in nbrs)},
-            args.out,
-        )
-        return 0
+        return {"neighborhood": sorted(point_to_json(p) for p in neighborhood(universe, x))}, 0
     pts = [point_at(universe, i, "--indices") for i in args.indices]
-    _emit(
-        {
-            "common_neighborhood": sorted(
-                point_to_json(p) for p in common_neighborhood(universe, pts)
-            ),
-            "relative_to_universe": True,
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "common_neighborhood": sorted(
+            point_to_json(p) for p in common_neighborhood(universe, pts)
+        ),
+        "relative_to_universe": True,
+    }, 0
 
 
 def _point_arg(raw: str, flag: str) -> Point:
@@ -134,7 +122,7 @@ def _point_arg(raw: str, flag: str) -> Point:
     return point_from_json(read_json(raw, flag), flag)
 
 
-def _cmd_detect(args) -> int:
+def _cmd_detect(args) -> tuple[dict, int]:
     universe = parse_instance_file(args.instance)
     spec = VariationSpec(args.family, args.left, args.right, args.depth)
     stats = SearchStats()
@@ -159,11 +147,10 @@ def _cmd_detect(args) -> int:
             if witness is not None
             else max_embedded_depth(universe, spec, args.depth - 1)
         )
-    _emit(report, args.out)
-    return 0
+    return report, 0
 
 
-def _cmd_lattice(args) -> int:
+def _cmd_lattice(args) -> tuple[dict, int]:
     universe = parse_instance_file(args.instance)
     if not universe.points:
         raise ParseError(f"{args.instance}: the universe has no points to sample")
@@ -178,153 +165,154 @@ def _cmd_lattice(args) -> int:
         heart_sizes.append(len(heart(universe, sample)))
         size = len(minimal_subfamily(universe, sample).points)
         subfamily_sizes[size] = subfamily_sizes.get(size, 0) + 1
-    _emit(
-        {
-            "descent_chain_length": len(chain),
-            "descent_chain_certified": chain.certified,
-            "descent_extent_sizes": [len(e.extent) for e in chain.elements],
-            "closure_sizes": closure_sizes,
-            "heart_sizes": heart_sizes,
-            "minimal_subfamily_histogram": {
-                str(k): v for k, v in sorted(subfamily_sizes.items())
-            },
-            "relative_to_universe": True,
+    return {
+        "descent_chain_length": len(chain),
+        "descent_chain_certified": chain.certified,
+        "descent_extent_sizes": [len(e.extent) for e in chain.elements],
+        "closure_sizes": closure_sizes,
+        "heart_sizes": heart_sizes,
+        "minimal_subfamily_histogram": {
+            str(k): v for k, v in sorted(subfamily_sizes.items())
         },
-        args.out,
-    )
-    return 0
+        "relative_to_universe": True,
+    }, 0
 
 
-def _cmd_color(args) -> int:
+def _cmd_color_make(args) -> tuple[dict, int]:
     universe = parse_instance_file(args.instance)
-    if args.verb == "make":
-        coloring = greedy_coloring(universe)
-        for x, b in coloring.assignment.items():
-            # color verify refuses such a box, so none is written
-            if b.level > MAX_BOX_LEVEL:
-                raise ParseError(
-                    f"point {universe.index(x)} needs a box of level {b.level}, "
-                    f"past the bound {MAX_BOX_LEVEL}"
-                )
-        payload = {
-            "assignment": {
-                str(universe.index(x)): box_to_json(b)
-                for x, b in coloring.assignment.items()
-            }
-        }
-        _emit(payload, args.out)
-        return 0
-    if args.verb == "chi":
-        chi, _ = chromatic_number(universe, bound=args.bounds["oracle"])
-        _emit({"chromatic_number": chi}, args.out)
-        return 0
+    coloring = greedy_coloring(universe)
+    for x, b in coloring.assignment.items():
+        # color verify refuses such a box, so none is written
+        if b.level > MAX_BOX_LEVEL:
+            raise ParseError(
+                f"point {universe.index(x)} needs a box of level {b.level}, "
+                f"past the bound {MAX_BOX_LEVEL}"
+            )
+    return pcondition_to_json(coloring), 0
+
+
+def _cmd_color_chi(args) -> tuple[dict, int]:
+    chi, _ = chromatic_number(parse_instance_file(args.instance), bound=args.bounds["oracle"])
+    return {"chromatic_number": chi}, 0
+
+
+def _cmd_color_verify(args) -> tuple[dict, int]:
+    universe = parse_instance_file(args.instance)
     p = pcondition_from_json(load_path(args.file), universe)
     problems = check_suitable(p.assignment) + check_proper(universe, p.assignment)
-    _emit({"valid": not problems, "problems": problems}, args.out)
-    return 0 if not problems else 1
+    return {"valid": not problems, "problems": problems}, 0 if not problems else 1
 
 
-def _cmd_poset(args) -> int:
+def _read_conditions(args, read=qcondition_from_json):
+    """The universe, the --file object and its conditions, not yet validated.
+
+    Each poset leaf parses its own fields of the file before it validates a
+    condition, so a malformed file exits 2 before a failing check exits 1.
+    """
     universe = parse_instance_file(args.instance)
     data = expect(load_path(args.file), dict, args.file)
     raw_conditions = require(data, "conditions", list, args.file)
+    return universe, data, [read(c, universe) for c in raw_conditions]
+
+
+def _cmd_poset_compat(args) -> tuple[dict, int]:
     if args.kind == "p":
         read, validate, compatible = pcondition_from_json, validate_pcondition, p_compatible
     else:
         read, validate, compatible = qcondition_from_json, validate_qcondition, q_compatible
-    conds = [read(c, universe) for c in raw_conditions]
-    # every field is parsed before any check, so a malformed file exits 2
-    if args.verb in ("ramsey", "liminf"):
-        loc = location_from_json(require(data, "location", dict, args.file), universe)
-    if args.verb == "lower-bound":
-        x = point_at(universe, data["point"], "point") if "point" in data else None
-    elif args.verb == "ramsey":
-        m = optional_int(data, "m", 3, args.file)
-        if m < 2:
-            raise ParseError(f"{args.file}.m: {quoted(m)} is below 2")
-    elif args.verb == "liminf":
-        test_set = [
-            point_at(universe, i, "test_set")
-            for i in expect(data.get("test_set", []), list, f"{args.file}.test_set")
-        ]
-        threshold = optional_int(data, "threshold", None, args.file)
-        if threshold is not None and threshold < 0:
-            raise ParseError(f"{args.file}.threshold: {quoted(threshold)} is negative")
-    elif args.verb == "predense":
-        budget = optional_int(data, "color_budget", args.bounds["colorBudget"], args.file)
+    _, _, conds = _read_conditions(args, read)
     for cond in conds:
         validate(cond)
+    return {"pairwise_compatible": all(compatible(a, b) for a, b in combinations(conds, 2))}, 0
 
-    if args.verb == "compat":
-        ok = all(compatible(a, b) for a, b in combinations(conds, 2))
-        _emit({"pairwise_compatible": ok}, args.out)
-        return 0
-    if args.verb == "lower-bound":
-        try:
-            bound = p_lower_bound(conds, x, universe=universe)
-        except NoetherError as exc:
-            _emit({"built": False, "error": str(exc)}, args.out)
-            return 1
-        _emit({"built": True, "bound": pcondition_to_json(bound)}, args.out)
-        return 0
-    if args.verb == "ramsey":
-        bound = ramsey_bound(m, len(loc.cells))
-        found = ramsey_compatible_subset(conds, m, loc)
-        _emit({"bound": bound, "subset": None if found is None else list(found[0])}, args.out)
-        return 0
-    if args.verb == "liminf":
-        result = liminf_thin(conds, loc, test_set, threshold)
-        _emit(
-            {
-                "constant_cells": list(result.constant_cells),
-                "injective_cells": list(result.injective_cells),
-                "kept": list(result.kept),
-                "threshold": result.threshold,
-            },
-            args.out,
-        )
-        return 0
-    # predense
+
+def _cmd_poset_lower_bound(args) -> tuple[dict, int]:
+    universe, data, conds = _read_conditions(args, pcondition_from_json)
+    x = point_at(universe, data["point"], "point") if "point" in data else None
+    for cond in conds:
+        validate_pcondition(cond)
+    try:
+        bound = p_lower_bound(conds, x, universe=universe)
+    except NoetherError as exc:
+        return {"built": False, "error": str(exc)}, 1
+    return {"built": True, "bound": pcondition_to_json(bound)}, 0
+
+
+def _cmd_poset_ramsey(args) -> tuple[dict, int]:
+    universe, data, conds = _read_conditions(args)
+    loc = location_from_json(require(data, "location", dict, args.file), universe)
+    m = optional_int(data, "m", 3, args.file)
+    if m < 2:
+        raise ParseError(f"{args.file}.m: {quoted(m)} is below 2")
+    for cond in conds:
+        validate_qcondition(cond)
+    bound = ramsey_bound(m, len(loc.cells))
+    found = ramsey_compatible_subset(conds, m, loc)
+    return {"bound": bound, "subset": None if found is None else list(found[0])}, 0
+
+
+def _cmd_poset_liminf(args) -> tuple[dict, int]:
+    universe, data, conds = _read_conditions(args)
+    loc = location_from_json(require(data, "location", dict, args.file), universe)
+    test_set = [
+        point_at(universe, i, "test_set")
+        for i in expect(data.get("test_set", []), list, f"{args.file}.test_set")
+    ]
+    threshold = optional_int(data, "threshold", None, args.file)
+    if threshold is not None and threshold < 0:
+        raise ParseError(f"{args.file}.threshold: {quoted(threshold)} is negative")
+    for cond in conds:
+        validate_qcondition(cond)
+    result = liminf_thin(conds, loc, test_set, threshold)
+    return {
+        "constant_cells": list(result.constant_cells),
+        "injective_cells": list(result.injective_cells),
+        "kept": list(result.kept),
+        "threshold": result.threshold,
+    }, 0
+
+
+def _cmd_poset_predense(args) -> tuple[dict, int]:
+    universe, data, conds = _read_conditions(args)
+    budget = optional_int(data, "color_budget", args.bounds["colorBudget"], args.file)
+    for cond in conds:
+        validate_qcondition(cond)
     full = predense_check(conds, universe, budget)
     reduced = predense_check_reduced(conds, universe, budget)
-    _emit({"predense": full, "predense_reduced": reduced, "agree": full == reduced}, args.out)
-    return 0 if full == reduced else 1
+    agree = full == reduced
+    return {"predense": full, "predense_reduced": reduced, "agree": agree}, 0 if agree else 1
 
 
-def _cmd_hamming(args) -> int:
-    if args.verb == "chi":
-        universe = make_diagonal_hamming(args.breadth)
-        chi, _ = chromatic_number(universe, bound=args.bounds["oracle"])
-        _emit({"breadth": args.breadth, "chromatic_number": chi}, args.out)
-        return 0
-    if args.verb == "vitali":
-        universe = make_uniform_hamming(args.breadth, args.alphabet)
-        report = verify_vitali_homomorphism(
-            universe, epsilon_matrix(args.breadth, args.alphabet)
-        )
-        _emit(report, args.out)
-        return 0 if report["passed"] else 1
-    if args.verb == "embed":
-        report = verify_embedding(args.breadth)
-        _emit(report, args.out)
-        return 0 if report["passed"] else 1
+def _cmd_hamming_chi(args) -> tuple[dict, int]:
+    chi, _ = chromatic_number(make_diagonal_hamming(args.breadth), bound=args.bounds["oracle"])
+    return {"breadth": args.breadth, "chromatic_number": chi}, 0
+
+
+def _cmd_hamming_vitali(args) -> tuple[dict, int]:
+    universe = make_uniform_hamming(args.breadth, args.alphabet)
+    report = verify_vitali_homomorphism(universe, epsilon_matrix(args.breadth, args.alphabet))
+    return report, 0 if report["passed"] else 1
+
+
+def _cmd_hamming_embed(args) -> tuple[dict, int]:
+    report = verify_embedding(args.breadth)
+    return report, 0 if report["passed"] else 1
+
+
+def _cmd_hamming_sigma(args) -> tuple[dict, int]:
     universe = make_diagonal_hamming(args.breadth)
-    pieces = [universe.points]
-    report = sigma_bounded_check(universe, pieces, oracle_bound=args.bounds["oracle"])
-    _emit(report, args.out)
-    return 0 if report["passed"] else 1
+    report = sigma_bounded_check(universe, [universe.points], oracle_bound=args.bounds["oracle"])
+    return report, 0 if report["passed"] else 1
 
 
-def _cmd_campaign(args) -> int:
+def _cmd_campaign(args) -> tuple[dict, int]:
     if args.list_suites:
-        _emit({"suites": sorted(campaign_mod.SUITES)}, args.out)
-        return 0
+        return {"suites": sorted(campaign_mod.SUITES)}, 0
     names = args.suites or sorted(n for n in campaign_mod.SUITES if n != "selftest-mutation")
     given = {name: value for name, value in args.bounds.items() if value is not None}
     config = campaign_mod.RunConfig(seed=args.seed, trials=args.trials, bounds=given)
     report = campaign_mod.run_campaign(config, names, jobs=args.jobs)
-    _emit(report, args.out)
-    return 0 if report["all_passed"] else 1
+    return report, 0 if report["all_passed"] else 1
 
 
 def _parse_bounds(args) -> dict:
@@ -346,8 +334,9 @@ def _parse_bounds(args) -> dict:
             raise ParseError(f"--bound {name}: {quoted(value)} is not an integer") from None
         if bounds[name] < 1:
             raise ParseError(f"--bound {name}: {quoted(value)} is not a positive integer")
+        # the campaign's draws need its minima; every other verb takes any value >= 1
         minimum = campaign_mod.BOUND_MINIMA.get(name, 1)
-        if bounds[name] < minimum:
+        if args.command == "campaign" and bounds[name] < minimum:
             raise ParseError(f"--bound {name}: {quoted(value)} is below its minimum {minimum}")
     return bounds
 
@@ -389,11 +378,13 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process.
 
     Parsing keeps all of its state in the returned ``Namespace``, so one
-    parser serves every ``main`` call.  Each verb declares only the options
-    it reads, so any other exits 2.  ``bounds`` holds the --bound names a
-    verb reads, with their defaults; with None the verb chooses: campaign
-    gives RunConfig only those set.  ``bound_names`` holds every name that
-    some verb reads, so a misspelt name reads as unknown.
+    parser serves every ``main`` call.  Each leaf sets ``fn``, its handler,
+    which returns the report and the exit code; ``main`` writes the report.
+    Each verb declares only the options it reads, so any other exits 2.
+    ``bounds`` holds the --bound names a verb reads, with their defaults;
+    with None the verb chooses: campaign gives RunConfig only those set.
+    ``bound_names`` holds every name that some verb reads, so a misspelt
+    name reads as unknown.
     """
     parser = argparse.ArgumentParser(
         prog="noetherlab",
@@ -458,24 +449,24 @@ def build_parser() -> argparse.ArgumentParser:
          help="descent chains and closure statistics", bounds={"maxArity": 4})
 
     color = verbs("color", "verb", "emit and verify box colorings")
-    leaf(color, "make", instance, fn=_cmd_color)
-    leaf(color, "chi", instance, bound, fn=_cmd_color, bounds=oracle)
-    leaf(color, "verify", instance, file, fn=_cmd_color)
+    leaf(color, "make", instance, fn=_cmd_color_make)
+    leaf(color, "chi", instance, bound, fn=_cmd_color_chi, bounds=oracle)
+    leaf(color, "verify", instance, file, fn=_cmd_color_verify)
 
     poset = verbs("poset", "verb", "poset operations")
-    compat = leaf(poset, "compat", instance, file, fn=_cmd_poset)
+    compat = leaf(poset, "compat", instance, file, fn=_cmd_poset_compat)
     compat.add_argument("--kind", choices=["p", "q"], default="q")
-    leaf(poset, "lower-bound", instance, file, fn=_cmd_poset, kind="p")
-    leaf(poset, "ramsey", instance, file, fn=_cmd_poset, kind="q")
-    leaf(poset, "liminf", instance, file, fn=_cmd_poset, kind="q")
-    leaf(poset, "predense", instance, file, bound, fn=_cmd_poset, kind="q",
+    leaf(poset, "lower-bound", instance, file, fn=_cmd_poset_lower_bound)
+    leaf(poset, "ramsey", instance, file, fn=_cmd_poset_ramsey)
+    leaf(poset, "liminf", instance, file, fn=_cmd_poset_liminf)
+    leaf(poset, "predense", instance, file, bound, fn=_cmd_poset_predense,
          bounds={"colorBudget": 3})
 
     hamming = verbs("hamming", "verb", "Hamming truncations and embeddings")
-    leaf(hamming, "chi", breadth, bound, fn=_cmd_hamming, bounds=oracle)
-    leaf(hamming, "vitali", breadth, alphabet, fn=_cmd_hamming)
-    leaf(hamming, "embed", breadth, fn=_cmd_hamming)
-    leaf(hamming, "sigma", breadth, bound, fn=_cmd_hamming, bounds=oracle)
+    leaf(hamming, "chi", breadth, bound, fn=_cmd_hamming_chi, bounds=oracle)
+    leaf(hamming, "vitali", breadth, alphabet, fn=_cmd_hamming_vitali)
+    leaf(hamming, "embed", breadth, fn=_cmd_hamming_embed)
+    leaf(hamming, "sigma", breadth, bound, fn=_cmd_hamming_sigma, bounds=oracle)
 
     camp = leaf(sub, "campaign", seed, trials, bound, fn=_cmd_campaign,
                 help="run seeded property suites",
@@ -497,7 +488,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args.bounds = _parse_bounds(args)
         _check_options(args)
-        return args.fn(args)
+        report, code = args.fn(args)
+        _emit(report, args.out)
+        return code
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 2

@@ -14,6 +14,10 @@ Rows still open, with the times measured on a 2-vCPU host (CPython
   every point: 34.5 s.
 - ``poset compat`` with 2000 pairwise compatible one-point conditions on
   ``gen line --size 4096``: 4.8 s.
+- ``poset ramsey`` with ``m`` = 3 on K_k as an explicit instance, k
+  one-point conditions of color 0 and one vertex cell holding every
+  vertex: no 3-subset is compatible, so it scans all C(k, 3) of them,
+  0.05 s at k = 60, 0.32 s at 120 and 2.6 s at 240.
 """
 
 import json

@@ -374,17 +374,89 @@ def test_campaign_exit_codes(capsys):
     assert report["suites"]["selftest-mutation"]["counterexamples"]
 
 
-def test_campaign_out_file_holds_the_stdout_bytes(tmp_path, capsys):
-    for argv, code in (
+def test_campaign_report_is_the_same_at_every_jobs_level(capsys):
+    # a pool of at most two workers; the trials of every suite share it, and
+    # selftest-mutation's failures fill the counterexample lists
+    argv = ["campaign", "adjacency-laws", "box-enumeration", "predense-equivalence",
+            "selftest-mutation", "--trials", "20", "--seed", "7"]
+    assert main([*argv, "--jobs", "1"]) == 1
+    serial = capsys.readouterr().out
+    assert json.loads(serial)["suites"]["selftest-mutation"]["counterexamples"]
+    assert main([*argv, "--jobs", "2"]) == 1
+    assert capsys.readouterr().out == serial
+
+
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys):
+    line = _write_line_universe(tmp_path)
+    path4 = _path_instance(tmp_path, 4)
+    coloring = tmp_path / "coloring.json"
+    assert main(["color", "make", line, "--out", str(coloring)]) == 0
+    improper = json.loads(coloring.read_text())
+    improper["assignment"]["0"] = improper["assignment"]["1"]
+    u = line_universe(3)
+    # point 0 under two tags: the conditions have no common lower bound
+    clash = [pcondition_to_json(PCondition(u, {pt(0): TaggedBox(tag, 2, (-1,))})) for tag in (0, 1)]
+    q = {
+        "conditions": [{"assignment": {"0": 0, "3": 1}}, {"assignment": {"1": 0, "3": 1}}],
+        "location": {"cells": [{"vertices": [0, 1]}, {"vertices": [3]}], "colors": [0, 1]},
+        "m": 2,
+    }
+    files = {
+        "improper": _poset_file(tmp_path, "improper.json", improper),
+        "clash": _poset_file(tmp_path, "clash.json", {"conditions": clash}),
+        "q": _poset_file(tmp_path, "q.json", q),
+        "m1": _poset_file(tmp_path, "m1.json", {**q, "m": 1}),
+    }
+    # a call per leaf and one more for campaign, with its exit code; each prints a report
+    calls = [
+        (["gen", "line", "--size", "5"], 0),
+        (["gen", "clustered-line"], 0),
+        (["gen", "planar", "--size", "5", "--seed", "3"], 0),
+        (["gen", "explicit", "--size", "5", "--seed", "3"], 0),
+        (["gen", "hamming-diagonal", "--size", "3"], 0),
+        (["gen", "hamming-uniform", "--size", "2", "--alphabet", "3"], 0),
+        (["adj", line, "--indices", "0", "2"], 0),
+        (["detect", line, "--stress"], 0),
+        (["lattice", line, "--trials", "5"], 0),
+        (["color", "make", line], 0),
+        (["color", "chi", line], 0),
+        (["color", "verify", line, "--file", files["improper"]], 1),
+        (["poset", "compat", path4, "--file", files["q"]], 0),
+        (["poset", "lower-bound", line, "--file", files["clash"]], 1),
+        (["poset", "ramsey", path4, "--file", files["q"]], 0),
+        (["poset", "liminf", path4, "--file", files["q"]], 0),
+        (["poset", "predense", path4, "--file", files["q"]], 0),
+        (["hamming", "chi", "--breadth", "3"], 0),
+        (["hamming", "vitali", "--breadth", "3"], 0),
+        (["hamming", "embed", "--breadth", "4"], 0),
+        (["hamming", "sigma", "--breadth", "3"], 1),
         (["campaign", "adjacency-laws", "--trials", "3"], 0),
         (["campaign", "selftest-mutation", "--trials", "10"], 1),
-    ):
-        assert main(argv) == code
+    ]
+    leaves = [verb.split() for verb, _ in _leaves(build_parser())]
+    assert len(leaves) == 22
+    assert all(any(argv[:len(verb)] == verb for argv, _ in calls) for verb in leaves)
+    out = tmp_path / "report.json"
+    for argv, code in calls:
+        assert main(argv) == code, argv
         printed = capsys.readouterr().out
-        out = tmp_path / "report.json"
-        assert main([*argv, "--out", str(out)]) == code
-        assert capsys.readouterr().out == ""
-        assert out.read_bytes() == printed.encode("utf-8")
+        assert json.loads(printed), argv
+        assert main([*argv, "--out", str(out)]) == code, argv
+        assert capsys.readouterr().out == "", argv
+        assert out.read_bytes() == printed.encode("utf-8"), argv
+        out.unlink()
+    # a call that fails before its report is written leaves no --out file
+    for argv, code in (
+        (["poset", "ramsey", path4, "--file", files["m1"]], 2),
+        (["color", "verify", line, "--file", files["q"]], 2),
+        (["adj", line, "--y", "[1]"], 2),
+        (["campaign", "--jobs", "0"], 2),
+        (["hamming", "chi", "--breadth", "3", "--bound", "oracle=2"], 1),
+    ):
+        assert main([*argv, "--out", str(out)]) == code, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err, argv
+        assert not out.exists(), argv
 
 
 def test_each_verb_reads_only_its_own_options(tmp_path, capsys):
@@ -491,6 +563,19 @@ def test_campaign_bounds_below_their_minimum_exit_2(capsys):
     for suite, bound in (("pattern-oracle", "maxPoints=6"), ("predense-equivalence", "colorBudget=2")):
         code, report = _run(capsys, ["campaign", suite, "--trials", "3", "--bound", bound])
         assert code == 0 and report["all_passed"] is True, bound
+
+
+def test_other_verbs_take_a_bound_below_the_campaign_minimum(tmp_path, capsys):
+    line = str(tmp_path / "line64.json")
+    assert main(["gen", "line", "--size", "64", "--out", line]) == 0
+    # colored from {0}, the conditions on 0 and 1 meet every condition; from {0, 1, 2} not
+    conditions = [{"assignment": {"0": 0}}, {"assignment": {"1": 0}}]
+    flag = _poset_file(tmp_path, "flag.json", {"conditions": conditions})
+    key = _poset_file(tmp_path, "key.json", {"conditions": conditions, "color_budget": 1})
+    by_flag = _run(capsys, ["poset", "predense", line, "--file", flag, "--bound", "colorBudget=1"])
+    assert by_flag == _run(capsys, ["poset", "predense", line, "--file", key])
+    assert by_flag == (0, {"predense": True, "predense_reduced": True, "agree": True})
+    assert _run(capsys, ["poset", "predense", line, "--file", flag])[1]["predense"] is False
 
 
 def test_negative_curve_exponent_exits_2(tmp_path, capsys):
