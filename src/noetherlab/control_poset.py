@@ -366,23 +366,41 @@ def ramsey_compatible_subset(
 
     Guaranteed to exist when len(conditions) >= ramsey_bound(m, #cells) and
     the instance has no m-clique; the returned union is verified to be a
-    common lower bound.
+    common lower bound.  The subset is the first pairwise compatible one in
+    combinations order: subsets grow depth first in index order, each
+    member's candidates are the later indices compatible with every member
+    so far, and a branch ends once too few candidates remain.  Pairs are
+    colored as the search meets them.
     """
     if m < 1:
         raise PreconditionError("m must be >= 1")
     if not conditions:
         return None
     color = pair_coloring(conditions, loc)
-    for combo in combinations(range(len(conditions)), m):
-        if all(color(i, j) == COMPATIBLE for i, j in combinations(combo, 2)):
-            meet = conditions[combo[0]]
-            for i in combo[1:]:
-                meet = q_meet(meet, conditions[i])
-            for i in combo:
-                if not q_extends(meet, conditions[i]):
-                    raise VerificationError(f"meet is not below condition {i}")
-            return combo, meet
-    return None
+    # frames[d] = (candidates for combo[d], position of the next to try)
+    combo: list[int] = []
+    frames = [(range(len(conditions)), 0)]
+    while True:
+        if not frames:
+            return None
+        candidates, pos = frames.pop()
+        if len(candidates) - pos < m - len(combo):
+            if combo:
+                combo.pop()
+            continue
+        i = candidates[pos]
+        combo.append(i)
+        if len(combo) == m:
+            break
+        frames.append((candidates, pos + 1))
+        frames.append(([j for j in candidates[pos + 1 :] if color(i, j) == COMPATIBLE], 0))
+    meet = conditions[combo[0]]
+    for i in combo[1:]:
+        meet = q_meet(meet, conditions[i])
+    for i in combo:
+        if not q_extends(meet, conditions[i]):
+            raise VerificationError(f"meet is not below condition {i}")
+    return tuple(combo), meet
 
 
 # -- liminf centeredness ------------------------------------------------------

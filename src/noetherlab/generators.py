@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from .coloring import PCondition, separating_box, validate_pcondition
 from .control_poset import QCondition, validate_qcondition
@@ -30,17 +31,25 @@ GENERATOR_NOTES = {
 }
 
 
+# The fixed builders below take no rng, so each returns one shared universe
+# per argument tuple: it is built, validated and given its masks once per
+# process.  SampleUniverse refuses attribute writes, so no caller can change
+# it under another.  The bound keeps at most 16 universes per builder; the
+# largest, 4096 points with both mask lists, holds 3.8-5.5 MB (tracemalloc).
+@lru_cache(maxsize=16)
 def line_universe(n: int) -> SampleUniverse:
     instance = distance_graph(1, [1])
     return SampleUniverse(instance, [pt(i) for i in range(n)])
 
 
+@lru_cache(maxsize=16)
 def path_explicit_universe(n: int) -> SampleUniverse:
     """The explicit twin of the integer unit-distance line."""
     instance = explicit_graph(n, [(i, i + 1) for i in range(n - 1)])
     return SampleUniverse(instance, [vertex_point(i) for i in range(n)])
 
 
+@lru_cache(maxsize=16)
 def clustered_line_universe() -> SampleUniverse:
     """Two clusters of rationals one unit apart, all inside the box (0, 2).
 

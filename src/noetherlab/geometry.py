@@ -180,25 +180,25 @@ def _corner_unrank(rank: int, dim: int, level: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-def _stage_size(dim: int, stage: int) -> int:
-    below = sum(_corner_count(dim, k) for k in range(stage))
-    return below + _corner_count(dim, stage) * (stage + 1)
-
-
 def box_index(box: TaggedBox) -> int:
     """Position of a box in the canonical enumeration of its dimension."""
     dim = box.dimension
     s = max(box.level, box.tag)
-    idx = sum(_stage_size(dim, t) for t in range(s))
+    # One walk over the stages below s.  Stage t holds, for every level
+    # k < t, the corner vectors of level k (part A), then those of level t
+    # once per tag 0..t (part B); `below` sums the levels under t.
+    idx = below = below_level = 0
+    for t in range(s):
+        if t == box.level:
+            below_level = below
+        count = _corner_count(dim, t)
+        idx += below + count * (t + 1)
+        below += count
     if box.level < s:
         # part A of the stage: levels below s, tag forced to s
-        idx += sum(_corner_count(dim, k) for k in range(box.level))
-        idx += _corner_rank(box.corners, box.level)
-    else:
-        # part B: level s, tags 0..s per corner vector
-        idx += sum(_corner_count(dim, k) for k in range(s))
-        idx += _corner_rank(box.corners, s) * (s + 1) + box.tag
-    return idx
+        return idx + below_level + _corner_rank(box.corners, box.level)
+    # part B: level s, tags 0..s per corner vector
+    return idx + below + _corner_rank(box.corners, s) * (s + 1) + box.tag
 
 
 def box_from_index(dim: int, index: int) -> TaggedBox:
@@ -207,18 +207,21 @@ def box_from_index(dim: int, index: int) -> TaggedBox:
         raise ValueError("dimension must be >= 1")
     if index < 0:
         raise ValueError("index must be a natural")
-    stage = 0
+    # the same one walk as box_index, keeping the levels' corner counts
+    counts: list[int] = []
+    below = 0
     while True:
-        size = _stage_size(dim, stage)
+        stage = len(counts)
+        counts.append(_corner_count(dim, stage))
+        size = below + counts[stage] * (stage + 1)
         if index < size:
             break
         index -= size
-        stage += 1
+        below += counts[stage]
     for k in range(stage):
-        ck = _corner_count(dim, k)
-        if index < ck:
+        if index < counts[k]:
             return TaggedBox(tag=stage, level=k, corners=_corner_unrank(index, dim, k))
-        index -= ck
+        index -= counts[k]
     rank, tag = divmod(index, stage + 1)
     return TaggedBox(tag=tag, level=stage, corners=_corner_unrank(rank, dim, stage))
 

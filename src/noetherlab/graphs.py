@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import isqrt, lcm
 from typing import Iterable, Optional
 
@@ -132,7 +132,9 @@ def explicit_graph(n_vertices: int, edges: Iterable) -> GraphInstance:
     )
 
 
+@lru_cache(maxsize=4096)  # hamming.DEFAULT_SIZE_BOUND vertices
 def vertex_point(i: int) -> Point:
+    """The point of vertex i; one shared Point per index."""
     return pt(i)
 
 
@@ -193,17 +195,28 @@ class SampleUniverse:
     """Finite, duplicate-free, ordered point sample standing in for the space.
 
     The point order is fixed at construction and drives every greedy
-    construction and canonical tie-break downstream.
+    construction and canonical tie-break downstream.  A universe refuses
+    attribute writes after construction, as Point does, so the fixed
+    builders can share one among all their callers; the cached masks are
+    stored in its __dict__ directly.
     """
 
     def __init__(self, instance: GraphInstance, points: Iterable[Point]):
-        self.instance = instance
-        self.points = tuple(points)
-        self._index: dict[Point, int] = {}
-        for i, p in enumerate(self.points):
+        points = tuple(points)
+        index: dict[Point, int] = {}
+        for i, p in enumerate(points):
             instance.validate_point(p)
-            if self._index.setdefault(p, i) != i:
+            if index.setdefault(p, i) != i:
                 raise InvalidPointError(f"duplicate point at index {i}: {quoted(p)}")
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "_index", index)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SampleUniverse is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"SampleUniverse is immutable: cannot delete {name!r}")
 
     def __len__(self):
         return len(self.points)

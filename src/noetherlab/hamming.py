@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import lcm
 from typing import Iterable, Optional, Sequence
@@ -42,8 +43,12 @@ def _diagonal_size(breadth: int) -> int:
     return size
 
 
+@lru_cache(maxsize=16)
 def make_diagonal_hamming(breadth: int) -> SampleUniverse:
-    """All vectors x with x(n) <= n for n < breadth, in lexicographic order."""
+    """All vectors x with x(n) <= n for n < breadth, in lexicographic order.
+
+    One shared universe per breadth, like the fixed builders of generators.
+    """
     _diagonal_size(breadth)
     instance = hamming_diagonal(breadth)
     values = [Fraction(v) for v in range(breadth)]
@@ -51,8 +56,12 @@ def make_diagonal_hamming(breadth: int) -> SampleUniverse:
     return SampleUniverse(instance, points)
 
 
+@lru_cache(maxsize=16)
 def make_uniform_hamming(breadth: int, alphabet: int) -> SampleUniverse:
-    """All words of the given breadth over the alphabet, in lexicographic order."""
+    """All words of the given breadth over the alphabet, in lexicographic order.
+
+    One shared universe per argument pair, like make_diagonal_hamming.
+    """
     if alphabet**breadth > DEFAULT_SIZE_BOUND:
         raise OracleBoundError(f"uniform truncation exceeds size bound {DEFAULT_SIZE_BOUND}")
     instance = hamming_uniform(breadth, alphabet)

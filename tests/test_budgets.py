@@ -14,10 +14,6 @@ Rows still open, with the times measured on a 2-vCPU host (CPython
   every point: 34.5 s.
 - ``poset compat`` with 2000 pairwise compatible one-point conditions on
   ``gen line --size 4096``: 4.8 s.
-- ``poset ramsey`` with ``m`` = 3 on K_k as an explicit instance, k
-  one-point conditions of color 0 and one vertex cell holding every
-  vertex: no 3-subset is compatible, so it scans all C(k, 3) of them,
-  0.05 s at k = 60, 0.32 s at 120 and 2.6 s at 240.
 """
 
 import json
@@ -44,6 +40,25 @@ def _predense_line64(tmp_path):
     return ["poset", "predense", line, "--file", str(file), "--out", str(tmp_path / "out.json")]
 
 
+def _ramsey_complete(k, m):
+    # K_k with one color-0 condition per vertex in one cell: every pair is
+    # incompatible, so no m-subset is; scanning all C(k, m) subsets took
+    # 3.9 s at (k, m) = (240, 3) and 17.7 s at (26, 13)
+    def build(tmp_path):
+        instance = tmp_path / "complete.json"
+        edges = [[i, j] for i in range(k) for j in range(i + 1, k)]
+        instance.write_text(json.dumps({"kind": "explicit", "vertices": k, "edges": edges}))
+        file = tmp_path / "conditions.json"
+        file.write_text(json.dumps({
+            "conditions": [{"assignment": {str(v): 0}} for v in range(k)],
+            "location": {"cells": [{"vertices": list(range(k))}], "colors": [0]},
+            "m": m,
+        }))
+        return ["poset", "ramsey", str(instance), "--file", str(file)]
+
+    return build
+
+
 def _adj_on(universe):
     def build(tmp_path):
         file = tmp_path / "universe.json"
@@ -55,6 +70,8 @@ def _adj_on(universe):
 
 ROWS = {
     "predense-40-conditions-on-line-64": (_predense_line64, 0, 2.0, None),
+    "ramsey-3-of-240-on-complete-graph": (_ramsey_complete(240, 3), 0, 1.0, None),
+    "ramsey-13-of-26-on-complete-graph": (_ramsey_complete(26, 13), 0, 1.0, None),
     "adj-vertex-index-out-of-range": (
         _adj_on({"instance": {"kind": "explicit", "vertices": 3, "edges": []}, "points": [[LONG]]}),
         2, 10.0, 200,

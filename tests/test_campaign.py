@@ -114,6 +114,40 @@ def test_one_pool_per_campaign_clamped_to_cpus(monkeypatch):
     assert made == [3]
 
 
+def test_shared_universes_give_the_same_report_as_fresh_ones(monkeypatch):
+    from noetherlab import campaign, generators, graphs, hamming
+
+    caches = [
+        generators.line_universe,
+        generators.path_explicit_universe,
+        generators.clustered_line_universe,
+        hamming.make_diagonal_hamming,
+        hamming.make_uniform_hamming,
+        graphs.vertex_point,
+    ]
+    config = RunConfig(seed=20260811, trials=20)
+    names = [
+        "hamming-chromatic",
+        "predense-equivalence",
+        "ramsey-thm59",
+        "liminf-thin",
+        "mask-adjacency-agreement",
+    ]
+    shared = emit_report(run_campaign(config, names))
+    run_one = campaign.run_one
+    cleared = []
+
+    def fresh_run_one(*args):
+        for cache in caches:
+            cache.cache_clear()
+        cleared.append(args[2])
+        return run_one(*args)
+
+    monkeypatch.setattr(campaign, "run_one", fresh_run_one)
+    assert emit_report(run_campaign(config, names)) == shared
+    assert cleared == list(range(20)) * len(names)
+
+
 def _first_fit_pairwise(universe, stages):
     """The stage colorings by one adjacent() call per pair of points."""
     colorings = []

@@ -19,7 +19,14 @@ from noetherlab import (
     squared_distance,
 )
 from noetherlab.errors import InvalidPointError
-from noetherlab.geometry import Point, _containing_corners, iter_boxes_containing
+from noetherlab.geometry import (
+    Point,
+    _containing_corners,
+    _corner_count,
+    _corner_rank,
+    _corner_unrank,
+    iter_boxes_containing,
+)
 
 
 def test_box_intervals():
@@ -54,6 +61,54 @@ def test_enumeration_bijection_first_10k():
     for dim in (1, 2):
         for i in range(10_000):
             assert box_index(box_from_index(dim, i)) == i
+
+
+def _stage_size(dim, stage):
+    below = sum(_corner_count(dim, k) for k in range(stage))
+    return below + _corner_count(dim, stage) * (stage + 1)
+
+
+def _nested_box_index(box):
+    """The enumeration's index by nested sums over the stages and levels,
+    a second route to the one walk of box_index."""
+    dim, s = box.dimension, max(box.level, box.tag)
+    idx = sum(_stage_size(dim, t) for t in range(s))
+    if box.level < s:
+        idx += sum(_corner_count(dim, k) for k in range(box.level))
+        return idx + _corner_rank(box.corners, box.level)
+    idx += sum(_corner_count(dim, k) for k in range(s))
+    return idx + _corner_rank(box.corners, s) * (s + 1) + box.tag
+
+
+def _nested_box_from_index(dim, index):
+    stage = 0
+    while index >= _stage_size(dim, stage):
+        index -= _stage_size(dim, stage)
+        stage += 1
+    for k in range(stage):
+        if index < _corner_count(dim, k):
+            return TaggedBox(tag=stage, level=k, corners=_corner_unrank(index, dim, k))
+        index -= _corner_count(dim, k)
+    rank, tag = divmod(index, stage + 1)
+    return TaggedBox(tag=tag, level=stage, corners=_corner_unrank(rank, dim, stage))
+
+
+def test_enumeration_matches_the_nested_sums():
+    # box_index and box_from_index share their stage walk, so an offset both
+    # got wrong would survive the round trip; the nested sums would not
+    for dim in (1, 2, 3):
+        for i in range(20_000):
+            box = box_from_index(dim, i)
+            assert box == _nested_box_from_index(dim, i), (dim, i)
+            assert box_index(box) == i
+    rng = random.Random(8)
+    for _ in range(3000):
+        dim, level, tag = rng.randint(1, 3), rng.randint(0, 8), rng.randint(0, 8)
+        bound = 4**level
+        box = TaggedBox(tag, level, tuple(rng.randint(-bound, bound) for _ in range(dim)))
+        index = _nested_box_index(box)
+        assert box_index(box) == index, box
+        assert box_from_index(dim, index) == box
 
 
 def test_enumeration_order_is_index_order():

@@ -45,7 +45,7 @@ from noetherlab.generators import (
     random_universe,
 )
 from noetherlab.graphs import _exact_adjacent
-from noetherlab.hamming import make_diagonal_hamming, make_uniform_hamming
+from noetherlab.hamming import DEFAULT_SIZE_BOUND, make_diagonal_hamming, make_uniform_hamming
 from noetherlab.serialize import MAX_CURVE_POINTS, MAX_POWER, universe_from_json
 
 
@@ -359,7 +359,10 @@ def test_curve_masks_build_within_budget_at_the_point_bound():
 def test_reference_adjacent_is_the_coordinate_route():
     rng = random.Random(8)
     for _ in range(30):
-        u = random_universe(rng, 10)
+        # a fresh copy: the fixed builders share universes whose masks an
+        # earlier caller may have built
+        shared = random_universe(rng, 10)
+        u = SampleUniverse(shared.instance, shared.points)
         pairs = [(x, y) for x in u.points for y in u.points]
         got = [u.reference_adjacent(x, y) for x, y in pairs]
         assert "closed_masks" not in vars(u)  # never reads the masks
@@ -369,6 +372,55 @@ def test_reference_adjacent_is_the_coordinate_route():
         u.reference_adjacent(pt(0), pt(5))
     with pytest.raises(UnknownPointError):
         u.reference_adjacent(pt(7), pt(1))
+
+
+# (builder, arguments, other arguments) for each fixed universe builder
+_FIXED_BUILDERS = [
+    (line_universe, (5,), (6,)),
+    (path_explicit_universe, (5,), (6,)),
+    (clustered_line_universe, (), None),
+    (make_diagonal_hamming, (3,), (4,)),
+    (make_uniform_hamming, (2, 3), (3, 2)),
+]
+
+
+def test_fixed_builders_share_one_universe_per_argument_tuple():
+    for build, args, other in _FIXED_BUILDERS:
+        u = build(*args)
+        assert build(*args) is u, build.__name__
+        if other is not None:
+            assert build(*other) is not u and len(build(*other)) != len(u), build.__name__
+        assert build.cache_info().maxsize == 16, build.__name__
+    for n in range(3, 23):
+        line_universe(n)
+    assert line_universe.cache_info().currsize == 16
+    assert vertex_point(7) is vertex_point(7)
+    assert vertex_point(7) is not vertex_point(8)
+    assert vertex_point(7) == pt(7)
+    assert vertex_point.cache_info().maxsize == DEFAULT_SIZE_BOUND
+    # the shared universes hold the shared vertex points
+    assert path_explicit_universe(5).points[3] is vertex_point(3)
+
+
+def test_universe_refuses_attribute_writes():
+    for u in (line_universe(4), SampleUniverse(distance_graph(1, [1]), [pt(0), pt(1)])):
+        before = (u.instance, u.points, dict(u._index))
+        for name in ("instance", "points", "_index", "closed_masks", "open_masks", "extra"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(u, name, None)
+        for name in ("instance", "points", "closed_masks"):
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(u, name)
+        assert (u.instance, u.points, u._index) == before
+
+
+def test_masks_stay_cached_and_rebuild_once_popped():
+    u = SampleUniverse(distance_graph(1, [1]), [pt(i) for i in range(5)])
+    masks = u.closed_masks
+    assert u.closed_masks is masks and vars(u)["closed_masks"] is masks
+    assert u.__dict__.pop("closed_masks") is masks
+    rebuilt = u.closed_masks
+    assert rebuilt is not masks and rebuilt == masks == [0b11, 0b111, 0b1110, 0b11100, 0b11000]
 
 
 # Library logic reads adjacency from a universe's masks.  The exact pairwise

@@ -330,6 +330,44 @@ def test_ramsey_compatible_subset_examples():
     assert none is None
 
 
+def _scan_compatible_subset(conditions, m, loc):
+    """The subset scan that ramsey_compatible_subset replaced: every m-subset
+    in combinations order, each pair colored again."""
+    color = pair_coloring(conditions, loc)
+    for combo in combinations(range(len(conditions)), m):
+        if all(color(i, j) == COMPATIBLE for i, j in combinations(combo, 2)):
+            return combo
+    return None
+
+
+def test_ramsey_compatible_subset_matches_the_subset_scan():
+    # One vertex cell of color 0, or two cells of different colors, on
+    # seeded explicit graphs: the search returns the scan's first subset.
+    rng = random.Random(2059)
+    found = 0
+    for _ in range(3000):
+        n = rng.randint(2, 9)
+        u = random_explicit_universe(rng, n, rng.uniform(0.1, 0.9))
+        if rng.random() < 0.5:
+            loc = Location((frozenset(u.points),), (0,))
+            conds = [QCondition(u, {rng.choice(u.points): 0}) for _ in range(rng.randint(1, 12))]
+        else:
+            cut = rng.randint(1, n - 1)
+            loc = Location((frozenset(u.points[:cut]), frozenset(u.points[cut:])), (0, 1))
+            conds = [
+                QCondition(u, {rng.choice(u.points[:cut]): 0, rng.choice(u.points[cut:]): 1})
+                for _ in range(rng.randint(1, 12))
+            ]
+        m = rng.randint(1, 6)
+        expected = _scan_compatible_subset(conds, m, loc)
+        got = ramsey_compatible_subset(conds, m, loc)
+        assert (None if got is None else got[0]) == expected, (n, m)
+        if got is not None:
+            found += 1
+            assert all(q_extends(got[1], conds[i]) for i in got[0])
+    assert 500 < found < 2500, found
+
+
 def test_ramsey_thm59_guarantee_500_trials():
     rng = random.Random(59)
     u = clustered_line_universe()
