@@ -11,6 +11,8 @@ with the independent properness/suitability checkers before returning.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, islice
 from typing import Iterable, Mapping, Optional
 
 from . import _kernels
@@ -21,8 +23,14 @@ from .errors import (
     PreconditionError,
     VerificationError,
 )
-from .geometry import Point, TaggedBox, box_contains, iter_boxes_containing
-from .graphs import SampleUniverse
+from .geometry import (
+    Point,
+    TaggedBox,
+    box_contains,
+    first_box_containing,
+    iter_boxes_containing,
+)
+from .graphs import SampleUniverse, _exact_adjacent
 from .lattice import is_good
 
 DEFAULT_ORACLE_BOUND = 24
@@ -41,20 +49,27 @@ def check_proper(universe: SampleUniverse, assignment: Mapping) -> list[str]:
     """Violations of properness (adjacent points sharing a color value).
 
     Only points of one color class can violate properness, so the exact
-    pairwise predicate (reference_adjacent, independent of the masks) runs
-    on the pairs inside each class; the messages come in universe-index
-    order of the pair, as an all-pairs scan would list them.
+    coordinate predicate (_exact_adjacent, independent of the masks) runs
+    on the pairs inside each class of two or more points; the messages come
+    in universe-index order of the pair, as an all-pairs scan would list
+    them.  Every point is looked up once, so one outside the universe
+    raises UnknownPointError even when it is alone in its class.
     """
+    index = universe.index
     classes: dict = {}
-    for x in sorted(assignment, key=universe.index):
-        classes.setdefault(assignment[x], []).append(x)
+    for x, color in assignment.items():
+        classes.setdefault(color, []).append((index(x), x))
+    instance = universe.instance
     bad = []
     for members in classes.values():
-        for i, x in enumerate(members):
-            for y in members[i + 1 :]:
-                if universe.reference_adjacent(x, y):
-                    bad.append((universe.index(x), universe.index(y), x, y))
-    bad.sort(key=lambda v: v[:2])
+        if len(members) < 2:
+            continue
+        members.sort()  # by index: distinct points have distinct indices
+        for k, (i, x) in enumerate(members):
+            for j, y in members[k + 1 :]:
+                if _exact_adjacent(instance, x, y):
+                    bad.append((i, j, x, y))
+    bad.sort()
     return [f"adjacent {x}, {y} share color {assignment[x]}" for _, _, x, y in bad]
 
 
@@ -88,6 +103,15 @@ def validate_pcondition(p: PCondition, *, require_good: bool = False) -> None:
         raise InvalidConditionError("; ".join(problems))
     if require_good and not is_good(p.universe, p.assignment.keys()):
         raise InvalidConditionError("domain is not good relative to the universe")
+
+
+# One campaign pass asks for the first box around a few hundred distinct
+# (point, tag) keys about 1,400 times, and the first box is nearly always
+# the answer.  Boxes and points are immutable, so the cache shares them.
+@lru_cache(maxsize=4096)
+def _first_box(x: Point, tag: Optional[int]) -> TaggedBox:
+    """The canonically first box around x of the given tag (any if None)."""
+    return first_box_containing(x, tag=tag)
 
 
 def separating_box(
@@ -125,7 +149,8 @@ def separating_box(
             forbidden.append(a)
         neighbors ^= low
     excluded = frozenset(exclude)
-    for box in iter_boxes_containing(x, tag=tag):
+    boxes = iter_boxes_containing(x, tag=tag)
+    for box in chain((_first_box(x, tag),), islice(boxes, 1, None)):
         if box in excluded:
             continue
         if all(not box_contains(box, a) for a in forbidden):

@@ -65,7 +65,13 @@ def clustered_line_universe() -> SampleUniverse:
 
 def rational_circle_point(rng: random.Random) -> tuple[Fraction, Fraction]:
     """A rational point on the unit circle via the tangent parametrization."""
-    t = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+    return _circle_point(rng.randint(-6, 6), rng.randint(1, 6))
+
+
+@lru_cache(maxsize=128)  # the 13 * 6 = 78 pairs (a, b) the draws can give
+def _circle_point(a: int, b: int) -> tuple[Fraction, Fraction]:
+    """The circle point at slope t = a/b: ((1 - t^2), 2t) / (1 + t^2)."""
+    t = Fraction(a, b)
     den = 1 + t * t
     return ((1 - t * t) / den, 2 * t / den)
 
@@ -82,8 +88,8 @@ def planar_unit_universe(rng: random.Random, n_points: int) -> SampleUniverse:
             cand = Point((base.coords[0] + dx, base.coords[1] + dy))
         else:
             cand = pt(rng.randint(-2, 2), rng.randint(-2, 2))
-        if cand.coords not in seen:
-            seen.add(cand.coords)
+        if cand not in seen:  # a Point hashes once, at construction
+            seen.add(cand)
             points.append(cand)
     return SampleUniverse(instance, points)
 

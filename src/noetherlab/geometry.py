@@ -117,7 +117,7 @@ class TaggedBox:
 
 def box_contains(box: TaggedBox, x: Point) -> bool:
     """Exact strict-inequality membership of a point in an open box."""
-    if box.dimension != x.dimension:
+    if len(box.corners) != len(x.coords):
         raise InvalidPointError(f"box dimension {box.dimension} vs point {x.dimension}")
     k = box.level
     for m, c in zip(box.corners, x.coords):

@@ -66,7 +66,7 @@ class GraphInstance:
     poly: Optional[TwoVarPoly] = None
     alphabet: int = 0
     n_vertices: int = 0
-    edges: frozenset[frozenset[int]] = frozenset()
+    edges: frozenset[tuple[int, int]] = frozenset()  # (u, v) with u < v
 
     def validate_point(self, x: Point) -> None:
         if x.dimension != self.dimension:
@@ -126,7 +126,7 @@ def explicit_graph(n_vertices: int, edges: Iterable) -> GraphInstance:
             raise ValueError(f"self-loop at vertex {u}")
         if not (0 <= u < n_vertices and 0 <= v < n_vertices):
             raise ValueError(f"edge ({u},{v}) out of range")
-        es.add(frozenset((u, v)))
+        es.add((u, v) if u < v else (v, u))
     return GraphInstance(
         kind=EXPLICIT, dimension=1, n_vertices=n_vertices, edges=frozenset(es)
     )
@@ -180,7 +180,8 @@ def _exact_adjacent(instance: GraphInstance, x: Point, y: Point) -> bool:
                 diffs += 1
         return diffs == 1
     if kind == EXPLICIT:
-        return frozenset((x.coords[0].numerator, y.coords[0].numerator)) in instance.edges
+        u, v = x.coords[0].numerator, y.coords[0].numerator
+        return ((u, v) if u < v else (v, u)) in instance.edges
     if kind == CURVE_DIFFERENCE:
         if x == y:
             return False
@@ -274,10 +275,18 @@ class SampleUniverse:
         return m
 
     def points_of(self, mask: int) -> frozenset[Point]:
-        return frozenset(p for i, p in enumerate(self.points) if mask >> i & 1)
+        return frozenset(self.ordered_points_of(mask))
 
     def ordered_points_of(self, mask: int) -> list[Point]:
-        return [p for i, p in enumerate(self.points) if mask >> i & 1]
+        """The points of the set bits of mask, in universe order; the walk
+        visits set bits only, so a sparse mask costs its size, not n."""
+        points = self.points
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(points[low.bit_length() - 1])
+            mask ^= low
+        return out
 
 
 # -- mask builders --------------------------------------------------------------

@@ -75,16 +75,20 @@ def good_closure(universe: SampleUniverse, a: Iterable) -> frozenset:
     iterating to a fixpoint.  A point x is in the heart of Gamma(s) for some
     s subseteq current exactly when s subseteq Gamma(x) and Gamma(s)
     subseteq Gamma(x); Gamma is antitone, so the largest such s,
-    current & Gamma(x), decides.  Each round tests every point outside
-    current once, in time linear in its neighbours, so the cost does not
-    grow with the number of distinct intersections inside current.
+    current & Gamma(x), decides.  Each test is linear in the neighbours of
+    x, and only points whose verdict can change are tested: with s empty, x
+    joins only if it is joined to every point, so the first round tests the
+    closed neighbourhoods of current (every point when current is empty),
+    and each later round the neighbours of the last round's additions,
+    the only points whose s grew.
     """
     closed = universe.closed_masks
     full = universe.full_mask
     current = universe.mask_of(a)
+    candidates = _neighbourhood_union(closed, current) if current else full
     while True:
         added = 0
-        outside = full & ~current
+        outside = candidates & ~current
         while outside:
             i = (outside & -outside).bit_length() - 1
             outside &= outside - 1
@@ -100,6 +104,15 @@ def good_closure(universe: SampleUniverse, a: Iterable) -> frozenset:
         if not added:
             return universe.points_of(current)
         current |= added
+        candidates = _neighbourhood_union(closed, added)
+
+
+def _neighbourhood_union(closed: list[int], mask: int) -> int:
+    """The union of the closed neighbourhoods of the points of mask."""
+    out = 0
+    for i in _indices(mask):
+        out |= closed[i]
+    return out
 
 
 def is_good(universe: SampleUniverse, a: Iterable) -> bool:

@@ -205,7 +205,7 @@ def instance_to_json(instance: GraphInstance) -> dict:
         out["breadth"] = instance.dimension
     elif instance.kind == EXPLICIT:
         out["vertices"] = instance.n_vertices
-        out["edges"] = sorted(sorted(e) for e in instance.edges)
+        out["edges"] = [list(e) for e in sorted(instance.edges)]
     return out
 
 

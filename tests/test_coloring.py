@@ -1,9 +1,10 @@
 import json
 import random
+from itertools import islice
 
 import pytest
 
-from conftest import explicit_universe
+from conftest import explicit_universe, universes_of_every_kind
 from noetherlab import _kernels
 from noetherlab import (
     PCondition,
@@ -30,6 +31,7 @@ from noetherlab.errors import (
 )
 from noetherlab.cli import main
 from noetherlab.generators import clustered_line_universe, line_universe, random_universe
+from noetherlab.geometry import box_contains, iter_boxes_containing
 from noetherlab.graphs import adjacent
 
 
@@ -72,6 +74,37 @@ def test_separating_box_ignores_avoid_points_outside_the_universe():
     # x itself must still be a universe point
     with pytest.raises(UnknownPointError):
         separating_box(u, pt(7), [pt(0)])
+
+
+def _separating_box_by_enumeration(universe, x, avoid, tag=None, exclude=()):
+    """The loop separating_box ran before its first box was cached: the
+    canonical enumeration from the start, with the forbidden points found by
+    the pair predicate instead of the masks."""
+    forbidden = [a for a in avoid if a != x and adjacent(universe.instance, x, a)]
+    for box in iter_boxes_containing(x, tag=tag):
+        if box not in exclude and not any(box_contains(box, a) for a in forbidden):
+            return box
+
+
+def test_separating_box_matches_the_enumeration_loop():
+    rng = random.Random(24)
+    blocked_first = past_first = 0
+    for _ in range(25):
+        for u in universes_of_every_kind(rng):
+            for x in rng.sample(u.points, k=min(3, len(u))):
+                others = [y for y in u.points if y != x]
+                avoid = rng.sample(others, k=rng.randint(0, len(others)))
+                for tag in (None, 0, 1, 2, 3):
+                    leading = list(islice(iter_boxes_containing(x, tag=tag), 2))
+                    blocked_first += any(
+                        adjacent(u.instance, x, a) and box_contains(leading[0], a) for a in avoid
+                    )
+                    # the cached first box, then the first one or two excluded
+                    for exclude in ((), leading[:1], leading):
+                        box = separating_box(u, x, avoid, tag=tag, exclude=exclude)
+                        assert box == _separating_box_by_enumeration(u, x, avoid, tag, exclude)
+                        past_first += box != leading[0]
+    assert blocked_first > 50 and past_first > 1000
 
 
 def test_lower_bound_rejects_a_condition_from_another_universe():
@@ -262,6 +295,34 @@ def test_check_proper_matches_all_pairs_scan():
             assert check_proper(u, assignment) == expected
             violations += len(expected)
     assert violations > 100
+
+
+def test_check_proper_on_interleaved_classes_and_foreign_points():
+    u = line_universe(8)
+    # classes {0, 1, 4, 5} and {2, 3, 6, 7}, given in reverse order: each
+    # class holds two unit pairs, and the messages still come in index order
+    assignment = {pt(i): i // 2 % 2 for i in reversed(range(8))}
+    expected = _check_proper_all_pairs(u, assignment)
+    assert len(expected) == 4 and check_proper(u, assignment) == expected
+    rng = random.Random(31)
+    violations = 0
+    for _ in range(40):
+        for u in universes_of_every_kind(rng):
+            domain = rng.sample(u.points, k=len(u))
+            assignment = {x: rng.randrange(3) for x in domain}
+            expected = _check_proper_all_pairs(u, assignment)
+            assert check_proper(u, assignment) == expected
+            violations += len(expected)
+    assert violations > 300
+    # a foreign point raises even alone in its class, among other classes
+    u = line_universe(3)
+    for assignment in (
+        {pt(0): 0, pt(1): 1, pt(2): 0, pt(9): 2},
+        {pt(9): 2, pt(0): 0, pt(2): 0},
+        {pt(0): 0, pt("1/2"): 1, pt(1): 2},
+    ):
+        with pytest.raises(UnknownPointError):
+            check_proper(u, assignment)
 
 
 def test_check_proper_rejects_a_foreign_point():

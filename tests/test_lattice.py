@@ -2,7 +2,7 @@ import random
 from collections import Counter, deque
 from itertools import combinations, islice
 
-from conftest import explicit_universe
+from conftest import explicit_universe, universes_of_every_kind
 from noetherlab import (
     adjacent,
     common_neighborhood,
@@ -89,6 +89,52 @@ def test_good_closure_matches_its_definition():
         u = explicit_universe(n, edges)
         a = rng.sample(u.points, k=rng.randint(1, 2))
         assert good_closure(u, a) == _closure_by_definition(u, a)
+
+
+def _closure_by_full_rounds(universe, a):
+    """good_closure before it became output-sensitive: every round tests
+    every point outside current."""
+    closed = universe.closed_masks
+    full = universe.full_mask
+    current = universe.mask_of(a)
+    while True:
+        added = 0
+        outside = full & ~current
+        while outside:
+            i = (outside & -outside).bit_length() - 1
+            outside &= outside - 1
+            own = closed[i]
+            extent = full
+            s = own & current
+            while s and extent & ~own:
+                j = (s & -s).bit_length() - 1
+                s &= s - 1
+                extent &= closed[j]
+            if not extent & ~own:
+                added |= 1 << i
+        if not added:
+            return frozenset(p for i, p in enumerate(universe.points) if current >> i & 1)
+        current |= added
+
+
+def test_good_closure_matches_the_full_round_fixpoint():
+    rng = random.Random(43)
+    universes = [
+        line_universe(200),
+        planar_unit_universe(rng, 200),
+        random_explicit_universe(rng, 200, 0.01),
+        make_uniform_hamming(5, 2),
+    ]
+    for _ in range(30):
+        universes += universes_of_every_kind(rng)
+    grown = 0
+    for u in universes:
+        for k in (0, 1, 2, 4):
+            a = rng.sample(u.points, k=min(k, len(u)))
+            closure = good_closure(u, a)
+            assert closure == _closure_by_full_rounds(u, a), u.instance.kind
+            grown += len(closure) > len(a)
+    assert grown > 200
 
 
 def test_increasing_union_of_good_sets_is_good():
