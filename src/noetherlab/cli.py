@@ -85,7 +85,7 @@ def _emit(data, out: Optional[str]) -> None:
 
 
 def _cmd_gen(args) -> tuple[dict, int]:
-    # a Hamming --size is a breadth, bounded by the point count it makes
+    # a Hamming --size is a breadth, which the Hamming builders bound
     if args.family in ("line", "planar", "explicit") and args.size > DEFAULT_SIZE_BOUND:
         raise ParseError(f"--size {quoted(args.size)} exceeds the bound {DEFAULT_SIZE_BOUND}")
     return universe_to_json(args.build(args)), 0
@@ -460,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     leaf(poset, "ramsey", instance, file, fn=_cmd_poset_ramsey)
     leaf(poset, "liminf", instance, file, fn=_cmd_poset_liminf)
     leaf(poset, "predense", instance, file, bound, fn=_cmd_poset_predense,
-         bounds={"colorBudget": 3})
+         bounds={"colorBudget": campaign_mod.DEFAULT_BOUNDS["colorBudget"]})
 
     hamming = verbs("hamming", "verb", "Hamming truncations and embeddings")
     leaf(hamming, "chi", breadth, bound, fn=_cmd_hamming_chi, bounds=oracle)

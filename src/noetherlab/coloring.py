@@ -177,15 +177,13 @@ def extend_coloring(universe: SampleUniverse, p) -> PCondition:
     earlier new points and every dom(p)-point adjacent to it, which is
     exactly the extension requirement of the coloring poset.
     """
-    base = dict(p.assignment)
-    issues = check_suitable(base) + check_proper(universe, base)
+    assignment = dict(p.assignment)
+    issues = check_suitable(assignment) + check_proper(universe, assignment)
     if issues:
         raise InvalidConditionError("; ".join(issues))
-    dom = set(base)
-    assignment = dict(base)
-    older = set(dom)  # dom(p) and the new points colored so far
+    older = set(assignment)  # dom(p) and the new points colored so far
     for x in universe.points:
-        if x in dom:
+        if x in assignment:
             continue
         assignment[x] = separating_box(universe, x, older)
         older.add(x)
@@ -288,26 +286,20 @@ def k_colorable_fixed_order(universe: SampleUniverse, k: int) -> Optional[dict[P
         return None
     masks = universe.open_masks
     colors = [-1] * n
+    classes = [0] * min(k, n)  # classes[c]: the mask of the points colored c
 
     def rec(i: int, used: int) -> bool:
         if i == n:
             return True
         limit = min(used + 1, k)
         for c in range(limit):
-            conflict = False
-            m = masks[i]
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                if j < i and colors[j] == c:
-                    conflict = True
-                    break
-            if conflict:
+            if masks[i] & classes[c]:
                 continue
             colors[i] = c
+            classes[c] |= 1 << i
             if rec(i + 1, max(used, c + 1)):
                 return True
-            colors[i] = -1
+            classes[c] ^= 1 << i
         return False
 
     if rec(0, 0):

@@ -104,25 +104,23 @@ def p_lower_bound(
             raise PreconditionError("empty condition set needs an explicit universe")
         universe = conds[0].universe
     for i, c0 in enumerate(conds):
-        for c1 in conds[i + 1 :]:
-            witness = p_incompatibility_witness(c0, c1)
+        for j in range(i + 1, len(conds)):
+            witness = p_incompatibility_witness(c0, conds[j])
             if witness is not None:
                 raise IncompatibilityError(
-                    f"conditions {i} and {conds.index(c1)} are incompatible: {witness}",
+                    f"conditions {i} and {j} are incompatible: {witness}",
                     witness=witness,
                 )
-    seed: set[Point] = set()
-    for c in conds:
-        seed |= c.domain()
-    if x is not None:
-        if x not in universe:
-            raise PreconditionError(f"{x} not in the universe")
-        seed.add(x)
-    b = good_closure(universe, seed)
     merged: dict[Point, TaggedBox] = {}
     for c in conds:
         merged.update(c.assignment)
     old_domain = frozenset(merged)
+    seed = old_domain
+    if x is not None:
+        if x not in universe:
+            raise PreconditionError(f"{x} not in the universe")
+        seed = old_domain | {x}
+    b = good_closure(universe, seed)
     fresh: list[TaggedBox] = []
     for y in sorted(b - old_domain, key=universe.index):
         box = separating_box(universe, y, old_domain, exclude=fresh)

@@ -32,6 +32,7 @@ from .graphs import (
     EXPLICIT,
     SampleUniverse,
     box_edge_free,
+    closed_union,
     common_neighborhood_mask,
     vertex_point,
 )
@@ -491,18 +492,8 @@ def reduced_support(d: Sequence[QCondition], universe: SampleUniverse) -> tuple[
     a nonempty subset of b lies inside N[x] for each x of it, so c is also
     the union of those; the empty subset's would be the whole universe.
     """
-    return _closed_union(universe, (x for q in d for x in q.assignment))
-
-
-def _closed_union(universe: SampleUniverse, pts: Iterable[Point]) -> tuple[int, int]:
-    """The mask of pts, and the union of their closed neighborhoods."""
-    index, closed_masks = universe.index, universe.closed_masks
-    mask = union = 0
-    for x in pts:
-        i = index(x)
-        mask |= 1 << i
-        union |= closed_masks[i]
-    return mask, union
+    b = universe.mask_of(x for q in d for x in q.assignment)
+    return b, closed_union(universe, b)
 
 
 _PREDENSE_NODE_LIMIT = 2_000_000
@@ -560,7 +551,8 @@ def _predense_search(
     open_masks = universe.open_masks
     classes = [_color_classes(q) for q in d]
     # each member's domain, and its domain with the neighbors
-    doms, relevant = zip(*(_closed_union(universe, q.assignment) for q in d))
+    doms = [universe.mask_of(q.assignment) for q in d]
+    relevant = [closed_union(universe, m) for m in doms]
     # remaining[pos]: the mask of idxs[pos:]
     remaining = list(accumulate((1 << i for i in reversed(idxs)), or_, initial=0))[::-1]
     partial = [0] * color_budget

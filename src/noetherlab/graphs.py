@@ -450,6 +450,17 @@ def common_neighborhood_mask(universe: SampleUniverse, pts: Iterable[Point]) -> 
     return m
 
 
+def closed_union(universe: SampleUniverse, mask: int) -> int:
+    """The union of the closed neighborhoods of the points of mask."""
+    closed = universe.closed_masks
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= closed[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def common_neighborhood(universe: SampleUniverse, pts: Iterable[Point]) -> frozenset[Point]:
     """Intersection of closed neighborhoods; the empty family yields everything."""
     return universe.points_of(common_neighborhood_mask(universe, pts))

@@ -28,6 +28,7 @@ from .graphs import (
     hamming_diagonal,
     hamming_uniform,
 )
+from .patterns import find_clique
 
 DEFAULT_SIZE_BOUND = 4096
 
@@ -62,7 +63,9 @@ def make_uniform_hamming(breadth: int, alphabet: int) -> SampleUniverse:
 
     One shared universe per argument pair, like make_diagonal_hamming.
     """
-    if alphabet**breadth > DEFAULT_SIZE_BOUND:
+    # alphabet 1 makes one word at any breadth, while the power and the
+    # instance grow with the breadth, so the breadth is bounded first
+    if breadth > DEFAULT_SIZE_BOUND or alphabet**breadth > DEFAULT_SIZE_BOUND:
         raise OracleBoundError(f"uniform truncation exceeds size bound {DEFAULT_SIZE_BOUND}")
     instance = hamming_uniform(breadth, alphabet)
     values = [Fraction(v) for v in range(alphabet)]
@@ -226,14 +229,14 @@ def _diagonal_embedding(breadth, eps):
     report of embed_diagonal_into_distance."""
     if breadth < 1:
         raise InvalidSequenceError("breadth must be >= 1")
+    if eps is not None and len(eps.values) < breadth:
+        raise InvalidSequenceError("epsilon sequence shorter than the breadth")
+    vertices = _diagonal_size(breadth)
     if eps is None:
         eps = geometric_epsilon_sequence(breadth)
-    if len(eps.values) < breadth:
-        raise InvalidSequenceError("epsilon sequence shorter than the breadth")
-    if len(eps.values) > breadth:
+    elif len(eps.values) > breadth:
         eps = EpsilonSequence(eps.values[:breadth], eps.bound)
     table, collisions = derived_distances(eps)
-    vertices = _diagonal_size(breadth)
     if breadth == 1:
         # single vertex, no edges; any positive distance yields a valid instance
         instance = distance_graph(1, [Fraction(1)])
@@ -338,8 +341,6 @@ def sigma_bounded_check(
     if union != set(universe.points) or total != len(universe.points):
         raise PartitionError("pieces do not partition the universe")
     out = []
-    from . import patterns
-
     for n, ps in enumerate(piece_sets):
         sub = SampleUniverse(
             universe.instance, [p for p in universe.points if p in ps]
@@ -347,7 +348,7 @@ def sigma_bounded_check(
         chi, _ = chromatic_number(sub, bound=oracle_bound)
         clique = 0
         for m in range(1, len(sub) + 1):
-            if patterns.find_clique(sub, m) is None:
+            if find_clique(sub, m) is None:
                 break
             clique = m
         out.append(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import _kernels
-from .graphs import SampleUniverse, common_neighborhood_mask
+from .graphs import SampleUniverse, closed_union, common_neighborhood_mask
 
 EXACT_SUBFAMILY_LIMIT = 20
 EXHAUSTIVE_CHAIN_LIMIT = 10
@@ -45,8 +45,13 @@ def _indices(mask: int) -> list[int]:
     return out
 
 
-def _heart_of_extent_mask(universe: SampleUniverse, extent: int) -> int:
-    """Members of the extent adjacent-or-equal to every member of the extent."""
+def heart(universe: SampleUniverse, a: Iterable) -> frozenset:
+    """The heart of a finite set: always a clique (verified by its definition).
+
+    heart(a) = {x in Gamma(a) : x is adjacent-or-equal to every member of
+    Gamma(a)}, with Gamma relativized to the universe.
+    """
+    extent = common_neighborhood_mask(universe, a)
     closed = universe.closed_masks
     out = 0
     m = extent
@@ -55,17 +60,7 @@ def _heart_of_extent_mask(universe: SampleUniverse, extent: int) -> int:
         m &= m - 1
         if closed[i] & extent == extent:
             out |= 1 << i
-    return out
-
-
-def heart(universe: SampleUniverse, a: Iterable) -> frozenset:
-    """The heart of a finite set: always a clique (verified by its definition).
-
-    heart(a) = {x in Gamma(a) : x is adjacent-or-equal to every member of
-    Gamma(a)}, with Gamma relativized to the universe.
-    """
-    extent = common_neighborhood_mask(universe, a)
-    return universe.points_of(_heart_of_extent_mask(universe, extent))
+    return universe.points_of(out)
 
 
 def good_closure(universe: SampleUniverse, a: Iterable) -> frozenset:
@@ -85,7 +80,7 @@ def good_closure(universe: SampleUniverse, a: Iterable) -> frozenset:
     closed = universe.closed_masks
     full = universe.full_mask
     current = universe.mask_of(a)
-    candidates = _neighbourhood_union(closed, current) if current else full
+    candidates = closed_union(universe, current) if current else full
     while True:
         added = 0
         outside = candidates & ~current
@@ -104,20 +99,12 @@ def good_closure(universe: SampleUniverse, a: Iterable) -> frozenset:
         if not added:
             return universe.points_of(current)
         current |= added
-        candidates = _neighbourhood_union(closed, added)
-
-
-def _neighbourhood_union(closed: list[int], mask: int) -> int:
-    """The union of the closed neighbourhoods of the points of mask."""
-    out = 0
-    for i in _indices(mask):
-        out |= closed[i]
-    return out
+        candidates = closed_union(universe, added)
 
 
 def is_good(universe: SampleUniverse, a: Iterable) -> bool:
-    mask = universe.mask_of(a)
-    return universe.mask_of(good_closure(universe, universe.points_of(mask))) == mask
+    a = frozenset(a)
+    return good_closure(universe, a) == a
 
 
 @dataclass(frozen=True)
@@ -141,18 +128,16 @@ def minimal_subfamily(universe: SampleUniverse, a: Iterable) -> SubfamilyResult:
     target = full
     for m in masks:
         target &= m
+    # Dropping generators only enlarges the intersection, so a generator
+    # that cannot go now never can: one pass reaches the fixpoint.
     keep = list(range(len(pts)))
-    changed = True
-    while changed:
-        changed = False
-        for i in list(keep):
-            trial = [j for j in keep if j != i]
-            acc = full
-            for j in trial:
-                acc &= masks[j]
-            if acc == target:
-                keep = trial
-                changed = True
+    for i in range(len(pts)):
+        trial = [j for j in keep if j != i]
+        acc = full
+        for j in trial:
+            acc &= masks[j]
+        if acc == target:
+            keep = trial
     return SubfamilyResult(frozenset(pts[i] for i in keep), False)
 
 

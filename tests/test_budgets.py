@@ -68,6 +68,20 @@ def _lattice_trials_on(kind, *options):
     return build
 
 
+def _hamming(*argv):
+    # a breadth far past the size bound is refused before any word, epsilon
+    # or power is built; bounded after them, embed and alphabet-3 vitali
+    # ran past 15 s, gen ran out of a 1 GiB cap, and alphabet-1 vitali
+    # raised an uncaught OverflowError
+    def build(tmp_path):
+        return [*argv, "--out", str(tmp_path / "out.json")]
+
+    return build
+
+
+HUGE = str(2**62)
+
+
 def _adj_on(universe):
     def build(tmp_path):
         file = tmp_path / "universe.json"
@@ -86,6 +100,19 @@ ROWS = {
         _lattice_trials_on("explicit", "--edge-probability", "0.001"), 0, 10.0, None,
     ),
     "lattice-10000-trials-on-planar-4096": (_lattice_trials_on("planar"), 0, 10.0, None),
+    "hamming-embed-breadth-2**62": (_hamming("hamming", "embed", "--breadth", HUGE), 1, 1.0, None),
+    "hamming-vitali-breadth-2**62-alphabet-1": (
+        _hamming("hamming", "vitali", "--breadth", HUGE, "--alphabet", "1"), 1, 1.0, None,
+    ),
+    "hamming-vitali-breadth-2**62-alphabet-3": (
+        _hamming("hamming", "vitali", "--breadth", HUGE, "--alphabet", "3"), 1, 1.0, None,
+    ),
+    "gen-hamming-uniform-size-2**62": (
+        _hamming("gen", "hamming-uniform", "--size", HUGE), 1, 1.0, None,
+    ),
+    "hamming-vitali-breadth-4096-alphabet-1": (
+        _hamming("hamming", "vitali", "--breadth", "4096", "--alphabet", "1"), 0, 1.0, None,
+    ),
     "adj-vertex-index-out-of-range": (
         _adj_on({"instance": {"kind": "explicit", "vertices": 3, "edges": []}, "points": [[LONG]]}),
         2, 10.0, 200,

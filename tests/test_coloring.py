@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from itertools import islice
 
 import pytest
@@ -255,6 +256,64 @@ def test_chromatic_agrees_with_independent_decision():
         assert k_colorable_fixed_order(u, chi) is not None
         if chi > 1:
             assert k_colorable_fixed_order(u, chi - 1) is None
+
+
+def _k_colorable_by_neighbour_walk(universe, k):
+    """k_colorable_fixed_order before it kept one mask per color class:
+    each color is tested by walking every neighbour of the point."""
+    n = len(universe)
+    if n == 0:
+        return {}
+    if k == 0:
+        return None
+    masks = universe.open_masks
+    colors = [-1] * n
+
+    def rec(i, used):
+        if i == n:
+            return True
+        for c in range(min(used + 1, k)):
+            conflict = False
+            m = masks[i]
+            while m:
+                j = (m & -m).bit_length() - 1
+                m &= m - 1
+                if j < i and colors[j] == c:
+                    conflict = True
+                    break
+            if conflict:
+                continue
+            colors[i] = c
+            if rec(i + 1, max(used, c + 1)):
+                return True
+            colors[i] = -1
+        return False
+
+    if rec(0, 0):
+        return {p: colors[i] for i, p in enumerate(universe.points)}
+    return None
+
+
+def test_k_colorable_fixed_order_returns_the_neighbour_walk_coloring():
+    rng = random.Random(12)
+    found = 0
+    for _ in range(40):
+        for u in universes_of_every_kind(rng):
+            chi, _ = chromatic_number(u)
+            for k in range(1, chi + 2):
+                coloring = k_colorable_fixed_order(u, k)
+                assert coloring == _k_colorable_by_neighbour_walk(u, k), u.instance.kind
+                assert (coloring is None) == (k < chi)
+                if coloring is not None:
+                    found += 1
+                    assert check_proper(u, coloring) == []
+                    assert set(coloring) == set(u.points)
+                    assert all(0 <= c < k for c in coloring.values())
+            # a k far above the point count costs what k = n costs
+            started = time.perf_counter()
+            assert k_colorable_fixed_order(u, 10**9) == k_colorable_fixed_order(u, len(u))
+            assert time.perf_counter() - started < 1.0
+    assert found > 500
 
 
 def test_chromatic_post_condition_raises(monkeypatch, triangle, tmp_path, capsys):

@@ -1,11 +1,14 @@
 import random
 from collections import Counter, deque
+from fractions import Fraction
 from itertools import combinations, islice
 
 from conftest import explicit_universe, universes_of_every_kind
 from noetherlab import (
+    SampleUniverse,
     adjacent,
     common_neighborhood,
+    distance_graph,
     good_closure,
     heart,
     is_good,
@@ -13,6 +16,14 @@ from noetherlab import (
     minimal_subfamily,
     pt,
     vertex_point,
+)
+from noetherlab.campaign import _curve_universe
+from noetherlab.graphs import (
+    CURVE_DIFFERENCE,
+    DISTANCE,
+    EXPLICIT,
+    HAMMING_DIAGONAL,
+    HAMMING_UNIFORM,
 )
 from noetherlab.hamming import make_diagonal_hamming, make_uniform_hamming
 from noetherlab.generators import (
@@ -178,6 +189,67 @@ def test_minimal_subfamily_preserves_extent_randomized():
         assert common_neighborhood(u, res.points) == common_neighborhood(u, fam)
         again = minimal_subfamily(u, res.points)
         assert again.points == res.points
+
+
+def _greedy_subfamily_to_fixpoint(universe, a):
+    """minimal_subfamily's greedy branch before it became one pass: sweep
+    the kept generators until a sweep drops none."""
+    pts = sorted(frozenset(a), key=universe.index)
+    masks = [universe.closed_masks[universe.index(p)] for p in pts]
+    full = universe.full_mask
+    target = full
+    for m in masks:
+        target &= m
+    keep = list(range(len(pts)))
+    changed = True
+    while changed:
+        changed = False
+        for i in list(keep):
+            trial = [j for j in keep if j != i]
+            acc = full
+            for j in trial:
+                acc &= masks[j]
+            if acc == target:
+                keep = trial
+                changed = True
+    return frozenset(pts[i] for i in keep)
+
+
+def test_greedy_subfamily_matches_the_fixpoint_sweeps():
+    rng = random.Random(47)
+    curve = _curve_universe(rng).instance
+    halves = [Fraction(i, 2) for i in range(-4, 5)]
+    full = [
+        line_universe(40),
+        SampleUniverse(
+            distance_graph(1, ["1/64", "1/16", "1/4"]), [pt(Fraction(i, 8)) for i in range(1, 40)]
+        ),
+        planar_unit_universe(rng, 40),
+        SampleUniverse(curve, [pt(x, y) for x in halves for y in halves]),
+        make_uniform_hamming(3, 3),
+        make_uniform_hamming(5, 2),
+        make_diagonal_hamming(4),
+        random_explicit_universe(rng, 40, 0.1),
+        random_explicit_universe(rng, 40, 0.5),
+        random_explicit_universe(rng, 40, 0.9),
+        random_explicit_universe(rng, 40, 1.0),
+    ]
+    assert {u.instance.kind for u in full} == {
+        DISTANCE, CURVE_DIFFERENCE, HAMMING_UNIFORM, HAMMING_DIAGONAL, EXPLICIT,
+    }
+    kept = Counter()
+    for _ in range(30):
+        for u in full:
+            u = SampleUniverse(u.instance, rng.sample(u.points, k=len(u)))
+            fam = rng.sample(u.points, k=rng.randint(21, min(40, len(u))))
+            res = minimal_subfamily(u, fam)
+            assert res.points == _greedy_subfamily_to_fixpoint(u, fam), u.instance.kind
+            assert not res.certified
+            assert common_neighborhood(u, res.points) == common_neighborhood(u, fam)
+            kept[min(len(res.points), 3)] += 1
+    # every generator goes on the complete graph, two with disjoint
+    # neighborhoods keep an empty intersection, and dense draws keep more
+    assert kept[0] == 30 and kept[3] > 30, kept
 
 
 def test_minimal_subfamily_respects_algebraic_bound():
