@@ -1,22 +1,21 @@
 """The neighborhood-intersection lattice relative to a universe.
 
 The heart operator, the good-closure fixpoint, minimal generating
-subfamilies, and longest strictly-descending chains of intersections.
-Both quantifiers of the heart are relativized to the sample universe;
-reports carry that caveat.
+subfamilies, and longest strictly-descending chains of intersections,
+found by one exact search under a state budget.  Both quantifiers of the
+heart are relativized to the sample universe; reports carry that caveat.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from . import _kernels
 from .graphs import SampleUniverse, closed_union, common_neighborhood_mask
 
 EXACT_SUBFAMILY_LIMIT = 20
-EXHAUSTIVE_CHAIN_LIMIT = 10
+_CHAIN_STATE_LIMIT = 50_000
 
 
 @dataclass(frozen=True)
@@ -33,16 +32,6 @@ class ClosedFamilyElement:
         for g in gens:
             extent_mask |= common_neighborhood_mask(universe, g)
         return ClosedFamilyElement(gens, universe.points_of(extent_mask))
-
-
-def _indices(mask: int) -> list[int]:
-    """The positions of the set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def heart(universe: SampleUniverse, a: Iterable) -> frozenset:
@@ -152,138 +141,74 @@ class DescentChain:
         return len(self.elements)
 
 
-def longest_descent_chain(
-    universe: SampleUniverse, max_arity: int, beam_width: int = 64
-) -> DescentChain:
+def longest_descent_chain(universe: SampleUniverse, max_arity: int) -> DescentChain:
     """Longest strictly-descending chain grown from nested generator sets.
 
     Chains start at Gamma(emptyset) = universe and add one generator point
-    per step (the normal form of the finite-descent argument).  Exhaustive
-    with memoization for universes up to EXHAUSTIVE_CHAIN_LIMIT points;
-    beam search, flagged uncertified, above.
+    per step (the normal form of the finite-descent argument); max_arity is
+    clamped to the number of points.  An exact search, memoized on (extent,
+    arity left) and walked with an explicit stack.  Closed neighborhoods are
+    symmetric, so a point meets a non-empty extent exactly when it lies in
+    the union of the closed neighborhoods over the extent; every other point
+    empties it, and the lowest-index one stands for all of them.  Candidates
+    are scanned in ascending index order, and a state stops once its count
+    reaches min(arity left, |extent|), since each step removes a point: the
+    picks are those of scoring every point in every state.  Past
+    _CHAIN_STATE_LIMIT states the best chain found so far is returned,
+    flagged uncertified unless it reaches the clamped arity.
     """
     if max_arity < 1:
         raise ValueError("max_arity must be >= 1")
-    n = len(universe)
     closed = universe.closed_masks
     full = universe.full_mask
-    exhaustive = n <= EXHAUSTIVE_CHAIN_LIMIT
+    arity = min(max_arity, len(universe))
 
-    if exhaustive:
-        memo: dict[tuple[int, int], tuple[int, Optional[int]]] = {}
+    def frame(extent: int, left: int) -> list[int]:
+        reach = closed_union(universe, extent)
+        outside = full & ~reach
+        # extent, arity left, candidates to scan, cap, best steps, first pick
+        return [extent, left, reach | outside & -outside, min(left, extent.bit_count()), 0, -1]
 
-        def best_from(extent: int, arity_left: int) -> tuple[int, Optional[int]]:
-            # returns (#further strict steps, first point index achieving it)
-            key = (extent, arity_left)
-            if key in memo:
-                return memo[key]
-            best = (0, None)
-            if arity_left > 0:
-                for i in range(n):
-                    nxt = extent & closed[i]
-                    if nxt != extent:
-                        steps, _ = best_from(nxt, arity_left - 1)
-                        if steps + 1 > best[0]:
-                            best = (steps + 1, i)
-                            # each step spends one arity, so no later i beats this
-                            if steps + 1 == arity_left:
-                                break
-            memo[key] = best
-            return best
+    memo: dict[tuple[int, int], tuple[int, int]] = {}  # state -> (steps, first pick)
+    stack = [frame(full, arity)] if full else []
+    states, cut = len(stack), False
+    while stack:
+        top = stack[-1]
+        extent, left, todo, cap, best, pick = top
+        child = 0
+        while todo and best < cap:
+            i = (todo & -todo).bit_length() - 1
+            nxt = extent & closed[i]
+            if nxt != extent:
+                done = memo.get((nxt, left - 1)) if nxt and left > 1 else (0, -1)
+                if done is None:
+                    # Past the budget a state keeps what it has found, and
+                    # each state below it on the stack takes that answer.
+                    if states < _CHAIN_STATE_LIMIT:
+                        child = nxt
+                    else:
+                        cut = True
+                    break
+                if done[0] + 1 > best:
+                    best, pick = done[0] + 1, i
+            todo &= todo - 1
+        if child:
+            top[2], top[4], top[5] = todo, best, pick
+            stack.append(frame(child, left - 1))
+            states += 1
+        else:
+            memo[extent, left] = best, pick
+            stack.pop()
 
-        chain_sets = [frozenset()]
-        extent = full
-        gens: set = set()
-        arity = max_arity
-        while True:
-            steps, pick = best_from(extent, arity)
-            if steps == 0 or pick is None:
-                break
-            gens.add(universe.points[pick])
-            chain_sets.append(frozenset(gens))
-            extent &= closed[pick]
-            arity -= 1
-        elements = tuple(ClosedFamilyElement.of(universe, [g]) for g in chain_sets)
-        return DescentChain(elements, True)
-
-    # Beam search.  A state is its generator mask (the extent is a function
-    # of it); a generator already in the mask leaves the extent unchanged and
-    # is skipped with the other non-strict steps.  A candidate's sort key
-    # packs its extent size above its path, one index per `width` bits, so at
-    # a fixed path length the int keys sort as (size, path tuple) would.  Of
-    # two candidates with one generator mask, the first seen in frontier
-    # order is kept.
-    width = (n - 1).bit_length()
-    digit = (1 << width) - 1
-    frontier: list[tuple[int, int, int]] = [(full, 0, 0)]  # extent, gen mask, path
-    best_path, length = 0, 0
-    for step in range(1, max_arity + 1):
-        shift = step * width
-        # Closed masks are symmetric and reflexive, so closed[i] meets a
-        # non-empty extent exactly when i lies in `reach`, the union of the
-        # closed masks over the extent.  Every other i empties the extent.
-        reach = []
-        for extent, _, _ in frontier:
-            union, m = extent, extent
-            while m and union != full:
-                low = m & -m
-                m ^= low
-                union |= closed[low.bit_length() - 1]
-            reach.append(union)
-        # Emptying candidates have key prefix | i, below every non-empty key,
-        # so they fill the beam first: by path, then i, taken lazily.  One is
-        # a duplicate when an earlier state with a non-empty extent has its
-        # generator mask less one generator of this state.
-        rank = {gen_mask: k for k, (extent, gen_mask, _) in enumerate(frontier) if extent}
-        keys: list[int] = []
-        for k in sorted(range(len(frontier)), key=lambda k: frontier[k][2]):
-            if len(keys) == beam_width:
-                break
-            extent, gen_mask, path = frontier[k]
-            out = full & ~reach[k]
-            if not extent or not out:
-                continue
-            prefix = path << width
-            singles = [1 << j for j in _indices(gen_mask)]
-            while out and len(keys) < beam_width:
-                low = out & -out
-                out ^= low
-                g = gen_mask | low
-                if not any(rank.get(g ^ j, k) < k for j in singles):
-                    keys.append(prefix | low.bit_length() - 1)
-        if len(keys) < beam_width:
-            # Top up from the candidates that keep a non-empty extent.
-            others: list[int] = []
-            seen: set[int] = set()
-            for (extent, gen_mask, path), m in zip(frontier, reach):
-                prefix = path << width
-                for i in range(n) if m == full else _indices(m):
-                    new_extent = extent & closed[i]
-                    if new_extent == extent:
-                        continue
-                    g = gen_mask | 1 << i
-                    if g in seen:
-                        continue
-                    seen.add(g)
-                    others.append(new_extent.bit_count() << shift | prefix | i)
-            keys += heapq.nsmallest(beam_width - len(keys), others)
-        if not keys:
+    elements = [ClosedFamilyElement((frozenset(),), universe.points_of(full))]
+    gens: set = set()
+    extent, left = full, arity
+    while extent and left:
+        pick = memo[extent, left][1]
+        if pick < 0:
             break
-        frontier = []
-        for key in keys:
-            path = key & (1 << shift) - 1
-            extent, gen_mask, rest = full, 0, path
-            for _ in range(step):
-                i = rest & digit
-                rest >>= width
-                extent &= closed[i]
-                gen_mask |= 1 << i
-            frontier.append((extent, gen_mask, path))
-        best_path, length = frontier[0][2], step
-    chain_sets = [frozenset()]
-    acc: set = set()
-    for k in reversed(range(length)):
-        acc.add(universe.points[best_path >> k * width & digit])
-        chain_sets.append(frozenset(acc))
-    elements = tuple(ClosedFamilyElement.of(universe, [g]) for g in chain_sets)
-    return DescentChain(elements, False)
+        gens.add(universe.points[pick])
+        extent &= closed[pick]
+        elements.append(ClosedFamilyElement((frozenset(gens),), universe.points_of(extent)))
+        left -= 1
+    return DescentChain(tuple(elements), not cut or len(elements) - 1 == arity)

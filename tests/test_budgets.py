@@ -68,6 +68,15 @@ def _lattice_trials_on(kind, *options):
     return build
 
 
+def _lattice_chain_on_hamming_4096(tmp_path):
+    # the optimum is 4 steps, below the arity, so nothing stops the exact
+    # chain search early: proving 4 walks 290,817 states in 24-25 s (2-vCPU
+    # host), and the state budget returns the 4 steps found, uncertified
+    universe = str(tmp_path / "universe.json")
+    assert main(["gen", "hamming-uniform", "--size", "6", "--alphabet", "4", "--out", universe]) == 0
+    return ["lattice", universe, "--bound", "maxArity=8", "--out", str(tmp_path / "out.json")]
+
+
 def _hamming(*argv):
     # a breadth far past the size bound is refused before any word, epsilon
     # or power is built; bounded after them, embed and alphabet-3 vitali
@@ -100,6 +109,7 @@ ROWS = {
         _lattice_trials_on("explicit", "--edge-probability", "0.001"), 0, 10.0, None,
     ),
     "lattice-10000-trials-on-planar-4096": (_lattice_trials_on("planar"), 0, 10.0, None),
+    "lattice-maxArity-8-on-hamming-uniform-4096": (_lattice_chain_on_hamming_4096, 0, 10.0, None),
     "hamming-embed-breadth-2**62": (_hamming("hamming", "embed", "--breadth", HUGE), 1, 1.0, None),
     "hamming-vitali-breadth-2**62-alphabet-1": (
         _hamming("hamming", "vitali", "--breadth", HUGE, "--alphabet", "1"), 1, 1.0, None,

@@ -1,7 +1,8 @@
 import random
-from collections import Counter, deque
+import time
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations
 
 from conftest import explicit_universe, universes_of_every_kind
 from noetherlab import (
@@ -17,7 +18,7 @@ from noetherlab import (
     pt,
     vertex_point,
 )
-from noetherlab.campaign import _curve_universe
+from noetherlab.campaign import _curve_universe, _rational_distance_universe
 from noetherlab.graphs import (
     CURVE_DIFFERENCE,
     DISTANCE,
@@ -27,12 +28,14 @@ from noetherlab.graphs import (
 )
 from noetherlab.hamming import make_diagonal_hamming, make_uniform_hamming
 from noetherlab.generators import (
+    clustered_line_universe,
     line_universe,
     planar_unit_universe,
     random_explicit_universe,
     random_universe,
 )
-from noetherlab.lattice import EXHAUSTIVE_CHAIN_LIMIT, ClosedFamilyElement
+from noetherlab import lattice
+from noetherlab.lattice import ClosedFamilyElement
 
 
 def test_heart_examples(triangle, path3, edgeless2):
@@ -283,120 +286,44 @@ def test_descent_chain_line4():
         assert a <= b
 
 
-def test_descent_chain_beam_flagged_uncertified():
+def _assert_descends(chain):
+    """Extents strictly descend and each step adds one generator."""
+    extents = [e.extent for e in chain.elements]
+    gens = [e.generators[0] for e in chain.elements]
+    assert gens[0] == frozenset()
+    for a, b in zip(extents, extents[1:]):
+        assert b < a
+    for a, b in zip(gens, gens[1:]):
+        assert a < b and len(b - a) == 1
+
+
+def test_descent_chain_past_the_state_budget_is_uncertified(monkeypatch):
     rng = random.Random(4)
-    u = random_universe(rng, 12)
-    while len(u) <= 10:
-        u = random_universe(rng, 12)
-    chain = longest_descent_chain(u, max_arity=3)
-    assert not chain.certified
+    universes = [line_universe(12)] + [
+        random_explicit_universe(rng, 12, p) for p in (0.1, 0.3, 0.5, 0.7, 0.9)
+    ]
+    shorter = 0
+    for u in universes:
+        # No chain reaches all 12 points, so the whole search runs.
+        exact = longest_descent_chain(u, max_arity=12)
+        assert exact.certified and len(exact) <= 12
+        for limit in (1, 2, 3, 5):
+            with monkeypatch.context() as m:
+                m.setattr(lattice, "_CHAIN_STATE_LIMIT", limit)
+                chain = longest_descent_chain(u, max_arity=12)
+            _assert_descends(chain)
+            assert chain.elements[0].extent == frozenset(u.points)
+            assert not chain.certified
+            assert len(chain) <= len(exact)
+            shorter += len(chain) < len(exact)
+        assert longest_descent_chain(u, max_arity=12) == exact
+    assert shorter
 
 
 def test_closed_family_element_recompute():
     line = line_universe(3)
     elem = ClosedFamilyElement.of(line, [[pt(0)], [pt(2)]])
     assert elem.extent == frozenset(line.points)  # N[0] u N[2] = {0,1} u {1,2}
-
-
-def _tuple_keyed_beam(universe, max_arity, beam_width):
-    """The beam on (extent, generator mask) states with tuple paths and keys."""
-    paths = islice(_tuple_keyed_beam_steps(universe, beam_width, Counter()), max_arity + 1)
-    return [universe.points[i] for i in deque(paths, maxlen=1)[0]]
-
-
-def _tuple_keyed_beam_steps(universe, beam_width, stats):
-    """The best path before the first step and after each step taken.
-
-    Counts in the Counter stats the steps whose beam took some but fewer than
-    beam_width emptying candidates before a non-empty one ("topped_up"),
-    and the emptying candidates dropped as duplicates ("emptying_dropped").
-    """
-    closed = universe.closed_masks
-    frontier = [(universe.full_mask, 0, ())]
-    yield ()
-    while True:
-        nxt = []
-        seen = set()
-        for extent, gen_mask, path in frontier:
-            for i in range(len(universe)):
-                if gen_mask >> i & 1:
-                    continue
-                new_extent = extent & closed[i]
-                if new_extent == extent:
-                    continue
-                if (new_extent, gen_mask | 1 << i) in seen:
-                    stats["emptying_dropped"] += not new_extent
-                    continue
-                seen.add((new_extent, gen_mask | 1 << i))
-                nxt.append((new_extent, gen_mask | 1 << i, path + (i,)))
-        if not nxt:
-            return
-        nxt.sort(key=lambda t: (t[0].bit_count(), t[2]))
-        frontier = nxt[:beam_width]
-        emptying = sum(not extent for extent, _, _ in frontier)
-        stats["topped_up"] += 0 < emptying < len(frontier)
-        yield frontier[0][2]
-
-
-def test_descent_beam_matches_tuple_keyed_reference():
-    rng = random.Random(12)
-    lengths = set()
-    for trial in range(60):
-        n = rng.randint(EXHAUSTIVE_CHAIN_LIMIT + 1, 40)
-        if trial % 3:
-            u = random_explicit_universe(rng, n, rng.choice([0.1, 0.3, 0.6, 0.9]))
-        else:
-            u = line_universe(n) if trial % 2 else planar_unit_universe(rng, n)
-        if len(u) <= EXHAUSTIVE_CHAIN_LIMIT:
-            continue
-        max_arity = rng.randint(1, 6)
-        for width in (1, 4, 64):
-            chain = longest_descent_chain(u, max_arity, beam_width=width)
-            path = _tuple_keyed_beam(u, max_arity, width)
-            assert not chain.certified
-            assert [e.generators[0] for e in chain.elements] == [
-                frozenset(path[:k]) for k in range(len(path) + 1)
-            ]
-            lengths.add(len(path))
-    assert len(lengths) >= 4
-
-
-def _beam_path(universe, max_arity, beam_width):
-    chain = longest_descent_chain(universe, max_arity, beam_width=beam_width)
-    assert not chain.certified
-    return [next(iter(b.generators[0] - a.generators[0]))
-            for a, b in zip(chain.elements, chain.elements[1:])]
-
-
-def test_descent_beam_emptying_shortcut_matches_reference():
-    """Candidates that empty the extent are taken without scoring every point.
-
-    The universes are the benchmark's scale shapes and random explicit
-    graphs of every density; the reference must see both a beam topped up
-    after its emptying candidates and an emptying duplicate dropped.
-    """
-    rng = random.Random(20261018)
-    universes = [
-        make_uniform_hamming(5, 3),
-        make_uniform_hamming(8, 2),
-        make_diagonal_hamming(5),
-        line_universe(300),
-        planar_unit_universe(rng, 150),
-        random_explicit_universe(rng, 300, 0.05),
-    ]
-    for p in (0, 0.05, 0.1, 0.3, 0.6, 0.9, 1):
-        for _ in range(6):
-            universes.append(random_explicit_universe(rng, rng.randint(11, 60), p))
-    stats = Counter()
-    for u in universes:
-        for width in (1, 2, 4, 16, 64):
-            # The beam never looks ahead, so one reference run gives the
-            # path of every arity; past the last step the path stays.
-            paths = list(islice(_tuple_keyed_beam_steps(u, width, stats), 7))
-            for arity in range(1, 7):
-                expected = [u.points[i] for i in paths[min(arity, len(paths) - 1)]]
-                assert _beam_path(u, arity, width) == expected, (len(u), arity, width)
-    assert stats["topped_up"] and stats["emptying_dropped"], stats
 
 
 def _exhaustive_picks_scanning_every_point(universe, max_arity):
@@ -432,7 +359,7 @@ def test_descent_exhaustive_early_exit_matches_full_scan():
     rng = random.Random(20261019)
     full_length = 0
     for trial in range(150):
-        u = random_universe(rng, EXHAUSTIVE_CHAIN_LIMIT)
+        u = random_universe(rng, 10)
         max_arity = rng.randint(1, 6)
         chain = longest_descent_chain(u, max_arity)
         picks = _exhaustive_picks_scanning_every_point(u, max_arity)
@@ -442,3 +369,69 @@ def test_descent_exhaustive_early_exit_matches_full_scan():
         ], (trial, len(u), max_arity)
         full_length += len(picks) == max_arity
     assert full_length >= 20
+
+
+def _universes_of_11_to_14_points(rng):
+    """One universe of each kind, cut down to 11-14 points in random order."""
+    dense_line = SampleUniverse(
+        distance_graph(1, ["1/64", "1/16", "1/4"]), [pt(Fraction(i, 8)) for i in range(1, 16)]
+    )
+    builders = [
+        lambda: _rational_distance_universe(rng),
+        lambda: planar_unit_universe(rng, 14),
+        clustered_line_universe,
+        lambda: dense_line,
+        lambda: _curve_universe(rng),
+        lambda: make_uniform_hamming(2, 4),
+        lambda: make_diagonal_hamming(4),
+        lambda: random_explicit_universe(rng, 14, rng.uniform(0.1, 0.7)),
+    ]
+    for build in builders:
+        u = build()
+        while len(u) < 11:
+            u = build()
+        yield SampleUniverse(u.instance, rng.sample(u.points, k=rng.randint(11, min(14, len(u)))))
+
+
+def test_descent_chain_matches_full_scan_past_ten_points():
+    rng = random.Random(20261020)
+    full_length = 0
+    for trial in range(25):
+        for u in _universes_of_11_to_14_points(rng):
+            max_arity = rng.randint(1, 7)
+            chain = longest_descent_chain(u, max_arity)
+            picks = _exhaustive_picks_scanning_every_point(u, max_arity)
+            assert chain.certified
+            assert [e.generators[0] for e in chain.elements] == [
+                frozenset(picks[:k]) for k in range(len(picks) + 1)
+            ], (trial, u.instance.kind, len(u), max_arity)
+            full_length += len(picks) == max_arity
+    # chains that use up the arity and chains that stop short both occur
+    assert 20 <= full_length <= 180
+
+
+def test_descent_chain_certifies_four_steps_on_the_scale_shapes():
+    rng = random.Random(20261018)
+    for u in [
+        make_uniform_hamming(5, 3),
+        make_uniform_hamming(8, 2),
+        make_diagonal_hamming(5),
+        line_universe(300),
+        planar_unit_universe(rng, 150),
+        random_explicit_universe(rng, 300, 0.05),
+    ]:
+        chain = longest_descent_chain(u, 4)
+        assert chain.certified and len(chain) == 5, len(u)
+        _assert_descends(chain)
+
+
+def test_descent_chain_of_a_thousand_steps_needs_no_recursion():
+    # Each closed neighborhood misses only the point's partner, so each
+    # step removes one point: the chain takes every point, n steps deep.
+    n = 1024
+    u = explicit_universe(n, [(i, j) for i in range(n) for j in range(i + 1, n) if j != i ^ 1])
+    started = time.perf_counter()
+    chain = longest_descent_chain(u, max_arity=n)
+    assert time.perf_counter() - started < 10
+    assert chain.certified and len(chain) == n + 1
+    assert [len(e.extent) for e in chain.elements] == list(range(n, -1, -1))
