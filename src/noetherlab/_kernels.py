@@ -5,8 +5,9 @@ Deterministic, canonical-first answers for any universe size.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Optional, Sequence
+
+_SUBFAMILY_STATE_LIMIT = 50_000
 
 
 def backend_name() -> str:
@@ -112,20 +113,35 @@ def chromatic_number(adj: Sequence[int]) -> tuple[int, list[int]]:
     raise AssertionError("unreachable: n colors always suffice")
 
 
-def min_subfamily(masks: Sequence[int], full: int) -> tuple[int, ...]:
-    """Smallest index subset whose mask intersection equals the whole family's.
+def min_subfamily(masks: Sequence[int], full: int) -> tuple[tuple[int, ...], bool]:
+    """Smallest index subset whose mask intersection equals the whole family's,
+    first in (size, lexicographic) order, and whether the search finished.
 
-    Ties broken canonically: first subset in (size, lexicographic) order.
+    Depth first, dropping each index before keeping it unless the masks kept
+    and to come cannot cover the drop.  Of two leaves of one size the later
+    is lexicographically smaller, so a branch is cut only when it must keep
+    more than the best; once keeping an index finishes, no leaf dropping it
+    wins, so the first leaf is at most the one-pass greedy family.  The
+    search stops after _SUBFAMILY_STATE_LIMIT states.
     """
     n = len(masks)
-    target = full
-    for m in masks:
-        target &= m
-    for size in range(n + 1):
-        for combo in combinations(range(n), size):
-            acc = full
-            for i in combo:
-                acc &= masks[i]
-            if acc == target:
-                return combo
-    raise AssertionError("unreachable: the full family always works")
+    suffix = [full] * (n + 1)  # suffix[i]: intersection of masks[i:]
+    for i in range(n - 1, -1, -1):
+        suffix[i] = masks[i] & suffix[i + 1]
+    target, states = suffix[0], 0
+    best = 0 if target == full else (1 << n) - 1  # the kept bits of the best leaf
+    stack = [(0, full, 0)] if best else []  # next index, intersection of the kept, kept bits
+    while stack and states < _SUBFAMILY_STATE_LIMIT:
+        i, acc, kept = stack.pop()
+        while kept.bit_count() < best.bit_count():
+            states += 1
+            nxt, with_i = acc & masks[i], kept | 1 << i
+            if nxt == target:
+                best = with_i
+                break
+            if acc & suffix[i + 1] == target:
+                stack.append((i + 1, nxt, with_i))
+                i += 1
+            else:
+                i, acc, kept = i + 1, nxt, with_i
+    return tuple(i for i in range(n) if best >> i & 1), not stack

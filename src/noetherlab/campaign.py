@@ -83,7 +83,7 @@ from .hamming import (
     verify_embedding,
     verify_vitali_homomorphism,
 )
-from .lattice import good_closure, heart, minimal_subfamily
+from .lattice import good_closure, heart, longest_descent_chain, minimal_subfamily
 from .patterns import (
     VariationSpec,
     all_variations,
@@ -375,6 +375,8 @@ def _lattice_laws(rng, config):
     again = minimal_subfamily(universe, result.points)
     if again.points != result.points:
         return False, {"law": "minimal-fixpoint"}
+    if not (result.certified and again.certified):
+        return False, {"law": "subfamily-certified"}
     return True, None
 
 
@@ -383,9 +385,47 @@ def _minimal_subfamily_bound(rng, config):
     universe = planar_unit_universe(rng, rng.randint(5, 10))
     fam = frozenset(rng.sample(universe.points, k=rng.randint(1, min(6, len(universe)))))
     result = minimal_subfamily(universe, fam)
+    if not result.certified:
+        return False, {"why": "uncertified", "family": len(fam)}
     # the algebraic clique-bound constant for n=2, l=2: n * (2^n * l)^n = 128
     if len(result.points) > 128:
         return False, {"size": len(result.points)}
+    return True, None
+
+
+def _chain_by_scanning_every_point(universe: SampleUniverse, max_arity: int) -> int:
+    """Steps of the longest descent chain, scoring every point in every state."""
+    closed = universe.closed_masks
+    memo: dict[tuple[int, int], int] = {}
+
+    def steps_from(extent: int, left: int) -> int:
+        if (extent, left) not in memo:
+            memo[extent, left] = max(
+                (steps_from(extent & m, left - 1) + 1
+                 for m in closed if left and extent & m != extent),
+                default=0,
+            )
+        return memo[extent, left]
+
+    return steps_from(universe.full_mask, max_arity)
+
+
+@suite("descent-chain")
+def _descent_chain(rng, config):
+    universe = random_universe(rng, config.bound("maxPoints"))
+    max_arity = rng.randint(1, 6)
+    chain = longest_descent_chain(universe, max_arity)
+    elements = chain.elements
+    for prev, nxt in zip(elements, elements[1:]):
+        if not nxt.extent < prev.extent:
+            return False, {"law": "strict-descent", "universe": universe_to_json(universe)}
+        if not prev.generators[0] < nxt.generators[0]:
+            return False, {"law": "nested-generators", "universe": universe_to_json(universe)}
+    if len(universe) <= 10 and len(chain) - 1 != _chain_by_scanning_every_point(
+        universe, max_arity
+    ):
+        return False, {"law": "longest", "universe": universe_to_json(universe),
+                       "max_arity": max_arity, "steps": len(chain) - 1}
     return True, None
 
 

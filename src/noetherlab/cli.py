@@ -10,7 +10,7 @@ import argparse
 import functools
 import random
 import sys
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Optional
 
 from . import campaign as campaign_mod
@@ -38,9 +38,16 @@ from .generators import (
     clustered_line_universe,
     line_universe,
     planar_unit_universe,
-    random_explicit_universe,
+    random_explicit_edges,
 )
-from .graphs import adjacent, common_neighborhood, neighborhood
+from .graphs import (
+    SampleUniverse,
+    adjacent,
+    common_neighborhood,
+    explicit_graph,
+    neighborhood,
+    vertex_point,
+)
 from .hamming import (
     DEFAULT_SIZE_BOUND,
     epsilon_matrix,
@@ -54,6 +61,7 @@ from .lattice import good_closure, heart, longest_descent_chain, minimal_subfami
 from .patterns import SearchStats, VariationSpec, find_variation_prefix, max_embedded_depth
 from .serialize import (
     MAX_BOX_LEVEL,
+    MAX_EXPLICIT_EDGES,
     dump_canonical,
     expect,
     load_path,
@@ -89,6 +97,19 @@ def _cmd_gen(args) -> tuple[dict, int]:
     if args.family in ("line", "planar", "explicit") and args.size > DEFAULT_SIZE_BOUND:
         raise ParseError(f"--size {quoted(args.size)} exceeds the bound {DEFAULT_SIZE_BOUND}")
     return universe_to_json(args.build(args)), 0
+
+
+def _explicit_draw(args) -> SampleUniverse:
+    """gen explicit: the draw stops one edge past MAX_EXPLICIT_EDGES, and is
+    then refused before it is built."""
+    n = args.size
+    edges = list(islice(
+        random_explicit_edges(random.Random(args.seed), n, args.edge_probability),
+        MAX_EXPLICIT_EDGES + 1,
+    ))
+    if len(edges) > MAX_EXPLICIT_EDGES:
+        raise ParseError(f"gen explicit: the draw exceeds the bound of {MAX_EXPLICIT_EDGES} edges")
+    return SampleUniverse(explicit_graph(n, edges), [vertex_point(i) for i in range(n)])
 
 
 def _cmd_adj(args) -> tuple[dict, int]:
@@ -425,8 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("line", [size], lambda a: line_universe(a.size)),
         ("clustered-line", [], lambda a: clustered_line_universe()),
         ("planar", [size, seed], lambda a: planar_unit_universe(random.Random(a.seed), a.size)),
-        ("explicit", [size, seed, edge_probability], lambda a: random_explicit_universe(
-            random.Random(a.seed), a.size, a.edge_probability)),
+        ("explicit", [size, seed, edge_probability], _explicit_draw),
         ("hamming-diagonal", [size], lambda a: make_diagonal_hamming(a.size)),
         ("hamming-uniform", [size, alphabet], lambda a: make_uniform_hamming(a.size, a.alphabet)),
     ):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from .coloring import PCondition, separating_box, validate_pcondition
 from .control_poset import QCondition, validate_qcondition
@@ -94,16 +95,17 @@ def planar_unit_universe(rng: random.Random, n_points: int) -> SampleUniverse:
     return SampleUniverse(instance, points)
 
 
+def random_explicit_edges(
+    rng: random.Random, n: int, edge_probability: float
+) -> Iterator[tuple[int, int]]:
+    """The edges of a G(n, p) draw in index order, drawn as they are read."""
+    return ((i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < edge_probability)
+
+
 def random_explicit_universe(
     rng: random.Random, n: int, edge_probability: float = 0.35
 ) -> SampleUniverse:
-    edges = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if rng.random() < edge_probability
-    ]
-    instance = explicit_graph(n, edges)
+    instance = explicit_graph(n, random_explicit_edges(rng, n, edge_probability))
     return SampleUniverse(instance, [vertex_point(i) for i in range(n)])
 
 

@@ -14,7 +14,6 @@ from typing import Iterable
 from . import _kernels
 from .graphs import SampleUniverse, closed_union, common_neighborhood_mask
 
-EXACT_SUBFAMILY_LIMIT = 20
 _CHAIN_STATE_LIMIT = 50_000
 
 
@@ -99,35 +98,19 @@ def is_good(universe: SampleUniverse, a: Iterable) -> bool:
 @dataclass(frozen=True)
 class SubfamilyResult:
     points: frozenset
-    certified: bool  # exact minimality only below EXACT_SUBFAMILY_LIMIT
+    certified: bool  # the search finished within its state budget
 
 
 def minimal_subfamily(universe: SampleUniverse, a: Iterable) -> SubfamilyResult:
     """Smallest b subseteq a with Gamma(b) = Gamma(a); canonical tie-break.
 
-    Exact subset search up to EXACT_SUBFAMILY_LIMIT generators; greedy
-    shrinking with a non-certified flag above that.
+    One exact search at every size; past its state budget the best family
+    found, never larger than the one-pass greedy one, comes uncertified.
     """
     pts = sorted(frozenset(a), key=universe.index)
     masks = [universe.closed_masks[universe.index(p)] for p in pts]
-    full = universe.full_mask
-    if len(pts) <= EXACT_SUBFAMILY_LIMIT:
-        combo = _kernels.min_subfamily(masks, full)
-        return SubfamilyResult(frozenset(pts[i] for i in combo), True)
-    target = full
-    for m in masks:
-        target &= m
-    # Dropping generators only enlarges the intersection, so a generator
-    # that cannot go now never can: one pass reaches the fixpoint.
-    keep = list(range(len(pts)))
-    for i in range(len(pts)):
-        trial = [j for j in keep if j != i]
-        acc = full
-        for j in trial:
-            acc &= masks[j]
-        if acc == target:
-            keep = trial
-    return SubfamilyResult(frozenset(pts[i] for i in keep), False)
+    combo, finished = _kernels.min_subfamily(masks, universe.full_mask)
+    return SubfamilyResult(frozenset(pts[i] for i in combo), finished)
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,15 @@ MAX_POWER = 64
 # stops at the largest power of two that builds within seconds.
 MAX_CURVE_POINTS = 1024
 
+# The most edges an explicit graph may list.  Reading, building and writing
+# one costs microseconds per edge: on a 2-vCPU host (CPython 3.11), `gen
+# explicit --size 4096` at its default 2.9M edges took 22.5 s and 1.74 GB,
+# and `adj` on its file 14.5 s.  In-process, the complete graph on 1448
+# vertices (2^20 - 948 edges) took 6.5 s to `gen` and 4.6 s to `adj`, too
+# close to a 10 s budget; at this bound the slowest call, `gen` of the
+# complete graph on 1024 vertices, takes 3.0 s.
+MAX_EXPLICIT_EDGES = 2**19
+
 
 def expect(value: Any, kind: type, field: str) -> Any:
     """``value`` if it is a JSON object (dict) or array (list), else ParseError."""
@@ -247,7 +256,12 @@ def instance_from_json(data: Any) -> GraphInstance:
         if kind == HAMMING_DIAGONAL:
             return hamming_diagonal(expect_int(data["breadth"], "instance.breadth"))
         if kind == EXPLICIT:
-            edges = _each(_edge, require(data, "edges", list, "instance"), "instance.edges")
+            edges = require(data, "edges", list, "instance")
+            if len(edges) > MAX_EXPLICIT_EDGES:
+                raise ParseError(
+                    f"instance.edges: {len(edges)} edges exceed the bound {MAX_EXPLICIT_EDGES}"
+                )
+            edges = _each(_edge, edges, "instance.edges")
             n_vertices = expect_int(data["vertices"], "instance.vertices")
             if not 0 <= n_vertices <= DEFAULT_SIZE_BOUND:
                 raise ParseError(

@@ -16,10 +16,12 @@ Rows still open, with the times measured on a 2-vCPU host (CPython
 import json
 import random
 import time
+from itertools import islice
 
 import pytest
 
 from noetherlab.cli import main
+from noetherlab.serialize import MAX_EXPLICIT_EDGES
 
 # A coordinate of 4300 digits, the most that Python converts to an int.
 LONG = "7" * 4300
@@ -100,6 +102,28 @@ def _adj_on(universe):
     return build
 
 
+def _adj_on_explicit_edges(count):
+    # the first `count` vertex pairs of 4096 vertices, in index order
+    def build(tmp_path):
+        pairs = ([i, j] for i in range(4096) for j in range(i + 1, 4096))
+        instance = {"kind": "explicit", "vertices": 4096, "edges": list(islice(pairs, count))}
+        file = tmp_path / "explicit.json"
+        file.write_text(json.dumps({"instance": instance}))
+        return ["adj", str(file), "--indices", "0", "--out", str(tmp_path / "out.json")]
+
+    return build
+
+
+def _gen_complete(n):
+    # the complete graph on 1024 vertices has 2^19 - 512 edges, on 1025
+    # vertices 2^19 + 512; the draw of the denser one stops past the bound
+    def build(tmp_path):
+        return ["gen", "explicit", "--size", str(n), "--edge-probability", "1",
+                "--out", str(tmp_path / "out.json")]
+
+    return build
+
+
 ROWS = {
     "predense-40-conditions-on-line-64": (_predense_line64, 0, 2.0, None),
     "ramsey-3-of-240-on-complete-graph": (_ramsey_complete(240, 3), 0, 1.0, None),
@@ -127,6 +151,12 @@ ROWS = {
         _adj_on({"instance": {"kind": "explicit", "vertices": 3, "edges": []}, "points": [[LONG]]}),
         2, 10.0, 200,
     ),
+    "adj-explicit-at-the-edge-bound": (_adj_on_explicit_edges(MAX_EXPLICIT_EDGES), 0, 10.0, None),
+    "adj-explicit-past-the-edge-bound": (
+        _adj_on_explicit_edges(MAX_EXPLICIT_EDGES + 1), 2, 10.0, 200,
+    ),
+    "gen-explicit-complete-1024": (_gen_complete(1024), 0, 10.0, None),
+    "gen-explicit-complete-1025": (_gen_complete(1025), 2, 1.0, 200),
     "adj-duplicate-point": (
         _adj_on({
             "instance": {"kind": "distance", "dim": 1, "squared_distances": ["1"]},

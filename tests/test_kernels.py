@@ -96,8 +96,8 @@ def test_min_subfamily_is_first_in_size_lex_order():
                 acc &= masks[i]
             if acc == target:
                 subsets.append(combo)
-        assert _kernels.min_subfamily(masks, full) == min(
-            subsets, key=lambda c: (len(c), c)
+        assert _kernels.min_subfamily(masks, full) == (
+            min(subsets, key=lambda c: (len(c), c)), True
         )
 
 

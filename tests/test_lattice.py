@@ -4,6 +4,8 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
 from conftest import explicit_universe, universes_of_every_kind
 from noetherlab import (
     SampleUniverse,
@@ -34,7 +36,7 @@ from noetherlab.generators import (
     random_explicit_universe,
     random_universe,
 )
-from noetherlab import lattice
+from noetherlab import _kernels, lattice
 from noetherlab.lattice import ClosedFamilyElement
 
 
@@ -218,8 +220,8 @@ def _greedy_subfamily_to_fixpoint(universe, a):
     return frozenset(pts[i] for i in keep)
 
 
-def test_greedy_subfamily_matches_the_fixpoint_sweeps():
-    rng = random.Random(47)
+def _universes_of_24_to_81_points(rng):
+    """Eleven universes of 24-81 points, together of every kind."""
     curve = _curve_universe(rng).instance
     halves = [Fraction(i, 2) for i in range(-4, 5)]
     full = [
@@ -240,19 +242,90 @@ def test_greedy_subfamily_matches_the_fixpoint_sweeps():
     assert {u.instance.kind for u in full} == {
         DISTANCE, CURVE_DIFFERENCE, HAMMING_UNIFORM, HAMMING_DIAGONAL, EXPLICIT,
     }
-    kept = Counter()
+    return full
+
+
+def _assert_generates(u, res, fam):
+    assert res.points <= frozenset(fam)
+    assert common_neighborhood(u, res.points) == common_neighborhood(u, fam)
+
+
+def test_subfamily_is_never_larger_than_the_fixpoint_sweeps():
+    rng = random.Random(47)
+    full = _universes_of_24_to_81_points(rng)
+    kept, smaller, certified = Counter(), 0, 0
     for _ in range(30):
         for u in full:
             u = SampleUniverse(u.instance, rng.sample(u.points, k=len(u)))
             fam = rng.sample(u.points, k=rng.randint(21, min(40, len(u))))
             res = minimal_subfamily(u, fam)
-            assert res.points == _greedy_subfamily_to_fixpoint(u, fam), u.instance.kind
-            assert not res.certified
-            assert common_neighborhood(u, res.points) == common_neighborhood(u, fam)
+            _assert_generates(u, res, fam)
+            greedy = _greedy_subfamily_to_fixpoint(u, fam)
+            assert len(res.points) <= len(greedy), u.instance.kind
+            smaller += len(res.points) < len(greedy)
+            certified += res.certified
             kept[min(len(res.points), 3)] += 1
     # every generator goes on the complete graph, two with disjoint
     # neighborhoods keep an empty intersection, and dense draws keep more
     assert kept[0] == 30 and kept[3] > 30, kept
+    # the search beats the greedy family in some rounds and finishes in most
+    assert smaller > 30 and 250 < certified < 330, (smaller, certified)
+
+
+def _first_in_size_lex_order(u, fam):
+    """The first subfamily generating Gamma(fam), scanning every subset by size."""
+    pts = sorted(fam, key=u.index)
+    target = common_neighborhood(u, pts)
+    for size in range(len(pts) + 1):
+        for combo in combinations(pts, size):
+            if common_neighborhood(u, combo) == target:
+                return frozenset(combo)
+
+
+def test_certified_subfamily_matches_the_subset_scan():
+    rng = random.Random(48)
+    full = _universes_of_24_to_81_points(rng)
+    sizes = Counter()
+    for _ in range(20):
+        for u in full:
+            u = SampleUniverse(u.instance, rng.sample(u.points, k=len(u)))
+            fam = rng.sample(u.points, k=rng.randint(2, 14))
+            res = minimal_subfamily(u, fam)
+            assert res.certified
+            assert res.points == _first_in_size_lex_order(u, fam), u.instance.kind
+            sizes[len(res.points)] += 1
+    assert len(sizes) >= 4, sizes
+
+
+def test_subfamily_past_the_state_budget_is_uncertified(monkeypatch):
+    rng = random.Random(49)
+    full = _universes_of_24_to_81_points(rng)
+    for u in full[:-1]:  # the complete graph drops every generator at once
+        fam = rng.sample(u.points, k=rng.randint(8, 20))
+        greedy = _greedy_subfamily_to_fixpoint(u, fam)
+        for limit in (1, 2, 3, 5):
+            with monkeypatch.context() as m:
+                m.setattr(_kernels, "_SUBFAMILY_STATE_LIMIT", limit)
+                res = minimal_subfamily(u, fam)
+            _assert_generates(u, res, fam)
+            assert not res.certified, (u.instance.kind, limit)
+            assert len(res.points) <= len(greedy)
+
+
+@pytest.mark.parametrize("kind", ["line", "planar", "hamming-uniform"])
+def test_subfamily_of_every_point_of_a_4096_point_universe(kind):
+    u = {
+        "line": lambda: line_universe(4096),
+        "planar": lambda: planar_unit_universe(random.Random(3), 4096),
+        "hamming-uniform": lambda: make_uniform_hamming(6, 4),
+    }[kind]()
+    u.closed_masks  # built before the clock starts
+    started = time.perf_counter()
+    res = minimal_subfamily(u, u.points)
+    assert time.perf_counter() - started < 2
+    _assert_generates(u, res, u.points)
+    assert res.certified and len(res.points) == 2
+    assert len(res.points) <= len(_greedy_subfamily_to_fixpoint(u, u.points))
 
 
 def test_minimal_subfamily_respects_algebraic_bound():
