@@ -530,10 +530,12 @@ def predense_check(
     The budget is first lowered to budget_clamp(d), which keeps the answer.
     Exhaustive search over the domain points in index order; a node holds
     the members still compatible and the partial condition as one mask per
-    color.  Two sound prunes: a clash with a member can never be undone by
-    extension, and a member whose domain and neighbors avoid all remaining
-    points stays compatible forever.  More than _PREDENSE_NODE_LIMIT nodes
-    raise OracleBoundError.
+    color.  Three sound prunes: a clash with a member can never be undone by
+    extension; a member whose domain and neighbors avoid all remaining
+    points stays compatible forever; and of the colors that no member names
+    and no point holds yet, only the lowest is tried, since swapping two
+    such colors maps the subtree of one onto that of the other, clash for
+    clash.  More than _PREDENSE_NODE_LIMIT nodes raise OracleBoundError.
     """
     if color_budget < 1:
         raise PreconditionError("color budget must be >= 1")
@@ -556,6 +558,7 @@ def _predense_search(
     # remaining[pos]: the mask of idxs[pos:]
     remaining = list(accumulate((1 << i for i in reversed(idxs)), or_, initial=0))[::-1]
     partial = [0] * color_budget
+    named = {c for q in d for c in q.assignment.values()}
     nodes = 0
 
     def clashes(member: int, i: int, c: int) -> bool:
@@ -576,9 +579,14 @@ def _predense_search(
         i = idxs[pos]
         if not rec(pos + 1, alive):
             return False
+        fresh_tried = False
         for c in range(color_budget):
             if open_masks[i] & partial[c]:
                 continue
+            if not partial[c] and c not in named:
+                if fresh_tried:
+                    continue
+                fresh_tried = True
             new_alive = tuple(s for s in alive if not clashes(s, i, c))
             partial[c] |= 1 << i
             ok = rec(pos + 1, new_alive)

@@ -31,23 +31,28 @@ from .errors import InvalidPointError
 class Point:
     """A point with exact rational coordinates; immutable and hashable."""
 
-    __slots__ = ("coords", "_hash")
+    __slots__ = ("coords", "ints", "_hash")
 
     def __init__(self, coords: tuple[Fraction, ...]):
         # Points key every universe index, so the hash is computed once, here.
         # It stays hash((coords,)): set iteration order, and so the golden
         # report bytes, depend on it.  hash(Fraction(n)) == hash(n), so
         # integer coordinates hash by their numerators, without the slower
-        # Fraction.__hash__.
+        # Fraction.__hash__.  Those numerators are kept as ``ints`` (None
+        # when a coordinate is not an integer) for the Hamming and explicit
+        # mask builders; the reference routes read only ``coords``.
         nums = []
         for c in coords:
             if c.denominator != 1:
+                ints = None
                 h = hash((coords,))
                 break
             nums.append(c.numerator)
         else:
-            h = hash((tuple(nums),))
+            ints = tuple(nums)
+            h = hash((ints,))
         object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "ints", ints)
         object.__setattr__(self, "_hash", h)
 
     def __setattr__(self, name, value):

@@ -247,18 +247,14 @@ class SampleUniverse:
         """closed_masks[i] = bitmask of Gamma(points[i]) within the universe.
 
         Built from the structure of the instance kind on point indices (see
-        _EDGE_BUILDERS).  Library logic reads adjacency here; adjacent() and
+        _MASK_BUILDERS).  Library logic reads adjacency here; adjacent() and
         reference_adjacent() stay the exact pairwise reference.
         """
         try:
-            edges = _EDGE_BUILDERS[self.instance.kind]
+            build = _MASK_BUILDERS[self.instance.kind]
         except KeyError:
             raise UnsupportedKindError(self.instance.kind) from None
-        masks = [1 << i for i in range(len(self.points))]
-        for i, j in edges(self.instance, self.points):
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
-        return masks
+        return build(self.instance, self.points, [1 << i for i in range(len(self.points))])
 
     @cached_property
     def open_masks(self) -> list[int]:
@@ -290,17 +286,19 @@ class SampleUniverse:
 
 
 # -- mask builders --------------------------------------------------------------
-# Each yields the index pairs (i, j) of adjacent points, at least once per
-# edge.  The points are already validated by SampleUniverse, and may be any
-# subset of the space in any order.
+# Each returns the closed masks of the points, given bits[i] = 1 << i: it
+# ORs bits[j] into masks[i] and bits[i] into masks[j] for every adjacent
+# pair it meets.  The points are already validated by SampleUniverse, and
+# may be any subset of the space in any order.
 
-def _distance_edges(instance: GraphInstance, points: tuple[Point, ...]):
+def _distance_masks(instance: GraphInstance, points: tuple[Point, ...], bits: list[int]):
     """Integer squared distances after scaling to one common denominator D.
 
     |x - y|^2 = s exactly iff the scaled points differ by s * D^2, so only
     targets s * D^2 that are integers can be hit.  In dimension 2 each
     pair's squared gap is computed inline; dimension 3 and up use _gap.
     """
+    masks = bits.copy()
     d = lcm(*(c.denominator for p in points for c in p.coords))
     scaled = [tuple(c.numerator * (d // c.denominator) for c in p.coords) for p in points]
     dd = d * d
@@ -310,7 +308,7 @@ def _distance_edges(instance: GraphInstance, points: tuple[Point, ...]):
         if dd % s.denominator == 0
     }
     if not targets:
-        return
+        return masks
     if instance.dimension == 1:
         where = {x: i for i, (x,) in enumerate(scaled)}
         roots = [r for t in targets if (r := isqrt(t)) * r == t]
@@ -318,8 +316,9 @@ def _distance_edges(instance: GraphInstance, points: tuple[Point, ...]):
             for r in roots:
                 j = where.get(x + r)
                 if j is not None:
-                    yield i, j
-        return
+                    masks[i] |= bits[j]
+                    masks[j] |= bits[i]
+        return masks
     # Grid cells of side r on the first two coordinates.  An adjacent pair
     # differs by at most sqrt(max target) < r in every coordinate, so its
     # cells differ by at most one step in each keyed coordinate: each pair
@@ -336,13 +335,16 @@ def _distance_edges(instance: GraphInstance, points: tuple[Point, ...]):
                     d0 = x0 - y0
                     d1 = x1 - y1
                     if d0 * d0 + d1 * d1 in targets:
-                        yield i, j
-        return
+                        masks[i] |= bits[j]
+                        masks[j] |= bits[i]
+        return masks
     for left, right in _cell_blocks(cells):
         for i, x in left:
             for j, y in right:
                 if _gap(x, y) in targets:
-                    yield i, j
+                    masks[i] |= bits[j]
+                    masks[j] |= bits[i]
+    return masks
 
 
 def _cell_blocks(cells: dict):
@@ -362,7 +364,9 @@ def _gap(x: tuple[int, ...], y: tuple[int, ...]) -> int:
     return sum((a - b) ** 2 for a, b in zip(x, y))
 
 
-def _curve_difference_edges(instance: GraphInstance, points: tuple[Point, ...]):
+def _curve_difference_masks(
+    instance: GraphInstance, points: tuple[Point, ...], bits: list[int]
+):
     """Integer evaluation after scaling to one common denominator D.
 
     With U = D*u and V = D*v, L * D^deg * p(u, v) = q(U, V) for the integer
@@ -372,6 +376,7 @@ def _curve_difference_edges(instance: GraphInstance, points: tuple[Point, ...]):
     q(U, V) = E + O and q(-U, -V) = E - O, so p(u, v) = 0 or p(-u, -v) = 0
     exactly when E = O or E = -O.
     """
+    masks = bits.copy()
     terms = instance.poly.terms
     d = lcm(*(c.denominator for p in points for c in p.coords))
     coef_lcm = lcm(*(c.denominator for _, c in terms))
@@ -390,50 +395,58 @@ def _curve_difference_edges(instance: GraphInstance, points: tuple[Point, ...]):
             e = sum(c * u**a * v**b for a, b, c in even)
             o = sum(c * u**a * v**b for a, b, c in odd)
             if e == o or e == -o:
-                yield i, j
+                masks[i] |= bits[j]
+                masks[j] |= bits[i]
+    return masks
 
 
-def _hamming_edges(instance: GraphInstance, points: tuple[Point, ...]):
-    """Look up every one-coordinate mutation: O(n * sum of alphabets).
+def _hamming_masks(instance: GraphInstance, points: tuple[Point, ...], bits: list[int]):
+    """One line mask per (entry k, word with entry k blanked): n * breadth
+    dict steps.
 
     Each word gets a mixed-radix integer code, where entry k has the radix
-    1 + the largest entry at k over the words, so the codes are distinct.
-    Raising entry k from a to v adds (v - a) * stride[k] to the code.
+    1 + the largest entry at k over the words, so the codes are distinct,
+    and code - word[k] * stride[k] keys the word with entry k blanked.  The
+    words of one key differ from each other in entry k alone, so each
+    word's closed mask is the union of its lines.  An entry where every
+    word agrees keys each word alone and is skipped.
     """
-    words = [tuple(c.numerator for c in p.coords) for p in points]
-    if not words:
-        return
-    values = [sorted({w[k] for w in words}) for k in range(instance.dimension)]
-    strides = [1] * instance.dimension
-    for k in range(instance.dimension - 1, 0, -1):
-        strides[k - 1] = strides[k] * (1 + values[k][-1])
-    codes = [sum(a * stride for a, stride in zip(w, strides)) for w in words]
-    where = {code: i for i, code in enumerate(codes)}
-    columns = tuple(zip(values, strides))
-    for i, w in enumerate(words):
-        code = codes[i]
-        for a, (vals, stride) in zip(w, columns):
-            for v in vals:
-                if v > a:
-                    j = where.get(code + (v - a) * stride)
-                    if j is not None:
-                        yield i, j
+    masks = bits.copy()
+    columns = list(zip(*(p.ints for p in points)))
+    strides = [1] * len(columns)
+    for k in range(len(columns) - 1, 0, -1):
+        strides[k - 1] = strides[k] * (1 + max(columns[k]))
+    codes = [0] * len(points)
+    for column, stride in zip(columns, strides):
+        codes = [code + a * stride for code, a in zip(codes, column)]
+    for column, stride in zip(columns, strides):
+        if min(column) == max(column):
+            continue
+        keys = [code - a * stride for code, a in zip(codes, column)]
+        lines: dict[int, int] = {}
+        for key, bit in zip(keys, bits):
+            lines[key] = lines.get(key, 0) | bit
+        masks = [mask | lines[key] for mask, key in zip(masks, keys)]
+    return masks
 
 
-def _explicit_edges(instance: GraphInstance, points: tuple[Point, ...]):
-    where = {p.coords[0].numerator: i for i, p in enumerate(points)}
+def _explicit_masks(instance: GraphInstance, points: tuple[Point, ...], bits: list[int]):
+    masks = bits.copy()
+    where = {p.ints[0]: i for i, p in enumerate(points)}
     for u, v in instance.edges:
         i, j = where.get(u), where.get(v)
         if i is not None and j is not None:
-            yield i, j
+            masks[i] |= bits[j]
+            masks[j] |= bits[i]
+    return masks
 
 
-_EDGE_BUILDERS = {
-    DISTANCE: _distance_edges,
-    CURVE_DIFFERENCE: _curve_difference_edges,
-    HAMMING_UNIFORM: _hamming_edges,
-    HAMMING_DIAGONAL: _hamming_edges,
-    EXPLICIT: _explicit_edges,
+_MASK_BUILDERS = {
+    DISTANCE: _distance_masks,
+    CURVE_DIFFERENCE: _curve_difference_masks,
+    HAMMING_UNIFORM: _hamming_masks,
+    HAMMING_DIAGONAL: _hamming_masks,
+    EXPLICIT: _explicit_masks,
 }
 
 

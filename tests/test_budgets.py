@@ -39,6 +39,14 @@ def _predense_line64(tmp_path):
     return ["poset", "predense", line, "--file", str(file), "--out", str(tmp_path / "out.json")]
 
 
+def _budget_clamp_seed1(tmp_path):
+    # trial 118 runs the unclamped predensity search at 7 colors on a
+    # 6-vertex explicit graph; while the search tried every fresh color,
+    # the call took 0.38-0.40 s (2-vCPU host), most of it in that trial
+    argv = ["campaign", "budget-clamp", "--seed", "1", "--trials", "150"]
+    return [*argv, "--out", str(tmp_path / "out.json")]
+
+
 def _ramsey_complete(k, m):
     # K_k with one color-0 condition per vertex in one cell: every pair is
     # incompatible, so no m-subset is; scanning all C(k, m) subsets took
@@ -126,6 +134,7 @@ def _gen_complete(n):
 
 ROWS = {
     "predense-40-conditions-on-line-64": (_predense_line64, 0, 2.0, None),
+    "campaign-budget-clamp-seed-1-150-trials": (_budget_clamp_seed1, 0, 0.3, None),
     "ramsey-3-of-240-on-complete-graph": (_ramsey_complete(240, 3), 0, 1.0, None),
     "ramsey-13-of-26-on-complete-graph": (_ramsey_complete(26, 13), 0, 1.0, None),
     "lattice-10000-trials-on-line-4096": (_lattice_trials_on("line"), 0, 10.0, None),

@@ -330,6 +330,33 @@ def test_point_hash_is_the_dataclass_hash():
     assert len({x, pt("1/3", -2), pt(0, 0)}) == 2
 
 
+def _old_point_hash(coords):
+    """The hash the constructor computed before it kept ``ints``."""
+    nums = []
+    for c in coords:
+        if c.denominator != 1:
+            return hash((coords,))
+        nums.append(c.numerator)
+    return hash((tuple(nums),))
+
+
+def test_point_ints_and_hash_match_the_old_constructor():
+    F = Fraction
+    integer = [(), (F(0),), (F(-1),), (F(3), F(-4), F(0)), (F(2**61 - 1), F(-(2**70)))]
+    mixed = [(F(1), F(1, 2)), (F(-1, 2), F(5)), (F(4), F(0), F(7, 3))]
+    non_integer = [(F(1, 3),), (F(-3, 7), F(5, 2))]
+    for coords in integer + mixed + non_integer:
+        p = Point(coords)
+        whole = all(c.denominator == 1 for c in coords)
+        assert p.ints == (tuple(c.numerator for c in coords) if whole else None)
+        assert all(type(a) is int for a in p.ints or ())
+        assert hash(p) == _old_point_hash(coords) == hash((coords,))
+        back = pickle.loads(pickle.dumps(p))
+        assert back.ints == p.ints and hash(back) == hash(p)
+        with pytest.raises(AttributeError):
+            p.ints = None
+
+
 _COORDS = st.lists(
     st.integers().map(Fraction) | st.fractions(), min_size=1, max_size=4
 ).map(tuple)

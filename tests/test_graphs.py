@@ -176,6 +176,22 @@ def test_masks_match_pairwise_adjacency_for_every_kind():
     ]
     # the planar builder's inline squared gap, across many grid cells
     universes.append(planar_unit_universe(random.Random(150), 150))
+    # one Hamming line (breadth 1), one word (alphabet 1), a shuffled subset
+    # of 3^5, and a 1-D sample with two integer roots; drawn from their own
+    # rng, so the draws of the cases above and below stay the same
+    extra = random.Random(28)
+    cube5 = make_uniform_hamming(5, 3)
+    roots = distance_graph(1, [1, 4])
+    universes += [
+        make_uniform_hamming(1, 5),
+        make_uniform_hamming(4, 1),
+        SampleUniverse(cube5.instance, _shuffled_subset(extra, cube5.points)),
+        SampleUniverse(
+            roots, [pt(x) for x in extra.sample(range(-6, 7), 13)] + [pt("1/2"), pt("5/2")]
+        ),
+    ]
+    assert universes[-4].closed_masks == [0b11111] * 5
+    assert universes[-3].closed_masks == [1]
     for u in universes:
         assert u.closed_masks == _pairwise_masks(u), u.instance.kind
     assert universes[0].closed_masks[0] == 0b111  # 0 ~ 1/2, 1
@@ -457,28 +473,66 @@ _REFERENCE_ROUTES = {
 }
 
 
-def _adjacency_uses() -> set:
-    """(module, enclosing function, name) for every use of the pair predicate."""
-    names = {"adjacent", "reference_adjacent", "_exact_adjacent"}
-    uses = set()
+def _package_nodes():
+    """(module, enclosing function, node) for every AST node of the package."""
 
     def visit(node, module, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, module, scope + (child.name,))
+                yield from visit(child, module, scope + (child.name,))
                 continue
-            name = getattr(child, "id", None) or getattr(child, "attr", None)
-            if name in names and isinstance(getattr(child, "ctx", None), ast.Load):
-                uses.add((module, ".".join(scope), name))
-            visit(child, module, scope)
+            yield module, ".".join(scope), child
+            yield from visit(child, module, scope)
 
     for path in sorted(Path(noetherlab.__file__).parent.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, ())
+        yield from visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, ())
+
+
+def _adjacency_uses() -> set:
+    """(module, enclosing function, name) for every use of the pair predicate."""
+    names = {"adjacent", "reference_adjacent", "_exact_adjacent"}
+    uses = set()
+    for module, scope, node in _package_nodes():
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if name in names and isinstance(getattr(node, "ctx", None), ast.Load):
+            uses.add((module, scope, name))
     return uses
 
 
 def test_pair_predicate_only_on_reference_routes():
     assert _adjacency_uses() == _REFERENCE_ROUTES
+
+
+# Point.ints, the integer coordinates, is declared and written by Point and
+# read by two mask builders.  The reference routes read coords only, so they
+# share nothing with the builders; a new reader anywhere fails here.
+_INTEGER_COORDINATE_ROUTES = {
+    ("geometry", "Point"),
+    ("geometry", "Point.__init__"),
+    ("graphs", "_explicit_masks"),
+    ("graphs", "_hamming_masks"),
+}
+
+
+def test_integer_coordinates_only_on_point_and_the_mask_builders():
+    uses = {
+        (module, scope)
+        for module, scope, node in _package_nodes()
+        if getattr(node, "attr", None) == "ints"
+        or (isinstance(node, ast.Constant) and node.value == "ints")
+    }
+    assert uses == _INTEGER_COORDINATE_ROUTES
+    reference = {
+        ("graphs", "_exact_adjacent"),
+        ("graphs", "adjacent"),
+        ("graphs", "SampleUniverse.reference_adjacent"),
+        ("geometry", "squared_distance"),
+        ("geometry", "TaggedBox.intervals"),
+        ("coloring", "check_proper"),
+        ("campaign", "_pairwise_masks"),
+    }
+    scopes = {(module, scope) for module, scope, _ in _package_nodes()}
+    assert reference <= scopes and not reference & uses
 
 
 def test_universe_rejects_duplicates_and_bad_points():

@@ -833,21 +833,56 @@ def test_predense_check_agrees_with_the_partial_dict_search(monkeypatch):
         limit = rng.choice((5, 20, 80, 2_000_000))
         monkeypatch.setattr(control_poset, "_PREDENSE_NODE_LIMIT", limit)
         full = u.full_mask if mask is None else mask
-        reference = _outcome(
-            _predense_check_partial_dict, d, u, budget, domain_mask=mask, node_limit=limit
-        )
-        # unclamped, the search visits the same nodes: same answers, same trips
-        assert _outcome(_predense_search, d, u, budget, full) == reference
+
+        def unpruned(budget, node_limit):
+            return _outcome(
+                _predense_check_partial_dict, d, u, budget, domain_mask=mask, node_limit=node_limit
+            )
+
+        # Unclamped, the search visits a subsequence of the reference's
+        # nodes, in order: the fresh-color prune skips only subtrees that
+        # mirror one it walks.  So where the reference finishes it gives the
+        # same answer, and where the reference trips it trips too or gives
+        # the answer of the unlimited reference.
+        reference, exact = unpruned(budget, limit), unpruned(budget, 2_000_000)
+        assert _outcome(_predense_search, d, u, budget, full) in {reference, exact}
         clamped = min(budget, budget_clamp(d))
         got = _outcome(predense_check, d, u, budget, domain_mask=mask)
-        assert got == _outcome(
-            _predense_check_partial_dict, d, u, clamped, domain_mask=mask, node_limit=limit
-        )
+        assert got in {unpruned(clamped, limit), unpruned(clamped, 2_000_000)}
         if limit == 2_000_000:
             assert got == reference  # the clamp keeps the answer
         seen[got] += 1
         seen["clamped"] += clamped < budget
     assert all(seen[k] > 0 for k in (True, False, "node-limit", "clamped")), seen
+
+
+def test_fresh_color_prune_keeps_the_unpruned_answers():
+    # at the clamp and two colors past it most colors are fresh, so the
+    # prune cuts the most there; the unpruned reference must agree
+    rng = random.Random(2811)
+    for _ in range(300):
+        u, d, _, mask = _predense_family(rng)
+        full = u.full_mask if mask is None else mask
+        clamp = budget_clamp(d)
+        for budget in (clamp, clamp + 2):
+            assert _predense_search(d, u, budget, full) == _predense_check_partial_dict(
+                d, u, budget, domain_mask=mask, node_limit=2_000_000
+            )
+
+
+def test_fresh_color_prune_on_the_budget_clamp_heavy_tail(monkeypatch):
+    # budget-clamp seed 1, trial 118: at clamp + 2 = 7 colors the unpruned
+    # search walks 70,468 nodes (0.39 s of the suite's 0.43 s at 150
+    # trials), and the search that tries one fresh color per node 3,654
+    u = explicit_universe(6, [(0, 5), (1, 2), (1, 3), (1, 4)])
+    v = vertex_point
+    d = [QCondition(u, {v(0): 0}), QCondition(u, {v(0): 1}), QCondition(u, {v(4): 0, v(3): 1})]
+    assert budget_clamp(d) == 5
+    monkeypatch.setattr(control_poset, "_PREDENSE_NODE_LIMIT", 4_000)
+    answers = [_predense_search(d, u, b, u.full_mask) for b in range(1, 10)]
+    assert answers == [True, True] + [False] * 7
+    with pytest.raises(OracleBoundError):
+        _predense_check_partial_dict(d, u, 7, node_limit=4_000)
 
 
 def test_budget_clamp_seed23_counterexample():
