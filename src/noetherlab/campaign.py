@@ -17,7 +17,6 @@ from typing import Callable, Optional
 
 from . import _kernels
 from .coloring import (
-    DEFAULT_ORACLE_BOUND,
     StageChain,
     check_proper,
     check_suitable,
@@ -97,15 +96,13 @@ from .serialize import dump_canonical, universe_to_json
 SCHEMA_VERSION = 1
 
 DEFAULT_BOUNDS = {
-    "oracle": DEFAULT_ORACLE_BOUND,
     "colorBudget": 3,
     "maxPoints": 12,
 }
 # The least value of each bound that every suite's draws accept:
 # pattern-oracle draws randint(6, maxPoints), and the predensity suites
-# draw randint(2, colorBudget).
+# draw randint(2, colorBudget).  --bound refuses a lower value.
 BOUND_MINIMA = {
-    "oracle": 1,
     "colorBudget": 2,
     "maxPoints": 6,
 }
@@ -516,7 +513,7 @@ def _stitch_nongood(rng, config):
 @suite("chromatic-oracle-agreement")
 def _chromatic_oracle_agreement(rng, config):
     universe = random_universe(rng, 9)
-    chi, coloring = chromatic_number(universe, bound=config.bound("oracle"))
+    chi, coloring = chromatic_number(universe)
     if check_proper(universe, coloring):
         return False, {"why": "improper-optimal", "universe": universe_to_json(universe)}
     if len(set(coloring.values())) > chi:
@@ -759,7 +756,7 @@ def _vitali_embedding(rng, config):
 def _hamming_chromatic(rng, config):
     breadth = rng.randint(1, 4)
     universe = make_diagonal_hamming(breadth)
-    chi, _ = chromatic_number(universe, bound=config.bound("oracle"))
+    chi, _ = chromatic_number(universe)
     if chi != breadth:
         return False, {"breadth": breadth, "chi": chi}
     mixed = mixed_radix_coloring(universe)

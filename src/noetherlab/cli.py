@@ -15,7 +15,6 @@ from typing import Optional
 
 from . import campaign as campaign_mod
 from .coloring import (
-    DEFAULT_ORACLE_BOUND,
     check_proper,
     check_suitable,
     chromatic_number,
@@ -213,7 +212,7 @@ def _cmd_color_make(args) -> tuple[dict, int]:
 
 
 def _cmd_color_chi(args) -> tuple[dict, int]:
-    chi, _ = chromatic_number(parse_instance_file(args.instance), bound=args.bounds["oracle"])
+    chi, _ = chromatic_number(parse_instance_file(args.instance))
     return {"chromatic_number": chi}, 0
 
 
@@ -295,7 +294,9 @@ def _cmd_poset_liminf(args) -> tuple[dict, int]:
 
 def _cmd_poset_predense(args) -> tuple[dict, int]:
     universe, data, conds = _read_conditions(args)
-    budget = optional_int(data, "color_budget", args.bounds["colorBudget"], args.file)
+    budget = optional_int(
+        data, "color_budget", campaign_mod.DEFAULT_BOUNDS["colorBudget"], args.file
+    )
     for cond in conds:
         validate_qcondition(cond)
     full = predense_check(conds, universe, budget)
@@ -305,7 +306,7 @@ def _cmd_poset_predense(args) -> tuple[dict, int]:
 
 
 def _cmd_hamming_chi(args) -> tuple[dict, int]:
-    chi, _ = chromatic_number(make_diagonal_hamming(args.breadth), bound=args.bounds["oracle"])
+    chi, _ = chromatic_number(make_diagonal_hamming(args.breadth))
     return {"breadth": args.breadth, "chromatic_number": chi}, 0
 
 
@@ -322,7 +323,7 @@ def _cmd_hamming_embed(args) -> tuple[dict, int]:
 
 def _cmd_hamming_sigma(args) -> tuple[dict, int]:
     universe = make_diagonal_hamming(args.breadth)
-    report = sigma_bounded_check(universe, [universe.points], oracle_bound=args.bounds["oracle"])
+    report = sigma_bounded_check(universe, [universe.points])
     return report, 0 if report["passed"] else 1
 
 
@@ -355,9 +356,8 @@ def _parse_bounds(args) -> dict:
             raise ParseError(f"--bound {name}: {quoted(value)} is not an integer") from None
         if bounds[name] < 1:
             raise ParseError(f"--bound {name}: {quoted(value)} is not a positive integer")
-        # the campaign's draws need its minima; every other verb takes any value >= 1
         minimum = campaign_mod.BOUND_MINIMA.get(name, 1)
-        if args.command == "campaign" and bounds[name] < minimum:
+        if bounds[name] < minimum:
             raise ParseError(f"--bound {name}: {quoted(value)} is below its minimum {minimum}")
     return bounds
 
@@ -427,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     breadth = option("--breadth", type=_int, default=3)
     file = option("--file", required=True, help="JSON input file")
     edge_probability = option("--edge-probability", type=float, default=0.35)
-    oracle = {"oracle": DEFAULT_ORACLE_BOUND}
     sub = parser.add_subparsers(dest="command", required=True)
 
     def verbs(command, dest, help):
@@ -470,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     color = verbs("color", "verb", "emit and verify box colorings")
     leaf(color, "make", instance, fn=_cmd_color_make)
-    leaf(color, "chi", instance, bound, fn=_cmd_color_chi, bounds=oracle)
+    leaf(color, "chi", instance, fn=_cmd_color_chi)
     leaf(color, "verify", instance, file, fn=_cmd_color_verify)
 
     poset = verbs("poset", "verb", "poset operations")
@@ -479,14 +478,13 @@ def build_parser() -> argparse.ArgumentParser:
     leaf(poset, "lower-bound", instance, file, fn=_cmd_poset_lower_bound)
     leaf(poset, "ramsey", instance, file, fn=_cmd_poset_ramsey)
     leaf(poset, "liminf", instance, file, fn=_cmd_poset_liminf)
-    leaf(poset, "predense", instance, file, bound, fn=_cmd_poset_predense,
-         bounds={"colorBudget": campaign_mod.DEFAULT_BOUNDS["colorBudget"]})
+    leaf(poset, "predense", instance, file, fn=_cmd_poset_predense)
 
     hamming = verbs("hamming", "verb", "Hamming truncations and embeddings")
-    leaf(hamming, "chi", breadth, bound, fn=_cmd_hamming_chi, bounds=oracle)
+    leaf(hamming, "chi", breadth, fn=_cmd_hamming_chi)
     leaf(hamming, "vitali", breadth, alphabet, fn=_cmd_hamming_vitali)
     leaf(hamming, "embed", breadth, fn=_cmd_hamming_embed)
-    leaf(hamming, "sigma", breadth, bound, fn=_cmd_hamming_sigma, bounds=oracle)
+    leaf(hamming, "sigma", breadth, fn=_cmd_hamming_sigma)
 
     camp = leaf(sub, "campaign", seed, trials, bound, fn=_cmd_campaign,
                 help="run seeded property suites",

@@ -33,6 +33,8 @@ from .geometry import (
 from .graphs import SampleUniverse, _exact_adjacent
 from .lattice import is_good
 
+# The chromatic oracle's size bound: at 24 points an exact chromatic number
+# takes milliseconds, and the branch and bound has no work limit past it.
 DEFAULT_ORACLE_BOUND = 24
 
 
@@ -252,16 +254,16 @@ def stitch_colorings(
 
 # -- exact chromatic oracle pair ----------------------------------------------
 
-def chromatic_number(
-    universe: SampleUniverse, *, bound: int = DEFAULT_ORACLE_BOUND
-) -> tuple[int, dict[Point, int]]:
+def chromatic_number(universe: SampleUniverse) -> tuple[int, dict[Point, int]]:
     """Exact chromatic number with a verified optimal coloring.
 
     Branch-and-bound behind the kernel backend; refuses universes larger
-    than the configured oracle bound.
+    than DEFAULT_ORACLE_BOUND points.
     """
-    if len(universe) > bound:
-        raise OracleBoundError(f"universe size {len(universe)} exceeds bound {bound}")
+    if len(universe) > DEFAULT_ORACLE_BOUND:
+        raise OracleBoundError(
+            f"universe size {len(universe)} exceeds bound {DEFAULT_ORACLE_BOUND}"
+        )
     chi, colors = _kernels.chromatic_number(universe.open_masks)
     assignment = {p: colors[i] for i, p in enumerate(universe.points)}
     bad = check_proper(universe, assignment)

@@ -395,9 +395,11 @@ def ramsey_compatible_subset(
             break
         frames.append((candidates, pos + 1))
         frames.append(([j for j in candidates[pos + 1 :] if color(i, j) == COMPATIBLE], 0))
-    meet = conditions[combo[0]]
-    for i in combo[1:]:
-        meet = q_meet(meet, conditions[i])
+    # the union of the chosen conditions, checked proper once
+    meet = QCondition(conditions[combo[0]].universe, {})
+    for i in combo:
+        meet.assignment.update(conditions[i].assignment)
+    validate_qcondition(meet)
     for i in combo:
         if not q_extends(meet, conditions[i]):
             raise VerificationError(f"meet is not below condition {i}")
@@ -566,19 +568,12 @@ def _predense_search(
         same = classes[member].get(c, 0)
         return bool((doms[member] & ~same) >> i & 1 or open_masks[i] & same)
 
-    def rec(pos: int, alive: tuple[int, ...]) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > _PREDENSE_NODE_LIMIT:
-            raise OracleBoundError("predensity scan exceeded its node limit")
-        if not alive:
-            return False
-        # at pos == len(idxs) nothing remains, so this returns True
-        if any(not (relevant[s] & remaining[pos]) for s in alive):
-            return True
+    def children(pos: int, alive: tuple[int, ...]):
+        """The members still alive in each child of the node at pos: its
+        point left out, then each color tried for it, which partial holds
+        while that child is searched."""
         i = idxs[pos]
-        if not rec(pos + 1, alive):
-            return False
+        yield alive
         fresh_tried = False
         for c in range(color_budget):
             if open_masks[i] & partial[c]:
@@ -589,13 +584,29 @@ def _predense_search(
                 fresh_tried = True
             new_alive = tuple(s for s in alive if not clashes(s, i, c))
             partial[c] |= 1 << i
-            ok = rec(pos + 1, new_alive)
+            yield new_alive
             partial[c] ^= 1 << i
-            if not ok:
-                return False
-        return True
 
-    return rec(0, tuple(range(len(d))))
+    # Depth first with an explicit stack, one frame per open node.  The
+    # answer holds iff every leaf holds, so the first failing leaf ends it.
+    pos, alive, stack = 0, tuple(range(len(d))), []
+    while True:
+        nodes += 1
+        if nodes > _PREDENSE_NODE_LIMIT:
+            raise OracleBoundError("predensity scan exceeded its node limit")
+        if not alive:
+            return False
+        # at pos == len(idxs) nothing remains, so this is a leaf that holds
+        if all(relevant[s] & remaining[pos] for s in alive):
+            stack.append((pos + 1, children(pos, alive)))
+        while stack:
+            alive = next(stack[-1][1], None)
+            if alive is not None:
+                pos = stack[-1][0]
+                break
+            stack.pop()
+        else:
+            return True
 
 
 def predense_check_reduced(

@@ -13,7 +13,7 @@ from itertools import product
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .coloring import DEFAULT_ORACLE_BOUND, chromatic_number
+from .coloring import chromatic_number
 from .errors import (
     InvalidPointError,
     InvalidSequenceError,
@@ -321,12 +321,7 @@ def verify_embedding(
     return report
 
 
-def sigma_bounded_check(
-    universe: SampleUniverse,
-    pieces: Sequence[Iterable[Point]],
-    *,
-    oracle_bound: int = DEFAULT_ORACLE_BOUND,
-) -> dict:
+def sigma_bounded_check(universe: SampleUniverse, pieces: Sequence[Iterable[Point]]) -> dict:
     """Exact chromatic number and clique size of every piece of a partition.
 
     Piece n passes when its chromatic number is at most n + 2 (the
@@ -345,7 +340,7 @@ def sigma_bounded_check(
         sub = SampleUniverse(
             universe.instance, [p for p in universe.points if p in ps]
         )
-        chi, _ = chromatic_number(sub, bound=oracle_bound)
+        chi, _ = chromatic_number(sub)
         clique = 0
         for m in range(1, len(sub) + 1):
             if find_clique(sub, m) is None:

@@ -183,27 +183,29 @@ def find_variation_prefix(
 
     def complete(prefix: list[int]) -> Optional[tuple[list[int], int]]:
         """A witness that extends ``prefix``, and the ``known`` of its plan."""
+        nonlocal nodes
         order, known, joined = _plan(spec, len(prefix), dense)
         witness = prefix + [0] * len(order)
-
-        def rec(a: int, allowed: list[int]) -> bool:
-            nonlocal nodes
-            if a == len(order):
-                return True
-            candidates, later, sel = allowed[0], allowed[1:], joined[a]
-            while candidates:
-                low = candidates & -candidates
-                candidates ^= low
-                v = low.bit_length() - 1
-                nodes += 1
-                narrowed = [m & fit[v][e] for m, e in zip(later, sel)]
-                if all(narrowed) and rec(a + 1, narrowed):
-                    witness[order[a]] = v
-                    return True
-            return False
-
         allowed = [fits(t, prefix) for t in order]
-        return (witness, known) if all(allowed) and rec(0, allowed) else None
+        # stack[a][0]: the candidates left for order[a]; stack[a][1:]: the
+        # masks of order[a + 1:].  A frame with no masks is a whole witness.
+        stack = [allowed] if all(allowed) else []
+        while stack:
+            masks = stack[-1]
+            if not masks:
+                return witness, known
+            if not masks[0]:
+                stack.pop()
+                continue
+            low = masks[0] & -masks[0]
+            masks[0] ^= low
+            a = len(stack) - 1
+            witness[order[a]] = v = low.bit_length() - 1
+            nodes += 1
+            narrowed = [m & fit[v][e] for m, e in zip(masks[1:], joined[a])]
+            if all(narrowed):
+                stack.append(narrowed)
+        return None
 
     found = complete([])
     if found is not None:

@@ -99,7 +99,7 @@ def test_criterion_5_exact_chromatic_numbers():
     values = []
     for breadth in (1, 2, 3, 4):
         universe = make_diagonal_hamming(breadth)
-        chi, _ = chromatic_number(universe, bound=24)
+        chi, _ = chromatic_number(universe)
         values.append(chi)
         assert k_colorable_fixed_order(universe, chi) is not None
         if chi > 1:

@@ -39,6 +39,27 @@ def _predense_line64(tmp_path):
     return ["poset", "predense", line, "--file", str(file), "--out", str(tmp_path / "out.json")]
 
 
+def _predense_one_condition_on_line_4096(tmp_path):
+    # the search skips point after point before it reaches point 4000; with
+    # one recursion level per point it ended in a RecursionError
+    line = str(tmp_path / "line4096.json")
+    assert main(["gen", "line", "--size", "4096", "--out", line]) == 0
+    file = tmp_path / "conditions.json"
+    file.write_text(json.dumps({"conditions": [{"assignment": {"4000": 0}}]}))
+    return ["poset", "predense", line, "--file", str(file)]
+
+
+def _detect_half_depth_600(tmp_path):
+    # the half graph of depth 600, edges (2n, 2m + 1) for m < n, holds the
+    # pattern as the identity; with one recursion level per placed vertex
+    # the search ended in a RecursionError after 1.9 s (2-vCPU host)
+    instance = tmp_path / "half600.json"
+    edges = [[2 * n, 2 * m + 1] for n in range(600) for m in range(n)]
+    instance.write_text(json.dumps({"kind": "explicit", "vertices": 1200, "edges": edges}))
+    return ["detect", str(instance), "--family", "half", "--left", "anticlique",
+            "--right", "anticlique", "--depth", "600"]
+
+
 def _budget_clamp_seed1(tmp_path):
     # trial 118 runs the unclamped predensity search at 7 colors on a
     # 6-vertex explicit graph; while the search tried every fresh color,
@@ -134,7 +155,9 @@ def _gen_complete(n):
 
 ROWS = {
     "predense-40-conditions-on-line-64": (_predense_line64, 0, 2.0, None),
+    "predense-one-condition-on-line-4096": (_predense_one_condition_on_line_4096, 0, 1.0, None),
     "campaign-budget-clamp-seed-1-150-trials": (_budget_clamp_seed1, 0, 0.3, None),
+    "detect-half-depth-600": (_detect_half_depth_600, 0, 10.0, None),
     "ramsey-3-of-240-on-complete-graph": (_ramsey_complete(240, 3), 0, 1.0, None),
     "ramsey-13-of-26-on-complete-graph": (_ramsey_complete(26, 13), 0, 1.0, None),
     "lattice-10000-trials-on-line-4096": (_lattice_trials_on("line"), 0, 10.0, None),
@@ -176,6 +199,17 @@ ROWS = {
 }
 
 
+# The fields that a row's report on stdout must hold.
+REPORTS = {
+    "predense-one-condition-on-line-4096": {
+        "agree": True, "predense": False, "predense_reduced": False,
+    },
+    "detect-half-depth-600": {
+        "witness": [[str(v)] for v in range(1200)], "nodes_explored": 1201,
+    },
+}
+
+
 @pytest.mark.parametrize("name", ROWS)
 def test_call_within_budget(name, tmp_path, capsys):
     build, code, seconds, stderr_bytes = ROWS[name]
@@ -185,7 +219,10 @@ def test_call_within_budget(name, tmp_path, capsys):
     assert main(argv) == code
     elapsed = time.perf_counter() - started
     assert elapsed < seconds, elapsed
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert "Traceback" not in err
+    if name in REPORTS:
+        report = json.loads(out)
+        assert {key: report[key] for key in REPORTS[name]} == REPORTS[name]
     if stderr_bytes is not None:
         assert len(err.encode()) < stderr_bytes, err

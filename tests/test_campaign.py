@@ -26,9 +26,8 @@ def test_every_registered_suite_passes_briefly():
 
 
 def test_every_suite_draws_within_the_bound_minima():
-    # oracle is a size bound, which a suite may meet with OracleBoundError
     assert BOUND_MINIMA.keys() == DEFAULT_BOUNDS.keys()
-    bounds = {name: m for name, m in BOUND_MINIMA.items() if name != "oracle"}
+    bounds = dict(BOUND_MINIMA)
     names = sorted(n for n in SUITES if n != "selftest-mutation")
     for seed in (1, 2):
         report = run_campaign(RunConfig(seed=seed, trials=8, bounds=bounds), names)

@@ -451,7 +451,7 @@ def test_out_file_holds_the_stdout_bytes(tmp_path, capsys):
         (["color", "verify", line, "--file", files["q"]], 2),
         (["adj", line, "--y", "[1]"], 2),
         (["campaign", "--jobs", "0"], 2),
-        (["hamming", "chi", "--breadth", "3", "--bound", "oracle=2"], 1),
+        (["hamming", "chi", "--breadth", "5"], 1),
     ):
         assert main([*argv, "--out", str(out)]) == code, argv
         captured = capsys.readouterr()
@@ -470,25 +470,30 @@ def test_each_verb_reads_only_its_own_options(tmp_path, capsys):
         ["hamming", "chi", "--breadth", "2", "--trials", "7"],
         ["hamming", "vitali", "--breadth", "2", "--bound", "oracle=3"],
         ["poset", "compat", inst, "--file", inst, "--bound", "colorBudget=3"],
-        ["lattice", inst, "--bound", "oracle=3"],
-        ["poset", "predense", inst, "--file", inst, "--bound", "maxArity=3"],
+        ["lattice", inst, "--bound", "colorBudget=3"],
         ["campaign", "--bound", "maxArity=3"],
+        # the oracle's 24 points and predensity's file field are no bounds
+        ["color", "chi", inst, "--bound", "maxArity=3"],
+        ["hamming", "chi", "--breadth", "2", "--bound", "maxArity=3"],
+        ["hamming", "sigma", "--breadth", "2", "--bound", "maxArity=3"],
+        ["poset", "predense", inst, "--file", inst, "--bound", "colorBudget=3"],
+        ["campaign", "--bound", "oracle=24"],
     ):
         assert main(argv) == 2, argv
     err = capsys.readouterr().err
     assert "unrecognized arguments: --trials 5" in err
     assert "unrecognized arguments: --bound oracle=3" in err
-    assert "--bound oracle: lattice reads no such bound" in err
-    # maxArity is lattice's alone
-    assert "--bound maxArity: poset predense reads no such bound" in err
+    assert "unrecognized arguments: --bound maxArity=3" in err
+    assert "unrecognized arguments: --bound colorBudget=3" in err
+    assert "--bound oracle: unknown name (known: maxArity, colorBudget, maxPoints)" in err
+    # maxArity is lattice's alone, colorBudget campaign's
+    assert "--bound colorBudget: lattice reads no such bound" in err
     assert "--bound maxArity: campaign reads no such bound" in err
     # and each verb that reads one still takes it
     for argv in (
         ["gen", "explicit", "--size", "4", "--seed", "9"],
         ["lattice", inst, "--seed", "9", "--trials", "2", "--bound", "maxArity=2"],
-        ["color", "chi", inst, "--bound", "oracle=3"],
-        ["hamming", "chi", "--breadth", "2", "--bound", "oracle=3"],
-        ["hamming", "sigma", "--breadth", "2", "--bound", "oracle=3"],
+        ["campaign", "adjacency-laws", "--trials", "1", "--bound", "maxPoints=6"],
     ):
         assert main(argv) == 0, argv
     capsys.readouterr()
@@ -570,12 +575,13 @@ def test_other_verbs_take_a_bound_below_the_campaign_minimum(tmp_path, capsys):
     assert main(["gen", "line", "--size", "64", "--out", line]) == 0
     # colored from {0}, the conditions on 0 and 1 meet every condition; from {0, 1, 2} not
     conditions = [{"assignment": {"0": 0}}, {"assignment": {"1": 0}}]
-    flag = _poset_file(tmp_path, "flag.json", {"conditions": conditions})
+    default = _poset_file(tmp_path, "default.json", {"conditions": conditions})
     key = _poset_file(tmp_path, "key.json", {"conditions": conditions, "color_budget": 1})
-    by_flag = _run(capsys, ["poset", "predense", line, "--file", flag, "--bound", "colorBudget=1"])
-    assert by_flag == _run(capsys, ["poset", "predense", line, "--file", key])
-    assert by_flag == (0, {"predense": True, "predense_reduced": True, "agree": True})
-    assert _run(capsys, ["poset", "predense", line, "--file", flag])[1]["predense"] is False
+    # the file's color_budget goes below the campaign's colorBudget minimum of 2
+    assert _run(capsys, ["poset", "predense", line, "--file", key]) == (
+        0, {"predense": True, "predense_reduced": True, "agree": True}
+    )
+    assert _run(capsys, ["poset", "predense", line, "--file", default])[1]["predense"] is False
 
 
 def test_negative_curve_exponent_exits_2(tmp_path, capsys):
@@ -759,10 +765,10 @@ def test_malformed_containers_exit_2(tmp_path, capsys):
         assert main(argv) == 2, (verb, data)
     assert main(["color", "verify", inst, "--file", write("c.json", {"assignment": "x"})]) == 2
     assert main(["adj", inst, "--x", "nope"]) == 2
-    assert main(["color", "chi", inst, "--bound", "orcale=1"]) == 2  # a misspelt bound name
+    assert main(["lattice", inst, "--bound", "maxArty=1"]) == 2  # a misspelt bound name
     # bounds, breadths and alphabets are positive integers
     assert main(["lattice", inst, "--bound", "maxArity=0"]) == 2
-    assert main(["color", "chi", inst, "--bound", "oracle=-1"]) == 2
+    assert main(["lattice", inst, "--bound", "maxArity=-1"]) == 2
     for argv in (
         ["vitali", "--breadth", "0"],
         ["vitali", "--breadth", "3", "--alphabet", "0"],
@@ -782,8 +788,8 @@ def test_malformed_containers_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "expected a JSON array" in err and "expected a JSON object" in err
     assert "missing 'location'" in err and "Traceback" not in err
-    assert "--bound orcale: unknown name" in err
-    assert "--bound oracle: '-1' is not a positive integer" in err
+    assert "--bound maxArty: unknown name" in err
+    assert "--bound maxArity: '-1' is not a positive integer" in err
     assert "--alphabet must be a positive integer, got 0" in err
 
     # null stays the default threshold
@@ -845,8 +851,13 @@ def test_numeric_options_exit_2(tmp_path, capsys):
 def test_parser_reuse_leaks_nothing_between_calls(tmp_path, capsys):
     inst = _write_line_universe(tmp_path, 6)
     sequences = [
-        # a 6-point universe exceeds oracle=5 (exit 1); the default bound does not
-        [(["color", "chi", inst, "--bound", "oracle=5"], 1), (["color", "chi", inst], 0)],
+        # a 120-point truncation exceeds the oracle's 24 points (exit 1); a
+        # bound set in one call does not outlive it
+        [
+            (["hamming", "chi", "--breadth", "5"], 1),
+            (["lattice", inst, "--trials", "1", "--bound", "maxArity=1"], 0),
+            (["lattice", inst, "--trials", "1"], 0),
+        ],
         [(["adj", inst, "--indices", "0", "1"], 0), (["adj", inst, "--x", '["1"]'], 0)],
         [(["adj", inst, "--no-such-flag"], 2), (["adj", inst, "--indices", "2"], 0)],
         [(["detect", inst, "--depth", "x"], 2), (["detect", inst, "--stress"], 0)],

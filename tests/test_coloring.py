@@ -244,8 +244,9 @@ def test_chromatic_examples(triangle):
 
 
 def test_chromatic_oracle_bound():
-    with pytest.raises(OracleBoundError):
-        chromatic_number(line_universe(25), bound=20)
+    assert chromatic_number(line_universe(24))[0] == 2
+    with pytest.raises(OracleBoundError, match="universe size 25 exceeds bound 24"):
+        chromatic_number(line_universe(25))
 
 
 def test_chromatic_agrees_with_independent_decision():

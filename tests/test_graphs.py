@@ -535,6 +535,33 @@ def test_integer_coordinates_only_on_point_and_the_mask_builders():
     assert reference <= scopes and not reference & uses
 
 
+# Every function of the package that calls itself, with what bounds its
+# depth.  A search that recursed once per point or pattern vertex ended in
+# a RecursionError on accepted inputs; the searches that grow with the
+# input walk explicit stacks.  A new self-recursive function fails here
+# until it is listed with its bound.
+_SELF_RECURSIVE = {
+    ("_kernels", "find_clique.rec"):
+        "depth m: the CLI reaches it only after the oracle's 24-point refusal, "
+        "the campaign at m = 3",
+    ("_kernels", "_dsatur_colorable.rec"): "depth n <= coloring.DEFAULT_ORACLE_BOUND",
+    ("coloring", "k_colorable_fixed_order.rec"): "depth n: library callers pass at most 9 points",
+    ("campaign", "_chain_by_scanning_every_point.steps_from"): "at most 10 points",
+    ("serialize", "_emit"): "the nesting depth of a report",
+}
+
+
+def test_self_recursive_functions_have_a_depth_bound():
+    calls = {
+        (module, scope)
+        for module, scope, node in _package_nodes()
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == scope.rsplit(".", 1)[-1]
+    }
+    assert calls == _SELF_RECURSIVE.keys()
+
+
 def test_universe_rejects_duplicates_and_bad_points():
     line = distance_graph(1, [1])
     with pytest.raises(InvalidPointError):

@@ -61,7 +61,7 @@ def test_masks_build_at_the_default_size_bound():
 def test_diagonal_chromatic_matches_breadth():
     for breadth in range(1, 5):
         u = make_diagonal_hamming(breadth)
-        chi, _ = chromatic_number(u, bound=24)
+        chi, _ = chromatic_number(u)
         assert chi == breadth
         from noetherlab.coloring import check_proper
 
@@ -167,7 +167,7 @@ def test_sigma_bounded_reports_planted_clique():
     u4 = make_diagonal_hamming(4)
     # a 4-clique lives along the last coordinate; putting everything in
     # piece 1 (bound 3) must fail and report max clique 4
-    report = sigma_bounded_check(u4, [[], u4.points], oracle_bound=24)
+    report = sigma_bounded_check(u4, [[], u4.points])
     piece = report["pieces"][1]
     assert not report["passed"]
     assert piece["chromatic_number"] == 4 and piece["max_clique"] == 4

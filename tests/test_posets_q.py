@@ -368,6 +368,21 @@ def test_ramsey_compatible_subset_matches_the_subset_scan():
     assert 500 < found < 2500, found
 
 
+def test_ramsey_meet_of_600_compatible_conditions_within_budget():
+    # one-point conditions at 2000 even vertices of a path, pairwise
+    # compatible; built one q_meet per member, each checking the union so
+    # far again, the meet of the first 600 took 18.3 s (2-vCPU host)
+    u = path_explicit_universe(4096)
+    evens = [vertex_point(v) for v in range(0, 4000, 2)]
+    conds = [QCondition(u, {x: 0}) for x in evens]
+    loc = Location((frozenset(evens),), (0,))
+    start = time.perf_counter()
+    combo, meet = ramsey_compatible_subset(conds, 600, loc)
+    assert time.perf_counter() - start < 5.0
+    assert combo == tuple(range(600))
+    assert meet.assignment == dict.fromkeys(evens[:600], 0)
+
+
 def test_ramsey_thm59_guarantee_500_trials():
     rng = random.Random(59)
     u = clustered_line_universe()
@@ -523,6 +538,18 @@ def test_predense_reduce_keeps_b_points():
     loc = canonical_location(q)
     r = predense_reduce(d, q, loc, u)
     assert r.assignment == {pt(0): 1}
+
+
+def test_predense_reduce_moves_to_a_disconnected_b_point():
+    # x = 3 lies off b = {0, 2}; its common neighborhood N(0) meets the cell
+    # in the b-point 2, which is not adjacent to 3, so the reduction moves
+    # there, where the fallback into c would have kept {3: 0}
+    u = explicit_universe(4, [(0, 2), (0, 3)])
+    v = [vertex_point(i) for i in range(4)]
+    d = [QCondition(u, {v[0]: 0}), QCondition(u, {v[0]: 0, v[2]: 1})]
+    q = QCondition(u, {v[3]: 0})
+    loc = Location((frozenset([v[2], v[3]]),), (0,))
+    assert predense_reduce(d, q, loc, u).assignment == {v[2]: 0}
 
 
 def test_predense_reduce_preconditions():
