@@ -51,7 +51,13 @@ from .control_poset import (
     ramsey_compatible_subset,
     reduced_support,
 )
-from .errors import AmalgamationError, IncompatibilityError, NoetherError
+from .errors import (
+    AmalgamationError,
+    IncompatibilityError,
+    NoetherError,
+    PreconditionError,
+    quoted,
+)
 from .generators import (
     GENERATOR_NOTES,
     clustered_line_universe,
@@ -113,6 +119,19 @@ class RunConfig:
     seed: int
     trials: int
     bounds: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        # a bound that no suite reads, or one below what the draws accept,
+        # would be recorded in the report though it had no effect or broke it
+        for name, value in self.bounds.items():
+            if name not in DEFAULT_BOUNDS:
+                known = ", ".join(DEFAULT_BOUNDS)
+                raise PreconditionError(f"bound {quoted(name)}: unknown name (known: {known})")
+            least = BOUND_MINIMA[name]
+            if not isinstance(value, int) or value < least:
+                raise PreconditionError(
+                    f"bound {name}: {quoted(value)} is not an integer >= {least}"
+                )
 
     def bound(self, name: str) -> int:
         return self.bounds.get(name, DEFAULT_BOUNDS[name])

@@ -40,7 +40,8 @@ class Point:
         # integer coordinates hash by their numerators, without the slower
         # Fraction.__hash__.  Those numerators are kept as ``ints`` (None
         # when a coordinate is not an integer) for the Hamming and explicit
-        # mask builders; the reference routes read only ``coords``.
+        # mask builders and the Vitali verifier; the reference routes read
+        # only ``coords``.
         nums = []
         for c in coords:
             if c.denominator != 1:

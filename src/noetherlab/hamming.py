@@ -9,8 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, compress, product
 from math import lcm
+from operator import getitem, sub
 from typing import Iterable, Optional, Sequence
 
 from .coloring import chromatic_number
@@ -146,13 +147,20 @@ def verify_vitali_homomorphism(universe: SampleUniverse, eps: EpsilonMatrix) -> 
 
     The images are vitali_map scaled by D, the lcm of the denominators of
     the matrix, so they are integers and a shift is zero exactly when the
-    scaled shift is.
+    scaled shift is.  They are summed from the integer words of the points;
+    a point that is no word of matrix columns goes through _columns, which
+    raises the InvalidPointError of vitali_map.
     """
     scale = lcm(*(v.denominator for row in eps.values for v in row))
     table = [[v.numerator * (scale // v.denominator) for v in row] for row in eps.values]
-    images = [
-        sum(table[n][m] for n, m in enumerate(_columns(p, eps))) for p in universe.points
-    ]
+    words = [p.ints for p in universe.points]
+    if (
+        None in words
+        or max(map(len, words), default=0) > eps.rows
+        or not all(0 <= c < eps.cols for c in set(chain.from_iterable(words)))
+    ):
+        words = [_columns(p, eps) for p in universe.points]
+    images = [sum(map(getitem, table, word)) for word in words]
     pairs_checked = 0
     failures = []
     for i, j in _edges(universe):
@@ -257,27 +265,27 @@ def _diagonal_words(breadth: int) -> list[tuple[int, ...]]:
     return list(product(*(range(n + 1) for n in range(breadth))))
 
 
-def _diagonal_neighbours(words: Sequence[tuple[int, ...]]):
-    """(i, js) for each diagonal word i and each entry n below its top value
-    n: js is the range of the indices j > i of the words that differ from
-    word i only at entry n.  Flattened, the pairs (i, j) come in the order
-    of _edges on make_diagonal_hamming.
+def _diagonal_blocks(breadth: int):
+    """(offset, selector) for each entry n >= 1 and each shift d in 1..n.
+    The diagonal words i that ``compress(range(breadth!), selector)`` keeps
+    are those whose entry n is at most n - d, and word i + offset differs
+    from word i only by d at entry n.  Flattened and sorted, the pairs
+    (i, i + offset) are the edges of make_diagonal_hamming in the order of
+    _edges.
 
     The words are in lexicographic order, so word i has the mixed-radix
-    index i, where entry n has the stride (n + 2)(n + 3)...breadth.  Raising
-    entry n by d adds d * stride[n] <= n * stride[n] < stride[n - 1] to the
-    index, so the larger neighbours of word i come in ascending order from
-    the last entry back to the first, each entry's values ascending.
+    index i, where entry n has the stride (n + 2)(n + 3)...breadth, and
+    raising entry n by d adds d * stride to the index.  Entry n steps
+    through 0..n once every (n + 1) * stride indices, holding each value
+    for stride indices, so the selector keeps (n + 1 - d) * stride indices,
+    skips d * stride, and repeats.
     """
-    breadth = len(words[0])
-    strides = [1] * breadth
-    for n in range(breadth - 2, -1, -1):
-        strides[n] = strides[n + 1] * (n + 2)
-    for i, word in enumerate(words):
-        for n in range(breadth - 1, 0, -1):  # entry 0 takes only the value 0
-            if word[n] < n:
-                stride = strides[n]
-                yield i, range(i + stride, i + (n - word[n]) * stride + 1, stride)
+    size = stride = _diagonal_size(breadth)
+    for n in range(1, breadth):  # entry 0 takes only the value 0
+        stride //= n + 1
+        for d in range(1, n + 1):
+            period = [True] * ((n + 1 - d) * stride) + [False] * (d * stride)
+            yield d * stride, period * (size // len(period))
 
 
 def verify_embedding(
@@ -285,13 +293,15 @@ def verify_embedding(
 ) -> dict:
     """Every diagonal-Hamming edge maps to an exact edge of the line graph.
 
-    The check runs on integer words and builds no universe: the edges join
-    words that differ in exactly one entry, listed in the order of _edges
-    on make_diagonal_hamming, and each edge is tested by its own gap.  The
-    images are h scaled by D, the lcm of the denominators of the epsilon
-    sequence, so they are integers; they are built in the lexicographic
-    order of the words, one entry at a time.  A gap g is an edge exactly
-    when (g D)^2 lies in the integers of {s D^2 : s a squared distance}.
+    The check runs on integer words and builds no universe.  The images
+    are h scaled by D, the lcm of the denominators of the epsilon sequence,
+    so they are integers; they are built in the lexicographic order of the
+    words, one entry at a time.  A gap g is an edge exactly when (g D)^2
+    lies in the integers of {s D^2 : s a squared distance}.  The edges come
+    in the blocks of _diagonal_blocks: every edge's gap is computed, each
+    distinct gap of a block is tested once, and only a block with a failing
+    gap lists its failing pairs.  The failures are sorted into the order of
+    _edges.
     """
     eps, instance, report = _diagonal_embedding(breadth, eps)
     scale = lcm(*(v.denominator for v in eps.values))
@@ -299,17 +309,24 @@ def verify_embedding(
     for n, v in enumerate(eps.values):
         step = v.numerator * (scale // v.denominator)
         images = [a + c * step for a in images for c in range(n + 1)]
-    targets = {s * scale * scale for s in instance.squared_distances}
-    squares = {t.numerator for t in targets if t.denominator == 1}
+    square = scale * scale
+    squares = {
+        s.numerator * (square // s.denominator)
+        for s in instance.squared_distances
+        if square % s.denominator == 0
+    }
     edges_checked = 0
     failures = []
-    for i, js in _diagonal_neighbours(_diagonal_words(breadth)):
-        edges_checked += len(js)
-        image = images[i]
-        for j in js:
-            gap = image - images[j]
-            if gap * gap not in squares:
-                failures.append((i, j, str(Fraction(gap, scale))))
+    for offset, selector in _diagonal_blocks(breadth):
+        gaps = list(map(sub, compress(images, selector), compress(images[offset:], selector)))
+        edges_checked += len(gaps)
+        bad = {g for g in set(gaps) if g * g not in squares}
+        if bad:
+            lefts = compress(range(len(images)), selector)
+            failures += [
+                (i, i + offset, str(Fraction(g, scale))) for i, g in zip(lefts, gaps) if g in bad
+            ]
+    failures.sort()  # the pairs (i, j) are distinct, so this is the order of _edges
     report.update(
         {
             "edges_checked": edges_checked,

@@ -106,9 +106,25 @@ class SearchStats:
 # Both caches are bounded, since --depth takes any integer.
 @functools.lru_cache(maxsize=64)
 def _edges(spec: VariationSpec) -> tuple[int, ...]:
-    """Bit s of row t is set iff the pattern joins vertices t and s."""
-    verts = spec.vertices()
-    return tuple(sum(spec.has_edge(a, b) << s for s, b in enumerate(verts)) for a in verts)
+    """Bit s of row t is set iff the pattern joins vertices t and s.
+
+    Vertex (n, side) is bit 2n + side, so side 0 holds the even bits and
+    side 1 the odd ones.  Each row is built from these bit patterns, as
+    has_edge reads the spec; PatternWitness.verify calls has_edge itself.
+    """
+    even = int("01" * spec.depth, 2)
+    odd = even << 1
+    left = even if spec.left == CLIQUE else 0
+    right = odd if spec.right == CLIQUE else 0
+    rows = []
+    for n in range(spec.depth):
+        own = 1 << 2 * n  # the bit of (n, 0); the bit of (n, 1) is own << 1
+        if spec.family == HALF:  # (n, 0) ~ (m, 1) iff m < n
+            to_right, to_left = odd & (own - 1), even & ~((own << 2) - 1)
+        else:  # (n, 0) ~ (m, 1) iff m != n
+            to_right, to_left = odd & ~(own << 1), even & ~own
+        rows += [left & ~own | to_right, right & ~(own << 1) | to_left]
+    return tuple(rows)
 
 
 @functools.lru_cache(maxsize=128)

@@ -34,6 +34,21 @@ def test_every_suite_draws_within_the_bound_minima():
         assert report["all_passed"], seed
 
 
+def test_run_config_refuses_unknown_and_too_small_bounds():
+    refused = [
+        ({"oracle": 5}, "bound 'oracle': unknown name (known: colorBudget, maxPoints)"),
+        ({"maxPoints": 5}, "bound maxPoints: 5 is not an integer >= 6"),
+        ({"colorBudget": 1}, "bound colorBudget: 1 is not an integer >= 2"),
+        ({"maxPoints": "8"}, "bound maxPoints: '8' is not an integer >= 6"),
+    ]
+    for bounds, message in refused:
+        with pytest.raises(NoetherError) as caught:
+            RunConfig(1, 2, bounds=bounds)
+        assert str(caught.value) == message
+    report = run_campaign(RunConfig(1, 2, bounds=dict(BOUND_MINIMA)), ["hamming-chromatic"])
+    assert report["config"]["bounds"] == {"colorBudget": 2, "maxPoints": 6}
+
+
 def test_reports_are_byte_identical_across_runs():
     config = RunConfig(seed=11, trials=6, bounds={"maxPoints": 8})
     names = ["prop43-equivalence", "lattice-laws"]

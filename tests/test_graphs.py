@@ -511,6 +511,7 @@ _INTEGER_COORDINATE_ROUTES = {
     ("geometry", "Point.__init__"),
     ("graphs", "_explicit_masks"),
     ("graphs", "_hamming_masks"),
+    ("hamming", "verify_vitali_homomorphism"),
 }
 
 
@@ -530,6 +531,7 @@ def test_integer_coordinates_only_on_point_and_the_mask_builders():
         ("geometry", "TaggedBox.intervals"),
         ("coloring", "check_proper"),
         ("campaign", "_pairwise_masks"),
+        ("hamming", "vitali_map"),
     }
     scopes = {(module, scope) for module, scope, _ in _package_nodes()}
     assert reference <= scopes and not reference & uses

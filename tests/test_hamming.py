@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 
 import pytest
@@ -290,13 +292,62 @@ def test_embedding_verify_builds_no_universe(monkeypatch):
         embed_diagonal_into_distance(3)  # the Fraction reference still builds one
 
 
-def test_diagonal_word_edges_match_the_universe_edges():
+def test_diagonal_blocks_are_the_universe_edges():
     for breadth in range(1, 7):
         universe = make_diagonal_hamming(breadth)
         words = hamming._diagonal_words(breadth)
         assert [tuple(int(c) for c in p.coords) for p in universe.points] == words
-        pairs = [(i, j) for i, js in hamming._diagonal_neighbours(words) for j in js]
-        assert pairs == list(_edges(universe))
+        pairs = [
+            (i, i + offset)
+            for offset, selector in hamming._diagonal_blocks(breadth)
+            for i in compress(range(len(words)), selector)
+        ]
+        assert sorted(pairs) == list(_edges(universe))
+
+
+def test_embedding_failures_from_several_blocks_come_in_edge_order(monkeypatch):
+    # Move the two largest squared distances s to s + 1/(2 D^2), as in
+    # test_integer_embedding_verify_matches_fraction_reference, so that the
+    # edges of several blocks fail and their failures interleave in (i, j).
+    real = hamming.distance_graph
+    interleaved = False
+    for breadth in range(3, 7):
+        for eps in _sequences(breadth):
+            scale = lcm(*(v.denominator for v in eps.values))
+
+            def moved(dimension, squared, scale=scale):
+                top = sorted(squared)[-2:]
+                return real(dimension, [s for s in squared if s not in top]
+                            + [s + Fraction(1, 2 * scale**2) for s in top])
+
+            monkeypatch.setattr(hamming, "distance_graph", moved)
+            report = verify_embedding(breadth, eps)
+            assert report == _fraction_verify_embedding(breadth, eps)
+            offsets = [j - i for i, j, _ in report["failures"]]
+            assert len(set(offsets)) >= 2
+            runs = 1 + sum(a != b for a, b in zip(offsets, offsets[1:]))
+            interleaved |= runs > len(set(offsets))
+    assert interleaved
+
+
+def test_vitali_verify_on_shuffled_subsets_matches_fraction_reference():
+    uniform = make_uniform_hamming(3, 3)
+    # repeated entries in rows 0 and 2 map some edges to a zero shift
+    repeated = EpsilonMatrix(3, 3, (
+        (Fraction(1, 3), Fraction(1, 3), Fraction(1, 9)),
+        (Fraction(1, 7), Fraction(2, 21), Fraction(1, 5)),
+        (Fraction(1, 11), Fraction(1, 13), Fraction(1, 11)),
+    ))
+    rng = random.Random(20260811)
+    failed = 0
+    for _ in range(40):
+        points = rng.sample(uniform.points, rng.randint(1, len(uniform)))
+        u = SampleUniverse(uniform.instance, points)
+        for eps in (epsilon_matrix(3, 3), repeated):
+            report = verify_vitali_homomorphism(u, eps)
+            assert report == _fraction_verify_vitali(u, eps)
+            failed += bool(report["failures"])
+    assert failed
 
 
 def test_embedding_verify_keeps_the_size_bound(capsys):

@@ -46,6 +46,16 @@ def test_pattern_edges_by_definition():
     assert not tq.has_edge((1, 0), (1, 1))  # m = n
 
 
+def test_pattern_table_matches_has_edge():
+    for depth in range(2, 41):
+        for spec in all_variations(depth):
+            verts = spec.vertices()
+            table = tuple(
+                sum(spec.has_edge(a, b) << s for s, b in enumerate(verts)) for a in verts
+            )
+            assert patterns._edges(spec) == table, spec
+
+
 def test_planted_prefix_found_with_identity_witness():
     spec = VariationSpec("half", "anticlique", "anticlique", 3)
     verts = spec.vertices()
