@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-_SUBFAMILY_STATE_LIMIT = 50_000
+from . import errors
 
 
 def backend_name() -> str:
@@ -122,16 +122,16 @@ def min_subfamily(masks: Sequence[int], full: int) -> tuple[tuple[int, ...], boo
     is lexicographically smaller, so a branch is cut only when it must keep
     more than the best; once keeping an index finishes, no leaf dropping it
     wins, so the first leaf is at most the one-pass greedy family.  The
-    search stops after _SUBFAMILY_STATE_LIMIT states.
+    search stops after errors.STATE_LIMIT states.
     """
     n = len(masks)
     suffix = [full] * (n + 1)  # suffix[i]: intersection of masks[i:]
     for i in range(n - 1, -1, -1):
         suffix[i] = masks[i] & suffix[i + 1]
-    target, states = suffix[0], 0
+    target, states, limit = suffix[0], 0, errors.STATE_LIMIT
     best = 0 if target == full else (1 << n) - 1  # the kept bits of the best leaf
     stack = [(0, full, 0)] if best else []  # next index, intersection of the kept, kept bits
-    while stack and states < _SUBFAMILY_STATE_LIMIT:
+    while stack and states < limit:
         i, acc, kept = stack.pop()
         while kept.bit_count() < best.bit_count():
             states += 1

@@ -165,7 +165,7 @@ def _cmd_detect(args) -> tuple[dict, int]:
         report["max_embedded_depth"] = (
             args.depth
             if witness is not None
-            else max_embedded_depth(universe, spec, args.depth - 1)
+            else max_embedded_depth(universe, spec, args.depth - 1, stats)
         )
     return report, 0
 

@@ -16,6 +16,7 @@ from math import comb
 from operator import or_
 from typing import Iterable, Optional, Sequence
 
+from . import errors
 from .coloring import check_proper
 from .errors import (
     IncompatibilityError,
@@ -498,9 +499,6 @@ def reduced_support(d: Sequence[QCondition], universe: SampleUniverse) -> tuple[
     return b, closed_union(universe, b)
 
 
-_PREDENSE_NODE_LIMIT = 2_000_000
-
-
 def budget_clamp(d: Sequence[QCondition]) -> int:
     """K = top + 1 + |b|, with top = max(d) (0 if d colors nothing) and b
     the union of the member domains: P(B) = P(K) for all B >= K, where P(B)
@@ -537,7 +535,7 @@ def predense_check(
     points stays compatible forever; and of the colors that no member names
     and no point holds yet, only the lowest is tried, since swapping two
     such colors maps the subtree of one onto that of the other, clash for
-    clash.  More than _PREDENSE_NODE_LIMIT nodes raise OracleBoundError.
+    clash.  More than errors.NODE_LIMIT nodes raise OracleBoundError.
     """
     if color_budget < 1:
         raise PreconditionError("color budget must be >= 1")
@@ -561,7 +559,7 @@ def _predense_search(
     remaining = list(accumulate((1 << i for i in reversed(idxs)), or_, initial=0))[::-1]
     partial = [0] * color_budget
     named = {c for q in d for c in q.assignment.values()}
-    nodes = 0
+    nodes, limit = 0, errors.NODE_LIMIT
 
     def clashes(member: int, i: int, c: int) -> bool:
         # function clash (i in the member's domain, not in its class c), or edge clash
@@ -592,8 +590,8 @@ def _predense_search(
     pos, alive, stack = 0, tuple(range(len(d))), []
     while True:
         nodes += 1
-        if nodes > _PREDENSE_NODE_LIMIT:
-            raise OracleBoundError("predensity scan exceeded its node limit")
+        if nodes > limit:
+            raise OracleBoundError(f"predensity search stopped at its limit of {limit} nodes")
         if not alive:
             return False
         # at pos == len(idxs) nothing remains, so this is a leaf that holds

@@ -42,7 +42,13 @@ class InvalidSpecError(NoetherError):
 
 
 class OracleBoundError(NoetherError):
-    """Exhaustive oracle invoked beyond its configured size bound."""
+    """An exhaustive oracle past its size bound, or an exact search past its work limit."""
+
+
+# The exact searches' work limits, read once per call.  Past its limit the descent
+# chain and minimal subfamily return their best, uncertified; the others raise.
+STATE_LIMIT = 50_000  # states of the descent chain and the minimal subfamily
+NODE_LIMIT = 2_000_000  # nodes of predensity and pattern completion
 
 
 class PreconditionError(NoetherError):

@@ -11,10 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from . import _kernels
+from . import _kernels, errors
 from .graphs import SampleUniverse, closed_union, common_neighborhood_mask
-
-_CHAIN_STATE_LIMIT = 50_000
 
 
 @dataclass(frozen=True)
@@ -137,7 +135,7 @@ def longest_descent_chain(universe: SampleUniverse, max_arity: int) -> DescentCh
     are scanned in ascending index order, and a state stops once its count
     reaches min(arity left, |extent|), since each step removes a point: the
     picks are those of scoring every point in every state.  Past
-    _CHAIN_STATE_LIMIT states the best chain found so far is returned,
+    errors.STATE_LIMIT states the best chain found so far is returned,
     flagged uncertified unless it reaches the clamped arity.
     """
     if max_arity < 1:
@@ -154,7 +152,7 @@ def longest_descent_chain(universe: SampleUniverse, max_arity: int) -> DescentCh
 
     memo: dict[tuple[int, int], tuple[int, int]] = {}  # state -> (steps, first pick)
     stack = [frame(full, arity)] if full else []
-    states, cut = len(stack), False
+    states, cut, limit = len(stack), False, errors.STATE_LIMIT
     while stack:
         top = stack[-1]
         extent, left, todo, cap, best, pick = top
@@ -167,7 +165,7 @@ def longest_descent_chain(universe: SampleUniverse, max_arity: int) -> DescentCh
                 if done is None:
                     # Past the budget a state keeps what it has found, and
                     # each state below it on the stack takes that answer.
-                    if states < _CHAIN_STATE_LIMIT:
+                    if states < limit:
                         child = nxt
                     else:
                         cut = True

@@ -13,8 +13,8 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from . import _kernels
-from .errors import InvalidSpecError, VerificationError
+from . import _kernels, errors
+from .errors import InvalidSpecError, OracleBoundError, VerificationError
 from .graphs import SampleUniverse
 from .geometry import Point
 
@@ -178,7 +178,8 @@ def find_variation_prefix(
     order, and the first prefix W[:i] + [u] that completes gives the new
     W.  The walk skips the levels whose lowest image the last completion
     found.  ``nodes_explored`` counts the candidates that the completions
-    and the walk took.
+    and the walk took.  Once it would pass errors.NODE_LIMIT, counting
+    those already in ``stats``, the search raises OracleBoundError.
     """
     n = len(universe)
     if 2 * spec.depth > n:
@@ -189,7 +190,7 @@ def find_variation_prefix(
     # to the one at w; neither holds w itself, which is in full but not in m
     fit = [(full ^ m ^ (1 << w), m) for w, m in enumerate(universe.open_masks)]
     dense = 2 * sum(m.bit_count() for m in universe.open_masks) > n * (n - 1)
-    nodes = 0
+    nodes, limit = (0 if stats is None else stats.nodes_explored), errors.NODE_LIMIT
 
     def fits(t: int, prefix: list[int]) -> int:
         m = full
@@ -218,6 +219,8 @@ def find_variation_prefix(
             a = len(stack) - 1
             witness[order[a]] = v = low.bit_length() - 1
             nodes += 1
+            if nodes > limit:
+                raise OracleBoundError(f"pattern search stopped at its limit of {limit} nodes")
             narrowed = [m & fit[v][e] for m, e in zip(masks[1:], joined[a])]
             if all(narrowed):
                 stack.append(narrowed)
@@ -235,8 +238,10 @@ def find_variation_prefix(
                 nodes += 1
                 better = complete(found[:i] + [low.bit_length() - 1])
             found, i = better or (found, i + 1)
+    if nodes > limit:  # walk candidates whose completion placed no vertex
+        raise OracleBoundError(f"pattern search stopped at its limit of {limit} nodes")
     if stats is not None:
-        stats.nodes_explored += nodes
+        stats.nodes_explored = nodes
     if found is None:
         return None
     witness = PatternWitness(spec, tuple(universe.points[v] for v in found))
@@ -245,12 +250,15 @@ def find_variation_prefix(
     return witness
 
 
-def max_embedded_depth(universe: SampleUniverse, spec_template: VariationSpec, max_depth: int) -> int:
-    """Largest depth <= max_depth whose prefix embeds; the Noetherian stress statistic."""
+def max_embedded_depth(
+    universe: SampleUniverse, spec_template: VariationSpec, max_depth: int, stats: Optional[SearchStats] = None
+) -> int:
+    """Largest depth <= max_depth whose prefix embeds; the Noetherian stress
+    statistic.  Its searches add to ``stats``, so they share one node limit."""
     best = 0
     for depth in range(2, max_depth + 1):
         spec = VariationSpec(spec_template.family, spec_template.left, spec_template.right, depth)
-        if find_variation_prefix(universe, spec) is None:
+        if find_variation_prefix(universe, spec, stats) is None:
             break
         best = depth
     return best

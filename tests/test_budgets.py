@@ -4,13 +4,16 @@ Each row is one call: a builder that writes the call's input under a
 directory and returns its argv, the exit code it must give, a wall-time
 budget in seconds, and optionally a bound on the bytes of its stderr.
 
-Rows still open, with the times measured on a 2-vCPU host (CPython
-3.11); they become rows with the changes that bring them under budget:
+Rows still open, with the range of in-process times over a few runs on a
+2-vCPU host (CPython 3.11); they become rows with the changes that bring
+them under budget:
 
-- ``color verify`` on ``gen planar --size 4096 --seed 3`` with one box for
-  every point: 34.5 s.
-- ``poset compat`` with 2000 pairwise compatible one-point conditions on
-  ``gen line --size 4096``: 4.8 s.
+- ``color verify`` on ``gen planar --size 4096 --seed 3`` with every point
+  given the level-0 box at corners (0, 0): 21.4-22.9 s, exit 1, 8,540
+  problems.
+- ``poset compat`` with 2000 pairwise compatible one-point conditions at
+  points 0-1999 of ``gen line --size 4096``, color = index mod 2:
+  2.9-4.7 s.
 """
 
 import json
@@ -58,6 +61,21 @@ def _detect_half_depth_600(tmp_path):
     instance.write_text(json.dumps({"kind": "explicit", "vertices": 1200, "edges": edges}))
     return ["detect", str(instance), "--family", "half", "--left", "anticlique",
             "--right", "anticlique", "--depth", "600"]
+
+
+def _detect_on_explicit_200(*options):
+    # a seeded graph of 200 vertices, each pair joined with probability 1/2:
+    # with no node limit the depth-8 half clique/clique search did not stop
+    # in 90 s, nor the threeQuarter stress searches from depth 2 up in 120 s
+    # (2-vCPU host), and depth 7 alone passes 2,000,000 nodes; the stress
+    # searches share the first search's limit
+    def build(tmp_path):
+        universe = str(tmp_path / "explicit200.json")
+        assert main(["gen", "explicit", "--size", "200", "--seed", "1",
+                     "--edge-probability", "0.5", "--out", universe]) == 0
+        return ["detect", universe, "--left", "clique", "--right", "clique", *options]
+
+    return build
 
 
 def _budget_clamp_seed1(tmp_path):
@@ -158,6 +176,13 @@ ROWS = {
     "predense-one-condition-on-line-4096": (_predense_one_condition_on_line_4096, 0, 1.0, None),
     "campaign-budget-clamp-seed-1-150-trials": (_budget_clamp_seed1, 0, 0.3, None),
     "detect-half-depth-600": (_detect_half_depth_600, 0, 10.0, None),
+    "detect-half-clique-clique-depth-8-on-explicit-200": (
+        _detect_on_explicit_200("--family", "half", "--depth", "8"), 1, 10.0, 200,
+    ),
+    "detect-threeQuarter-clique-clique-depth-101-stress-on-explicit-200": (
+        _detect_on_explicit_200("--family", "threeQuarter", "--depth", "101", "--stress"),
+        1, 10.0, 200,
+    ),
     "ramsey-3-of-240-on-complete-graph": (_ramsey_complete(240, 3), 0, 1.0, None),
     "ramsey-13-of-26-on-complete-graph": (_ramsey_complete(26, 13), 0, 1.0, None),
     "lattice-10000-trials-on-line-4096": (_lattice_trials_on("line"), 0, 10.0, None),
@@ -210,6 +235,13 @@ REPORTS = {
 }
 
 
+# The text that a row's stderr must hold.
+MESSAGES = {
+    "detect-half-clique-clique-depth-8-on-explicit-200": "limit of 2000000 nodes",
+    "detect-threeQuarter-clique-clique-depth-101-stress-on-explicit-200": "limit of 2000000 nodes",
+}
+
+
 @pytest.mark.parametrize("name", ROWS)
 def test_call_within_budget(name, tmp_path, capsys):
     build, code, seconds, stderr_bytes = ROWS[name]
@@ -224,5 +256,6 @@ def test_call_within_budget(name, tmp_path, capsys):
     if name in REPORTS:
         report = json.loads(out)
         assert {key: report[key] for key in REPORTS[name]} == REPORTS[name]
+    assert MESSAGES.get(name, "") in err
     if stderr_bytes is not None:
         assert len(err.encode()) < stderr_bytes, err

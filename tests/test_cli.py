@@ -20,8 +20,14 @@ from noetherlab import (
     pt,
 )
 from noetherlab.cli import MAX_TRIALS, build_parser, main
-from noetherlab.patterns import find_variation_prefix
-from noetherlab.serialize import MAX_CURVE_POINTS, MAX_POWER, pcondition_to_json, universe_to_json
+from noetherlab.patterns import SearchStats, find_variation_prefix
+from noetherlab.serialize import (
+    MAX_CURVE_POINTS,
+    MAX_POWER,
+    parse_instance_file,
+    pcondition_to_json,
+    universe_to_json,
+)
 from noetherlab.generators import line_universe
 
 
@@ -87,6 +93,48 @@ def test_detect_stress_runs_one_search_when_the_depth_embeds(tmp_path, capsys, m
     code, report = _run(capsys, ["detect", str(inst), "--depth", "6", "--stress"])
     assert code == 0 and report["witness"] is None
     assert report["max_embedded_depth"] == 4 and calls == [6, 2, 3, 4, 5]
+
+
+def test_detect_stress_searches_share_the_first_search_limit(tmp_path, capsys, monkeypatch):
+    # the depth-4 half anticlique/anticlique prefix on 8 vertices: depth 6
+    # does not embed, so --stress then searches the depths 2 to 5
+    spec = VariationSpec("half", "anticlique", "anticlique", 4)
+    verts = spec.vertices()
+    edges = [[i, j] for i in range(8) for j in range(i + 1, 8)
+             if spec.has_edge(verts[i], verts[j])]
+    inst = tmp_path / "prefix4.json"
+    inst.write_text(json.dumps({"kind": "explicit", "vertices": 8, "edges": edges}))
+    universe = parse_instance_file(str(inst))
+    counts = []
+    for depth in (6, 2, 3, 4, 5):
+        stats = SearchStats()
+        find_variation_prefix(universe, VariationSpec(spec.family, spec.left, spec.right, depth), stats)
+        counts.append(stats.nodes_explored)
+    total = sum(counts)
+    assert max(counts) < total - 1  # each search alone fits the smaller limit
+    argv = ["detect", str(inst), "--depth", "6", "--stress"]
+    monkeypatch.setattr("noetherlab.errors.NODE_LIMIT", total)
+    code, report = _run(capsys, argv)
+    assert code == 0 and report["witness"] is None
+    assert report["nodes_explored"] == counts[0] and report["max_embedded_depth"] == 4
+    monkeypatch.setattr("noetherlab.errors.NODE_LIMIT", total - 1)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: pattern search stopped at its limit of {total - 1} nodes\n"
+
+
+def test_predense_past_its_node_limit_exits_1(tmp_path, capsys, monkeypatch):
+    inst = _write_line_universe(tmp_path)
+    cond_file = tmp_path / "conds.json"
+    cond_file.write_text(
+        json.dumps({"conditions": [{"assignment": {"0": 0}}, {"assignment": {"1": 1}}]})
+    )
+    monkeypatch.setattr("noetherlab.errors.NODE_LIMIT", 3)
+    assert main(["poset", "predense", inst, "--file", str(cond_file)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: predensity search stopped at its limit of 3 nodes\n"
 
 
 def test_lattice_report(tmp_path, capsys):

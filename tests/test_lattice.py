@@ -36,7 +36,6 @@ from noetherlab.generators import (
     random_explicit_universe,
     random_universe,
 )
-from noetherlab import _kernels, lattice
 from noetherlab.lattice import ClosedFamilyElement
 
 
@@ -305,7 +304,7 @@ def test_subfamily_past_the_state_budget_is_uncertified(monkeypatch):
         greedy = _greedy_subfamily_to_fixpoint(u, fam)
         for limit in (1, 2, 3, 5):
             with monkeypatch.context() as m:
-                m.setattr(_kernels, "_SUBFAMILY_STATE_LIMIT", limit)
+                m.setattr("noetherlab.errors.STATE_LIMIT", limit)
                 res = minimal_subfamily(u, fam)
             _assert_generates(u, res, fam)
             assert not res.certified, (u.instance.kind, limit)
@@ -382,7 +381,7 @@ def test_descent_chain_past_the_state_budget_is_uncertified(monkeypatch):
         assert exact.certified and len(exact) <= 12
         for limit in (1, 2, 3, 5):
             with monkeypatch.context() as m:
-                m.setattr(lattice, "_CHAIN_STATE_LIMIT", limit)
+                m.setattr("noetherlab.errors.STATE_LIMIT", limit)
                 chain = longest_descent_chain(u, max_arity=12)
             _assert_descends(chain)
             assert chain.elements[0].extent == frozenset(u.points)

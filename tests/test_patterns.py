@@ -22,7 +22,7 @@ from noetherlab import (
 from noetherlab.campaign import _plant_variation, _variation_oracle
 import noetherlab
 from noetherlab import _kernels, patterns
-from noetherlab.errors import InvalidSpecError, VerificationError
+from noetherlab.errors import InvalidSpecError, OracleBoundError, VerificationError
 from noetherlab.generators import line_universe, planar_unit_universe
 from noetherlab.patterns import SearchStats, max_embedded_depth
 
@@ -298,6 +298,33 @@ def test_circulant_exhaustion_node_count():
     spec = VariationSpec("threeQuarter", "anticlique", "anticlique", 4)
     assert find_variation_prefix(u, spec, stats) is None
     assert stats.nodes_explored == 440
+
+
+def test_node_limit_stops_a_search_exactly_past_its_count(monkeypatch):
+    # at a limit of the search's own node count it gives the unlimited
+    # witness and count; one node less stops it, witness found or not
+    rng = random.Random(31)
+    universes = [_circulant(12), line_universe(10)]
+    for _ in range(6):
+        n = rng.randint(8, 16)
+        p = rng.choice([0.2, 0.5, 0.8])
+        universes.append(explicit_universe(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    found = set()
+    for u in universes:
+        for depth in (2, 3, 4):
+            for spec in all_variations(depth):
+                unlimited = SearchStats()
+                witness = find_variation_prefix(u, spec, unlimited)
+                with monkeypatch.context() as m:
+                    m.setattr("noetherlab.errors.NODE_LIMIT", unlimited.nodes_explored)
+                    stats = SearchStats()
+                    assert find_variation_prefix(u, spec, stats) == witness
+                    assert stats == unlimited
+                    m.setattr("noetherlab.errors.NODE_LIMIT", unlimited.nodes_explored - 1)
+                    with pytest.raises(OracleBoundError):
+                        find_variation_prefix(u, spec)
+                found.add(witness is not None)
+    assert found == {True, False}
 
 
 def _sparse_edges(n, per_vertex, seed):

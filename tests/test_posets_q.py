@@ -29,7 +29,7 @@ from noetherlab import (
     two_coloring_forces_clique,
     vertex_point,
 )
-from noetherlab import cli, control_poset
+from noetherlab import cli
 from noetherlab.control_poset import (
     COMPATIBLE,
     MAX_RAMSEY_DEPTH,
@@ -858,7 +858,7 @@ def test_predense_check_agrees_with_the_partial_dict_search(monkeypatch):
     for _ in range(2000):
         u, d, budget, mask = _predense_family(rng)
         limit = rng.choice((5, 20, 80, 2_000_000))
-        monkeypatch.setattr(control_poset, "_PREDENSE_NODE_LIMIT", limit)
+        monkeypatch.setattr("noetherlab.errors.NODE_LIMIT", limit)
         full = u.full_mask if mask is None else mask
 
         def unpruned(budget, node_limit):
@@ -905,7 +905,7 @@ def test_fresh_color_prune_on_the_budget_clamp_heavy_tail(monkeypatch):
     v = vertex_point
     d = [QCondition(u, {v(0): 0}), QCondition(u, {v(0): 1}), QCondition(u, {v(4): 0, v(3): 1})]
     assert budget_clamp(d) == 5
-    monkeypatch.setattr(control_poset, "_PREDENSE_NODE_LIMIT", 4_000)
+    monkeypatch.setattr("noetherlab.errors.NODE_LIMIT", 4_000)
     answers = [_predense_search(d, u, b, u.full_mask) for b in range(1, 10)]
     assert answers == [True, True] + [False] * 7
     with pytest.raises(OracleBoundError):
