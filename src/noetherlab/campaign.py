@@ -107,11 +107,19 @@ DEFAULT_BOUNDS = {
 }
 # The least value of each bound that every suite's draws accept:
 # pattern-oracle draws randint(6, maxPoints), and the predensity suites
-# draw randint(2, colorBudget).  --bound refuses a lower value.
+# draw randint(2, colorBudget).  RunConfig refuses a lower value.
 BOUND_MINIMA = {
     "colorBudget": 2,
     "maxPoints": 6,
 }
+
+# The greatest maxPoints: the largest power of two at which the slowest
+# trial stays well inside 10 s.  A trial builds a graph of up to maxPoints
+# points with O(n^2) exact adjacency work; the slowest of 60 trials took
+# 1.5 s at 1024 (mask-adjacency-agreement), of 40 trials 5.8 s at 2048,
+# and 20 pattern-oracle trials at 100,000 ran past 280 s (2-vCPU host,
+# CPython 3.11).  colorBudget needs no such bound.
+MAX_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -132,6 +140,8 @@ class RunConfig:
                 raise PreconditionError(
                     f"bound {name}: {quoted(value)} is not an integer >= {least}"
                 )
+            if name == "maxPoints" and value > MAX_POINTS:
+                raise PreconditionError(f"bound maxPoints: {value} exceeds the bound {MAX_POINTS}")
 
     def bound(self, name: str) -> int:
         return self.bounds.get(name, DEFAULT_BOUNDS[name])

@@ -31,7 +31,7 @@ from .control_poset import (
     validate_qcondition,
 )
 from .coloring_poset import p_compatible, p_lower_bound
-from .errors import InvalidPointError, NoetherError, ParseError, quoted
+from .errors import InvalidPointError, NoetherError, ParseError, PreconditionError, quoted
 from .geometry import Point
 from .generators import (
     clustered_line_universe,
@@ -175,7 +175,7 @@ def _cmd_lattice(args) -> tuple[dict, int]:
     if not universe.points:
         raise ParseError(f"{args.instance}: the universe has no points to sample")
     rng = random.Random(args.seed)
-    chain = longest_descent_chain(universe, max_arity=args.bounds["maxArity"])
+    chain = longest_descent_chain(universe, max_arity=args.max_arity)
     closure_sizes = []
     subfamily_sizes: dict[int, int] = {}
     heart_sizes = []
@@ -297,6 +297,8 @@ def _cmd_poset_predense(args) -> tuple[dict, int]:
     budget = optional_int(
         data, "color_budget", campaign_mod.DEFAULT_BOUNDS["colorBudget"], args.file
     )
+    if budget < 1:
+        raise ParseError(f"{args.file}.color_budget: {quoted(budget)} is below 1")
     for cond in conds:
         validate_qcondition(cond)
     full = predense_check(conds, universe, budget)
@@ -328,42 +330,23 @@ def _cmd_hamming_sigma(args) -> tuple[dict, int]:
 
 
 def _cmd_campaign(args) -> tuple[dict, int]:
+    # the report records only the bounds given; RunConfig checks them, also under --list
+    given = {"colorBudget": args.color_budget, "maxPoints": args.max_points}
+    bounds = {name: value for name, value in given.items() if value is not None}
+    try:
+        config = campaign_mod.RunConfig(seed=args.seed, trials=args.trials, bounds=bounds)
+    except PreconditionError as exc:
+        raise ParseError(str(exc)) from None
     if args.list_suites:
         return {"suites": sorted(campaign_mod.SUITES)}, 0
     names = args.suites or sorted(n for n in campaign_mod.SUITES if n != "selftest-mutation")
-    given = {name: value for name, value in args.bounds.items() if value is not None}
-    config = campaign_mod.RunConfig(seed=args.seed, trials=args.trials, bounds=given)
     report = campaign_mod.run_campaign(config, names, jobs=args.jobs)
     return report, 0 if report["all_passed"] else 1
 
 
-def _parse_bounds(args) -> dict:
-    # a copy: the default dict belongs to the cached parser, shared by every call
-    bounds = dict(getattr(args, "bounds", {}))
-    for pair in getattr(args, "bound_pairs", None) or []:
-        if "=" not in pair:
-            raise ParseError(f"--bound expects name=value, got {quoted(pair)}")
-        name, value = pair.split("=", 1)
-        if name not in args.bound_names:
-            known = ", ".join(args.bound_names)
-            raise ParseError(f"--bound {name}: unknown name (known: {known})")
-        if name not in bounds:
-            verb = f"{args.command} {getattr(args, 'verb', '')}".strip()
-            raise ParseError(f"--bound {name}: {verb} reads no such bound")
-        try:
-            bounds[name] = int(value)
-        except ValueError:
-            raise ParseError(f"--bound {name}: {quoted(value)} is not an integer") from None
-        if bounds[name] < 1:
-            raise ParseError(f"--bound {name}: {quoted(value)} is not a positive integer")
-        minimum = campaign_mod.BOUND_MINIMA.get(name, 1)
-        if bounds[name] < minimum:
-            raise ParseError(f"--bound {name}: {quoted(value)} is below its minimum {minimum}")
-    return bounds
-
-
 # The least value of each numeric option a verb takes.
-_OPTION_MINIMA = {"trials": 1, "jobs": 1, "size": 1, "breadth": 1, "alphabet": 1, "depth": 2}
+_OPTION_MINIMA = {"trials": 1, "jobs": 1, "size": 1, "breadth": 1, "alphabet": 1, "depth": 2,
+                  "max_arity": 1}
 
 # The largest --trials of the verbs whose work it multiplies, lattice and
 # campaign: ten times the 1000 trials of the largest acceptance campaign.
@@ -377,7 +360,7 @@ def _check_options(args) -> None:
         value = getattr(args, name, least)
         if value < least:
             what = "a positive integer" if least == 1 else f"an integer >= {least}"
-            raise ParseError(f"--{name} must be {what}, got {quoted(value)}")
+            raise ParseError(f"--{name.replace('_', '-')} must be {what}, got {quoted(value)}")
     if getattr(args, "trials", 0) > MAX_TRIALS:
         raise ParseError(f"--trials {quoted(args.trials)} exceeds the bound {MAX_TRIALS}")
     if not 0 <= getattr(args, "edge_probability", 0) <= 1:
@@ -401,15 +384,13 @@ def build_parser() -> argparse.ArgumentParser:
     Parsing keeps all of its state in the returned ``Namespace``, so one
     parser serves every ``main`` call.  Each leaf sets ``fn``, its handler,
     which returns the report and the exit code; ``main`` writes the report.
-    Each verb declares only the options it reads, so any other exits 2.
-    ``bounds`` holds the --bound names a verb reads, with their defaults;
-    with None the verb chooses: campaign gives RunConfig only those set.
-    ``bound_names`` holds every name that some verb reads, so a misspelt
-    name reads as unknown.
+    Each verb declares only the options it reads, and no option may be
+    abbreviated, so any other exits 2.
     """
     parser = argparse.ArgumentParser(
         prog="noetherlab",
         description="exact combinatorial laboratory for Noetherian graph colorings",
+        allow_abbrev=False,
     )
 
     def option(*flags, **kwargs) -> argparse.ArgumentParser:
@@ -421,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     instance = option("instance")
     seed = option("--seed", type=_int, default=0)
     trials = option("--trials", type=_int, default=100)
-    bound = option("--bound", action="append", dest="bound_pairs", metavar="NAME=VALUE")
     size = option("--size", type=_int, default=6)
     alphabet = option("--alphabet", type=_int, default=2)
     breadth = option("--breadth", type=_int, default=3)
@@ -430,14 +410,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def verbs(command, dest, help):
-        return sub.add_parser(command, help=help).add_subparsers(dest=dest, required=True)
-
-    bound_names = {}  # an ordered set
+        group = sub.add_parser(command, help=help, allow_abbrev=False)
+        return group.add_subparsers(dest=dest, required=True)
 
     def leaf(group, name, *parents, fn, help=None, **defaults):
-        verb = group.add_parser(name, help=help, parents=[out, *parents])
+        verb = group.add_parser(name, help=help, parents=[out, *parents], allow_abbrev=False)
         verb.set_defaults(fn=fn, **defaults)
-        bound_names.update(dict.fromkeys(defaults.get("bounds", ())))
         return verb
 
     gen = verbs("gen", "family", "generate an instance/universe file")
@@ -464,8 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--depth", type=_int, default=2)
     detect.add_argument("--stress", action="store_true")
 
-    leaf(sub, "lattice", instance, seed, trials, bound, fn=_cmd_lattice,
-         help="descent chains and closure statistics", bounds={"maxArity": 4})
+    lattice = leaf(sub, "lattice", instance, seed, trials, fn=_cmd_lattice,
+                   help="descent chains and closure statistics")
+    lattice.add_argument("--max-arity", type=_int, default=4)
 
     color = verbs("color", "verb", "emit and verify box colorings")
     leaf(color, "make", instance, fn=_cmd_color_make)
@@ -486,14 +465,13 @@ def build_parser() -> argparse.ArgumentParser:
     leaf(hamming, "embed", breadth, fn=_cmd_hamming_embed)
     leaf(hamming, "sigma", breadth, fn=_cmd_hamming_sigma)
 
-    camp = leaf(sub, "campaign", seed, trials, bound, fn=_cmd_campaign,
-                help="run seeded property suites",
-                bounds=dict.fromkeys(campaign_mod.DEFAULT_BOUNDS))
+    camp = leaf(sub, "campaign", seed, trials, fn=_cmd_campaign, help="run seeded property suites")
     camp.add_argument("suites", nargs="*", help="suite names (default: all)")
     camp.add_argument("--jobs", type=_int, default=1)
     camp.add_argument("--list", action="store_true", dest="list_suites")
-
-    parser.set_defaults(bound_names=tuple(bound_names))
+    # unset, the suites use campaign.DEFAULT_BOUNDS
+    camp.add_argument("--color-budget", type=_int)
+    camp.add_argument("--max-points", type=_int)
     return parser
 
 
@@ -504,7 +482,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        args.bounds = _parse_bounds(args)
         _check_options(args)
         report, code = args.fn(args)
         _emit(report, args.out)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement, islice
 from math import comb
 from operator import or_
 from typing import Iterable, Optional, Sequence
@@ -557,8 +557,14 @@ def _predense_search(
     relevant = [closed_union(universe, m) for m in doms]
     # remaining[pos]: the mask of idxs[pos:]
     remaining = list(accumulate((1 << i for i in reversed(idxs)), or_, initial=0))[::-1]
-    partial = [0] * color_budget
     named = {c for q in d for c in q.assignment.values()}
+    # the colors a node may try, ascending: the named ones, and the first
+    # len(idxs) others.  Of the others a node tries only the lowest that no
+    # point holds, and fewer than len(idxs) points hold one.
+    others = (c for c in range(color_budget) if c not in named)
+    colors = sorted({c for c in named if 0 <= c < color_budget}.union(islice(others, len(idxs))))
+    # partial[k]: the mask of the points that hold colors[k]
+    partial = [0] * len(colors)
     nodes, limit = 0, errors.NODE_LIMIT
 
     def clashes(member: int, i: int, c: int) -> bool:
@@ -573,17 +579,17 @@ def _predense_search(
         i = idxs[pos]
         yield alive
         fresh_tried = False
-        for c in range(color_budget):
-            if open_masks[i] & partial[c]:
+        for k, c in enumerate(colors):
+            if open_masks[i] & partial[k]:
                 continue
-            if not partial[c] and c not in named:
+            if not partial[k] and c not in named:
                 if fresh_tried:
                     continue
                 fresh_tried = True
             new_alive = tuple(s for s in alive if not clashes(s, i, c))
-            partial[c] |= 1 << i
+            partial[k] |= 1 << i
             yield new_alive
-            partial[c] ^= 1 << i
+            partial[k] ^= 1 << i
 
     # Depth first with an explicit stack, one frame per open node.  The
     # answer holds iff every leaf holds, so the first failing leaf ends it.

@@ -65,8 +65,10 @@ def make_uniform_hamming(breadth: int, alphabet: int) -> SampleUniverse:
     One shared universe per argument pair, like make_diagonal_hamming.
     """
     # alphabet 1 makes one word at any breadth, while the power and the
-    # instance grow with the breadth, so the breadth is bounded first
-    if breadth > DEFAULT_SIZE_BOUND or alphabet**breadth > DEFAULT_SIZE_BOUND:
+    # instance grow with the breadth, so the breadth is bounded first, and
+    # the alphabet, a lower bound of the power, before the power is computed
+    if (breadth > DEFAULT_SIZE_BOUND or alphabet > DEFAULT_SIZE_BOUND
+            or alphabet**breadth > DEFAULT_SIZE_BOUND):
         raise OracleBoundError(f"uniform truncation exceeds size bound {DEFAULT_SIZE_BOUND}")
     instance = hamming_uniform(breadth, alphabet)
     values = [Fraction(v) for v in range(alphabet)]

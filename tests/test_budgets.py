@@ -86,6 +86,31 @@ def _budget_clamp_seed1(tmp_path):
     return [*argv, "--out", str(tmp_path / "out.json")]
 
 
+def _campaign(*argv):
+    def build(tmp_path):
+        return ["campaign", *argv, "--out", str(tmp_path / "out.json")]
+
+    return build
+
+
+# The predensity suites draw member colors up to colorBudget, so the budget
+# clamp does not lower it.  While each search node scanned every color below
+# the budget, 50 trials took 0.44 s at 10**5, 3.9 s at 10**6 and 56 s at
+# 10**7, and at 10**9 held 4.3 GB after 10 minutes (2-vCPU host).
+_PREDENSE_SUITES = ("predense-equivalence", "budget-clamp", "predense-reduce")
+
+
+def _predense_large_color_budget(tmp_path):
+    # a member names the color just below the budget, so the clamp keeps it;
+    # with a scan of every color per node the call took 2.4 s
+    line = str(tmp_path / "line8.json")
+    assert main(["gen", "line", "--size", "8", "--out", line]) == 0
+    conditions = [{"assignment": {"0": 10**7 - 1}}, {"assignment": {"1": 0, "5": 1}}]
+    file = tmp_path / "conditions.json"
+    file.write_text(json.dumps({"conditions": conditions, "color_budget": 10**7}))
+    return ["poset", "predense", line, "--file", str(file), "--out", str(tmp_path / "out.json")]
+
+
 def _ramsey_complete(k, m):
     # K_k with one color-0 condition per vertex in one cell: every pair is
     # incompatible, so no m-subset is; scanning all C(k, m) subsets took
@@ -123,7 +148,7 @@ def _lattice_chain_on_hamming_4096(tmp_path):
     # host), and the state budget returns the 4 steps found, uncertified
     universe = str(tmp_path / "universe.json")
     assert main(["gen", "hamming-uniform", "--size", "6", "--alphabet", "4", "--out", universe]) == 0
-    return ["lattice", universe, "--bound", "maxArity=8", "--out", str(tmp_path / "out.json")]
+    return ["lattice", universe, "--max-arity", "8", "--out", str(tmp_path / "out.json")]
 
 
 def _hamming(*argv):
@@ -138,6 +163,9 @@ def _hamming(*argv):
 
 
 HUGE = str(2**62)
+# An alphabet of 4299 digits: while the power alphabet**breadth was
+# computed before the alphabet was refused, breadth 4096 took 23.3 s
+NINES = "9" * 4299
 
 
 def _adj_on(universe):
@@ -183,6 +211,19 @@ ROWS = {
         _detect_on_explicit_200("--family", "threeQuarter", "--depth", "101", "--stress"),
         1, 10.0, 200,
     ),
+    "campaign-predensity-suites-color-budget-10**7": (
+        _campaign(*_PREDENSE_SUITES, "--trials", "50", "--color-budget", str(10**7)), 0, 1.0, None,
+    ),
+    "predense-color-budget-10**7-with-a-member-color-below-it": (
+        _predense_large_color_budget, 0, 1.0, None,
+    ),
+    # the bound on maxPoints, and one past it
+    "campaign-every-suite-max-points-1024": (
+        _campaign("--trials", "5", "--max-points", "1024"), 0, 10.0, None,
+    ),
+    "campaign-max-points-1025": (
+        _campaign("pattern-oracle", "--max-points", "1025"), 2, 1.0, 200,
+    ),
     "ramsey-3-of-240-on-complete-graph": (_ramsey_complete(240, 3), 0, 1.0, None),
     "ramsey-13-of-26-on-complete-graph": (_ramsey_complete(26, 13), 0, 1.0, None),
     "lattice-10000-trials-on-line-4096": (_lattice_trials_on("line"), 0, 10.0, None),
@@ -200,6 +241,12 @@ ROWS = {
     ),
     "gen-hamming-uniform-size-2**62": (
         _hamming("gen", "hamming-uniform", "--size", HUGE), 1, 1.0, None,
+    ),
+    "hamming-vitali-breadth-4096-alphabet-4299-nines": (
+        _hamming("hamming", "vitali", "--breadth", "4096", "--alphabet", NINES), 1, 1.0, 200,
+    ),
+    "gen-hamming-uniform-size-4096-alphabet-4299-nines": (
+        _hamming("gen", "hamming-uniform", "--size", "4096", "--alphabet", NINES), 1, 1.0, 200,
     ),
     "hamming-vitali-breadth-4096-alphabet-1": (
         _hamming("hamming", "vitali", "--breadth", "4096", "--alphabet", "1"), 0, 1.0, None,
@@ -239,6 +286,9 @@ REPORTS = {
 MESSAGES = {
     "detect-half-clique-clique-depth-8-on-explicit-200": "limit of 2000000 nodes",
     "detect-threeQuarter-clique-clique-depth-101-stress-on-explicit-200": "limit of 2000000 nodes",
+    "campaign-max-points-1025": "bound maxPoints: 1025 exceeds the bound 1024",
+    "hamming-vitali-breadth-4096-alphabet-4299-nines": "exceeds size bound 4096",
+    "gen-hamming-uniform-size-4096-alphabet-4299-nines": "exceeds size bound 4096",
 }
 
 

@@ -5,6 +5,7 @@ from noetherlab import adjacent
 from noetherlab.campaign import (
     BOUND_MINIMA,
     DEFAULT_BOUNDS,
+    MAX_POINTS,
     SUITES,
     RunConfig,
     _first_fit_chain,
@@ -47,6 +48,13 @@ def test_run_config_refuses_unknown_and_too_small_bounds():
         assert str(caught.value) == message
     report = run_campaign(RunConfig(1, 2, bounds=dict(BOUND_MINIMA)), ["hamming-chromatic"])
     assert report["config"]["bounds"] == {"colorBudget": 2, "maxPoints": 6}
+
+
+def test_run_config_refuses_max_points_past_its_bound():
+    with pytest.raises(NoetherError) as caught:
+        RunConfig(1, 2, bounds={"maxPoints": MAX_POINTS + 1})
+    assert str(caught.value) == "bound maxPoints: 1025 exceeds the bound 1024"
+    assert RunConfig(1, 2, bounds={"maxPoints": MAX_POINTS}).bound("maxPoints") == MAX_POINTS
 
 
 def test_reports_are_byte_identical_across_runs():

@@ -360,6 +360,39 @@ def test_liminf_negative_threshold_exits_2(tmp_path):
             assert json.loads(out.stdout)["kept"] == [0, 1, 2, 3]
 
 
+def test_predense_color_budget_below_1_exits_2(tmp_path, capsys):
+    path = _path_instance(tmp_path, 4)
+    conditions = [{"assignment": {"0": 0}}]
+    for budget, expected in ((-1, 2), (0, 2), (1, 0)):
+        data = {"conditions": conditions, "color_budget": budget}
+        file = _poset_file(tmp_path, "predense.json", data)
+        assert main(["poset", "predense", path, "--file", file]) == expected, budget
+        captured = capsys.readouterr()
+        if expected == 2:
+            assert captured.err == f"parse error: {file}.color_budget: {budget} is below 1\n"
+        else:
+            assert json.loads(captured.out)["agree"] is True
+
+
+def test_abbreviated_options_exit_2(tmp_path, capsys):
+    # argparse would read each as the option it abbreviates
+    inst = _write_line_universe(tmp_path)
+    for argv, flag in (
+        (["detect", inst, "--dep", "3"], "--dep"),
+        (["lattice", inst, "--tri", "1"], "--tri"),
+        (["lattice", inst, "--max", "2"], "--max"),
+        (["campaign", "adjacency-laws", "--max-p", "6"], "--max-p"),
+        (["gen", "line", "--si", "4"], "--si"),
+        (["--he", "gen", "line"], "--he"),
+        (["color", "--he", "make", inst], "--he"),
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and flag in captured.err, argv
+    assert main(["detect", inst, "--depth", "3"]) == 0
+    capsys.readouterr()
+
+
 def test_long_values_are_quoted_short(tmp_path, capsys):
     digits = "7" * 4301  # one past Python's int conversion limit
     line = _write_line_universe(tmp_path, 12)
@@ -509,39 +542,37 @@ def test_out_file_holds_the_stdout_bytes(tmp_path, capsys):
 
 def test_each_verb_reads_only_its_own_options(tmp_path, capsys):
     inst = _write_line_universe(tmp_path)
-    # --seed, --trials and --bound on a verb that does not read them
+    # --seed, --trials and the three bounds on a verb that does not read them
     for argv in (
         ["adj", inst, "--indices", "0", "--trials", "5"],
         ["detect", inst, "--seed", "9"],
         ["detect", inst, "--bound", "oracle=x"],
-        ["color", "make", inst, "--bound", "oracle=3"],
+        ["color", "make", inst, "--max-points", "3"],
         ["hamming", "chi", "--breadth", "2", "--trials", "7"],
-        ["hamming", "vitali", "--breadth", "2", "--bound", "oracle=3"],
-        ["poset", "compat", inst, "--file", inst, "--bound", "colorBudget=3"],
-        ["lattice", inst, "--bound", "colorBudget=3"],
-        ["campaign", "--bound", "maxArity=3"],
-        # the oracle's 24 points and predensity's file field are no bounds
-        ["color", "chi", inst, "--bound", "maxArity=3"],
-        ["hamming", "chi", "--breadth", "2", "--bound", "maxArity=3"],
-        ["hamming", "sigma", "--breadth", "2", "--bound", "maxArity=3"],
-        ["poset", "predense", inst, "--file", inst, "--bound", "colorBudget=3"],
-        ["campaign", "--bound", "oracle=24"],
+        ["hamming", "vitali", "--breadth", "2", "--color-budget", "3"],
+        ["poset", "compat", inst, "--file", inst, "--color-budget", "3"],
+        ["lattice", inst, "--color-budget", "3"],
+        ["campaign", "--max-arity", "3"],
+        # the oracle's 24 points and predensity's file field are no options
+        ["color", "chi", inst, "--max-arity", "3"],
+        ["hamming", "chi", "--breadth", "2", "--max-arity", "3"],
+        ["hamming", "sigma", "--breadth", "2", "--max-arity", "3"],
+        ["poset", "predense", inst, "--file", inst, "--color-budget", "3"],
+        ["campaign", "--oracle=24"],
     ):
         assert main(argv) == 2, argv
     err = capsys.readouterr().err
     assert "unrecognized arguments: --trials 5" in err
-    assert "unrecognized arguments: --bound oracle=3" in err
-    assert "unrecognized arguments: --bound maxArity=3" in err
-    assert "unrecognized arguments: --bound colorBudget=3" in err
-    assert "--bound oracle: unknown name (known: maxArity, colorBudget, maxPoints)" in err
-    # maxArity is lattice's alone, colorBudget campaign's
-    assert "--bound colorBudget: lattice reads no such bound" in err
-    assert "--bound maxArity: campaign reads no such bound" in err
+    assert "unrecognized arguments: --bound oracle=x" in err
+    assert "unrecognized arguments: --max-points 3" in err
+    assert "unrecognized arguments: --max-arity 3" in err
+    assert "unrecognized arguments: --color-budget 3" in err
+    assert "unrecognized arguments: --oracle=24" in err
     # and each verb that reads one still takes it
     for argv in (
         ["gen", "explicit", "--size", "4", "--seed", "9"],
-        ["lattice", inst, "--seed", "9", "--trials", "2", "--bound", "maxArity=2"],
-        ["campaign", "adjacency-laws", "--trials", "1", "--bound", "maxPoints=6"],
+        ["lattice", inst, "--seed", "9", "--trials", "2", "--max-arity", "2"],
+        ["campaign", "adjacency-laws", "--trials", "1", "--max-points", "6", "--color-budget", "2"],
     ):
         assert main(argv) == 0, argv
     capsys.readouterr()
@@ -603,18 +634,24 @@ def test_options_a_verb_does_not_read_exit_2(tmp_path, capsys):
 
 
 def test_campaign_bounds_below_their_minimum_exit_2(capsys):
-    # each suite's draws need maxPoints >= 6 and colorBudget >= 2
+    # each suite's draws need maxPoints >= 6 and colorBudget >= 2; RunConfig
+    # checks them, also under --list
     for suite, bound in (
-        ("lattice-laws", "maxPoints=1"),
-        ("pattern-oracle", "maxPoints=5"),
-        ("predense-equivalence", "colorBudget=1"),
+        ("lattice-laws", ["--max-points", "1"]),
+        ("pattern-oracle", ["--max-points", "5"]),
+        ("predense-equivalence", ["--color-budget", "1"]),
+        ("--list", ["--color-budget", "-3"]),
     ):
-        assert main(["campaign", suite, "--trials", "2", "--bound", bound]) == 2, bound
+        assert main(["campaign", suite, "--trials", "2", *bound]) == 2, bound
     err = capsys.readouterr().err
-    assert "--bound maxPoints: '5' is below its minimum 6" in err
-    assert "--bound colorBudget: '1' is below its minimum 2" in err
-    for suite, bound in (("pattern-oracle", "maxPoints=6"), ("predense-equivalence", "colorBudget=2")):
-        code, report = _run(capsys, ["campaign", suite, "--trials", "3", "--bound", bound])
+    assert "parse error: bound maxPoints: 5 is not an integer >= 6\n" in err
+    assert "parse error: bound colorBudget: 1 is not an integer >= 2\n" in err
+    assert "parse error: bound colorBudget: -3 is not an integer >= 2\n" in err
+    for suite, bound in (
+        ("pattern-oracle", ["--max-points", "6"]),
+        ("predense-equivalence", ["--color-budget", "2"]),
+    ):
+        code, report = _run(capsys, ["campaign", suite, "--trials", "3", *bound])
         assert code == 0 and report["all_passed"] is True, bound
 
 
@@ -813,10 +850,10 @@ def test_malformed_containers_exit_2(tmp_path, capsys):
         assert main(argv) == 2, (verb, data)
     assert main(["color", "verify", inst, "--file", write("c.json", {"assignment": "x"})]) == 2
     assert main(["adj", inst, "--x", "nope"]) == 2
-    assert main(["lattice", inst, "--bound", "maxArty=1"]) == 2  # a misspelt bound name
-    # bounds, breadths and alphabets are positive integers
-    assert main(["lattice", inst, "--bound", "maxArity=0"]) == 2
-    assert main(["lattice", inst, "--bound", "maxArity=-1"]) == 2
+    assert main(["lattice", inst, "--max-arty", "1"]) == 2  # a misspelt option
+    # arities, breadths and alphabets are positive integers
+    assert main(["lattice", inst, "--max-arity", "0"]) == 2
+    assert main(["lattice", inst, "--max-arity", "-1"]) == 2
     for argv in (
         ["vitali", "--breadth", "0"],
         ["vitali", "--breadth", "3", "--alphabet", "0"],
@@ -836,8 +873,8 @@ def test_malformed_containers_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "expected a JSON array" in err and "expected a JSON object" in err
     assert "missing 'location'" in err and "Traceback" not in err
-    assert "--bound maxArty: unknown name" in err
-    assert "--bound maxArity: '-1' is not a positive integer" in err
+    assert "unrecognized arguments: --max-arty 1" in err
+    assert "--max-arity must be a positive integer, got -1" in err
     assert "--alphabet must be a positive integer, got 0" in err
 
     # null stays the default threshold
@@ -903,7 +940,7 @@ def test_parser_reuse_leaks_nothing_between_calls(tmp_path, capsys):
         # bound set in one call does not outlive it
         [
             (["hamming", "chi", "--breadth", "5"], 1),
-            (["lattice", inst, "--trials", "1", "--bound", "maxArity=1"], 0),
+            (["lattice", inst, "--trials", "1", "--max-arity", "1"], 0),
             (["lattice", inst, "--trials", "1"], 0),
         ],
         [(["adj", inst, "--indices", "0", "1"], 0), (["adj", inst, "--x", '["1"]'], 0)],
@@ -957,23 +994,17 @@ def test_readme_command_line_matches_the_parser():
             build_parser().parse_args(shlex.split(line, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README example does not parse: {line}")
-    # the option table names each verb with exactly the options its parser
-    # declares, and after --bound, in parentheses, the bound names it reads
-    table, bound_table = {}, {}
+    # the option table names each verb with exactly the options its parser declares
+    table = {}
     for row in section.splitlines():
         if row.startswith("| `"):
             verbs, options = row.split("|")[1:3]
-            names = re.search(r"`--bound` \(([^)]*)\)", options)
             for verb in re.findall(r"`([^`]+)`", verbs):
                 table[verb] = set(re.findall(r"--[a-z-]+", options))
-                bound_table[verb] = set(re.findall(r"`([^`]+)`", names[1])) if names else set()
     leaves = dict(_leaves(build_parser()))
     assert table == {
         verb: {flag for a in leaf._actions for flag in a.option_strings} - {"-h", "--help", "--out"}
         for verb, leaf in leaves.items()
-    }
-    assert bound_table == {
-        verb: set(leaf.get_default("bounds") or ()) for verb, leaf in leaves.items()
     }
 
 
