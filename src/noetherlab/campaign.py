@@ -501,7 +501,7 @@ def _coloring_constructions(rng, config):
         return False, {"op": "greedy", "universe": universe_to_json(universe)}
 
     p = random_pcondition(rng, universe)
-    extended = extend_coloring(universe, p)
+    extended = extend_coloring(p)
     if check_suitable(extended.assignment) or check_proper(universe, extended.assignment):
         return False, {"op": "extend", "universe": universe_to_json(universe)}
     if not p_leq(extended, p):
@@ -705,8 +705,8 @@ def _random_predense_setup(rng, config):
 @suite("predense-equivalence")
 def _predense_equivalence(rng, config):
     universe, d, budget = _random_predense_setup(rng, config)
-    full = predense_check(d, universe, budget)
-    reduced = predense_check_reduced(d, universe, budget)
+    full = predense_check(d, budget)
+    reduced = predense_check_reduced(d, budget)
     if full != reduced:
         return False, {
             "full": full,
@@ -725,7 +725,7 @@ def _budget_clamp(rng, config):
     full = universe.full_mask
 
     def predense(budget):
-        return _predense_search(d, universe, budget, full)
+        return _predense_search(d, budget, full)
 
     at_clamp, beyond = predense(clamp), predense(clamp + 2)
     if at_clamp != beyond:
@@ -741,7 +741,7 @@ def _budget_clamp(rng, config):
 @suite("predense-reduce")
 def _predense_reduce(rng, config):
     universe, d, budget = _random_predense_setup(rng, config)
-    b_mask, c_mask = reduced_support(d, universe)
+    b_mask, c_mask = reduced_support(d)
     pool = universe.ordered_points_of(c_mask)
     if not pool:
         return True, None
@@ -758,7 +758,7 @@ def _predense_reduce(rng, config):
     if q is None:
         return True, None  # no everywhere-incompatible condition sampled
     loc = canonical_location(q)
-    r = predense_reduce(d, q, loc, universe)
+    r = predense_reduce(d, q, loc)
     if not is_at_location(r, loc):
         return False, {"why": "left-location"}
     return True, None

@@ -293,7 +293,7 @@ def _cmd_poset_liminf(args) -> tuple[dict, int]:
 
 
 def _cmd_poset_predense(args) -> tuple[dict, int]:
-    universe, data, conds = _read_conditions(args)
+    _, data, conds = _read_conditions(args)
     budget = optional_int(
         data, "color_budget", campaign_mod.DEFAULT_BOUNDS["colorBudget"], args.file
     )
@@ -301,8 +301,8 @@ def _cmd_poset_predense(args) -> tuple[dict, int]:
         raise ParseError(f"{args.file}.color_budget: {quoted(budget)} is below 1")
     for cond in conds:
         validate_qcondition(cond)
-    full = predense_check(conds, universe, budget)
-    reduced = predense_check_reduced(conds, universe, budget)
+    full = predense_check(conds, budget)
+    reduced = predense_check_reduced(conds, budget)
     agree = full == reduced
     return {"predense": full, "predense_reduced": reduced, "agree": agree}, 0 if agree else 1
 

@@ -169,16 +169,17 @@ def greedy_coloring(universe: SampleUniverse) -> PCondition:
     points) is what relates the box poset to the finite-condition poset
     downstream.
     """
-    return extend_coloring(universe, PCondition(universe, {}))
+    return extend_coloring(PCondition(universe, {}))
 
 
-def extend_coloring(universe: SampleUniverse, p) -> PCondition:
-    """Total suitable coloring extending the condition p, with c <= p.
+def extend_coloring(p: PCondition) -> PCondition:
+    """Total suitable coloring c of p's universe extending p, with c <= p.
 
     New points are processed in universe order; each new color excludes all
     earlier new points and every dom(p)-point adjacent to it, which is
     exactly the extension requirement of the coloring poset.
     """
+    universe = p.universe
     assignment = dict(p.assignment)
     issues = check_suitable(assignment) + check_proper(universe, assignment)
     if issues:
@@ -218,7 +219,7 @@ class StageChain:
 def stitch_colorings(
     universe: SampleUniverse,
     chain: StageChain,
-    p=None,
+    p: Optional[PCondition] = None,
     *,
     require_good: bool = True,
 ) -> PCondition:
@@ -257,8 +258,8 @@ def stitch_colorings(
 def chromatic_number(universe: SampleUniverse) -> tuple[int, dict[Point, int]]:
     """Exact chromatic number with a verified optimal coloring.
 
-    Branch-and-bound behind the kernel backend; refuses universes larger
-    than DEFAULT_ORACLE_BOUND points.
+    Branch and bound with saturation ordering (_kernels); refuses universes
+    larger than DEFAULT_ORACLE_BOUND points.
     """
     if len(universe) > DEFAULT_ORACLE_BOUND:
         raise OracleBoundError(

@@ -71,7 +71,7 @@ def q_incompatibility_witness(q0: QCondition, q1: QCondition):
         if other is not None and other != c:
             return ("function-clash", x, c, other)
     universe = q0.universe
-    by_color = _color_classes(q1)
+    by_color = _color_classes(q1, universe)
     for x, c in q0.assignment.items():
         clash = universe.open_masks[universe.index(x)] & by_color.get(c, 0)
         if clash:
@@ -80,9 +80,10 @@ def q_incompatibility_witness(q0: QCondition, q1: QCondition):
     return None
 
 
-def _color_classes(q: QCondition) -> dict[int, int]:
-    """Color -> mask of the universe indices that q gives that color."""
-    index = q.universe.index
+def _color_classes(q: QCondition, universe: SampleUniverse) -> dict[int, int]:
+    """Color -> mask of the indices in universe of the points q gives that
+    color; a point outside universe raises UnknownPointError."""
+    index = universe.index
     classes: dict[int, int] = {}
     for x, c in q.assignment.items():
         classes[c] = classes.get(c, 0) | 1 << index(x)
@@ -489,12 +490,14 @@ def compatible_tail(
 
 # -- predensity ---------------------------------------------------------------
 
-def reduced_support(d: Sequence[QCondition], universe: SampleUniverse) -> tuple[int, int]:
-    """Masks (b, c): the union b of the member domains, and the union c of
-    the closed neighborhoods N[x] of its points.  The common neighborhood of
-    a nonempty subset of b lies inside N[x] for each x of it, so c is also
-    the union of those; the empty subset's would be the whole universe.
+def reduced_support(d: Sequence[QCondition]) -> tuple[int, int]:
+    """Masks (b, c) in the universe of the nonempty family d, its first
+    member's: the union b of the member domains, and the union c of the
+    closed neighborhoods N[x] of its points.  The common neighborhood of a
+    nonempty subset of b lies inside N[x] for each x of it, so c is also the
+    union of those; the empty subset's would be the whole universe.
     """
+    universe = d[0].universe
     b = universe.mask_of(x for q in d for x in q.assignment)
     return b, closed_union(universe, b)
 
@@ -502,7 +505,7 @@ def reduced_support(d: Sequence[QCondition], universe: SampleUniverse) -> tuple[
 def budget_clamp(d: Sequence[QCondition]) -> int:
     """K = top + 1 + |b|, with top = max(d) (0 if d colors nothing) and b
     the union of the member domains: P(B) = P(K) for all B >= K, where P(B)
-    is predense_check(d, universe, B, domain_mask=m) for any universe and m.
+    is predense_check(d, B, domain_mask=m) for any domain mask m.
 
     Proof.  More colors allow more conditions, so P is non-increasing.  Let
     q (colors < B, B > K) clash with every member.  A color above top is no
@@ -517,15 +520,12 @@ def budget_clamp(d: Sequence[QCondition]) -> int:
 
 
 def predense_check(
-    d: Sequence[QCondition],
-    universe: SampleUniverse,
-    color_budget: int,
-    *,
-    domain_mask: Optional[int] = None,
+    d: Sequence[QCondition], color_budget: int, *, domain_mask: Optional[int] = None
 ) -> bool:
     """Whether every condition with colors < color_budget is compatible
     with some member of d; domains range over subsets of domain_mask
-    (default: the whole universe).
+    (default: the whole universe).  The universe of d is its first
+    member's, and a member point outside it raises UnknownPointError.
 
     The budget is first lowered to budget_clamp(d), which keeps the answer.
     Exhaustive search over the domain points in index order; a node holds
@@ -541,17 +541,16 @@ def predense_check(
         raise PreconditionError("color budget must be >= 1")
     if not d:
         return False
-    full = universe.full_mask if domain_mask is None else domain_mask
-    return _predense_search(d, universe, min(color_budget, budget_clamp(d)), full)
+    full = d[0].universe.full_mask if domain_mask is None else domain_mask
+    return _predense_search(d, min(color_budget, budget_clamp(d)), full)
 
 
-def _predense_search(
-    d: Sequence[QCondition], universe: SampleUniverse, color_budget: int, full: int
-) -> bool:
+def _predense_search(d: Sequence[QCondition], color_budget: int, full: int) -> bool:
     """predense_check's search for a nonempty d, with no budget clamp."""
+    universe = d[0].universe
     idxs = [i for i in range(len(universe)) if full >> i & 1]
     open_masks = universe.open_masks
-    classes = [_color_classes(q) for q in d]
+    classes = [_color_classes(q, universe) for q in d]
     # each member's domain, and its domain with the neighbors
     doms = [universe.mask_of(q.assignment) for q in d]
     relevant = [closed_union(universe, m) for m in doms]
@@ -613,21 +612,17 @@ def _predense_search(
             return True
 
 
-def predense_check_reduced(
-    d: Sequence[QCondition], universe: SampleUniverse, color_budget: int
-) -> bool:
+def predense_check_reduced(d: Sequence[QCondition], color_budget: int) -> bool:
     """predense_check restricted to domains inside the reduced support c."""
     if not d:
         return False
-    _, c_mask = reduced_support(d, universe)
-    return predense_check(d, universe, color_budget, domain_mask=c_mask)
+    _, c_mask = reduced_support(d)
+    return predense_check(d, color_budget, domain_mask=c_mask)
 
 
-def predense_reduce(
-    d: Sequence[QCondition], q: QCondition, loc: Location, universe: SampleUniverse
-) -> QCondition:
+def predense_reduce(d: Sequence[QCondition], q: QCondition, loc: Location) -> QCondition:
     """The location-preserving reduction of an everywhere-incompatible
-    condition into the support set c.
+    condition into the support set c, over the universe of d.
 
     Cell by cell: keep b-points; otherwise move to a b-point of the minimal
     common neighborhood C_x disconnected from x when one exists in the
@@ -637,6 +632,7 @@ def predense_reduce(
     """
     if not d:
         raise PreconditionError("predensity reduction needs a nonempty family")
+    universe = d[0].universe
     loc.validate(universe.instance)
     sels = _selected(q, loc)
     if sels is None:
@@ -644,7 +640,7 @@ def predense_reduce(
     for i, s in enumerate(d):
         if q_compatible(q, s):
             raise PreconditionError(f"q is compatible with member {i}")
-    b_mask, c_mask = reduced_support(d, universe)
+    b_mask, c_mask = reduced_support(d)
     open_masks = universe.open_masks
     assignment: dict[Point, int] = {}
     for cell_idx, (cell, x) in enumerate(zip(loc.cells, sels)):

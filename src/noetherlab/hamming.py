@@ -262,11 +262,6 @@ def _diagonal_embedding(breadth, eps):
     return eps, instance, report
 
 
-def _diagonal_words(breadth: int) -> list[tuple[int, ...]]:
-    """The diagonal words as int tuples, in the point order of make_diagonal_hamming."""
-    return list(product(*(range(n + 1) for n in range(breadth))))
-
-
 def _diagonal_blocks(breadth: int):
     """(offset, selector) for each entry n >= 1 and each shift d in 1..n.
     The diagonal words i that ``compress(range(breadth!), selector)`` keeps

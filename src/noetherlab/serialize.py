@@ -75,6 +75,16 @@ MAX_CURVE_POINTS = 1024
 # complete graph on 1024 vertices, takes 3.0 s.
 MAX_EXPLICIT_EDGES = 2**19
 
+# The most box cells a location may give.  Validation certifies each pair of
+# same-colored boxes edge-free, or on an explicit instance tests each box
+# against every vertex.  With one level-11 box per point of a line, colors
+# alternating, it took 0.46 s at 256 cells, 1.8 s at 512 and 7.6 s at 1024,
+# and `poset liminf` on two conditions there 2.2-2.4 s at 512 and 9.1 s at
+# 1024; level-13 boxes on a 4096-vertex path took 2.3 s at 512 and 4.2 s at
+# 1024 (2-vCPU host, CPython 3.11).  Vertex-subset cells cost one pass over
+# the edges, so they stay unbounded.
+MAX_LOCATION_BOXES = 512
+
 
 def expect(value: Any, kind: type, field: str) -> Any:
     """``value`` if it is a JSON object (dict) or array (list), else ParseError."""
@@ -358,8 +368,14 @@ def pcondition_from_json(data: Any, universe: SampleUniverse) -> PCondition:
 def location_from_json(data: Any, universe: SampleUniverse) -> Location:
     expect(data, dict, "location")
     raw_colors = require(data, "colors", list, "location")
+    raw_cells = require(data, "cells", list, "location")
+    boxes = sum(isinstance(cell, dict) and "box" in cell for cell in raw_cells)
+    if boxes > MAX_LOCATION_BOXES:
+        raise ParseError(
+            f"location.cells: {boxes} box cells exceed the bound {MAX_LOCATION_BOXES}"
+        )
     cells = []
-    for i, cell in enumerate(require(data, "cells", list, "location")):
+    for i, cell in enumerate(raw_cells):
         where = f"location.cells[{i}]"
         if "box" in expect(cell, dict, where):
             cells.append(box_from_json(cell["box"], f"cells[{i}]"))

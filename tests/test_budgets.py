@@ -23,8 +23,10 @@ from itertools import islice
 
 import pytest
 
+from noetherlab import pt
 from noetherlab.cli import main
-from noetherlab.serialize import MAX_EXPLICIT_EDGES
+from noetherlab.geometry import first_box_containing
+from noetherlab.serialize import MAX_EXPLICIT_EDGES, MAX_LOCATION_BOXES, box_to_json
 
 # A coordinate of 4300 digits, the most that Python converts to an int.
 LONG = "7" * 4300
@@ -109,6 +111,27 @@ def _predense_large_color_budget(tmp_path):
     file = tmp_path / "conditions.json"
     file.write_text(json.dumps({"conditions": conditions, "color_budget": 10**7}))
     return ["poset", "predense", line, "--file", str(file), "--out", str(tmp_path / "out.json")]
+
+
+def _liminf_box_cells_on_line(n):
+    # one level-11 box per point of a line, colors alternating, and two
+    # conditions at the location; validation certifies every same-colored
+    # box pair, and past the bound it took 9.1 s at 1024 cells
+    def build(tmp_path):
+        line = str(tmp_path / "line.json")
+        assert main(["gen", "line", "--size", str(n), "--out", line]) == 0
+        boxes = [first_box_containing(pt(i), tag=0, min_level=11) for i in range(n)]
+        file = tmp_path / "liminf.json"
+        file.write_text(json.dumps({
+            "conditions": [{"assignment": {str(i): i % 2 for i in range(n)}}] * 2,
+            "location": {
+                "cells": [{"box": box_to_json(b)} for b in boxes],
+                "colors": [i % 2 for i in range(n)],
+            },
+        }))
+        return ["poset", "liminf", line, "--file", str(file), "--out", str(tmp_path / "out.json")]
+
+    return build
 
 
 def _ramsey_complete(k, m):
@@ -224,6 +247,13 @@ ROWS = {
     "campaign-max-points-1025": (
         _campaign("pattern-oracle", "--max-points", "1025"), 2, 1.0, 200,
     ),
+    # the bound on box cells, and one past it
+    "liminf-box-cells-at-the-bound-on-line": (
+        _liminf_box_cells_on_line(MAX_LOCATION_BOXES), 0, 10.0, None,
+    ),
+    "liminf-box-cells-past-the-bound-on-line": (
+        _liminf_box_cells_on_line(MAX_LOCATION_BOXES + 1), 2, 1.0, 200,
+    ),
     "ramsey-3-of-240-on-complete-graph": (_ramsey_complete(240, 3), 0, 1.0, None),
     "ramsey-13-of-26-on-complete-graph": (_ramsey_complete(26, 13), 0, 1.0, None),
     "lattice-10000-trials-on-line-4096": (_lattice_trials_on("line"), 0, 10.0, None),
@@ -287,6 +317,7 @@ MESSAGES = {
     "detect-half-clique-clique-depth-8-on-explicit-200": "limit of 2000000 nodes",
     "detect-threeQuarter-clique-clique-depth-101-stress-on-explicit-200": "limit of 2000000 nodes",
     "campaign-max-points-1025": "bound maxPoints: 1025 exceeds the bound 1024",
+    "liminf-box-cells-past-the-bound-on-line": "513 box cells exceed the bound 512",
     "hamming-vitali-breadth-4096-alphabet-4299-nines": "exceeds size bound 4096",
     "gen-hamming-uniform-size-4096-alphabet-4299-nines": "exceeds size bound 4096",
 }

@@ -153,7 +153,7 @@ def test_greedy_box_count_bound():
 def test_extend_coloring_examples():
     u = line_universe(3)
     p = PCondition(u, {pt(0): _box(-1, 2)})  # (-1/4, 1/4)
-    c = extend_coloring(u, p)
+    c = extend_coloring(p)
     assert c.assignment[pt(0)] == _box(-1, 2)
     from noetherlab import box_contains
 
@@ -166,13 +166,13 @@ def test_extend_coloring_examples():
     # total condition comes back unchanged
     total = greedy_coloring(u)
     assert isinstance(total, PCondition)
-    assert extend_coloring(u, total).assignment == total.assignment
+    assert extend_coloring(total).assignment == total.assignment
     chain = StageChain((frozenset(u.points),), ({pt(0): 0, pt(1): 1, pt(2): 0},))
     assert isinstance(stitch_colorings(u, chain, p, require_good=False), PCondition)
 
     # empty condition degenerates to the plain greedy coloring
     empty = PCondition(u, {})
-    assert extend_coloring(u, empty).assignment == greedy_coloring(u).assignment
+    assert extend_coloring(empty).assignment == greedy_coloring(u).assignment
 
 
 def test_stitch_colorings_traced_example():

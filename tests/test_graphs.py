@@ -457,8 +457,8 @@ def test_masks_stay_cached_and_rebuild_once_popped():
 
 # Library logic reads adjacency from a universe's masks.  The exact pairwise
 # predicate runs only on the independent second routes below: re-verifiers,
-# the law and agreement suites, the explicit-kind box check (which has no
-# universe), and the CLI's pair query.  A new use elsewhere fails here.
+# the law and agreement suites, and the CLI's pair query.  A new use
+# elsewhere fails here.
 _REFERENCE_ROUTES = {
     ("campaign", "_adjacency_laws", "adjacent"),
     ("campaign", "_pairwise_masks", "adjacent"),
@@ -501,6 +501,36 @@ def _adjacency_uses() -> set:
 
 def test_pair_predicate_only_on_reference_routes():
     assert _adjacency_uses() == _REFERENCE_ROUTES
+
+
+# Every condition carries its universe, and a family's universe is its first
+# member's, so a universe parameter beside a condition is a second source for
+# it.  Those listed here need one where the conditions may not give it; a new
+# one fails here until it is listed with its reason.
+_UNIVERSE_BESIDE_A_CONDITION = {
+    ("coloring", "stitch_colorings"): "its base condition p may be None",
+    ("coloring_poset", "p_lower_bound"): "its family of conditions may be empty",
+    ("control_poset", "_color_classes"):
+        "the universe is the one whose masks the classes meet, another member's",
+}
+
+
+def test_no_universe_parameter_beside_a_condition():
+    found = set()
+    for module in ("coloring", "coloring_poset", "control_poset"):
+        path = Path(noetherlab.__file__).parent / f"{module}.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            # every name inside the annotations, so Sequence[QCondition] counts
+            annotated = {
+                n.id for a in params if a.annotation for n in ast.walk(a.annotation)
+                if isinstance(n, ast.Name)
+            }
+            if "universe" in {a.arg for a in params} and annotated & {"PCondition", "QCondition"}:
+                found.add((module, node.name))
+    assert found == set(_UNIVERSE_BESIDE_A_CONDITION)
 
 
 # Point.ints, the integer coordinates, is declared and written by Point and

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, product
 from math import lcm
 
 import pytest
@@ -277,6 +277,11 @@ def test_integer_vitali_verify_matches_fraction_reference():
         assert str(got.value) == str(expected.value)
 
 
+def _diagonal_words(breadth):
+    """The diagonal words as int tuples, in the point order of make_diagonal_hamming."""
+    return list(product(*(range(n + 1) for n in range(breadth))))
+
+
 def test_embedding_verify_builds_no_universe(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("verify_embedding built a universe")
@@ -287,7 +292,7 @@ def test_embedding_verify_builds_no_universe(monkeypatch):
     for breadth in range(1, 7):
         report = verify_embedding(breadth)
         assert report == expected[breadth]
-        assert report["vertices"] == len(hamming._diagonal_words(breadth))
+        assert report["vertices"] == len(_diagonal_words(breadth))
     with pytest.raises(AssertionError):
         embed_diagonal_into_distance(3)  # the Fraction reference still builds one
 
@@ -295,7 +300,7 @@ def test_embedding_verify_builds_no_universe(monkeypatch):
 def test_diagonal_blocks_are_the_universe_edges():
     for breadth in range(1, 7):
         universe = make_diagonal_hamming(breadth)
-        words = hamming._diagonal_words(breadth)
+        words = _diagonal_words(breadth)
         assert [tuple(int(c) for c in p.coords) for p in universe.points] == words
         pairs = [
             (i, i + offset)

@@ -59,7 +59,7 @@ def test_pleq_transitive_randomized():
     for _ in range(100):
         u = random_universe(rng, 8)
         p = random_pcondition(rng, u)
-        full = PCondition(u, extend_coloring(u, p).assignment)
+        full = PCondition(u, extend_coloring(p).assignment)
         new_points = [x for x in u.points if x not in p.domain()]
         cut = rng.randint(0, len(new_points))
         mid_dom = p.domain() | frozenset(new_points[:cut])

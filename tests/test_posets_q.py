@@ -55,7 +55,8 @@ from noetherlab.errors import (
     VerificationError,
 )
 from noetherlab.geometry import box_contains, boxes_disjoint, first_box_containing
-from noetherlab.graphs import EXPLICIT, common_neighborhood_mask
+from noetherlab.coloring import check_proper
+from noetherlab.graphs import EXPLICIT, SampleUniverse, common_neighborhood_mask
 from noetherlab.generators import (
     clustered_line_universe,
     line_universe,
@@ -459,20 +460,20 @@ def test_compatible_tail_spaced_family():
 def test_predense_check_examples():
     u2 = line_universe(2)
     d = [QCondition(u2, {pt(0): 0})]
-    assert not predense_check(d, u2, 2)  # {0 -> 1} hits no member
+    assert not predense_check(d, 2)  # {0 -> 1} hits no member
     singles = [QCondition(u2, {p: k}) for p in u2.points for k in range(2)]
-    assert predense_check(singles, u2, 2)
-    assert not predense_check([], u2, 2)
+    assert predense_check(singles, 2)
+    assert not predense_check([], 2)
 
 
 def test_reduced_support_is_the_closed_neighborhood_union():
     u = line_universe(3)
     d = [QCondition(u, {pt(1): 0})]
-    b_mask, c_mask = reduced_support(d, u)
+    b_mask, c_mask = reduced_support(d)
     assert u.points_of(b_mask) == frozenset([pt(1)])
     assert u.points_of(c_mask) == frozenset(u.points)  # N[1] covers everything
     d0 = [QCondition(u, {pt(0): 0})]
-    _, c0 = reduced_support(d0, u)
+    _, c0 = reduced_support(d0)
     assert u.points_of(c0) == frozenset([pt(0), pt(1)])  # 2 is out of reach
 
 
@@ -499,7 +500,7 @@ def test_reduced_support_matches_the_subset_enumeration_at_every_arity():
             for _ in range(rng.randint(1, 3)):
                 pts = rng.sample(u.points, k=rng.randint(1, min(3, len(u))))
                 d.append(QCondition(u, {x: rng.randrange(3) for x in pts}))
-            support = reduced_support(d, u)
+            support = reduced_support(d)
             b_size = bin(support[0]).count("1")
             assert b_size <= 10
             for arity in range(1, b_size + 1):
@@ -517,7 +518,7 @@ def test_predense_equivalence_randomized():
         u = random_explicit_universe(rng, n, rng.uniform(0.2, 0.6))
         budget = rng.randint(2, 3)
         d = [random_qcondition(rng, u, budget) for _ in range(rng.randint(1, 3))]
-        assert predense_check(d, u, budget) == predense_check_reduced(d, u, budget)
+        assert predense_check(d, budget) == predense_check_reduced(d, budget)
 
 
 def test_predense_reduce_spec_example():
@@ -525,7 +526,7 @@ def test_predense_reduce_spec_example():
     d = [QCondition(u, {pt(1): 0})]
     q = QCondition(u, {pt(0): 0})
     loc = Location((_box(-1, 2),), (0,))
-    r = predense_reduce(d, q, loc, u)
+    r = predense_reduce(d, q, loc)
     assert r.assignment == q.assignment
     assert all(not q_compatible(r, s) for s in d)
 
@@ -536,7 +537,7 @@ def test_predense_reduce_keeps_b_points():
     q = QCondition(u, {pt(0): 1})  # recolors 0, and collides with 1 across the edge
     assert all(not q_compatible(q, s) for s in d)
     loc = canonical_location(q)
-    r = predense_reduce(d, q, loc, u)
+    r = predense_reduce(d, q, loc)
     assert r.assignment == {pt(0): 1}
 
 
@@ -549,7 +550,7 @@ def test_predense_reduce_moves_to_a_disconnected_b_point():
     d = [QCondition(u, {v[0]: 0}), QCondition(u, {v[0]: 0, v[2]: 1})]
     q = QCondition(u, {v[3]: 0})
     loc = Location((frozenset([v[2], v[3]]),), (0,))
-    assert predense_reduce(d, q, loc, u).assignment == {v[2]: 0}
+    assert predense_reduce(d, q, loc).assignment == {v[2]: 0}
 
 
 def test_predense_reduce_preconditions():
@@ -557,10 +558,10 @@ def test_predense_reduce_preconditions():
     q = QCondition(u, {pt(0): 0})
     loc = canonical_location(q)
     with pytest.raises(PreconditionError):
-        predense_reduce([], q, loc, u)
+        predense_reduce([], q, loc)
     compatible_member = [QCondition(u, {pt(2): 1})]
     with pytest.raises(PreconditionError):
-        predense_reduce(compatible_member, q, loc, u)
+        predense_reduce(compatible_member, q, loc)
 
 
 def test_predense_reduce_failure_reported():
@@ -573,7 +574,7 @@ def test_predense_reduce_failure_reported():
         (frozenset([vertex_point(1)]), frozenset([vertex_point(2)])), (0, 0)
     )
     with pytest.raises(ReductionFailureError):
-        predense_reduce(d, q, loc, u)
+        predense_reduce(d, q, loc)
 
 
 def test_selection_helper():
@@ -872,9 +873,9 @@ def test_predense_check_agrees_with_the_partial_dict_search(monkeypatch):
         # same answer, and where the reference trips it trips too or gives
         # the answer of the unlimited reference.
         reference, exact = unpruned(budget, limit), unpruned(budget, 2_000_000)
-        assert _outcome(_predense_search, d, u, budget, full) in {reference, exact}
+        assert _outcome(_predense_search, d, budget, full) in {reference, exact}
         clamped = min(budget, budget_clamp(d))
-        got = _outcome(predense_check, d, u, budget, domain_mask=mask)
+        got = _outcome(predense_check, d, budget, domain_mask=mask)
         assert got in {unpruned(clamped, limit), unpruned(clamped, 2_000_000)}
         if limit == 2_000_000:
             assert got == reference  # the clamp keeps the answer
@@ -892,7 +893,7 @@ def test_fresh_color_prune_keeps_the_unpruned_answers():
         full = u.full_mask if mask is None else mask
         clamp = budget_clamp(d)
         for budget in (clamp, clamp + 2):
-            assert _predense_search(d, u, budget, full) == _predense_check_partial_dict(
+            assert _predense_search(d, budget, full) == _predense_check_partial_dict(
                 d, u, budget, domain_mask=mask, node_limit=2_000_000
             )
 
@@ -906,7 +907,7 @@ def test_fresh_color_prune_on_the_budget_clamp_heavy_tail(monkeypatch):
     d = [QCondition(u, {v(0): 0}), QCondition(u, {v(0): 1}), QCondition(u, {v(4): 0, v(3): 1})]
     assert budget_clamp(d) == 5
     monkeypatch.setattr("noetherlab.errors.NODE_LIMIT", 4_000)
-    answers = [_predense_search(d, u, b, u.full_mask) for b in range(1, 10)]
+    answers = [_predense_search(d, b, u.full_mask) for b in range(1, 10)]
     assert answers == [True, True] + [False] * 7
     with pytest.raises(OracleBoundError):
         _predense_check_partial_dict(d, u, 7, node_limit=4_000)
@@ -917,15 +918,15 @@ def test_budget_clamp_seed23_counterexample():
     # members, a third color can
     u = explicit_universe(5, [(1, 4)])
     d = [QCondition(u, {vertex_point(4): 0}), QCondition(u, {vertex_point(1): 0})]
-    answers = [_predense_search(d, u, b, u.full_mask) for b in range(1, 8)]
+    answers = [_predense_search(d, b, u.full_mask) for b in range(1, 8)]
     assert answers == [True, True, False, False, False, False, False]
     # max(d) = 0: the old clamp max(d)+2 disagrees with max(d)+4, the new
     # clamp 3 agrees with 5
     assert answers[2 - 1] != answers[4 - 1]
     assert budget_clamp(d) == 3
     assert answers[3 - 1] == answers[5 - 1]
-    assert predense_check(d, u, 7) is False
-    assert predense_check(d, u, 2) is True
+    assert predense_check(d, 7) is False
+    assert predense_check(d, 2) is True
 
 
 def _is_at_location_scan(q, loc):
@@ -1016,3 +1017,87 @@ def test_cell_selection_agrees_with_the_membership_scan():
     assert seen["same", True] > 0 and seen["anywhere", False] > 0, seen
     assert seen["vertex-subset"] > 0 and seen["box"] > 0, seen
     assert seen["overlap", True] > 0 and seen["overlap", False] > 0, seen
+
+
+# -- a family reads points in its first member's universe -----------------------
+# A member over another ordering of the same points gives the answers of the
+# member remapped onto the first member's universe; a member point outside
+# that universe raises UnknownPointError.
+
+
+def _shuffled(rng, u):
+    return SampleUniverse(u.instance, rng.sample(u.points, k=len(u)))
+
+
+def _over(universe, q):
+    return QCondition(universe, dict(q.assignment))
+
+
+def test_q_operations_map_a_member_over_a_shuffled_copy():
+    rng = random.Random(7)
+    seen = Counter()
+    for _ in range(40):
+        for u in universes_of_every_kind(rng):
+            copy = _shuffled(rng, u)
+            q0, q1 = (random_qcondition(rng, u, rng.randint(1, 3)) for _ in range(2))
+            moved = _over(copy, q1)
+            compatible = q_compatible(q0, q1)
+            assert q_compatible(q0, moved) == compatible, u.instance.kind
+            assert q_incompatibility_witness(q0, moved) == q_incompatibility_witness(q0, q1)
+            if compatible:
+                assert q_meet(q0, moved) == q_meet(q0, q1)
+            family = [q0, q1, random_qcondition(rng, u, 2)]
+            mixed = [q0] + [_over(copy, q) for q in family[1:]]
+            assert compatible_tail(q0, q0, mixed) == compatible_tail(q0, q0, family)
+            seen[compatible] += 1
+    assert seen[True] > 0 and seen[False] > 0, seen
+
+
+def test_predensity_maps_members_over_a_shuffled_copy():
+    rng = random.Random(11)
+    seen = Counter()
+    for _ in range(300):
+        u, d, budget, _ = _predense_family(rng)
+        copy = _shuffled(rng, u)
+        # the first member stays, so the family's universe is u
+        mixed = [d[0]] + [_over(copy, q) if rng.random() < 0.7 else q for q in d[1:]]
+        answer = predense_check(d, budget)
+        assert predense_check(mixed, budget) == answer
+        assert predense_check_reduced(mixed, budget) == predense_check_reduced(d, budget)
+        assert reduced_support(mixed) == reduced_support(d)
+        seen[answer] += 1
+        pool = u.ordered_points_of(reduced_support(d)[1])
+        pts = rng.sample(pool, k=min(len(pool), rng.randint(1, 3)))
+        q = QCondition(u, {x: rng.randrange(budget) for x in pts})
+        if check_proper(u, q.assignment) or any(q_compatible(q, s) for s in d):
+            continue
+        loc = canonical_location(q)
+        assert _outcome_or_error(predense_reduce, mixed, _over(copy, q), loc) == (
+            _outcome_or_error(predense_reduce, d, q, loc)
+        )
+        seen["reduced"] += 1
+    assert seen[True] > 0 and seen[False] > 0 and seen["reduced"] > 0, seen
+
+
+def _outcome_or_error(fn, *args):
+    try:
+        return fn(*args).assignment
+    except ReductionFailureError as exc:
+        return str(exc)
+
+
+def test_a_member_point_outside_the_first_universe_is_unknown():
+    u = line_universe(3)
+    q0 = QCondition(u, {pt(1): 0})
+    # pt(2) is at index 0 of the reversed copy, where u has pt(1)'s neighbor pt(0)
+    reversed_copy = SampleUniverse(u.instance, u.points[::-1])
+    assert q_incompatibility_witness(q0, QCondition(reversed_copy, {pt(2): 0})) == (
+        "edge-clash", pt(1), pt(2), 0
+    )
+    outside = QCondition(SampleUniverse(u.instance, [pt(7), pt(1)]), {pt(7): 0})
+    with pytest.raises(UnknownPointError):
+        q_compatible(q0, outside)
+    with pytest.raises(UnknownPointError):
+        predense_check([q0, outside], 2)
+    with pytest.raises(UnknownPointError):
+        reduced_support([q0, outside])
