@@ -804,14 +804,9 @@ def _selftest_mutation(rng, config):
 
 # -- runner -----------------------------------------------------------------------
 
-def _trial_seed(seed: int, suite_name: str, index: int) -> str:
-    return f"{seed}:{suite_name}:{index}"
-
-
 def run_one(suite_name: str, seed: int, index: int, config: RunConfig):
-    rng = random.Random(_trial_seed(seed, suite_name, index))
-    ok, info = SUITES[suite_name](rng, config)
-    return index, ok, info
+    """(ok, info) of trial ``index`` of a suite, from its own seeded rng."""
+    return SUITES[suite_name](random.Random(f"{seed}:{suite_name}:{index}"), config)
 
 
 def run_campaign(config: RunConfig, suite_names: list[str], jobs: int = 1) -> dict:
@@ -834,11 +829,10 @@ def run_campaign(config: RunConfig, suite_names: list[str], jobs: int = 1) -> di
     with pool_context as pool:
         run_all = starmap if pool is None else pool.starmap
         for name in suite_names:
-            outcomes = list(
-                run_all(run_one, [(name, config.seed, i, config) for i in range(config.trials)])
-            )
-            outcomes.sort(key=lambda t: t[0])
-            failures = [(i, info) for i, ok, info in outcomes if not ok]
+            # both starmaps return the outcomes in trial order
+            trials = [(name, config.seed, i, config) for i in range(config.trials)]
+            outcomes = enumerate(run_all(run_one, trials))
+            failures = [(i, info) for i, (ok, info) in outcomes if not ok]
             results[name] = {
                 "trials": config.trials,
                 "passes": config.trials - len(failures),

@@ -12,10 +12,12 @@ The canonical enumeration interleaves tags in stages: stage s lists, in
 with max(level, tag) = s.  This is a bijection with the naturals; the
 canonical order on boxes is the index order.
 
-Membership and containment are decided on integers: a coordinate p/q lies
-in (m/2^k, (m+2)/2^k) iff m*q < p*2^k < (m+2)*q, and two boxes compare by
-their corners shifted to the finer of their levels.  ``TaggedBox.intervals``
-keeps the Fraction form as the exact reference.
+Answers stay exact on integers by two rescaling rules, one helper each:
+rationals times D, the lcm of their denominators, hit a squared distance s
+only as D^2 * s, an integer (_common_scale, _scaled_targets); two boxes
+compare at their finer level k, by integer ends over 2^k (_common_level).
+A point p/q lies in (m/2^k, (m+2)/2^k) iff m*q < p*2^k < (m+2)*q.  The
+references ``TaggedBox.intervals`` and ``squared_distance`` use neither.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from math import lcm
 from typing import Iterator, Sequence
 
 from .errors import InvalidPointError
@@ -92,6 +95,21 @@ def squared_distance(x: Point, y: Point) -> Fraction:
     return sum(((a - b) ** 2 for a, b in zip(x.coords, y.coords)), Fraction(0))
 
 
+def _common_scale(rows) -> tuple[int, list[tuple[int, ...]]]:
+    """D, the lcm of the denominators of the rationals in ``rows`` (a list of
+    sequences), and each row multiplied by D, as a tuple of integers."""
+    d = lcm(*(c.denominator for row in rows for c in row))
+    return d, [tuple(c.numerator * (d // c.denominator) for c in row) for row in rows]
+
+
+def _scaled_targets(d: int, squares) -> set[int]:
+    """The integers D^2 * s over the rationals s of ``squares``: a squared
+    gap of points scaled by D is an integer, so it equals D^2 * s only
+    where that is one."""
+    dd = d * d
+    return {s.numerator * (dd // s.denominator) for s in squares if dd % s.denominator == 0}
+
+
 @dataclass(frozen=True)
 class TaggedBox:
     """Open dyadic box ``prod_i (m_i/2^k, (m_i+2)/2^k)`` with a natural tag."""
@@ -134,26 +152,28 @@ def box_contains(box: TaggedBox, x: Point) -> bool:
     return True
 
 
+def _common_level(b0: TaggedBox, b1: TaggedBox) -> tuple[int, list[tuple[int, ...]]]:
+    """The finer level k of two boxes and, per coordinate, the integer ends
+    (lo0, hi0, lo1, hi1) of their intervals (lo0/2^k, hi0/2^k) and
+    (lo1/2^k, hi1/2^k).  Raises InvalidPointError on different dimensions."""
+    if len(b0.corners) != len(b1.corners):
+        raise InvalidPointError(f"box dimensions differ: {b0.dimension} vs {b1.dimension}")
+    k = max(b0.level, b1.level)
+    s0, s1 = k - b0.level, k - b1.level
+    return k, [(m0 << s0, m0 + 2 << s0, m1 << s1, m1 + 2 << s1)
+               for m0, m1 in zip(b0.corners, b1.corners)]
+
+
 def box_within(inner: TaggedBox, outer: TaggedBox) -> bool:
     """Whether ``inner`` is a subset of ``outer`` (as open sets)."""
-    if inner.dimension != outer.dimension:
-        raise InvalidPointError("dimension mismatch between boxes")
-    level = max(inner.level, outer.level)
-    si, so = level - inner.level, level - outer.level
-    return all(
-        mo << so <= mi << si and mi + 2 << si <= mo + 2 << so
-        for mi, mo in zip(inner.corners, outer.corners)
-    )
+    _, ends = _common_level(inner, outer)
+    return all(lo1 <= lo0 and hi0 <= hi1 for lo0, hi0, lo1, hi1 in ends)
 
 
 def boxes_disjoint(b0: TaggedBox, b1: TaggedBox) -> bool:
     """Open boxes are disjoint iff some coordinate's intervals do not overlap."""
-    level = max(b0.level, b1.level)
-    s0, s1 = level - b0.level, level - b1.level
-    return any(
-        m0 + 2 << s0 <= m1 << s1 or m1 + 2 << s1 <= m0 << s0
-        for m0, m1 in zip(b0.corners, b1.corners)
-    )
+    _, ends = _common_level(b0, b1)
+    return any(hi0 <= lo1 or hi1 <= lo0 for lo0, hi0, lo1, hi1 in ends)
 
 
 # -- canonical enumeration ---------------------------------------------------

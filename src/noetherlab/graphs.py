@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import isqrt, lcm
+from math import isqrt
 from typing import Iterable, Optional
 
 from .errors import InvalidPointError, UnknownPointError, UnsupportedKindError, quoted
-from .geometry import Point, TaggedBox, pt
+from .geometry import Point, TaggedBox, _common_level, _common_scale, _scaled_targets, pt
 
 DISTANCE = "distance"
 CURVE_DIFFERENCE = "curveDifference"
@@ -292,21 +292,13 @@ class SampleUniverse:
 # may be any subset of the space in any order.
 
 def _distance_masks(instance: GraphInstance, points: tuple[Point, ...], bits: list[int]):
-    """Integer squared distances after scaling to one common denominator D.
-
-    |x - y|^2 = s exactly iff the scaled points differ by s * D^2, so only
-    targets s * D^2 that are integers can be hit.  In dimension 2 each
-    pair's squared gap is computed inline; dimension 3 and up use _gap.
+    """Integer squared distances D^2 * s after scaling to one common
+    denominator D.  In dimension 2 each pair's squared gap is computed
+    inline; dimension 3 and up use _gap.
     """
     masks = bits.copy()
-    d = lcm(*(c.denominator for p in points for c in p.coords))
-    scaled = [tuple(c.numerator * (d // c.denominator) for c in p.coords) for p in points]
-    dd = d * d
-    targets = {
-        s.numerator * (dd // s.denominator)
-        for s in instance.squared_distances
-        if dd % s.denominator == 0
-    }
+    d, scaled = _common_scale([p.coords for p in points])
+    targets = _scaled_targets(d, instance.squared_distances)
     if not targets:
         return masks
     if instance.dimension == 1:
@@ -378,16 +370,12 @@ def _curve_difference_masks(
     """
     masks = bits.copy()
     terms = instance.poly.terms
-    d = lcm(*(c.denominator for p in points for c in p.coords))
-    coef_lcm = lcm(*(c.denominator for _, c in terms))
+    d, scaled = _common_scale([p.coords for p in points])
+    _, (coefs,) = _common_scale([[c for _, c in terms]])
     deg = max((i + j for (i, j), _ in terms), default=0)
     even, odd = [], []
-    for (i, j), c in terms:
-        scaled_c = c.numerator * (coef_lcm // c.denominator) * d ** (deg - i - j)
-        (odd if (i + j) % 2 else even).append((i, j, scaled_c))
-    scaled = [
-        tuple(c.numerator * (d // c.denominator) for c in p.coords) for p in points
-    ]
+    for ((i, j), _), c in zip(terms, coefs):
+        (odd if (i + j) % 2 else even).append((i, j, c * d ** (deg - i - j)))
     for i, (x0, x1) in enumerate(scaled):
         for j in range(i + 1, len(scaled)):
             y0, y1 = scaled[j]
@@ -496,25 +484,16 @@ class EdgeFreeResult:
         raise TypeError("compare EdgeFreeResult.status explicitly")
 
 
-def _squared_distance_range(b0: TaggedBox, b1: TaggedBox) -> tuple[Fraction, Fraction]:
-    """Least and greatest |x - y|^2 over x, y in the closed boxes."""
-    lo_total = hi_total = Fraction(0)
-    for (a, b), (c, d) in zip(b0.intervals(), b1.intervals()):
-        lo, hi = a - d, b - c
-        if not lo <= 0 <= hi:
-            lo_total += min(lo * lo, hi * hi)
-        hi_total += max(lo * lo, hi * hi)
-    return lo_total, hi_total
-
-
 def box_edge_free(instance: GraphInstance, box0: TaggedBox, box1: TaggedBox) -> EdgeFreeResult:
     """Decide whether (box0 x box1) meets the edge relation of a distance
     instance, exactly.
 
-    Exact interval arithmetic on the achievable squared distance between
-    the closed boxes; a squared distance strictly inside the open
-    achievable range certifies an edge over the ambient space even when no
-    rational witness exists.  Other kinds are unsupported (conservative);
+    At the boxes' common level k the least and greatest squared distance
+    between the closed boxes are integers lo and hi over 4^k, compared with
+    each squared distance s as s * 4^k.  An s strictly between them
+    certifies an edge even when no rational witness exists; an s equal to
+    one is "unknown".  Boxes of different dimensions raise
+    InvalidPointError.  Other kinds are unsupported (conservative);
     Location.validate certifies the cells of an explicit instance from its
     edge list.
     """
@@ -522,10 +501,16 @@ def box_edge_free(instance: GraphInstance, box0: TaggedBox, box1: TaggedBox) -> 
         raise UnsupportedKindError(f"box_edge_free undefined for kind {instance.kind}")
     if not (isinstance(box0, TaggedBox) and isinstance(box1, TaggedBox)):
         raise UnsupportedKindError("distance instances use TaggedBox cells")
-    lo_total, hi_total = _squared_distance_range(box0, box1)
-    distances = instance.squared_distances
-    if any(lo_total < s < hi_total for s in distances):
+    k, ends = _common_level(box0, box1)
+    lo_total = hi_total = 0
+    for lo0, hi0, lo1, hi1 in ends:
+        lo, hi = lo0 - hi1, hi0 - lo1  # the scaled ends of x - y
+        if not lo <= 0 <= hi:
+            lo_total += min(lo * lo, hi * hi)
+        hi_total += max(lo * lo, hi * hi)
+    targets = [(s.numerator << 2 * k, s.denominator) for s in instance.squared_distances]
+    if any(lo_total * q < t < hi_total * q for t, q in targets):
         return EdgeFreeResult("nonempty")
-    if lo_total in distances or hi_total in distances:
+    if any(t in (lo_total * q, hi_total * q) for t, q in targets):
         return EdgeFreeResult("unknown")
     return EdgeFreeResult("empty")

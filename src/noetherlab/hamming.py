@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, product
-from math import lcm
 from operator import getitem, sub
 from typing import Iterable, Optional, Sequence
 
@@ -21,7 +20,7 @@ from .errors import (
     OracleBoundError,
     PartitionError,
 )
-from .geometry import Point
+from .geometry import Point, _common_scale, _scaled_targets
 from .graphs import (
     GraphInstance,
     SampleUniverse,
@@ -153,8 +152,7 @@ def verify_vitali_homomorphism(universe: SampleUniverse, eps: EpsilonMatrix) -> 
     a point that is no word of matrix columns goes through _columns, which
     raises the InvalidPointError of vitali_map.
     """
-    scale = lcm(*(v.denominator for row in eps.values for v in row))
-    table = [[v.numerator * (scale // v.denominator) for v in row] for row in eps.values]
+    _, table = _common_scale(eps.values)
     words = [p.ints for p in universe.points]
     if (
         None in words
@@ -301,17 +299,11 @@ def verify_embedding(
     _edges.
     """
     eps, instance, report = _diagonal_embedding(breadth, eps)
-    scale = lcm(*(v.denominator for v in eps.values))
+    scale, (steps,) = _common_scale([eps.values])
     images = [0]
-    for n, v in enumerate(eps.values):
-        step = v.numerator * (scale // v.denominator)
+    for n, step in enumerate(steps):
         images = [a + c * step for a in images for c in range(n + 1)]
-    square = scale * scale
-    squares = {
-        s.numerator * (square // s.denominator)
-        for s in instance.squared_distances
-        if square % s.denominator == 0
-    }
+    squares = _scaled_targets(scale, instance.squared_distances)
     edges_checked = 0
     failures = []
     for offset, selector in _diagonal_blocks(breadth):

@@ -78,11 +78,11 @@ MAX_EXPLICIT_EDGES = 2**19
 # The most box cells a location may give.  Validation certifies each pair of
 # same-colored boxes edge-free, or on an explicit instance tests each box
 # against every vertex.  With one level-11 box per point of a line, colors
-# alternating, it took 0.46 s at 256 cells, 1.8 s at 512 and 7.6 s at 1024,
-# and `poset liminf` on two conditions there 2.2-2.4 s at 512 and 9.1 s at
-# 1024; level-13 boxes on a 4096-vertex path took 2.3 s at 512 and 4.2 s at
-# 1024 (2-vCPU host, CPython 3.11).  Vertex-subset cells cost one pass over
-# the edges, so they stay unbounded.
+# alternating, it took 0.20-0.22 s at 256 cells, 0.78-0.85 s at 512 and
+# 2.4 s at 1024, and `poset liminf` on two conditions there 0.91-0.96 s at
+# 512; level-13 boxes on a 4096-vertex path took 1.7-2.0 s at 512 and
+# 4.2 s at 1024 (two runs each, 2-vCPU host, CPython 3.11).  Vertex-subset
+# cells cost one pass over the edges, so they stay unbounded.
 MAX_LOCATION_BOXES = 512
 
 
@@ -184,9 +184,11 @@ def box_to_json(b: TaggedBox) -> dict:
     return {"tag": b.tag, "level": b.level, "corners": list(b.corners)}
 
 
-def box_from_json(data: Any, field: str = "box") -> TaggedBox:
+def box_from_json(data: Any, field: str = "box", dimension: Optional[int] = None) -> TaggedBox:
     expect(data, dict, field)
     corners = require(data, "corners", list, field)
+    if dimension is not None and len(corners) != dimension:
+        raise ParseError(f"{field}.corners: {len(corners)} corners in dimension {dimension}")
     try:
         tag = expect_int(data["tag"], f"{field}.tag")
         level = expect_int(data["level"], f"{field}.level")
@@ -358,8 +360,9 @@ def pcondition_to_json(p: PCondition) -> dict:
 
 def pcondition_from_json(data: Any, universe: SampleUniverse) -> PCondition:
     raw = require(expect(data, dict, "p-condition"), "assignment", dict, "p-condition")
+    dim = universe.instance.dimension
     assignment = {
-        point_at(universe, i, "assignment"): box_from_json(b, f"assignment[{i}]")
+        point_at(universe, i, "assignment"): box_from_json(b, f"assignment[{i}]", dim)
         for i, b in raw.items()
     }
     return PCondition(universe, assignment)
@@ -378,7 +381,9 @@ def location_from_json(data: Any, universe: SampleUniverse) -> Location:
     for i, cell in enumerate(raw_cells):
         where = f"location.cells[{i}]"
         if "box" in expect(cell, dict, where):
-            cells.append(box_from_json(cell["box"], f"cells[{i}]"))
+            cells.append(box_from_json(cell["box"], f"cells[{i}]", universe.instance.dimension))
+        elif universe.instance.kind != EXPLICIT:
+            raise ParseError(f"{where}: vertex cells need an explicit instance")
         else:
             cells.append(
                 frozenset(

@@ -305,6 +305,36 @@ def test_poset_locations_are_checked(tmp_path, capsys):
     assert "error: same-colored cells 0,1 are not certified edge-free" in captured.err
 
 
+def test_malformed_boxes_and_cells_exit_2_and_name_the_field(tmp_path, capsys):
+    line = _write_line_universe(tmp_path)  # a distance instance of dimension 1
+    plane_box = {"tag": 0, "level": 1, "corners": [0, 0]}
+    conds = [{"assignment": {"0": 0}}, {"assignment": {"1": 0}}]
+    coloring = _poset_file(tmp_path, "coloring.json", {"assignment": {"0": plane_box}})
+    p_conds = _poset_file(tmp_path, "p.json", {"conditions": [{"assignment": {"0": plane_box}}]})
+    box_cell = _poset_file(tmp_path, "box.json", {
+        "conditions": conds, "location": {"cells": [{"box": plane_box}], "colors": [0]}
+    })
+    vertex_cell = _poset_file(tmp_path, "vertex.json", {
+        "conditions": conds, "location": {"cells": [{"vertices": [0]}], "colors": [0]}
+    })
+    corners = "corners: 2 corners in dimension 1"
+    cases = [
+        (["color", "verify", line, "--file", coloring], f"assignment[0].{corners}"),
+        (["poset", "compat", "--kind", "p", line, "--file", p_conds], f"assignment[0].{corners}"),
+        (["poset", "lower-bound", line, "--file", p_conds], f"assignment[0].{corners}"),
+        (["poset", "ramsey", line, "--file", box_cell], f"cells[0].{corners}"),
+        (["poset", "liminf", line, "--file", box_cell], f"cells[0].{corners}"),
+        (["poset", "ramsey", line, "--file", vertex_cell],
+         "location.cells[0]: vertex cells need an explicit instance"),
+        (["poset", "liminf", line, "--file", vertex_cell],
+         "location.cells[0]: vertex cells need an explicit instance"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"parse error: {message}\n"), argv
+
+
 def _path_instance(tmp_path, n):
     return _poset_file(tmp_path, f"path{n}.json", {
         "kind": "explicit", "vertices": n, "edges": [[v, v + 1] for v in range(n - 1)]

@@ -18,6 +18,8 @@ from noetherlab import (
     adjacent,
     box_contains,
     box_edge_free,
+    box_within,
+    boxes_disjoint,
     common_neighborhood,
     curve_difference_graph,
     distance_graph,
@@ -533,6 +535,21 @@ def test_no_universe_parameter_beside_a_condition():
     assert found == set(_UNIVERSE_BESIDE_A_CONDITION)
 
 
+# The exact pairwise and Fraction routes that the faster routes are checked
+# against.  They share no arithmetic with those routes: no integer
+# coordinates, and neither of geometry's rescaling rules.
+_REFERENCE_ARITHMETIC = {
+    ("graphs", "_exact_adjacent"),
+    ("graphs", "adjacent"),
+    ("graphs", "SampleUniverse.reference_adjacent"),
+    ("geometry", "squared_distance"),
+    ("geometry", "TaggedBox.intervals"),
+    ("coloring", "check_proper"),
+    ("campaign", "_pairwise_masks"),
+    ("hamming", "vitali_map"),
+}
+
+
 # Point.ints, the integer coordinates, is declared and written by Point and
 # read by two mask builders.  The reference routes read coords only, so they
 # share nothing with the builders; a new reader anywhere fails here.
@@ -553,18 +570,53 @@ def test_integer_coordinates_only_on_point_and_the_mask_builders():
         or (isinstance(node, ast.Constant) and node.value == "ints")
     }
     assert uses == _INTEGER_COORDINATE_ROUTES
-    reference = {
-        ("graphs", "_exact_adjacent"),
-        ("graphs", "adjacent"),
-        ("graphs", "SampleUniverse.reference_adjacent"),
-        ("geometry", "squared_distance"),
-        ("geometry", "TaggedBox.intervals"),
-        ("coloring", "check_proper"),
-        ("campaign", "_pairwise_masks"),
-        ("hamming", "vitali_map"),
-    }
     scopes = {(module, scope) for module, scope, _ in _package_nodes()}
-    assert reference <= scopes and not reference & uses
+    assert _REFERENCE_ARITHMETIC <= scopes and not _REFERENCE_ARITHMETIC & uses
+
+
+# Each rescaling rule of geometry has one helper: the common denominator D
+# with the targets D^2 * s, and the common level of two boxes.  These are
+# every function that reads them; a new reader fails here.
+_RESCALING_ROUTES = {
+    ("geometry", "box_within", "_common_level"),
+    ("geometry", "boxes_disjoint", "_common_level"),
+    ("graphs", "box_edge_free", "_common_level"),
+    ("graphs", "_distance_masks", "_common_scale"),
+    ("graphs", "_distance_masks", "_scaled_targets"),
+    ("graphs", "_curve_difference_masks", "_common_scale"),
+    ("hamming", "verify_vitali_homomorphism", "_common_scale"),
+    ("hamming", "verify_embedding", "_common_scale"),
+    ("hamming", "verify_embedding", "_scaled_targets"),
+}
+
+
+def test_rescaling_rules_have_one_helper_each_and_no_reference_reads_them():
+    helpers = {"_common_scale", "_scaled_targets", "_common_level"}
+    uses = {
+        (module, scope, node.id)
+        for module, scope, node in _package_nodes()
+        if isinstance(node, ast.Name) and node.id in helpers
+    }
+    assert uses == _RESCALING_ROUTES
+    assert not {(module, scope) for module, scope, _ in uses} & _REFERENCE_ARITHMETIC
+    # no other function takes a common denominator of its own, and the
+    # Fraction intervals are left to the repr and the tests
+    for module, scope, node in _package_nodes():
+        if isinstance(node, ast.Name) and node.id == "lcm":
+            assert (module, scope) == ("geometry", "_common_scale")
+        if isinstance(node, ast.Attribute) and node.attr == "intervals":
+            assert (module, scope) == ("geometry", "TaggedBox.__repr__")
+
+
+def test_box_pair_predicates_refuse_different_dimensions():
+    line = TaggedBox(tag=0, level=1, corners=(0,))
+    plane = TaggedBox(tag=0, level=2, corners=(0, 9))  # overlaps line on x
+    line_graph = distance_graph(1, [1])
+    predicates = (box_within, boxes_disjoint, lambda a, b: box_edge_free(line_graph, a, b))
+    for predicate in predicates:
+        for a, b in ((line, plane), (plane, line)):
+            with pytest.raises(InvalidPointError, match="box dimensions differ: "):
+                predicate(a, b)
 
 
 # Every function of the package that calls itself, with what bounds its
@@ -701,3 +753,70 @@ def test_edge_free_unsupported_kind():
     for inst in (curve, explicit_graph(2, [(0, 1)])):
         with pytest.raises(UnsupportedKindError):
             box_edge_free(inst, _box(0, 0), _box(0, 0))
+
+
+def _squared_range_by_intervals(b0, b1):
+    """Least and greatest |x - y|^2 over the closed boxes, from the Fraction
+    intervals: per coordinate, the gap between the intervals and the span
+    of their hull."""
+    lo = hi = Fraction(0)
+    for (a, b), (c, d) in zip(b0.intervals(), b1.intervals()):
+        lo += max(0, c - b, a - d) ** 2
+        hi += max(d - a, b - c) ** 2
+    return lo, hi
+
+
+def _related_box(rng, box, relation):
+    """A box at a level 0-12 that is nested in ``box``, touches it from
+    above in one coordinate, or is drawn on its own."""
+    level = rng.randint(box.level, 12) if relation != "apart" else rng.randint(0, 12)
+    shift = level - box.level
+    corners = []
+    for m in box.corners:
+        if relation == "apart":
+            bound = min(4**level, 3 << level)
+            corners.append(rng.randint(-bound, bound))
+        else:
+            corners.append(rng.randint(m << shift, (m + 2 << shift) - 2))
+    if relation == "touching":
+        i = rng.randrange(len(corners))
+        corners[i] = box.corners[i] + 2 << shift
+    if any(abs(m) > 4**level for m in corners):
+        return None
+    return TaggedBox(tag=0, level=level, corners=tuple(corners))
+
+
+def test_box_edge_free_matches_the_interval_ranges():
+    rng = random.Random(34)
+    seen = set()
+    for _ in range(700):
+        dim, level = rng.randint(1, 3), rng.randint(0, 12)
+        bound = min(4**level, 3 << level)
+        box = TaggedBox(0, level, tuple(rng.randint(-bound, bound) for _ in range(dim)))
+        relation = rng.choice(("nested", "touching", "apart"))
+        other = _related_box(rng, box, relation)
+        if other is None:
+            continue
+        pair = (box, other) if rng.random() < 0.5 else (other, box)
+        lo, hi = _squared_range_by_intervals(*pair)
+        inside = lo + (hi - lo) * Fraction(rng.randint(1, 99), 100)
+        outside = hi * Fraction(rng.randint(101, 300), 100)
+        below = [lo * Fraction(rng.randint(1, 99), 100)] if lo else []
+        cases = {
+            "unknown": [lo or hi, outside, *below],
+            "nonempty": [inside, hi, outside],
+            "empty": [outside, *below],
+        }
+        for expected, squared in cases.items():
+            status = box_edge_free(distance_graph(dim, squared), *pair).status
+            assert status == expected, (pair, squared)
+        seen.add((relation, dim, lo == 0))
+    # nested and touching boxes meet in their closures; boxes drawn apart
+    # may or may not
+    assert seen == {
+        (relation, dim, gapless)
+        for dim in (1, 2, 3)
+        for relation, gapless in (
+            ("nested", True), ("touching", True), ("apart", True), ("apart", False)
+        )
+    }
