@@ -11,6 +11,7 @@ import os
 import random
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, permutations, starmap
 from typing import Callable, Optional
@@ -271,15 +272,15 @@ def _no_rational_unit_triangle(rng, config):
 
 # -- pattern-lab suites ----------------------------------------------------------
 
-def _variation_oracle(universe: SampleUniverse, spec: VariationSpec) -> bool:
-    """Brute-force induced-copy decision, no pruning.
+@lru_cache(maxsize=16)
+def _variation_shapes(spec: VariationSpec) -> frozenset[int]:
+    """Induced-edge shapes of every relabelling sigma of the pattern.
 
-    An ordered injection of the pattern is a sorted k-subset together with
-    an ordering of it, so every k-subset is tested against the induced-edge
-    shapes of every relabelling sigma of the pattern.  A shape folds one
-    bit per position pair (a, b), a < b, in ``combinations`` order: the bit
-    is the edge between the subset's a-th and b-th points, or for sigma the
-    pattern edge between sigma(a) and sigma(b).
+    A shape folds one bit per position pair (a, b), a < b, in
+    ``combinations`` order: for sigma the bit is the pattern edge between
+    sigma(a) and sigma(b).  The set depends on the spec alone, so it is
+    built once per spec per process, on first use; 16 entries hold the
+    eight variations at two depths.
     """
     verts = spec.vertices()
     k = len(verts)
@@ -291,6 +292,21 @@ def _variation_oracle(universe: SampleUniverse, spec: VariationSpec) -> bool:
         for a, b in pairs:
             shape = shape << 1 | want[sigma[a]][sigma[b]]
         shapes.add(shape)
+    return frozenset(shapes)
+
+
+def _variation_oracle(universe: SampleUniverse, spec: VariationSpec) -> bool:
+    """Brute-force induced-copy decision, no pruning.
+
+    An ordered injection of the pattern is a sorted k-subset together with
+    an ordering of it, so every k-subset is tested against the induced-edge
+    shapes of every relabelling of the pattern (``_variation_shapes``).  A
+    subset's shape folds the edge between its a-th and b-th points for each
+    position pair (a, b), a < b, in ``combinations`` order.
+    """
+    k = len(spec.vertices())
+    pairs = list(combinations(range(k), 2))
+    shapes = _variation_shapes(spec)
     masks = universe.open_masks
     for subset in combinations(range(len(universe.points)), k):
         shape = 0

@@ -139,6 +139,9 @@ class Location:
         instance, from one scan of the edge list on an explicit one.  The
         error names the least failing pair (i, j), an overlap before an edge."""
         cells, colors = self.cells, self.colors
+        for cell in cells:
+            if isinstance(cell, TaggedBox):
+                instance.validate_box(cell)
         if instance.kind != EXPLICIT:
             if any(isinstance(cell, frozenset) for cell in cells):
                 raise UnsupportedKindError("vertex-subset cells need an explicit instance")
@@ -155,8 +158,7 @@ class Location:
         owners = [[] for _ in range(instance.n_vertices)]  # the cells holding each vertex
         for k, cell in enumerate(cells):
             if isinstance(cell, TaggedBox):
-                vertices = map(vertex_point, range(instance.n_vertices))
-                cell = [p for p in vertices if box_contains(cell, p)]
+                cell = _box_vertices(cell, instance.n_vertices)
             for p in cell:
                 instance.validate_point(p)  # so that pt(1/2) never reads as vertex 1
                 owners[p.coords[0].numerator].append(k)
@@ -176,6 +178,14 @@ class Location:
             raise LocationError(_OVERLAP.format(*overlap))
         if joined is not None:
             raise LocationError(_NOT_EDGE_FREE.format(*joined, "nonempty"))
+
+
+def _box_vertices(box: TaggedBox, n: int) -> list[Point]:
+    """The vertices of 0..n-1 in a 1-D box: the integers strictly between
+    m/2^k and (m+2)/2^k, each confirmed by box_contains."""
+    (m,), k = box.corners, box.level
+    first, stop = max(0, (m >> k) + 1), min(n, -(-(m + 2) >> k))
+    return [p for p in map(vertex_point, range(first, stop)) if box_contains(box, p)]
 
 
 _OVERLAP = "cells {} and {} overlap"

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import isqrt
+from math import isqrt, prod
 from typing import Iterable, Optional
 
 from .errors import InvalidPointError, UnknownPointError, UnsupportedKindError, quoted
@@ -88,6 +88,12 @@ class GraphInstance:
             c = x.coords[0]
             if c.denominator != 1 or not (0 <= c.numerator < self.n_vertices):
                 raise InvalidPointError(f"vertex index {quoted(c, str)} out of range")
+
+    def validate_box(self, box: TaggedBox) -> None:
+        if box.dimension != self.dimension:
+            raise InvalidPointError(
+                f"box dimension {box.dimension} != instance dimension {self.dimension}"
+            )
 
 
 def distance_graph(dimension: int, squared: Iterable) -> GraphInstance:
@@ -185,10 +191,24 @@ def _exact_adjacent(instance: GraphInstance, x: Point, y: Point) -> bool:
     if kind == CURVE_DIFFERENCE:
         if x == y:
             return False
-        u = x.coords[0] - y.coords[0]
-        v = x.coords[1] - y.coords[1]
-        p = instance.poly
-        return p.evaluate(u, v) == 0 or p.evaluate(-u, -v) == 0
+        # u = a/b and v = c/e; with L the product of the coefficient
+        # denominators and deg the largest exponent, p(u, v) = 0 exactly when
+        # the sum of (L * c_ij) * a^i * b^(deg-i) * c^j * e^(deg-j) is 0
+        (xu, xv), (yu, yv) = x.coords, y.coords
+        b = xu.denominator * yu.denominator
+        a = xu.numerator * yu.denominator - yu.numerator * xu.denominator
+        e = xv.denominator * yv.denominator
+        c = xv.numerator * yv.denominator - yv.numerator * xv.denominator
+        terms = instance.poly.terms
+        scale = prod(coef.denominator for _, coef in terms)
+        deg = max((max(i, j) for (i, j), _ in terms), default=0)
+        scaled = [
+            (i, j, coef.numerator * (scale // coef.denominator) * b ** (deg - i) * e ** (deg - j))
+            for (i, j), coef in terms
+        ]
+        return any(
+            sum(k * sa**i * sc**j for i, j, k in scaled) == 0 for sa, sc in ((a, c), (-a, -c))
+        )
     raise UnsupportedKindError(kind)
 
 
@@ -492,16 +512,17 @@ def box_edge_free(instance: GraphInstance, box0: TaggedBox, box1: TaggedBox) -> 
     between the closed boxes are integers lo and hi over 4^k, compared with
     each squared distance s as s * 4^k.  An s strictly between them
     certifies an edge even when no rational witness exists; an s equal to
-    one is "unknown".  Boxes of different dimensions raise
-    InvalidPointError.  Other kinds are unsupported (conservative);
-    Location.validate certifies the cells of an explicit instance from its
-    edge list.
+    one is "unknown".  Boxes of different dimensions, or of another
+    dimension than the instance's, raise InvalidPointError.  Other kinds
+    are unsupported (conservative); Location.validate certifies the cells
+    of an explicit instance from its edge list.
     """
     if instance.kind != DISTANCE:
         raise UnsupportedKindError(f"box_edge_free undefined for kind {instance.kind}")
     if not (isinstance(box0, TaggedBox) and isinstance(box1, TaggedBox)):
         raise UnsupportedKindError("distance instances use TaggedBox cells")
     k, ends = _common_level(box0, box1)
+    instance.validate_box(box0)  # box1 has box0's dimension
     lo_total = hi_total = 0
     for lo0, hi0, lo1, hi1 in ends:
         lo, hi = lo0 - hi1, hi0 - lo1  # the scaled ends of x - y

@@ -76,12 +76,12 @@ MAX_CURVE_POINTS = 1024
 MAX_EXPLICIT_EDGES = 2**19
 
 # The most box cells a location may give.  Validation certifies each pair of
-# same-colored boxes edge-free, or on an explicit instance tests each box
-# against every vertex.  With one level-11 box per point of a line, colors
+# same-colored boxes edge-free, or on an explicit instance tests each pair
+# of boxes for overlap.  With one level-11 box per point of a line, colors
 # alternating, it took 0.20-0.22 s at 256 cells, 0.78-0.85 s at 512 and
 # 2.4 s at 1024, and `poset liminf` on two conditions there 0.91-0.96 s at
-# 512; level-13 boxes on a 4096-vertex path took 1.7-2.0 s at 512 and
-# 4.2 s at 1024 (two runs each, 2-vCPU host, CPython 3.11).  Vertex-subset
+# 512; level-13 boxes on a 4096-vertex path took 0.43 s at 512 and
+# 1.3 s at 1024 (two runs each, 2-vCPU host, CPython 3.11).  Vertex-subset
 # cells cost one pass over the edges, so they stay unbounded.
 MAX_LOCATION_BOXES = 512
 

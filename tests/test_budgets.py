@@ -134,6 +134,30 @@ def _liminf_box_cells_on_line(n):
     return build
 
 
+def _liminf_box_cells_on_path(n, cells):
+    # one level-13 box around every eighth vertex of an explicit path,
+    # colors alternating, and two conditions at the location; testing each
+    # box against every vertex took validation 2.5 s at 512 cells
+    def build(tmp_path):
+        path = tmp_path / "path.json"
+        edges = [[v, v + 1] for v in range(n - 1)]
+        path.write_text(json.dumps({"kind": "explicit", "vertices": n, "edges": edges}))
+        vertices = range(0, 8 * cells, 8)
+        boxes = [first_box_containing(pt(v), tag=0, min_level=13) for v in vertices]
+        file = tmp_path / "liminf.json"
+        file.write_text(json.dumps({
+            "conditions": [{"assignment": {str(v): i % 2 for i, v in enumerate(vertices)}}] * 2,
+            "location": {
+                "cells": [{"box": box_to_json(b)} for b in boxes],
+                "colors": [i % 2 for i in range(cells)],
+            },
+        }))
+        out = str(tmp_path / "out.json")
+        return ["poset", "liminf", str(path), "--file", str(file), "--out", out]
+
+    return build
+
+
 def _ramsey_complete(k, m):
     # K_k with one color-0 condition per vertex in one cell: every pair is
     # incompatible, so no m-subset is; scanning all C(k, m) subsets took
@@ -253,6 +277,9 @@ ROWS = {
     ),
     "liminf-box-cells-past-the-bound-on-line": (
         _liminf_box_cells_on_line(MAX_LOCATION_BOXES + 1), 2, 1.0, 200,
+    ),
+    "liminf-box-cells-at-the-bound-on-explicit-path-4096": (
+        _liminf_box_cells_on_path(4096, MAX_LOCATION_BOXES), 0, 10.0, None,
     ),
     "ramsey-3-of-240-on-complete-graph": (_ramsey_complete(240, 3), 0, 1.0, None),
     "ramsey-13-of-26-on-complete-graph": (_ramsey_complete(26, 13), 0, 1.0, None),

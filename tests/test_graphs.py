@@ -31,7 +31,8 @@ from noetherlab import (
     squared_distance,
     vertex_point,
 )
-from noetherlab.campaign import _pairwise_masks
+from noetherlab.campaign import _CURVES, _pairwise_masks
+from noetherlab.control_poset import _box_vertices
 from noetherlab.errors import (
     InvalidPointError,
     LocationError,
@@ -258,6 +259,58 @@ def test_integer_pair_predicate_matches_the_fraction_one():
         got = [_exact_adjacent(u.instance, x, y) for x, y in pairs]
         assert got == [_fraction_adjacent(u.instance, x, y) for x, y in pairs]
         assert any(got) and not all(got)
+
+
+def test_integer_curve_predicate_matches_evaluate():
+    rng = random.Random(31)
+    denominators = (1, 2, 3, 5, 12, 10**9 + 7)
+
+    def draw(span=6):
+        return pt(*(Fraction(rng.randint(-span, span), rng.choice(denominators)) for _ in range(2)))
+
+    polys = [TwoVarPoly.from_dict(terms) for terms in _CURVES]
+    planted = []
+    for _ in range(12):
+        # random terms up to MAX_POWER, and a constant that makes p vanish
+        # at the difference of two drawn points, so that some pairs hit
+        terms = {
+            (rng.randint(0, MAX_POWER), rng.randint(0, MAX_POWER)):
+                Fraction(rng.randint(-5, 5), rng.choice(denominators))
+            for _ in range(rng.randint(1, 4))
+        }
+        terms.pop((0, 0), None)
+        x, y = draw(), draw()
+        u, v = x.coords[0] - y.coords[0], x.coords[1] - y.coords[1]
+        terms[(0, 0)] = -TwoVarPoly.from_dict(terms).evaluate(u, v)
+        polys.append(TwoVarPoly.from_dict(terms))
+        planted.append((x, y))
+    hits = 0
+    for n, p in enumerate(polys):
+        instance = curve_difference_graph(p)
+        # a small grid, so that many pairs share a coordinate: zero differences
+        points = {draw(2) for _ in range(10)} | {pt(0, 0), pt("3/5", "4/5"), pt(1, 1)}
+        if n >= len(_CURVES):
+            points |= set(planted[n - len(_CURVES)])
+        for x in points:
+            for y in points:
+                u, v = x.coords[0] - y.coords[0], x.coords[1] - y.coords[1]
+                expected = x != y and (p.evaluate(u, v) == 0 or p.evaluate(-u, -v) == 0)
+                assert _exact_adjacent(instance, x, y) is expected, (p, x, y)
+                hits += expected
+        if n >= len(_CURVES):
+            x, y = planted[n - len(_CURVES)]
+            assert x == y or _exact_adjacent(instance, x, y) and _exact_adjacent(instance, y, x)
+    assert hits > 0
+    # only p(-u, -v) vanishes on (x, y), and only p(u, v) on (y, x)
+    shifted = curve_difference_graph(TwoVarPoly.from_dict({(1, 0): 1, (0, 0): "-1/2"}))
+    x, y = pt(0, 0), pt("1/2", 3)
+    assert shifted.poly.evaluate(Fraction(-1, 2), Fraction(-3)) != 0
+    assert _exact_adjacent(shifted, x, y) and _exact_adjacent(shifted, y, x)
+    # the zero polynomial joins every pair of distinct points, a constant none
+    zero = curve_difference_graph(TwoVarPoly.from_dict({(1, 0): 0}))
+    constant = curve_difference_graph(TwoVarPoly.from_dict({(0, 0): "2/3"}))
+    assert _exact_adjacent(zero, x, y) and not _exact_adjacent(zero, x, x)
+    assert not _exact_adjacent(constant, x, y)
 
 
 def test_integer_curve_builder_matches_pairwise():
@@ -617,6 +670,39 @@ def test_box_pair_predicates_refuse_different_dimensions():
         for a, b in ((line, plane), (plane, line)):
             with pytest.raises(InvalidPointError, match="box dimensions differ: "):
                 predicate(a, b)
+
+
+def test_boxes_of_another_dimension_than_the_instance_are_refused():
+    # both boxes agree with each other, so only the instance's dimension differs
+    pair = (TaggedBox(0, 2, (0, 0)), TaggedBox(0, 2, (12, 0)))
+    refusal = "box dimension 2 != instance dimension 1"
+    line = distance_graph(1, [1])
+    with pytest.raises(InvalidPointError, match=refusal):
+        box_edge_free(line, *pair)
+    for instance in (line, explicit_graph(16, [(0, 1)])):
+        for cells in (pair, pair[:1]):
+            with pytest.raises(InvalidPointError, match=refusal):
+                Location(cells, (0,) * len(cells)).validate(instance)
+    plane = distance_graph(2, [1])
+    with pytest.raises(InvalidPointError, match="box dimension 1 != instance dimension 2"):
+        Location((TaggedBox(0, 3, (5,)),), (0,)).validate(plane)
+    Location(pair, (0, 0)).validate(plane)
+
+
+def test_box_vertices_match_the_scan_of_every_vertex():
+    rng = random.Random(37)
+    for n in (0, 1, 5, 64):
+        for level in range(7):
+            bound = 4**level
+            corners = {rng.randint(-bound, bound) for _ in range(40)}
+            # the ends of the corner range, boxes just below 0 and at or past n
+            corners |= {-bound, bound, -2, -1, (n << level) - 1, n << level, (n + 3) << level}
+            for m in corners:
+                if abs(m) > bound:
+                    continue
+                box = TaggedBox(0, level, (m,))
+                scan = [vertex_point(v) for v in range(n) if box_contains(box, vertex_point(v))]
+                assert _box_vertices(box, n) == scan, (n, box)
 
 
 # Every function of the package that calls itself, with what bounds its

@@ -19,7 +19,7 @@ from noetherlab import (
     homogeneous_subset,
     pt,
 )
-from noetherlab.campaign import _plant_variation, _variation_oracle
+from noetherlab.campaign import _plant_variation, _variation_oracle, _variation_shapes
 import noetherlab
 from noetherlab import _kernels, patterns
 from noetherlab.errors import InvalidSpecError, OracleBoundError, VerificationError
@@ -198,6 +198,36 @@ def test_variation_oracle_matches_the_injection_oracle():
                 assert _variation_oracle(u, spec) == expected, (spec, u.instance.edges)
                 seen.add(expected)
     assert seen == {True, False}
+
+
+def test_relabelling_tables_hold_one_shape_per_coset_of_the_automorphisms():
+    # 720 / |Aut| shapes of the six-vertex patterns
+    sizes = {
+        ("half", "clique", "clique"): 360,
+        ("half", "clique", "anticlique"): 360,
+        ("half", "anticlique", "clique"): 360,
+        ("half", "anticlique", "anticlique"): 180,
+        ("threeQuarter", "clique", "clique"): 15,
+        ("threeQuarter", "clique", "anticlique"): 120,
+        ("threeQuarter", "anticlique", "clique"): 120,
+        ("threeQuarter", "anticlique", "anticlique"): 60,
+    }
+    for spec in all_variations(3):
+        assert len(_variation_shapes(spec)) == sizes[spec.family, spec.left, spec.right]
+
+
+def test_relabelling_table_is_built_once_per_spec():
+    spec = all_variations(3)[5]
+    u = _plant_variation(random.Random(5), spec, 3, 0.3)
+    _variation_oracle(u, spec)
+    before = _variation_shapes.cache_info()
+    assert _variation_oracle(u, spec)
+    after = _variation_shapes.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    # the eight variations at depths 2 and 3, and one more spec past them
+    for spec in all_variations(2) + all_variations(3) + all_variations(4)[:1]:
+        _variation_shapes(spec)
+    assert _variation_shapes.cache_info().currsize <= 16
 
 
 def test_planted_depth5_in_40_vertices():
