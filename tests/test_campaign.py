@@ -1,7 +1,7 @@
 import random
 
 from conftest import universes_of_every_kind
-from noetherlab import adjacent
+from noetherlab import _kernels, adjacent
 from noetherlab.campaign import (
     BOUND_MINIMA,
     DEFAULT_BOUNDS,
@@ -12,6 +12,7 @@ from noetherlab.campaign import (
     emit_report,
     run_campaign,
 )
+from noetherlab.cli import main
 from noetherlab.errors import NoetherError
 
 import pytest
@@ -89,6 +90,28 @@ def test_mutation_fixture_reports_counterexamples():
     assert suite["failures"] > 0
     assert not report["all_passed"]
     assert suite["counterexamples"][0]["detail"]["note"] == "deliberate mutation fixture"
+
+
+def test_a_raised_library_check_is_the_trial_counterexample(monkeypatch, tmp_path):
+    # a kernel that gives every point color 0, which chromatic_number's
+    # post-condition refuses on any universe with an edge
+    monkeypatch.setattr(_kernels, "chromatic_number", lambda masks: (1, [0] * len(masks)))
+    config = RunConfig(seed=20260811, trials=6)
+    names = ["chromatic-oracle-agreement"]
+    report = run_campaign(config, names)
+    suite = report["suites"]["chromatic-oracle-agreement"]
+    assert suite["failures"] > 0 and not report["all_passed"]
+    for example in suite["counterexamples"]:
+        detail = example["detail"]
+        assert detail.keys() == {"raised", "message"}
+        assert detail["raised"] == "VerificationError"
+        assert detail["message"].startswith("oracle returned improper coloring")
+    serial = emit_report(report)
+    assert emit_report(run_campaign(config, names, jobs=2)) == serial
+    out = tmp_path / "report.json"
+    argv = ["campaign", *names, "--seed", "20260811", "--trials", "6", "--out", str(out)]
+    assert main(argv) == 1
+    assert out.read_text(encoding="utf-8") == serial
 
 
 def test_budget_clamp_suite_holds_where_the_old_clamp_failed():

@@ -19,6 +19,7 @@ from noetherlab import (
     patterns,
     pt,
 )
+from noetherlab.campaign import SUITES
 from noetherlab.cli import MAX_TRIALS, build_parser, main
 from noetherlab.patterns import SearchStats, find_variation_prefix
 from noetherlab.serialize import (
@@ -483,6 +484,13 @@ def test_campaign_exit_codes(capsys):
     code, report = _run(capsys, ["campaign", "selftest-mutation", "--trials", "10"])
     assert code == 1
     assert report["suites"]["selftest-mutation"]["counterexamples"]
+
+
+def test_campaign_list_names_every_registered_suite(capsys):
+    code, report = _run(capsys, ["campaign", "--list"])
+    assert code == 0
+    assert report == {"suites": sorted(SUITES)}
+    assert "selftest-mutation" in report["suites"]
 
 
 def test_campaign_report_is_the_same_at_every_jobs_level(capsys):

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import time
 from itertools import islice
 
@@ -22,8 +23,9 @@ from noetherlab import (
     stitch_colorings,
     vertex_point,
 )
-from noetherlab.coloring import check_proper, check_suitable
+from noetherlab.coloring import check_proper, check_suitable, validate_pcondition
 from noetherlab.errors import (
+    InvalidConditionError,
     InvalidStageError,
     OracleBoundError,
     PreconditionError,
@@ -33,7 +35,7 @@ from noetherlab.errors import (
 from noetherlab.cli import main
 from noetherlab.generators import clustered_line_universe, line_universe, random_universe
 from noetherlab.geometry import box_contains, iter_boxes_containing
-from noetherlab.graphs import adjacent
+from noetherlab.graphs import SampleUniverse, adjacent, distance_graph
 
 
 def _box(corner, level, tag=0):
@@ -217,6 +219,46 @@ def test_stitch_rejects_improper_stage():
     )
     with pytest.raises(InvalidStageError):
         stitch_colorings(u, chain, None, require_good=False)
+
+
+# 0 and 1/2 are adjacent, and the level-0 box (-1, 1) holds both
+_HALF = SampleUniverse(distance_graph(1, ["1/4"]), [pt(0), pt("1/2")])
+_IMPROPER = PCondition(_HALF, {x: _box(-1, 0) for x in _HALF.points})
+_LINE = line_universe(3)
+_FIRST, _WHOLE = frozenset([pt(0)]), frozenset(_LINE.points)
+_COLORING = {pt(0): 0, pt(1): 1, pt(2): 0}
+
+
+def _stitch(chain, p=None, universe=_LINE):
+    return lambda: stitch_colorings(universe, chain, p, require_good=False)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: extend_coloring(_IMPROPER), InvalidConditionError, "share color",
+                 id="extend-improper-p"),
+    pytest.param(
+        _stitch(StageChain((frozenset(_HALF.points),), ({pt(0): 0, pt("1/2"): 1},)), _IMPROPER,
+                _HALF),
+        InvalidConditionError, "base condition is not suitable/proper", id="stitch-improper-base"),
+    pytest.param(
+        _stitch(StageChain((_FIRST, _WHOLE), ({pt(0): 0}, _COLORING)),
+                PCondition(_LINE, {pt(2): _box(1, 0)})),
+        PreconditionError, "dom(p) must be contained in the first stage",
+        id="stitch-base-outside-the-first-stage"),
+    pytest.param(_stitch(StageChain((), ())), InvalidStageError,
+                 "stages and colorings must align and be nonempty", id="chain-empty"),
+    pytest.param(_stitch(StageChain((_WHOLE, _FIRST), (_COLORING, {pt(0): 0}))),
+                 InvalidStageError, "stage 1 does not strictly extend stage 0",
+                 id="chain-not-increasing"),
+    pytest.param(_stitch(StageChain((_WHOLE,), ({pt(0): 0},))), InvalidStageError,
+                 "stage 0 coloring domain mismatch", id="chain-domain-mismatch"),
+    pytest.param(lambda: validate_pcondition(PCondition(_LINE, {pt("1/2"): _box(-1, 0)})),
+                 InvalidConditionError, "Point(1/2) not in the universe",
+                 id="p-point-outside-the-universe"),
+])
+def test_constructions_refuse_invalid_input(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def test_stitch_base_condition_box_avoids_pbase_neighbors():

@@ -516,9 +516,9 @@ def test_masks_stay_cached_and_rebuild_once_popped():
 # elsewhere fails here.
 _REFERENCE_ROUTES = {
     ("campaign", "_adjacency_laws", "adjacent"),
-    ("campaign", "_pairwise_masks", "adjacent"),
-    ("campaign", "_lattice_laws", "adjacent"),
-    ("campaign", "_liminf_thin", "adjacent"),
+    ("campaign", "_pairwise_masks", "reference_adjacent"),
+    ("campaign", "_lattice_laws", "reference_adjacent"),
+    ("campaign", "_liminf_thin", "reference_adjacent"),
     ("cli", "_cmd_adj", "adjacent"),
     ("coloring", "check_proper", "_exact_adjacent"),
     ("graphs", "adjacent", "_exact_adjacent"),

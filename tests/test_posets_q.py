@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -43,9 +44,11 @@ from noetherlab.control_poset import (
     q_extends,
     q_incompatibility_witness,
     reduced_support,
+    validate_qcondition,
 )
 from noetherlab.errors import (
     IncompatibilityError,
+    InvalidConditionError,
     LocationError,
     OracleBoundError,
     PreconditionError,
@@ -449,6 +452,30 @@ def test_compatible_tail_spec_example():
     assert compatible_tail(conds[0], conds[0], [conds[0]]) == 0
     with pytest.raises(PreconditionError):
         compatible_tail(QCondition(u, {vertex_point(9): 0}), conds[0], conds)
+
+
+_PATH = path_explicit_universe(4)
+_ZERO = QCondition(_PATH, {vertex_point(0): 0})
+_WHOLE_PATH = Location((frozenset(_PATH.points),), (0,))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: validate_qcondition(QCondition(_PATH, {vertex_point(7): 0})),
+                 InvalidConditionError, "Point(7) not in the universe",
+                 id="q-point-outside-the-universe"),
+    pytest.param(lambda: validate_qcondition(QCondition(_PATH, {vertex_point(1): -1})),
+                 InvalidConditionError, "color -1 is not a natural", id="q-negative-color"),
+    pytest.param(lambda: compatible_tail(_ZERO, _ZERO, []), PreconditionError,
+                 "family must be nonempty", id="tail-empty-family"),
+    pytest.param(
+        lambda: compatible_tail(_ZERO, _ZERO, [QCondition(_PATH, {vertex_point(2): 0}), _ZERO]),
+        PreconditionError, "base must be the first family member", id="tail-base-not-first"),
+    pytest.param(lambda: liminf_thin([_ZERO], _WHOLE_PATH, []), PreconditionError,
+                 "need at least two conditions", id="liminf-one-condition"),
+])
+def test_q_operations_refuse_invalid_input(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def test_compatible_tail_spaced_family():
