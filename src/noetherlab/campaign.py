@@ -2,7 +2,8 @@
 
 One suite = one named trial function; a trial gets its own Random derived
 from (seed, suite, index), so reports are byte-identical across runs and
-parallelism levels.  Failures carry serialized counterexamples.
+parallelism levels.  A trial returns its counterexample, a dict of
+serialized detail, or None when it passes.
 """
 
 from __future__ import annotations
@@ -139,7 +140,8 @@ class RunConfig:
         return self.bounds.get(name, DEFAULT_BOUNDS[name])
 
 
-TrialFn = Callable[[random.Random, RunConfig], tuple[bool, Optional[dict]]]
+# A trial's counterexample, or None when it passes.
+TrialFn = Callable[[random.Random, RunConfig], Optional[dict]]
 SUITES: dict[str, TrialFn] = {}
 
 
@@ -160,10 +162,9 @@ def _adjacency_laws(rng, config):
     for _ in range(10):
         x, y = rng.choice(universe.points), rng.choice(universe.points)
         if adjacent(inst, x, y) != adjacent(inst, y, x):
-            return False, {"law": "symmetry", "universe": universe_to_json(universe)}
+            return {"law": "symmetry", "universe": universe_to_json(universe)}
         if adjacent(inst, x, x):
-            return False, {"law": "irreflexivity", "universe": universe_to_json(universe)}
-    return True, None
+            return {"law": "irreflexivity", "universe": universe_to_json(universe)}
 
 
 @suite("neighborhood-laws")
@@ -175,10 +176,9 @@ def _neighborhood_laws(rng, config):
     union = common_neighborhood(universe, a | b)
     meet = common_neighborhood(universe, a) & common_neighborhood(universe, b)
     if union != meet:
-        return False, {"law": "intersection", "universe": universe_to_json(universe)}
+        return {"law": "intersection", "universe": universe_to_json(universe)}
     if a <= b and not common_neighborhood(universe, b) <= common_neighborhood(universe, a):
-        return False, {"law": "antitone", "universe": universe_to_json(universe)}
-    return True, None
+        return {"law": "antitone", "universe": universe_to_json(universe)}
 
 
 def _pairwise_masks(universe: SampleUniverse) -> list[int]:
@@ -231,8 +231,7 @@ def _mask_adjacency_agreement(rng, config):
     ]
     for universe in universes:
         if universe.closed_masks != _pairwise_masks(universe):
-            return False, {"universe": universe_to_json(universe)}
-    return True, None
+            return {"universe": universe_to_json(universe)}
 
 
 @suite("box-enumeration")
@@ -242,14 +241,13 @@ def _box_enumeration(rng, config):
         idx = rng.randrange(10_000)
         box = box_from_index(dim, idx)
         if box_index(box) != idx:
-            return False, {"dim": dim, "index": idx}
+            return {"dim": dim, "index": idx}
     tag = rng.randint(0, 5)
     level = rng.randint(0, 3)
     corners = tuple(rng.randint(-(4**level), 4**level) for _ in range(dim))
     box = TaggedBox(tag=tag, level=level, corners=corners)
     if box_from_index(dim, box_index(box)) != box:
-        return False, {"dim": dim, "box": repr(box)}
-    return True, None
+        return {"dim": dim, "box": repr(box)}
 
 
 @suite("no-rational-unit-triangle")
@@ -257,8 +255,7 @@ def _no_rational_unit_triangle(rng, config):
     universe = planar_unit_universe(rng, rng.randint(5, 10))
     found = find_clique(universe, 3)
     if found is not None:
-        return False, {"clique": [repr(p) for p in found]}
-    return True, None
+        return {"clique": [repr(p) for p in found]}
 
 
 # -- pattern-lab suites ----------------------------------------------------------
@@ -341,13 +338,12 @@ def _pattern_oracle(rng, config):
     witness = find_variation_prefix(universe, spec)
     expected = _variation_oracle(universe, spec)
     if (witness is not None) != expected:
-        return False, {
+        return {
             "spec": repr(spec),
             "detector": witness is not None,
             "oracle": expected,
             "universe": universe_to_json(universe),
         }
-    return True, None
 
 
 @suite("pattern-planted")
@@ -356,8 +352,7 @@ def _pattern_planted(rng, config):
     universe = _plant_variation(rng, spec, 40 - 10, rng.uniform(0.1, 0.35))
     witness = find_variation_prefix(universe, spec)
     if witness is None:
-        return False, {"spec": repr(spec), "universe": universe_to_json(universe)}
-    return True, None
+        return {"spec": repr(spec), "universe": universe_to_json(universe)}
 
 
 @suite("homogeneous-bound")
@@ -369,8 +364,7 @@ def _homogeneous_bound(rng, config):
     }
     subset, _ = homogeneous_subset(list(range(n)), lambda i, j: table[(i, j)], colors)
     if len(subset) < homogeneous_guarantee(n, colors):
-        return False, {"n": n, "colors": colors, "subset": list(subset)}
-    return True, None
+        return {"n": n, "colors": colors, "subset": list(subset)}
 
 
 # -- noetherian-lattice suites ---------------------------------------------------
@@ -384,29 +378,28 @@ def _lattice_laws(rng, config):
     for x in h:
         for y in h:
             if x != y and not universe.reference_adjacent(x, y):
-                return False, {"law": "heart-clique", "universe": universe_to_json(universe)}
+                return {"law": "heart-clique", "universe": universe_to_json(universe)}
     small = frozenset(rng.sample(pts, k=rng.randint(0, min(4, len(pts)))))
     big = small | frozenset(rng.sample(pts, k=rng.randint(0, min(3, len(pts)))))
     cl_small, cl_big = good_closure(universe, small), good_closure(universe, big)
     if not small <= cl_small:
-        return False, {"law": "extensive"}
+        return {"law": "extensive"}
     if not cl_small <= cl_big:
-        return False, {"law": "monotone"}
+        return {"law": "monotone"}
     if good_closure(universe, cl_small) != cl_small:
-        return False, {"law": "idempotent"}
+        return {"law": "idempotent"}
     chain_union = cl_small | cl_big
     if good_closure(universe, chain_union) != chain_union:
-        return False, {"law": "chain-union-closed"}
+        return {"law": "chain-union-closed"}
     fam = frozenset(rng.sample(pts, k=rng.randint(1, min(5, len(pts)))))
     result = minimal_subfamily(universe, fam)
     if common_neighborhood(universe, result.points) != common_neighborhood(universe, fam):
-        return False, {"law": "extent-preservation"}
+        return {"law": "extent-preservation"}
     again = minimal_subfamily(universe, result.points)
     if again.points != result.points:
-        return False, {"law": "minimal-fixpoint"}
+        return {"law": "minimal-fixpoint"}
     if not (result.certified and again.certified):
-        return False, {"law": "subfamily-certified"}
-    return True, None
+        return {"law": "subfamily-certified"}
 
 
 @suite("minimal-subfamily-bound")
@@ -415,11 +408,10 @@ def _minimal_subfamily_bound(rng, config):
     fam = frozenset(rng.sample(universe.points, k=rng.randint(1, min(6, len(universe)))))
     result = minimal_subfamily(universe, fam)
     if not result.certified:
-        return False, {"why": "uncertified", "family": len(fam)}
+        return {"why": "uncertified", "family": len(fam)}
     # the algebraic clique-bound constant for n=2, l=2: n * (2^n * l)^n = 128
     if len(result.points) > 128:
-        return False, {"size": len(result.points)}
-    return True, None
+        return {"size": len(result.points)}
 
 
 def _chain_by_scanning_every_point(universe: SampleUniverse, max_arity: int) -> int:
@@ -447,15 +439,14 @@ def _descent_chain(rng, config):
     elements = chain.elements
     for prev, nxt in zip(elements, elements[1:]):
         if not nxt.extent < prev.extent:
-            return False, {"law": "strict-descent", "universe": universe_to_json(universe)}
+            return {"law": "strict-descent", "universe": universe_to_json(universe)}
         if not prev.generators[0] < nxt.generators[0]:
-            return False, {"law": "nested-generators", "universe": universe_to_json(universe)}
+            return {"law": "nested-generators", "universe": universe_to_json(universe)}
     if len(universe) <= 10 and len(chain) - 1 != _chain_by_scanning_every_point(
         universe, max_arity
     ):
-        return False, {"law": "longest", "universe": universe_to_json(universe),
-                       "max_arity": max_arity, "steps": len(chain) - 1}
-    return True, None
+        return {"law": "longest", "universe": universe_to_json(universe),
+                "max_arity": max_arity, "steps": len(chain) - 1}
 
 
 # -- coloring-engine suites ------------------------------------------------------
@@ -504,7 +495,7 @@ def _coloring_constructions(rng, config):
     p = random_pcondition(rng, universe)
     extended = extend_coloring(p)
     if not p_leq(extended, p):
-        return False, {"op": "extend-pleq", "universe": universe_to_json(universe)}
+        return {"op": "extend-pleq", "universe": universe_to_json(universe)}
 
     chain = _random_stage_chain(rng, universe)
     dom0 = sorted(chain.stages[0], key=universe.index)
@@ -512,8 +503,7 @@ def _coloring_constructions(rng, config):
     base = PCondition(universe, {x: greedy.assignment[x] for x in sub})
     stitched = stitch_colorings(universe, chain, base)
     if not p_leq(stitched, base):
-        return False, {"op": "stitch-pleq", "universe": universe_to_json(universe)}
-    return True, None
+        return {"op": "stitch-pleq", "universe": universe_to_json(universe)}
 
 
 @suite("stitch-nongood-experiment")
@@ -531,7 +521,6 @@ def _stitch_nongood(rng, config):
         stages.append(frozenset(acc))
     chain = _first_fit_chain(universe, stages)
     stitch_colorings(universe, chain, None, require_good=False)
-    return True, None
 
 
 @suite("chromatic-oracle-agreement")
@@ -539,12 +528,11 @@ def _chromatic_oracle_agreement(rng, config):
     universe = random_universe(rng, 9)
     chi, coloring = chromatic_number(universe)
     if len(set(coloring.values())) > chi:
-        return False, {"why": "too-many-colors"}
+        return {"why": "too-many-colors"}
     if k_colorable_fixed_order(universe, chi) is None:
-        return False, {"why": "chi-not-colorable", "chi": chi}
+        return {"why": "chi-not-colorable", "chi": chi}
     if chi > 1 and k_colorable_fixed_order(universe, chi - 1) is not None:
-        return False, {"why": "chi-not-minimal", "chi": chi}
-    return True, None
+        return {"why": "chi-not-minimal", "chi": chi}
 
 
 # -- poset-sim suites -------------------------------------------------------------
@@ -563,14 +551,13 @@ def _prop43_equivalence(rng, config):
     except IncompatibilityError:
         bound = None
     if (bound is not None) != compatible:
-        return False, {
+        return {
             "pairwise_compatible": compatible,
             "lower_bound_built": bound is not None,
             "universe": universe_to_json(universe),
         }
     if bound is not None and x not in bound.domain():
-        return False, {"why": "x-missing"}
-    return True, None
+        return {"why": "x-missing"}
 
 
 _THM59_BOX = TaggedBox(tag=0, level=0, corners=(0,))
@@ -584,10 +571,7 @@ def _ramsey_thm59(rng, config):
         QCondition(universe, {rng.choice(universe.points): 0}) for _ in range(6)
     ]
     if ramsey_compatible_subset(conditions, 3, loc) is None:
-        return False, {
-            "selections": [sorted(map(repr, q.assignment)) for q in conditions]
-        }
-    return True, None
+        return {"selections": [sorted(map(repr, q.assignment)) for q in conditions]}
 
 
 @suite("ramsey-centered")
@@ -604,7 +588,7 @@ def _ramsey_centered(rng, config):
         loc = Location(cells, colors)
         loc.validate(universe.instance)
     except NoetherError:
-        return True, None  # sampled location invalid; nothing to test
+        return None  # sampled location invalid; nothing to test
     k = ramsey_bound(m, len(cells))
     cell_members = [[p for p in universe.points if cell_contains(cell, p)] for cell in cells]
     conditions = []
@@ -612,18 +596,17 @@ def _ramsey_centered(rng, config):
         assignment = {}
         for members, color in zip(cell_members, colors):
             if not members:
-                return True, None
+                return None
             assignment[rng.choice(members)] = color
         if len(assignment) < len(cells):
-            return True, None
+            return None
         q = QCondition(universe, assignment)
         if check_proper(universe, assignment):
-            return True, None
+            return None
         conditions.append(q)
     found = ramsey_compatible_subset(conditions, m, loc)
     if found is None and find_clique(universe, m) is None:
-        return False, {"why": "guarantee-violated", "k": k, "cells": len(cells)}
-    return True, None
+        return {"why": "guarantee-violated", "k": k, "cells": len(cells)}
 
 
 @suite("liminf-thin")
@@ -638,30 +621,29 @@ def _liminf_thin(rng, config):
     test_set = rng.sample(universe.points, k=rng.randint(0, 3))
     result = liminf_thin(conditions, loc, test_set)
     if list(result.kept) != sorted(set(result.kept)):
-        return False, {"why": "indices-not-increasing"}
+        return {"why": "indices-not-increasing"}
+    # the one cell, the whole universe, is either constant or injective
     sels = {n: next(iter(conditions[n].assignment)) for n in result.kept}
-    for i in result.constant_cells:
+    if result.constant_cells:
         if len({next(iter(conditions[n].assignment)) for n in range(n_conds)}) != 1:
-            return False, {"why": "constant-cell-not-constant"}
-    for i in result.injective_cells:
+            return {"why": "constant-cell-not-constant"}
+    if result.injective_cells:
         vals = [sels[n] for n in result.kept]
         if len(set(vals)) != len(vals):
-            return False, {"why": "injective-cell-collision"}
-    for t in test_set:
-        for i in result.injective_cells:
+            return {"why": "injective-cell-collision"}
+        for t in test_set:
             adj = [n for n in result.kept if universe.reference_adjacent(t, sels[n])]
             if not (len(adj) <= result.threshold or len(adj) == len(result.kept)):
-                return False, {"why": "threshold-dichotomy"}
+                return {"why": "threshold-dichotomy"}
     if result.kept:
         base = conditions[result.kept[0]]
         family = [conditions[n] for n in result.kept]
         tail = compatible_tail(base, base, family)
         for n in range(tail, len(family)):
             if not q_compatible(base, family[n]):
-                return False, {"why": "tail-not-compatible"}
+                return {"why": "tail-not-compatible"}
         if tail > 0 and q_compatible(base, family[tail - 1]):
-            return False, {"why": "tail-not-minimal"}
-    return True, None
+            return {"why": "tail-not-minimal"}
 
 
 def _random_predense_setup(rng, config):
@@ -685,12 +667,11 @@ def _predense_equivalence(rng, config):
     full = predense_check(d, budget)
     reduced = predense_check_reduced(d, budget)
     if full != reduced:
-        return False, {
+        return {
             "full": full,
             "reduced": reduced,
             "universe": universe_to_json(universe),
         }
-    return True, None
 
 
 @suite("budget-clamp")
@@ -706,13 +687,12 @@ def _budget_clamp(rng, config):
 
     at_clamp, beyond = predense(clamp), predense(clamp + 2)
     if at_clamp != beyond:
-        return False, {"clamp": clamp, "at_clamp": at_clamp, "beyond": beyond,
-                       "universe": universe_to_json(universe)}
+        return {"clamp": clamp, "at_clamp": at_clamp, "beyond": beyond,
+                "universe": universe_to_json(universe)}
     budget = rng.randint(1, clamp + 1)
     if predense(budget + 1) and not predense(budget):
-        return False, {"why": "not-monotone", "budget": budget,
-                       "universe": universe_to_json(universe)}
-    return True, None
+        return {"why": "not-monotone", "budget": budget,
+                "universe": universe_to_json(universe)}
 
 
 @suite("predense-reduce")
@@ -721,7 +701,7 @@ def _predense_reduce(rng, config):
     b_mask, c_mask = reduced_support(d)
     pool = universe.ordered_points_of(c_mask)
     if not pool:
-        return True, None
+        return None
     q = None
     for _ in range(60):
         pts = rng.sample(pool, k=min(len(pool), rng.randint(1, 3)))
@@ -733,9 +713,8 @@ def _predense_reduce(rng, config):
             q = cand
             break
     if q is None:
-        return True, None  # no everywhere-incompatible condition sampled
+        return None  # no everywhere-incompatible condition sampled
     predense_reduce(d, q, canonical_location(q))
-    return True, None
 
 
 # -- hamming suites ---------------------------------------------------------------
@@ -748,11 +727,10 @@ def _vitali_embedding(rng, config):
     eps = epsilon_matrix(breadth, alphabet)
     report = verify_vitali_homomorphism(universe, eps)
     if not report["passed"]:
-        return False, {"stage": "vitali", "report": report}
+        return {"stage": "vitali", "report": report}
     emb = verify_embedding(rng.randint(1, 4))
     if not emb["passed"]:
-        return False, {"stage": "embedding", "report": emb}
-    return True, None
+        return {"stage": "embedding", "report": emb}
 
 
 @suite("hamming-chromatic")
@@ -761,34 +739,33 @@ def _hamming_chromatic(rng, config):
     universe = make_diagonal_hamming(breadth)
     chi, _ = chromatic_number(universe)
     if chi != breadth:
-        return False, {"breadth": breadth, "chi": chi}
+        return {"breadth": breadth, "chi": chi}
     mixed = mixed_radix_coloring(universe)
     if check_proper(universe, mixed):
-        return False, {"why": "mixed-radix-improper", "breadth": breadth}
-    return True, None
+        return {"why": "mixed-radix-improper", "breadth": breadth}
 
 
 @suite("selftest-mutation")
 def _selftest_mutation(rng, config):
     # deliberately corrupted checker: the harness must surface failures
     if rng.random() < 0.4:
-        return False, {"note": "deliberate mutation fixture", "roll": "low"}
-    return True, None
+        return {"note": "deliberate mutation fixture", "roll": "low"}
 
 
 # -- runner -----------------------------------------------------------------------
 
-def run_one(suite_name: str, seed: int, index: int, config: RunConfig):
-    """(ok, info) of trial ``index`` of a suite, from its own seeded rng.
+def run_one(suite_name: str, seed: int, index: int, config: RunConfig) -> Optional[dict]:
+    """The counterexample of trial ``index`` of a suite, from its own seeded
+    rng, or None when the trial passes.
 
     A trial fails by its own check, or by raising a NoetherError, such as a
-    library post-condition that re-verifies its output; info then names the
-    error: ``{"raised": <class name>, "message": <its text>}``.
+    library post-condition that re-verifies its output; the counterexample
+    then names the error: ``{"raised": <class name>, "message": <its text>}``.
     """
     try:
         return SUITES[suite_name](random.Random(f"{seed}:{suite_name}:{index}"), config)
     except NoetherError as exc:
-        return False, {"raised": type(exc).__name__, "message": str(exc)}
+        return {"raised": type(exc).__name__, "message": str(exc)}
 
 
 def run_campaign(config: RunConfig, suite_names: list[str], jobs: int = 1) -> dict:
@@ -814,7 +791,7 @@ def run_campaign(config: RunConfig, suite_names: list[str], jobs: int = 1) -> di
             # both starmaps return the outcomes in trial order
             trials = [(name, config.seed, i, config) for i in range(config.trials)]
             outcomes = enumerate(run_all(run_one, trials))
-            failures = [(i, info) for i, (ok, info) in outcomes if not ok]
+            failures = [(i, info) for i, info in outcomes if info is not None]
             results[name] = {
                 "trials": config.trials,
                 "passes": config.trials - len(failures),

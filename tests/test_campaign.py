@@ -11,6 +11,7 @@ from noetherlab.campaign import (
     _first_fit_chain,
     emit_report,
     run_campaign,
+    run_one,
 )
 from noetherlab.cli import main
 from noetherlab.errors import NoetherError
@@ -85,11 +86,19 @@ def test_different_seeds_differ():
 
 
 def test_mutation_fixture_reports_counterexamples():
-    report = run_campaign(RunConfig(seed=1, trials=20), ["selftest-mutation"])
+    config = RunConfig(seed=1, trials=20)
+    report = run_campaign(config, ["selftest-mutation"])
     suite = report["suites"]["selftest-mutation"]
     assert suite["failures"] > 0
     assert not report["all_passed"]
     assert suite["counterexamples"][0]["detail"]["note"] == "deliberate mutation fixture"
+    # run_one returns a failing trial's counterexample and None for a pass;
+    # the report lists the first failures, so the trials before them passed
+    for example in suite["counterexamples"]:
+        assert run_one("selftest-mutation", 1, example["trial"], config) == example["detail"]
+    first = suite["counterexamples"][0]["trial"]
+    assert first > 0
+    assert all(run_one("selftest-mutation", 1, i, config) is None for i in range(first))
 
 
 def test_a_raised_library_check_is_the_trial_counterexample(monkeypatch, tmp_path):
@@ -106,6 +115,7 @@ def test_a_raised_library_check_is_the_trial_counterexample(monkeypatch, tmp_pat
         assert detail.keys() == {"raised", "message"}
         assert detail["raised"] == "VerificationError"
         assert detail["message"].startswith("oracle returned improper coloring")
+        assert run_one(names[0], config.seed, example["trial"], config) == detail
     serial = emit_report(report)
     assert emit_report(run_campaign(config, names, jobs=2)) == serial
     out = tmp_path / "report.json"

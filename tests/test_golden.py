@@ -32,9 +32,9 @@ DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 
 CAMPAIGN_SEED = 20260811
 CAMPAIGN_TRIALS = 50
-# Three more seeds at 40 trials, over every suite except the
-# selftest-mutation fixture: this adds mask-adjacency-agreement, the
-# campaign check of the masks against the pair predicate.
+# Three more seeds at 40 trials, over every suite: this adds
+# mask-adjacency-agreement, the campaign check of the masks against the
+# pair predicate.
 EXTRA_SEEDS = (1, 2, 3)
 EXTRA_TRIALS = 40
 # The 21 suites of the acceptance campaign: every suite except the
@@ -65,6 +65,10 @@ CAMPAIGN_SUITES = (
 # Suites added after the acceptance campaign was fixed, digested at every
 # seed above.
 LATER_SUITES = ("descent-chain",)
+# The mutation fixture, digested at every seed above: the only entries whose
+# reports hold failures, so they pin the trial numbers, the pass and failure
+# counts, the cut to five counterexamples and all_passed false.
+FAILING_SUITES = ("selftest-mutation",)
 CLI_CALLS = (
     *(["hamming", verb, "--breadth", "3"] for verb in ("embed", "vitali", "chi")),
     # one universe of each generator family, printed to stdout
@@ -210,11 +214,12 @@ def box_edge_free_statuses(seed=13, pairs=300):
 def golden_outputs():
     """(entry name, output text) of every entry of the corpus."""
     config = RunConfig(seed=CAMPAIGN_SEED, trials=CAMPAIGN_TRIALS)
-    for suite in (*CAMPAIGN_SUITES, *LATER_SUITES):
+    for suite in (*CAMPAIGN_SUITES, *LATER_SUITES, *FAILING_SUITES):
         yield f"campaign {suite}", emit_report(run_campaign(config, [suite]))
     for seed in EXTRA_SEEDS:
         config = RunConfig(seed=seed, trials=EXTRA_TRIALS)
-        for suite in sorted((*CAMPAIGN_SUITES, *LATER_SUITES, "mask-adjacency-agreement")):
+        suites = (*CAMPAIGN_SUITES, *LATER_SUITES, *FAILING_SUITES, "mask-adjacency-agreement")
+        for suite in sorted(suites):
             yield f"campaign seed {seed} {suite}", emit_report(run_campaign(config, [suite]))
     for breadth in range(1, 7):
         for k, eps in enumerate(_sequences(breadth)):

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, islice
 
 import pytest
@@ -17,10 +18,16 @@ from noetherlab import (
     pt,
     validate_pcondition,
 )
+from noetherlab.coloring import check_proper
 from noetherlab.coloring_poset import p_incompatibility_witness
 from noetherlab.errors import IncompatibilityError, InvalidConditionError
-from noetherlab.geometry import iter_boxes_containing
-from noetherlab.generators import line_universe, random_pcondition, random_universe
+from noetherlab.geometry import first_box_containing, iter_boxes_containing
+from noetherlab.generators import (
+    clustered_line_universe,
+    line_universe,
+    random_pcondition,
+    random_universe,
+)
 
 
 def _box(corner, level, tag=0):
@@ -107,6 +114,26 @@ def test_lower_bound_compatible_pair_with_new_point():
     assert q.domain() == frozenset(u.points)
     assert not box_contains(q.assignment[pt(2)], pt(1))
     assert p_leq(q, p0) and p_leq(q, p1)
+
+
+def test_lower_bound_gives_new_points_distinct_boxes_that_avoid_the_old_domain():
+    # On the clustered line the good closure of {1/16, 1/8} adds the unit
+    # partners 17/16 and 9/8.  Both have the first box (0, 2), which holds
+    # their old-domain neighbours, so the bound must pass over it, and must
+    # not then give both the same next box.
+    u = clustered_line_universe()
+    old = {pt(Fraction(1, 16)): _box(-1, 0), pt(Fraction(1, 8)): _box(0, 0)}
+    members = [PCondition(u, {x: box}) for x, box in old.items()]
+    q = p_lower_bound(members)
+    new = sorted(q.domain() - old.keys(), key=u.index)
+    assert new == [pt(Fraction(17, 16)), pt(Fraction(9, 8))]
+    assert {first_box_containing(y) for y in new} == {_box(0, 0)}
+    boxes = [q.assignment[y] for y in new]
+    assert len(set(boxes)) == len(boxes)
+    assert check_proper(u, q.assignment) == []
+    for y, box in zip(new, boxes):
+        assert not any(box_contains(box, x) for x in old if adjacent(u.instance, x, y))
+    assert all(p_leq(q, p) for p in members)
 
 
 def test_lower_bound_single_condition_returns_it():
